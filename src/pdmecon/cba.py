@@ -14,14 +14,16 @@ which holds exactly on every stored sample, not just in expectation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
+from . import format_table
 from .errors import ValidationError
+from .jsonio import from_dict, json_object, load_json, tagged
 from .plantsim import ComparisonReport
 
 
@@ -53,9 +55,6 @@ class Point:
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
 
-    def to_dict(self) -> dict:
-        return {"dist": "point", "value": self.value}
-
 
 @dataclass(frozen=True)
 class Uniform:
@@ -65,14 +64,13 @@ class Uniform:
     def __post_init__(self):
         if self.low > self.high:
             raise ValidationError(f"Uniform low {self.low} > high {self.high}")
+        if not np.isfinite(self.high - self.low):
+            raise ValidationError(f"Uniform range [{self.low}, {self.high}] overflows a float")
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.low == self.high:
             return self.low
         return float(rng.uniform(self.low, self.high))
-
-    def to_dict(self) -> dict:
-        return {"dist": "uniform", "low": self.low, "high": self.high}
 
 
 @dataclass(frozen=True)
@@ -91,9 +89,6 @@ class Triangular:
         if self.low == self.high:
             return self.low
         return float(rng.triangular(self.low, self.mode, self.high))
-
-    def to_dict(self) -> dict:
-        return {"dist": "triangular", "low": self.low, "mode": self.mode, "high": self.high}
 
 
 @dataclass(frozen=True)
@@ -121,34 +116,14 @@ class Normal:
             f"in 10000 draws; check the parameters"
         )
 
-    def to_dict(self) -> dict:
-        return {"dist": "normal", "mu": self.mu, "sigma": self.sigma}
-
 
 AmountSpec = Point | Uniform | Triangular | Normal
 
 
-def amount_from_dict(doc: dict) -> AmountSpec:
-    dist = doc.get("dist")
-    try:
-        if dist == "point":
-            return Point(value=float(doc["value"]))
-        if dist == "uniform":
-            return Uniform(low=float(doc["low"]), high=float(doc["high"]))
-        if dist == "triangular":
-            return Triangular(low=float(doc["low"]), mode=float(doc["mode"]), high=float(doc["high"]))
-        if dist == "normal":
-            return Normal(mu=float(doc["mu"]), sigma=float(doc["sigma"]))
-    except KeyError as exc:
-        raise ValidationError(f"amount spec {doc!r} missing parameter {exc}") from None
-    raise ValidationError(f"unknown amount distribution {dist!r}")
-
-
-def sample_amount(spec: AmountSpec, rng: np.random.Generator) -> float:
-    """Draw one value from an amount specification."""
-    if not isinstance(spec, (Point, Uniform, Triangular, Normal)):
-        raise ValidationError(f"not an amount spec: {spec!r}")
-    return spec.sample(rng)
+def amount_from_dict(doc, what: str = "amount") -> AmountSpec:
+    kinds = {"point": Point, "uniform": Uniform, "triangular": Triangular, "normal": Normal}
+    cls, fields = tagged(doc, "dist", kinds, what)
+    return from_dict(cls, fields, what)
 
 
 @dataclass(frozen=True)
@@ -176,41 +151,14 @@ class LineItem:
                 f"item '{self.name}': only DisposalGain items may be OneOff"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ledger": self.ledger.value,
-            "category": self.category,
-            "kind": self.kind.value,
-            "amount": self.amount.to_dict(),
-            "assumptions": self.assumptions,
-        }
 
-
-def item_from_dict(doc: dict) -> LineItem:
-    name = doc.get("name", "<unnamed>")
-    try:
-        ledger = LedgerKind(doc["ledger"])
-    except (KeyError, ValueError):
-        raise ValidationError(
-            f"item '{name}': ledger must be one of {[l.value for l in LedgerKind]}"
-        ) from None
-    try:
-        kind = ItemKind(doc.get("kind", "Variable"))
-    except ValueError:
-        raise ValidationError(
-            f"item '{name}': kind must be one of {[k.value for k in ItemKind]}"
-        ) from None
-    if "amount" not in doc:
-        raise ValidationError(f"item '{name}': missing amount")
-    return LineItem(
-        name=doc.get("name", ""),
-        ledger=ledger,
-        category=doc.get("category", ""),
-        kind=kind,
-        amount=amount_from_dict(doc["amount"]),
-        assumptions=doc.get("assumptions", ""),
-    )
+def item_from_dict(doc, what: str = "item") -> LineItem:
+    """A ledger item; kind defaults to Variable."""
+    fields = {"kind": ItemKind.VARIABLE.value, **json_object(doc, what)}
+    if isinstance(fields.get("name"), str):
+        what = f"{what} {fields['name']!r}"
+    amount = amount_from_dict(fields.pop("amount", None), f"{what}.amount")
+    return from_dict(LineItem, fields, what, amount=amount)
 
 
 @dataclass(frozen=True)
@@ -288,13 +236,8 @@ def _sample_matrix(items: list[LineItem], config: McConfig) -> np.ndarray:
     for t in range(config.trials):
         rng = _trial_rng(config.seed, t)
         for j, item in enumerate(items):
-            samples[t, j] = sample_amount(item.amount, rng)
+            samples[t, j] = item.amount.sample(rng)
     return samples
-
-
-def simulate_item(item: LineItem, config: McConfig) -> McSummary:
-    """Monte Carlo summary for a single line item."""
-    return McSummary.from_samples(_sample_matrix([item], config)[:, 0])
 
 
 def net_benefit(ledger: list[LineItem], config: McConfig) -> NetBenefitResult:
@@ -328,26 +271,19 @@ def net_benefit(ledger: list[LineItem], config: McConfig) -> NetBenefitResult:
     )
 
 
+@dataclass(frozen=True)
+class _LedgerDoc:
+    schema_version: Literal[1]
+    items: tuple[dict, ...]
+    notes: str = ""
+
+
 def load_ledger(path: str | Path) -> list[LineItem]:
-    """Load and validate a ledger JSON file; duplicate names are rejected."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"ledger file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"ledger file {path} is not valid JSON: {exc}") from None
-    if doc.get("schema_version") != 1:
-        raise ValidationError(f"{path}: unsupported ledger schema_version {doc.get('schema_version')!r}")
-    raw_items = doc.get("items")
-    if not isinstance(raw_items, list) or not raw_items:
+    """Load and validate a ledger JSON file."""
+    doc = from_dict(_LedgerDoc, load_json(path, "ledger"), "ledger")
+    if not doc.items:
         raise ValidationError(f"{path}: ledger must contain a non-empty 'items' list")
-    items = [item_from_dict(d) for d in raw_items]
-    names = [i.name for i in items]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ValidationError(f"{path}: duplicate item names: {dupes}")
-    return items
+    return [item_from_dict(d, f"ledger item {i}") for i, d in enumerate(doc.items)]
 
 
 BRIDGED_REVENUE_ITEM = "Avoidance of lost revenue"
@@ -401,9 +337,4 @@ def format_summary_table(summaries: dict, title_col: str = "item") -> str:
         [name, f"{s.mean:.1f}", f"{s.sd:.1f}", f"{s.max:.1f}", f"{s.min:.1f}"]
         for name, s in summaries.items()
     ]
-    if not rows:
-        return "(no rows)"
-    widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]
-    return "\n".join(lines)
+    return format_table(headers, rows)

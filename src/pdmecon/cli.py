@@ -11,19 +11,19 @@ Subcommands wire the library into reproducible, config-driven runs:
     cba       Monte Carlo net-benefit analysis over a cost ledger
 
 Structured inputs come from JSON config files; flags cover paths, the seed,
-and the output directory (default from $PDMECON_OUT_DIR). Every artifact is
-written atomically and re-running a command with the same inputs and seed
-produces byte-identical output. Exit codes: 0 success, 1 validation error,
-2 runtime failure.
+and the output directory (default from $PDMECON_OUT_DIR). Configs reject
+unknown fields, wrong types and NaN/Infinity (see pdmecon.jsonio). Artifacts
+are strict JSON or CSV written atomically; the same inputs and seed give
+byte-identical output. Exit codes: 0 success, 1 bad input (usage, a missing
+or malformed file or config), 2 only for a fault inside the program.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 from .cba import McConfig, bridge_from_simulation, format_summary_table, load_ledger, net_benefit
@@ -31,8 +31,10 @@ from .detect import DetectorConfig, events_to_jsonl, format_events, run_all_dete
 from .errors import ValidationError
 from .features import LagSpec, make_lag_matrix
 from .ingest import IngestConfig, load_historian_csv, select_channel, write_sensor_csv
+from .jsonio import atomic_path, from_dict, load_json, write_json, write_text
 from .models import (
     MODEL_KINDS,
+    Hyperparams,
     evaluate_cv,
     fit_model,
     format_eval_table,
@@ -47,7 +49,6 @@ from .plantsim import (
     generate_trace,
     inject_fault,
     injection_from_dict,
-    plan_from_dict,
     scenario_from_dict,
     trace_to_frame,
 )
@@ -67,43 +68,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+@dataclass(frozen=True)
+class _InjectionsFile:
+    injections: tuple[dict, ...] = ()
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    _write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_frame_csv(frame, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    os.close(fd)
-    try:
-        write_sensor_csv(frame, tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _load_json(path: str, what: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
+def _config(path: str | None, cls, what: str):
+    """The config dataclass from a JSON file, or its defaults when no file is given."""
+    return from_dict(cls, load_json(path, what), what) if path else cls()
 
 
 def _seed(args) -> int:
@@ -124,33 +96,31 @@ def _load_series(csv_path: str, channel: str):
 
 
 def cmd_synth(args) -> int:
-    plan = plan_from_dict(_load_json(args.plan, "trace plan")) if args.plan else TracePlan()
+    plan = _config(args.plan, TracePlan, "trace plan")
     injections = []
     if args.injections:
-        doc = _load_json(args.injections, "injections")
-        entries = doc if isinstance(doc, list) else doc.get("injections", [])
-        injections = [injection_from_dict(d) for d in entries]
+        doc = load_json(args.injections, "injections")
+        if not isinstance(doc, dict):
+            doc = {"injections": doc}  # the bare-array form
+        entries = from_dict(_InjectionsFile, doc, "injections").injections
+        injections = [injection_from_dict(d, f"injections[{i}]") for i, d in enumerate(entries)]
     trace = generate_trace(plan, _seed(args))
     for inj in injections:
         trace = inject_fault(trace, inj)
     out = _out_dir(args) / args.out
-    _write_frame_csv(trace_to_frame(trace), out)
+    with atomic_path(out) as tmp:
+        write_sensor_csv(trace_to_frame(trace), tmp)
     print(f"wrote {len(trace)} rows to {out}")
     return 0
 
 
 def cmd_ingest(args) -> int:
-    config = IngestConfig()
-    if args.config:
-        doc = _load_json(args.config, "ingest config")
-        config = IngestConfig(
-            sentinel_tokens=tuple(doc.get("sentinel_tokens", config.sentinel_tokens)),
-            timestamp_formats=tuple(doc.get("timestamp_formats", config.timestamp_formats)),
-        )
+    config = _config(args.config, IngestConfig, "ingest config")
     frame, report = load_historian_csv(args.csv, config)
     out = _out_dir(args)
-    _write_frame_csv(frame, out / "cleaned.csv")
-    _write_json(out / "ingest_report.json", report.to_dict())
+    with atomic_path(out / "cleaned.csv") as tmp:
+        write_sensor_csv(frame, tmp)
+    write_json(out / "ingest_report.json", report.to_dict())
     print(
         f"read {report.rows_read} rows: kept {report.rows_retained}, "
         f"dropped {report.rows_dropped_sentinel} sentinel + "
@@ -160,24 +130,15 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _hyperparams(args) -> dict:
-    if not args.hyperparams:
-        return {}
-    doc = _load_json(args.hyperparams, "hyperparameters")
-    if not isinstance(doc, dict):
-        raise ValidationError("hyperparameters file must hold an object keyed by model kind")
-    return doc
-
-
 def cmd_train(args) -> int:
     seed = _seed(args)
     lag_spec = _lag_spec(args)
     series = _load_series(args.csv, args.channel)
     supervised = make_lag_matrix(series, lag_spec)
-    hp = _hyperparams(args).get(args.kind, {})
+    hp = getattr(_config(args.hyperparams, Hyperparams, "hyperparameters"), args.kind)
     model = fit_model(args.kind, supervised.X, supervised.y, hp, seed)
     out = _out_dir(args) / args.out
-    _write_json(out, model_to_dict(model, seed=seed, lag_spec=lag_spec))
+    write_json(out, model_to_dict(model, seed=seed, lag_spec=lag_spec))
     print(f"trained {args.kind} on {supervised.n_rows} rows x {lag_spec.n_features} lags -> {out}")
     return 0
 
@@ -190,9 +151,9 @@ def cmd_evaluate(args) -> int:
         if kind not in MODEL_KINDS:
             raise ValidationError(f"unknown model kind '{kind}'; expected subset of {MODEL_KINDS}")
     series = _load_series(args.csv, args.channel)
-    hp = _hyperparams(args)
+    hp = _config(args.hyperparams, Hyperparams, "hyperparameters")
     reports = [
-        evaluate_cv(series, lag_spec, args.k, kind, hp.get(kind, {}), seed) for kind in kinds
+        evaluate_cv(series, lag_spec, args.k, kind, getattr(hp, kind), seed) for kind in kinds
     ]
     doc = {
         "schema_version": 1,
@@ -203,28 +164,22 @@ def cmd_evaluate(args) -> int:
         "reports": {r.model_kind: r.to_dict() for r in reports},
     }
     out = _out_dir(args) / "evaluation.json"
-    _write_json(out, doc)
+    write_json(out, doc)
     print(format_eval_table(reports))
     print(f"wrote {out}")
     return 0
 
 
 def cmd_detect(args) -> int:
-    config = DetectorConfig()
-    if args.config:
-        doc = _load_json(args.config, "detector config")
-        try:
-            config = DetectorConfig(**doc)
-        except TypeError as exc:
-            raise ValidationError(f"bad detector config: {exc}") from None
+    config = _config(args.config, DetectorConfig, "detector config")
     series = _load_series(args.csv, args.channel)
     events = run_all_detectors(series, config)
     out = _out_dir(args)
-    _write_text_atomic(out / "events.jsonl", events_to_jsonl(events) + ("\n" if events else ""))
+    write_text(out / "events.jsonl", events_to_jsonl(events) + ("\n" if events else ""))
     counts: dict[str, int] = {}
     for e in events:
         counts[e.kind.value] = counts.get(e.kind.value, 0) + 1
-    _write_json(
+    write_json(
         out / "detect_summary.json",
         {"schema_version": 1, "channel": args.channel, "total": len(events), "by_kind": counts},
     )
@@ -234,7 +189,7 @@ def cmd_detect(args) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _seed(args)
-    scenario = scenario_from_dict(_load_json(args.scenario, "scenario"))
+    scenario = scenario_from_dict(load_json(args.scenario, "scenario"))
     model = lag_spec = None
     if args.model:
         loaded = load_model(args.model)
@@ -242,7 +197,7 @@ def cmd_simulate(args) -> int:
     policies = scenario.build_policies(model=model, lag_spec=lag_spec)
     report = compare_policies(scenario.plan, scenario.injections, policies, scenario.econ, seed)
     out = _out_dir(args) / "comparison.json"
-    _write_json(out, report.to_dict())
+    write_json(out, report.to_dict())
     print(format_comparison(report))
     print(f"wrote {out}")
     return 0
@@ -252,13 +207,13 @@ def cmd_cba(args) -> int:
     seed = _seed(args)
     items = load_ledger(args.ledger)
     if args.bridge:
-        comparison = comparison_from_dict(_load_json(args.bridge, "comparison"))
+        comparison = comparison_from_dict(load_json(args.bridge, "comparison"))
         items = bridge_from_simulation(
             comparison, args.revenue_rate, items, args.unit_maintenance_cost
         )
     result = net_benefit(items, McConfig(trials=args.trials, seed=seed))
     out = _out_dir(args) / "net_benefit.json"
-    _write_json(out, result.to_dict())
+    write_json(out, result.to_dict())
     print(format_summary_table(result.item_summaries))
     print()
     print(format_summary_table({"Net benefit": result.net}, title_col="total"))

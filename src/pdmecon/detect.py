@@ -18,7 +18,6 @@ accurate for near-constant kPa-scale data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ingest import Series
+from .jsonio import dumps
 
 
 class FaultKind(str, Enum):
@@ -293,7 +293,7 @@ def decide(
 
 def events_to_jsonl(events: list[FaultEvent]) -> str:
     """One compact JSON object per line: {kind, start, end, severity}."""
-    return "\n".join(json.dumps(e.to_dict(), sort_keys=True) for e in events)
+    return "\n".join(dumps(e.to_dict()) for e in events)
 
 
 def format_events(events: list[FaultEvent]) -> str:

@@ -9,9 +9,7 @@ fold has the same size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -54,17 +52,6 @@ class SupervisedSet:
     @property
     def n_rows(self) -> int:
         return len(self.y)
-
-    @property
-    def column_names(self) -> list[str]:
-        return [f"lag_{int(l)}" for l in self.lags]
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.column_names + ["target"])
-            for row, target in zip(self.X, self.y):
-                writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
 
 
 @dataclass(frozen=True)

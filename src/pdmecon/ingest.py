@@ -138,8 +138,6 @@ class IngestConfig:
     timestamp_formats: tuple[str, ...] = DEFAULT_TIMESTAMP_FORMATS
 
     def __post_init__(self):
-        object.__setattr__(self, "sentinel_tokens", tuple(self.sentinel_tokens))
-        object.__setattr__(self, "timestamp_formats", tuple(self.timestamp_formats))
         if not self.timestamp_formats:
             raise ValidationError("at least one timestamp format is required")
 

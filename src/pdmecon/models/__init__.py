@@ -14,13 +14,14 @@ from .evaluate import (
     KIND_LABELS,
     MODEL_KINDS,
     EvalReport,
+    Hyperparams,
     evaluate_cv,
     fit_model,
     format_eval_table,
     predict,
     rmse,
 )
-from .io import LoadedModel, load_model, model_from_dict, model_to_dict, save_model
+from .io import LoadedModel, load_model, model_from_dict, model_to_dict
 from .linear import LinearModel, fit_ols, predict_linear
 from .tree import RegressionTree, TreeNode, TreeParams, fit_tree, predict_tree
 
@@ -33,6 +34,7 @@ __all__ = [
     "EvalReport",
     "ForecastModel",
     "ForestModel",
+    "Hyperparams",
     "KIND_LABELS",
     "LinearModel",
     "LoadedModel",
@@ -56,5 +58,4 @@ __all__ = [
     "predict_linear",
     "predict_tree",
     "rmse",
-    "save_model",
 ]

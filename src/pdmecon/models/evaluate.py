@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import format_table
 from ..errors import ValidationError
 from ..features import LagSpec, make_lag_matrix, walk_forward_splits
+from ..jsonio import from_dict
 from .linear import fit_ols, predict_linear
 from .ensemble import (
     BOOST_DEFAULTS,
@@ -63,40 +65,67 @@ class EvalReport:
         }
 
 
-def _tree_params(hp: dict, defaults: TreeParams) -> TreeParams:
-    return TreeParams(
-        max_depth=hp.get("max_depth", defaults.max_depth),
-        min_samples_leaf=hp.get("min_samples_leaf", defaults.min_samples_leaf),
+@dataclass(frozen=True)
+class LinearHyperparams:
+    """Ordinary least squares has no hyperparameters."""
+
+
+@dataclass(frozen=True)
+class ForestHyperparams:
+    n_trees: int = 100
+    max_depth: int | None = FOREST_DEFAULTS.max_depth
+    min_samples_leaf: int = FOREST_DEFAULTS.min_samples_leaf
+    bootstrap: bool = True
+
+
+@dataclass(frozen=True)
+class BoostHyperparams:
+    n_stages: int = 100
+    learning_rate: float = 0.1
+    max_depth: int | None = BOOST_DEFAULTS.max_depth
+    min_samples_leaf: int = BOOST_DEFAULTS.min_samples_leaf
+
+
+@dataclass(frozen=True)
+class Hyperparams:
+    """A hyperparameters file: one object per model kind, each optional."""
+
+    linear: LinearHyperparams = LinearHyperparams()
+    forest: ForestHyperparams = ForestHyperparams()
+    boost: BoostHyperparams = BoostHyperparams()
+
+
+def fit_model(kind: str, X: np.ndarray, y: np.ndarray, hyperparams=None, seed: int = 0):
+    """Fit one of the three regressor kinds.
+
+    hyperparams is the kind's hyperparameter dataclass or a JSON-style mapping
+    of its fields (validated here); None means the defaults.
+    """
+    if kind not in MODEL_KINDS:
+        raise ValidationError(f"unknown model kind '{kind}'; expected one of {MODEL_KINDS}")
+    cls = type(getattr(Hyperparams(), kind))
+    hp = hyperparams if isinstance(hyperparams, cls) else from_dict(
+        cls, {} if hyperparams is None else hyperparams, f"hyperparameters.{kind}"
     )
-
-
-def fit_model(kind: str, X: np.ndarray, y: np.ndarray, hyperparams: dict | None = None, seed: int = 0):
-    """Fit one of the three regressor kinds with the given hyperparameters."""
-    hp = dict(hyperparams or {})
     if kind == "linear":
-        _reject_unknown(hp, set(), kind)
         return fit_ols(X, y)
     if kind == "forest":
-        _reject_unknown(hp, {"n_trees", "max_depth", "min_samples_leaf", "bootstrap"}, kind)
         return fit_forest(
             X,
             y,
-            n_trees=hp.get("n_trees", 100),
-            params=_tree_params(hp, FOREST_DEFAULTS),
+            n_trees=hp.n_trees,
+            params=TreeParams(hp.max_depth, hp.min_samples_leaf),
             seed=seed,
-            bootstrap=hp.get("bootstrap", True),
+            bootstrap=hp.bootstrap,
         )
-    if kind == "boost":
-        _reject_unknown(hp, {"n_stages", "learning_rate", "max_depth", "min_samples_leaf"}, kind)
-        return fit_boost(
-            X,
-            y,
-            n_stages=hp.get("n_stages", 100),
-            learning_rate=hp.get("learning_rate", 0.1),
-            params=_tree_params(hp, BOOST_DEFAULTS),
-            seed=seed,
-        )
-    raise ValidationError(f"unknown model kind '{kind}'; expected one of {MODEL_KINDS}")
+    return fit_boost(
+        X,
+        y,
+        n_stages=hp.n_stages,
+        learning_rate=hp.learning_rate,
+        params=TreeParams(hp.max_depth, hp.min_samples_leaf),
+        seed=seed,
+    )
 
 
 def predict(model, X: np.ndarray) -> np.ndarray:
@@ -153,20 +182,6 @@ def format_eval_table(reports: list[EvalReport]) -> str:
     headers = ["Split Number"] + [
         f"{KIND_LABELS.get(r.model_kind, r.model_kind)} RMSE (kPa)" for r in reports
     ]
-    rows = []
-    for i in range(n_splits):
-        rows.append([str(i + 1)] + [f"{r.per_split_rmse[i]:.2f}" for r in reports])
+    rows = [[str(i + 1)] + [f"{r.per_split_rmse[i]:.2f}" for r in reports] for i in range(n_splits)]
     rows.append(["Average"] + [f"{r.average_rmse:.2f}" for r in reports])
-    widths = [max(len(h), *(len(row[c]) for row in rows)) for c, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def _reject_unknown(hp: dict, allowed: set, kind: str) -> None:
-    unknown = set(hp) - allowed
-    if unknown:
-        raise ValidationError(
-            f"unknown hyperparameters for '{kind}': {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
+    return format_table(headers, rows)

@@ -6,13 +6,15 @@ iterative because unlimited-depth trees can exceed the recursion limit.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 from ..errors import ValidationError
 from ..features import LagSpec
+from ..jsonio import from_dict, load_json
 from .ensemble import BoostModel, ForestModel
+from .evaluate import BoostHyperparams, ForestHyperparams
 from .linear import LinearModel
 from .tree import RegressionTree, TreeNode, TreeParams
 
@@ -46,21 +48,43 @@ def _tree_to_dict(tree: RegressionTree) -> dict:
     }
 
 
-def _tree_from_dict(doc: dict) -> RegressionTree:
+@dataclass(frozen=True)
+class _TreeDoc:
+    root: dict
+    params: TreeParams
+    n_features: int
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    v: float
+
+
+@dataclass(frozen=True)
+class _Split:
+    f: int
+    t: float
+    l: dict  # noqa: E741 - the serialized node keys
+    r: dict
+
+
+def _tree_from_dict(doc, what: str = "tree") -> RegressionTree:
+    tree = from_dict(_TreeDoc, doc, what)
     root = TreeNode()
-    stack = [(doc["root"], root)]
+    stack = [(tree.root, root, f"{what}.root")]
     while stack:
-        encoded, node = stack.pop()
-        if "v" in encoded:
-            node.value = float(encoded["v"])
-        else:
-            node.feature = int(encoded["f"])
-            node.threshold = float(encoded["t"])
-            node.left, node.right = TreeNode(), TreeNode()
-            stack.append((encoded["l"], node.left))
-            stack.append((encoded["r"], node.right))
-    params = TreeParams(**doc["params"])
-    return RegressionTree(root=root, params=params, n_features=int(doc["n_features"]))
+        encoded, node, where = stack.pop()
+        if isinstance(encoded, dict) and "v" in encoded:
+            node.value = from_dict(_Leaf, encoded, where).v
+            continue
+        split = from_dict(_Split, encoded, where)
+        if not 0 <= split.f < tree.n_features:
+            raise ValidationError(f"{where}.f {split.f} is not a feature index below {tree.n_features}")
+        node.feature, node.threshold = split.f, split.t
+        node.left, node.right = TreeNode(), TreeNode()
+        stack.append((split.l, node.left, f"{where}.l"))
+        stack.append((split.r, node.right, f"{where}.r"))
+    return RegressionTree(root=root, params=tree.params, n_features=tree.n_features)
 
 
 def model_to_dict(model, seed: int = 0, lag_spec: LagSpec | None = None) -> dict:
@@ -103,61 +127,68 @@ def model_to_dict(model, seed: int = 0, lag_spec: LagSpec | None = None) -> dict
     return doc
 
 
-def model_from_dict(doc: dict) -> LoadedModel:
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported model schema_version {version!r}")
-    kind = doc.get("kind")
-    params = doc.get("params", {})
-    seed = int(doc.get("seed", 0))
-    if kind == "linear":
-        model = LinearModel(
-            intercept=float(params["intercept"]),
-            coefficients=params["coefficients"],
-            ridge_applied=bool(params.get("ridge_applied", False)),
-        )
-    elif kind == "forest":
-        hp = doc.get("hyperparams", {})
+@dataclass(frozen=True)
+class _ModelDoc:
+    schema_version: Literal[1]
+    kind: str
+    seed: int = 0
+    lag_spec: LagSpec | None = None
+    hyperparams: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _LinearParams:
+    intercept: float
+    coefficients: tuple[float, ...]
+    ridge_applied: bool = False
+
+
+@dataclass(frozen=True)
+class _ForestParams:
+    trees: tuple[dict, ...]
+
+
+@dataclass(frozen=True)
+class _BoostParams:
+    init_value: float
+    stages: tuple[dict, ...]
+    n_features: int
+    stage_train_rmse: tuple[float, ...] = ()
+
+
+def model_from_dict(doc) -> LoadedModel:
+    doc = from_dict(_ModelDoc, doc, "model")
+    if doc.kind == "linear":
+        p = from_dict(_LinearParams, doc.params, "model.params")
+        model = LinearModel(p.intercept, p.coefficients, p.ridge_applied)
+    elif doc.kind == "forest":
+        hp = from_dict(ForestHyperparams, doc.hyperparams, "model.hyperparams")
+        p = from_dict(_ForestParams, doc.params, "model.params")
+        if not p.trees:
+            raise ValidationError("model.params.trees must hold at least one tree")
         model = ForestModel(
-            trees=[_tree_from_dict(t) for t in params["trees"]],
-            bootstrap=bool(hp.get("bootstrap", True)),
-            seed=seed,
-            params=TreeParams(
-                max_depth=hp.get("max_depth"),
-                min_samples_leaf=hp.get("min_samples_leaf", 1),
-            ),
+            trees=[_tree_from_dict(t, f"model.params.trees[{i}]") for i, t in enumerate(p.trees)],
+            bootstrap=hp.bootstrap,
+            seed=doc.seed,
+            params=TreeParams(hp.max_depth, hp.min_samples_leaf),
         )
-    elif kind == "boost":
-        hp = doc.get("hyperparams", {})
+    elif doc.kind == "boost":
+        hp = from_dict(BoostHyperparams, doc.hyperparams, "model.hyperparams")
+        p = from_dict(_BoostParams, doc.params, "model.params")
         model = BoostModel(
-            init_value=float(params["init_value"]),
-            stages=[_tree_from_dict(t) for t in params["stages"]],
-            learning_rate=float(hp.get("learning_rate", 0.1)),
-            seed=seed,
-            params=TreeParams(
-                max_depth=hp.get("max_depth"),
-                min_samples_leaf=hp.get("min_samples_leaf", 1),
-            ),
-            n_features=int(params["n_features"]),
-            stage_train_rmse=[float(v) for v in params.get("stage_train_rmse", [])],
+            init_value=p.init_value,
+            stages=[_tree_from_dict(t, f"model.params.stages[{i}]") for i, t in enumerate(p.stages)],
+            learning_rate=hp.learning_rate,
+            seed=doc.seed,
+            params=TreeParams(hp.max_depth, hp.min_samples_leaf),
+            n_features=p.n_features,
+            stage_train_rmse=list(p.stage_train_rmse),
         )
     else:
-        raise ValidationError(f"unknown model kind {kind!r} in document")
-    lag_doc = doc.get("lag_spec")
-    lag_spec = LagSpec(**lag_doc) if lag_doc else None
-    return LoadedModel(model=model, kind=kind, seed=seed, lag_spec=lag_spec)
-
-
-def save_model(path: str | Path, model, seed: int = 0, lag_spec: LagSpec | None = None) -> None:
-    doc = model_to_dict(model, seed=seed, lag_spec=lag_spec)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        raise ValidationError(f"unknown model kind {doc.kind!r} in document")
+    return LoadedModel(model=model, kind=doc.kind, seed=doc.seed, lag_spec=doc.lag_spec)
 
 
 def load_model(path: str | Path) -> LoadedModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"model file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"model file {path} is not valid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(load_json(path, "model"))

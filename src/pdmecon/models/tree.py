@@ -52,16 +52,6 @@ class RegressionTree:
     params: TreeParams
     n_features: int
 
-    def node_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.extend((node.left, node.right))
-        return count
-
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_samples_leaf: int):
     """Return (feature, threshold) minimizing child SSE, or None if no valid split."""

@@ -23,13 +23,16 @@ uptime + downtime == duration for every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
+from . import format_table
 from .detect import Action, decide
 from .errors import ValidationError
 from .features import LagSpec
 from .ingest import Channel, SensorFrame, Series
+from .jsonio import from_dict, tagged
 from .models import LinearModel, predict
 
 # Setpoint offsets replaying the recorded change sequence (35, 20, 35, 20, 40
@@ -54,7 +57,6 @@ class TracePlan:
     warmup_s: int = 1200
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple((int(o), float(v)) for o, v in self.segments))
         if self.duration_s < 1:
             raise ValidationError("duration_s must be >= 1")
         if self.sample_period_s != 1:
@@ -68,35 +70,6 @@ class TracePlan:
             raise ValidationError("segment offsets must be strictly increasing")
         if offsets and (offsets[0] < 0 or offsets[-1] >= self.duration_s):
             raise ValidationError("segment offsets must lie within [0, duration_s)")
-
-    def to_dict(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "sample_period_s": self.sample_period_s,
-            "baseline_kpa": self.baseline_kpa,
-            "segments": [list(s) for s in self.segments],
-            "noise_sigma_kpa": self.noise_sigma_kpa,
-            "warmup_s": self.warmup_s,
-        }
-
-
-def plan_from_dict(doc: dict) -> TracePlan:
-    """Build a TracePlan from a (possibly partial) JSON document."""
-    allowed = {
-        "duration_s",
-        "sample_period_s",
-        "baseline_kpa",
-        "segments",
-        "noise_sigma_kpa",
-        "warmup_s",
-    }
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValidationError(f"unknown trace plan fields: {sorted(unknown)}")
-    kwargs = dict(doc)
-    if "segments" in kwargs:
-        kwargs["segments"] = tuple(tuple(s) for s in kwargs["segments"])
-    return TracePlan(**kwargs)
 
 
 def generate_trace(plan: TracePlan, seed: int = 0) -> Series:
@@ -126,9 +99,6 @@ class SpikeRamp:
         if self.at_s < 0 or self.rise_s < 1:
             raise ValidationError("SpikeRamp requires at_s >= 0 and rise_s >= 1")
 
-    def to_dict(self) -> dict:
-        return {"kind": "spike_ramp", "at_s": self.at_s, "peak_kpa": self.peak_kpa, "rise_s": self.rise_s}
-
 
 @dataclass(frozen=True)
 class StuckAt:
@@ -141,36 +111,17 @@ class StuckAt:
         if self.at_s < 0 or self.duration_s < 1:
             raise ValidationError("StuckAt requires at_s >= 0 and duration_s >= 1")
 
-    def to_dict(self) -> dict:
-        return {"kind": "stuck_at", "at_s": self.at_s, "duration_s": self.duration_s}
-
 
 FaultInjection = SpikeRamp | StuckAt
 
 
-def _check_fields(doc: dict, allowed: set, what: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}; allowed: {sorted(allowed)}")
+def injection_from_dict(doc, what: str = "injection") -> FaultInjection:
+    cls, fields = tagged(doc, "kind", {"spike_ramp": SpikeRamp, "stuck_at": StuckAt}, what)
+    return from_dict(cls, fields, what)
 
 
-def injection_from_dict(doc: dict) -> FaultInjection:
-    kind = doc.get("kind")
-    if kind == "spike_ramp":
-        _check_fields(doc, {"kind", "at_s", "peak_kpa", "rise_s"}, "spike_ramp")
-        return SpikeRamp(at_s=int(doc["at_s"]), peak_kpa=float(doc["peak_kpa"]), rise_s=int(doc["rise_s"]))
-    if kind == "stuck_at":
-        _check_fields(doc, {"kind", "at_s", "duration_s"}, "stuck_at")
-        return StuckAt(at_s=int(doc["at_s"]), duration_s=int(doc["duration_s"]))
-    raise ValidationError(f"unknown injection kind {kind!r}")
-
-
-def inject_fault(series: Series, injection: FaultInjection, seed: int | None = None) -> Series:
-    """Apply one fault to a standalone series (spikes hold to the end).
-
-    The seed is reserved for stochastic injection kinds; the current kinds are
-    deterministic.
-    """
+def inject_fault(series: Series, injection: FaultInjection) -> Series:
+    """Apply one fault to a standalone series (spikes hold to the end)."""
     values = series.values.copy()
     n = len(values)
     if injection.at_s >= n:
@@ -203,13 +154,6 @@ class BreakdownRule:
         if self.repair_duration_s < 1:
             raise ValidationError("repair_duration_s must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "fail_limit_kpa": self.fail_limit_kpa,
-            "grace_s": self.grace_s,
-            "repair_duration_s": self.repair_duration_s,
-        }
-
 
 @dataclass(frozen=True)
 class PreventivePolicy:
@@ -235,6 +179,8 @@ class PredictivePolicy:
     breakdown: BreakdownRule = field(default_factory=BreakdownRule)
 
     def __post_init__(self):
+        if self.model is None or self.lag_spec is None:
+            raise ValidationError("a predictive policy requires a trained model and its lag spec")
         if self.horizon_s < 1 or self.schedule_window_s < 1 or self.maint_duration_s < 1:
             raise ValidationError("horizon_s, schedule_window_s, maint_duration_s must be >= 1")
         if self.limit_kpa >= self.hard_limit_kpa:
@@ -254,47 +200,15 @@ def _check_repair_dominates(maint_duration_s: int, breakdown: BreakdownRule) -> 
 PolicyConfig = PreventivePolicy | PredictivePolicy
 
 
-def policy_from_dict(doc: dict, model=None, lag_spec: LagSpec | None = None) -> PolicyConfig:
-    kind = doc.get("kind")
-    breakdown_doc = doc.get("breakdown", {})
-    _check_fields(breakdown_doc, {"fail_limit_kpa", "grace_s", "repair_duration_s"}, "breakdown")
-    breakdown = BreakdownRule(**breakdown_doc)
-    if kind == "preventive":
-        _check_fields(doc, {"kind", "cycle_s", "maint_duration_s", "breakdown"}, "preventive policy")
-        return PreventivePolicy(
-            cycle_s=int(doc.get("cycle_s", 1800)),
-            maint_duration_s=int(doc.get("maint_duration_s", 300)),
-            breakdown=breakdown,
-        )
-    if kind == "predictive":
-        _check_fields(
-            doc,
-            {
-                "kind",
-                "limit_kpa",
-                "hard_limit_kpa",
-                "horizon_s",
-                "schedule_window_s",
-                "maint_duration_s",
-                "breakdown",
-            },
-            "predictive policy",
-        )
-        if model is None:
-            raise ValidationError("a predictive policy requires a trained model")
-        if lag_spec is None:
-            raise ValidationError("a predictive policy requires the model's lag spec")
-        return PredictivePolicy(
-            model=model,
-            lag_spec=lag_spec,
-            limit_kpa=float(doc.get("limit_kpa", 40.0)),
-            hard_limit_kpa=float(doc.get("hard_limit_kpa", 50.0)),
-            horizon_s=int(doc.get("horizon_s", 60)),
-            schedule_window_s=int(doc.get("schedule_window_s", 300)),
-            maint_duration_s=int(doc.get("maint_duration_s", 300)),
-            breakdown=breakdown,
-        )
-    raise ValidationError(f"unknown policy kind {kind!r}")
+def policy_from_dict(
+    doc, model=None, lag_spec: LagSpec | None = None, what: str = "policy"
+) -> PolicyConfig:
+    cls, fields = tagged(
+        doc, "kind", {"preventive": PreventivePolicy, "predictive": PredictivePolicy}, what
+    )
+    if cls is PreventivePolicy:
+        return from_dict(cls, fields, what)
+    return from_dict(cls, fields, what, model=model, lag_spec=lag_spec)
 
 
 @dataclass(frozen=True)
@@ -305,12 +219,6 @@ class EconParams:
     def __post_init__(self):
         if self.fouling_rate_kpa_per_s < 0:
             raise ValidationError("fouling_rate_kpa_per_s must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "fouling_rate_kpa_per_s": self.fouling_rate_kpa_per_s,
-            "revenue_rate_per_s": self.revenue_rate_per_s,
-        }
 
 
 @dataclass(frozen=True)
@@ -344,18 +252,6 @@ class SimOutcome:
             "revenue_rate_per_s": self.revenue_rate_per_s,
             "revenue_units": self.revenue_units,
         }
-
-
-def outcome_from_dict(doc: dict) -> SimOutcome:
-    return SimOutcome(
-        duration_s=int(doc["duration_s"]),
-        uptime_s=int(doc["uptime_s"]),
-        downtime_s=int(doc["downtime_s"]),
-        maintenance_count=int(doc["maintenance_count"]),
-        breakdown_count=int(doc["breakdown_count"]),
-        revenue_rate_per_s=float(doc["revenue_rate_per_s"]),
-        revenue_units=float(doc["revenue_units"]),
-    )
 
 
 class _FaultState:
@@ -423,13 +319,14 @@ def run_policy(
     breakdown = policy.breakdown
     predictive = isinstance(policy, PredictivePolicy)
     if predictive:
-        lags = policy.lag_spec.lags
-        max_lag = int(policy.lag_spec.max_lag)
-        if getattr(policy.model, "n_features", len(lags)) != len(lags):
+        n_lags = policy.lag_spec.n_features
+        if getattr(policy.model, "n_features", n_lags) != n_lags:
             raise ValidationError(
                 f"model expects {policy.model.n_features} features but the lag spec "
-                f"provides {len(lags)}"
+                f"provides {n_lags}"
             )
+        lags = policy.lag_spec.lags
+        max_lag = int(policy.lag_spec.max_lag)
 
     faults = [_FaultState(inj) for inj in injections]
     obs = np.empty(duration)
@@ -534,17 +431,19 @@ class ComparisonReport:
         }
 
 
-def comparison_from_dict(doc: dict) -> ComparisonReport:
-    if doc.get("schema_version") != 1:
-        raise ValidationError(f"unsupported comparison schema_version {doc.get('schema_version')!r}")
-    outcomes = {name: outcome_from_dict(o) for name, o in doc.get("outcomes", {}).items()}
-    deltas = doc.get("deltas", {})
-    return ComparisonReport(
-        outcomes=outcomes,
-        downtime_avoided_s=deltas.get("downtime_avoided_s"),
-        maintenance_avoided=deltas.get("maintenance_avoided"),
-        revenue_delta=deltas.get("revenue_delta"),
-    )
+@dataclass(frozen=True)
+class _ComparisonDoc:
+    schema_version: Literal[1]
+    outcomes: dict
+    deltas: dict = field(default_factory=dict)
+
+
+def comparison_from_dict(doc) -> ComparisonReport:
+    doc = from_dict(_ComparisonDoc, doc, "comparison")
+    outcomes = {
+        name: from_dict(SimOutcome, o, f"comparison.outcomes.{name}") for name, o in doc.outcomes.items()
+    }
+    return from_dict(ComparisonReport, doc.deltas, "comparison.deltas", outcomes=outcomes)
 
 
 def compare_policies(
@@ -597,9 +496,7 @@ def format_comparison(report: ComparisonReport) -> str:
         ]
         for name, o in report.outcomes.items()
     ]
-    widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]
+    lines = [format_table(headers, rows)]
     if report.revenue_delta is not None:
         lines.append(
             f"deltas: downtime avoided {report.downtime_avoided_s} s, "
@@ -618,26 +515,27 @@ class Scenario:
 
     def build_policies(self, model=None, lag_spec: LagSpec | None = None) -> dict[str, PolicyConfig]:
         return {
-            name: policy_from_dict(doc, model=model, lag_spec=lag_spec)
+            name: policy_from_dict(doc, model, lag_spec, f"scenario.policies.{name}")
             for name, doc in self.policy_docs.items()
         }
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
-    if doc.get("schema_version") != 1:
-        raise ValidationError(f"unsupported scenario schema_version {doc.get('schema_version')!r}")
-    plan = plan_from_dict(doc.get("plan", {}))
-    injections = [injection_from_dict(d) for d in doc.get("injections", [])]
-    policy_docs = doc.get("policies", {})
-    if not isinstance(policy_docs, dict) or not policy_docs:
-        raise ValidationError("scenario must define a non-empty 'policies' mapping")
-    for name, pdoc in policy_docs.items():
-        if not isinstance(pdoc, dict) or "kind" not in pdoc:
-            raise ValidationError(f"policy '{name}' must be an object with a 'kind' field")
-    econ_doc = doc.get("econ", {})
-    _check_fields(econ_doc, {"fouling_rate_kpa_per_s", "revenue_rate_per_s"}, "econ")
-    econ = EconParams(**econ_doc)
-    return Scenario(plan=plan, injections=injections, policy_docs=policy_docs, econ=econ)
+@dataclass(frozen=True)
+class _ScenarioDoc:
+    schema_version: Literal[1]
+    policies: dict
+    description: str = ""
+    plan: TracePlan = TracePlan()
+    injections: tuple[dict, ...] = ()
+    econ: EconParams = EconParams()
+
+
+def scenario_from_dict(doc) -> Scenario:
+    doc = from_dict(_ScenarioDoc, doc, "scenario")
+    injections = [
+        injection_from_dict(d, f"scenario.injections[{i}]") for i, d in enumerate(doc.injections)
+    ]
+    return Scenario(plan=doc.plan, injections=injections, policy_docs=doc.policies, econ=doc.econ)
 
 
 def trace_to_frame(series: Series, channel_name: str | None = None) -> SensorFrame:

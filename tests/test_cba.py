@@ -19,8 +19,6 @@ from pdmecon.cba import (
     format_summary_table,
     load_ledger,
     net_benefit,
-    sample_amount,
-    simulate_item,
 )
 from pdmecon.errors import ValidationError
 from pdmecon.plantsim import ComparisonReport, SimOutcome
@@ -46,19 +44,19 @@ def outcome(uptime, downtime, maint, brk=0, rate=1.0):
 
 def test_point_always_returns_value():
     rng = np.random.default_rng(0)
-    assert all(sample_amount(Point(5.0), rng) == 5.0 for _ in range(10))
+    assert all(Point(5.0).sample(rng) == 5.0 for _ in range(10))
 
 
 def test_uniform_degenerate_and_support():
     rng = np.random.default_rng(1)
-    assert sample_amount(Uniform(4.0, 4.0), rng) == 4.0
-    draws = [sample_amount(Uniform(500.0, 1000.0), rng) for _ in range(500)]
+    assert Uniform(4.0, 4.0).sample(rng) == 4.0
+    draws = [Uniform(500.0, 1000.0).sample(rng) for _ in range(500)]
     assert all(500.0 <= d <= 1000.0 for d in draws)
 
 
 def test_triangular_support_and_validation():
     rng = np.random.default_rng(2)
-    draws = [sample_amount(Triangular(1.0, 2.0, 4.0), rng) for _ in range(200)]
+    draws = [Triangular(1.0, 2.0, 4.0).sample(rng) for _ in range(200)]
     assert all(1.0 <= d <= 4.0 for d in draws)
     with pytest.raises(ValidationError):
         Triangular(3.0, 2.0, 4.0)
@@ -66,7 +64,7 @@ def test_triangular_support_and_validation():
 
 def test_normal_truncated_at_zero():
     rng = np.random.default_rng(3)
-    draws = [sample_amount(Normal(0.5, 2.0), rng) for _ in range(300)]
+    draws = [Normal(0.5, 2.0).sample(rng) for _ in range(300)]
     assert all(d >= 0.0 for d in draws)
     with pytest.raises(ValidationError):
         Normal(1.0, -1.0)
@@ -75,12 +73,16 @@ def test_normal_truncated_at_zero():
 def test_normal_hopeless_truncation_rejected():
     rng = np.random.default_rng(4)
     with pytest.raises(ValidationError, match="no sample"):
-        sample_amount(Normal(-1e9, 1.0), rng)
+        Normal(-1e9, 1.0).sample(rng)
     with pytest.raises(ValidationError):
         Normal(-5.0, 0.0)
 
 
 # --- per-item simulation ---
+
+def simulate_item(line_item, config):
+    return net_benefit([line_item], config).item_summaries[line_item.name]
+
 
 def test_simulate_point_item():
     summary = simulate_item(item("a", amount=Point(5.0)), McConfig(trials=200, seed=0))

@@ -1,11 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pdmecon
+from pdmecon import cli
 
 RUN = [sys.executable, "-m", "pdmecon"]
 
@@ -312,3 +319,234 @@ def test_out_dir_env_var(tmp_path, small_plan):
     )
     assert result.returncode == 0, result.stderr
     assert (env_dir / "historian.csv").exists()
+
+
+# --- malformed inputs: exit 1 with the file or field named -------------------
+
+def run_main(argv):
+    """cli.main in-process; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+SMALL_PLAN = {"duration_s": 300, "segments": [[100, 33.0]], "noise_sigma_kpa": 0.2, "warmup_s": 30}
+
+
+def small_scenario():
+    doc = json.loads(pdmecon.data_path("scenario2_avoid_breakdown.json").read_text())
+    doc["plan"] = {**doc["plan"], "duration_s": 400, "warmup_s": 0}
+    doc["injections"][0]["at_s"] = 200
+    return doc
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A small historian CSV, a linear model on lags 2..4, the bundled ledger,
+    a shortened bundled scenario and the comparison it produces."""
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "plan.json").write_text(json.dumps(SMALL_PLAN))
+    (d / "scenario.json").write_text(json.dumps(small_scenario()))
+    (d / "ledger.json").write_text(pdmecon.data_path("sample_ledger.json").read_text())
+    steps = [
+        ["synth", "--plan", d / "plan.json", "--seed", 1, "--out-dir", d],
+        ["train", "--csv", d / "historian.csv", "--min-lag", 2, "--max-lag", 4, "--seed", 1, "--out-dir", d],
+        ["simulate", "--scenario", d / "scenario.json", "--model", d / "model.json", "--seed", 1, "--out-dir", d],
+    ]
+    for argv in steps:
+        code, err = run_main(argv)
+        assert code == 0, err
+    return d
+
+
+def command(d, name, out):
+    """Valid argv for one command; a test swaps one input path for a malformed file."""
+    return {
+        "synth": ["synth", "--plan", d / "plan.json", "--seed", 1, "--out-dir", out],
+        "ingest": ["ingest", "--csv", d / "historian.csv", "--out-dir", out],
+        "train": ["train", "--csv", d / "historian.csv", "--kind", "forest", "--min-lag", 2,
+                  "--max-lag", 4, "--seed", 1, "--out-dir", out],
+        "evaluate": ["evaluate", "--csv", d / "historian.csv", "--kinds", "linear,forest,boost", "--k", 1,
+                     "--min-lag", 2, "--max-lag", 4, "--seed", 1, "--out-dir", out],
+        "detect": ["detect", "--csv", d / "historian.csv", "--out-dir", out],
+        "simulate": ["simulate", "--scenario", d / "scenario.json", "--model", d / "model.json",
+                     "--seed", 1, "--out-dir", out],
+        "cba": ["cba", "--ledger", d / "ledger.json", "--bridge", d / "comparison.json", "--trials", 20,
+                "--seed", 1, "--out-dir", out],
+    }[name]
+
+
+def with_flag(argv, flag, path):
+    argv = list(argv)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = path
+    else:
+        argv += [flag, path]
+    return argv
+
+
+def edited(doc, *path, value=None, drop=False):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def model_doc(d):
+    return json.loads((d / "model.json").read_text())
+
+
+def ledger_doc(d):
+    return json.loads((d / "ledger.json").read_text())
+
+
+def comparison_doc(d):
+    return json.loads((d / "comparison.json").read_text())
+
+
+# (id, command, flag, malformed document or raw text from the inputs dir, text stderr must hold)
+MALFORMED = [
+    ("plan-list", "synth", "--plan", lambda d: [SMALL_PLAN], "trace plan must be a JSON object"),
+    ("plan-short-segment", "synth", "--plan", lambda d: {"segments": [[1]]}, "trace plan.segments[0]"),
+    ("plan-string-duration", "synth", "--plan", lambda d: {"duration_s": "10"}, "trace plan.duration_s"),
+    ("injection-missing-peak", "synth", "--injections",
+     lambda d: [{"kind": "spike_ramp", "at_s": 10, "rise_s": 5}], "injections[0].peak_kpa"),
+    ("injections-number", "synth", "--injections", lambda d: 3, "injections.injections must be an array"),
+    ("ingest-config-list", "ingest", "--config", lambda d: [], "ingest config must be a JSON object"),
+    ("ingest-sentinels-number", "ingest", "--config", lambda d: {"sentinel_tokens": 5},
+     "ingest config.sentinel_tokens"),
+    ("ingest-unknown-field", "ingest", "--config", lambda d: {"bogus": 1}, "bogus"),
+    ("hyperparams-string", "train", "--hyperparams", lambda d: {"forest": {"n_trees": "3"}},
+     "hyperparameters.forest.n_trees"),
+    ("hyperparams-number", "train", "--hyperparams", lambda d: {"forest": 3}, "hyperparameters.forest"),
+    ("detector-config-list", "detect", "--config", lambda d: [], "detector config must be a JSON object"),
+    ("detector-string-window", "detect", "--config", lambda d: {"mad_window": "11"},
+     "detector config.mad_window"),
+    ("scenario-list", "simulate", "--scenario", lambda d: [small_scenario()], "scenario must be a JSON object"),
+    ("scenario-plan-list", "simulate", "--scenario", lambda d: edited(small_scenario(), "plan", value=[]),
+     "scenario.plan"),
+    ("scenario-fouling-string", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value="x"),
+     "scenario.econ.fouling_rate_kpa_per_s"),
+    ("scenario-grace-string", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "policies", "preventive", "breakdown", "grace_s", value="5"),
+     "scenario.policies.preventive.breakdown.grace_s"),
+    ("model-list", "simulate", "--model", lambda d: [model_doc(d)], "model must be a JSON object"),
+    ("model-missing-intercept", "simulate", "--model",
+     lambda d: edited(model_doc(d), "params", "intercept", drop=True), "model.params.intercept"),
+    ("ledger-list", "cba", "--ledger", lambda d: [ledger_doc(d)], "ledger must be a JSON object"),
+    ("ledger-amount-string", "cba", "--ledger",
+     lambda d: edited(ledger_doc(d), "items", 0, "amount", value={"dist": "point", "value": "abc"}),
+     "amount.value"),
+    ("ledger-amount-number", "cba", "--ledger", lambda d: edited(ledger_doc(d), "items", 0, "amount", value=5),
+     "amount must be a JSON object"),
+    ("ledger-amount-nan", "cba", "--ledger",
+     lambda d: json.dumps(edited(ledger_doc(d), "items", 0, "amount", value={"dist": "point", "value": math.nan})),
+     "bad.json: NaN is not allowed"),
+    ("bridge-list", "cba", "--bridge", lambda d: [comparison_doc(d)], "comparison must be a JSON object"),
+    ("bridge-missing-uptime", "cba", "--bridge",
+     lambda d: edited(comparison_doc(d), "outcomes", "preventive", "uptime_s", drop=True),
+     "comparison.outcomes.preventive.uptime_s"),
+    ("ledger-uniform-overflow", "cba", "--ledger",
+     lambda d: edited(ledger_doc(d), "items", 0, "amount", value={"dist": "uniform", "low": -1e308, "high": 1e308}),
+     "overflows"),
+    ("ledger-net-overflow", "cba", "--ledger",
+     lambda d: edited(
+         edited(ledger_doc(d), "items", 0, "amount", value={"dist": "point", "value": 1e308}),
+         "items", 1, "amount", value={"dist": "point", "value": 1e308},
+     ),
+     "not finite"),
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exits_1_naming_the_field(tmp_path, inputs, case):
+    _, name, flag, make, expected = case
+    doc = make(inputs)
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = run_main(with_flag(command(inputs, name, out), flag, bad))
+    assert code == 1, err
+    assert expected in err, err
+    assert not out.exists() or not any(out.iterdir())  # nothing written, not even a temp file
+
+
+# --- property: any mutation of a valid config exits 0 or 1 ------------------
+
+# Integers stay small because they size the work (durations, tree counts,
+# windows); floats stay moderate so an integral float cannot do the same.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(-1e3, 1e3, allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def locations(doc, path=()):
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from locations(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one key dropped, one value replaced by arbitrary JSON, or wrapped in a list."""
+    op = draw(st.sampled_from(["drop", "replace", "wrap"]))
+    if op == "wrap":
+        return [doc]
+    path = draw(st.sampled_from([p for p in locations(doc) if p or op == "replace"]))
+    if not path:
+        return draw(JSON_VALUES)
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+# (command, flag, valid document to mutate)
+MUTATED_TARGETS = [
+    ("simulate", "--scenario", lambda d: small_scenario()),
+    ("simulate", "--model", model_doc),
+    ("cba", "--ledger", ledger_doc),
+    ("cba", "--bridge", comparison_doc),
+    ("synth", "--plan", lambda d: SMALL_PLAN),
+    ("synth", "--injections", lambda d: [{"kind": "stuck_at", "at_s": 50, "duration_s": 20}]),
+    ("evaluate", "--hyperparams",
+     lambda d: {"forest": {"n_trees": 2, "max_depth": 3}, "boost": {"n_stages": 3, "max_depth": 2}}),
+    ("ingest", "--config", lambda d: {"sentinel_tokens": ["Bad Input"], "timestamp_formats": ["iso8601"]}),
+    ("detect", "--config", lambda d: {"mad_window": 11, "stuck_window": 30, "var_threshold": 25.0}),
+]
+
+
+@pytest.mark.parametrize("target", MUTATED_TARGETS, ids=[f"{c}{f}" for c, f, _ in MUTATED_TARGETS])
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_config_exits_0_or_1(tmp_path, inputs, target, data):
+    name, flag, base = target
+    doc = data.draw(mutated(base(inputs)), label="document")
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = run_main(with_flag(command(inputs, name, tmp_path / "out"), flag, path))
+    assert code in (0, 1), err

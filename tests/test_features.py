@@ -125,15 +125,3 @@ def test_train_targets_precede_test_targets():
         train_origins = sup.origin_index[fold.train_indices]
         test_origins = sup.origin_index[fold.test_indices]
         assert train_origins.max() < test_origins.min()
-
-
-def test_supervised_csv_export(tmp_path):
-    series = np.arange(40.0)
-    sup = make_lag_matrix(series, LagSpec(5, 30))
-    out = tmp_path / "sup.csv"
-    sup.to_csv(out)
-    header = out.read_text().splitlines()[0].split(",")
-    assert header[0] == "lag_5"
-    assert header[-2] == "lag_30"
-    assert header[-1] == "target"
-    assert len(header) == 27

@@ -13,8 +13,8 @@ from pdmecon.models import (
     model_from_dict,
     model_to_dict,
     predict,
-    save_model,
 )
+from pdmecon.jsonio import write_json
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def test_roundtrip_preserves_predictions(tmp_path, data, kind):
     else:
         model = fit_boost(X, y, n_stages=6, seed=2)
     path = tmp_path / "model.json"
-    save_model(path, model, seed=2, lag_spec=LagSpec(1, 3))
+    write_json(path, model_to_dict(model, seed=2, lag_spec=LagSpec(1, 3)))
     loaded = load_model(path)
     assert loaded.kind == kind
     assert loaded.lag_spec == LagSpec(1, 3)

@@ -5,6 +5,7 @@ import pdmecon
 from pdmecon.detect import DetectorConfig, detect_stuck
 from pdmecon.errors import ValidationError
 from pdmecon.features import LagSpec
+from pdmecon.jsonio import from_dict
 from pdmecon.models import LinearModel
 from pdmecon.plantsim import (
     BreakdownRule,
@@ -17,7 +18,6 @@ from pdmecon.plantsim import (
     compare_policies,
     generate_trace,
     inject_fault,
-    plan_from_dict,
     run_policy,
     scenario_from_dict,
     trace_to_frame,
@@ -98,7 +98,7 @@ def test_plan_validation():
     with pytest.raises(ValidationError, match="sigma"):
         TracePlan(noise_sigma_kpa=-1.0)
     with pytest.raises(ValidationError, match="unknown"):
-        plan_from_dict({"durations": 100})
+        from_dict(TracePlan, {"durations": 100}, "trace plan")
 
 
 # --- fault injection ---
