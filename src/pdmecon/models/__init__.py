@@ -23,7 +23,7 @@ from .evaluate import (
 )
 from .io import LoadedModel, load_model, model_from_dict, model_to_dict
 from .linear import LinearModel, fit_ols, predict_linear
-from .tree import RegressionTree, TreeNode, TreeParams, fit_tree, predict_tree
+from .tree import NodeView, RegressionTree, TreeParams, fit_tree, predict_tree
 
 ForecastModel = LinearModel | ForestModel | BoostModel
 
@@ -39,8 +39,8 @@ __all__ = [
     "LinearModel",
     "LoadedModel",
     "MODEL_KINDS",
+    "NodeView",
     "RegressionTree",
-    "TreeNode",
     "TreeParams",
     "evaluate_cv",
     "fit_boost",

@@ -8,11 +8,12 @@ worker count cannot change the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import RegressionTree, TreeParams, fit_tree, predict_tree
+from .tree import RegressionTree, TreeParams, fit_tree, predict_tree, presort, stack_trees, walk_stacked
 
 FOREST_DEFAULTS = TreeParams(max_depth=None, min_samples_leaf=1)
 BOOST_DEFAULTS = TreeParams(max_depth=3, min_samples_leaf=1)
@@ -33,6 +34,11 @@ class ForestModel:
     def n_features(self) -> int:
         return self.trees[0].n_features
 
+    @cached_property
+    def stacked(self) -> tuple:
+        """The trees as one node array for walk_stacked, built on first use."""
+        return stack_trees(self.trees)
+
 
 @dataclass
 class BoostModel:
@@ -48,6 +54,11 @@ class BoostModel:
     @property
     def n_stages(self) -> int:
         return len(self.stages)
+
+    @cached_property
+    def stacked(self) -> tuple:
+        """The stages as one node array for walk_stacked, built on first use."""
+        return stack_trees(self.stages)
 
 
 def fit_forest(
@@ -69,6 +80,7 @@ def fit_forest(
     if n_trees < 1:
         raise ValidationError("n_trees must be >= 1")
     n = len(y)
+    presorted = None if bootstrap else presort(X)
     trees = []
     for i in range(n_trees):
         if bootstrap:
@@ -76,13 +88,19 @@ def fit_forest(
             idx = rng.integers(0, n, size=n)
             trees.append(fit_tree(X[idx], y[idx], params))
         else:
-            trees.append(fit_tree(X, y, params))
+            trees.append(fit_tree(X, y, params, presorted=presorted))
     return ForestModel(trees=trees, bootstrap=bootstrap, seed=seed, params=params)
 
 
+def _rows(X: np.ndarray, n_features: int) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != n_features:
+        raise ValidationError(f"model was trained on {n_features} features, got {X.shape[1]}")
+    return X
+
+
 def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    per_tree = np.stack([predict_tree(t, X) for t in model.trees])
-    return per_tree.mean(axis=0)
+    return walk_stacked(model.stacked, _rows(X, model.n_features)).mean(axis=0)
 
 
 def fit_boost(
@@ -110,10 +128,11 @@ def fit_boost(
 
     init_value = float(y.mean())
     F = np.full(len(y), init_value)
+    presorted = presort(X)
     stages = []
     stage_rmse = []
     for _ in range(n_stages):
-        tree = fit_tree(X, y - F, params)
+        tree = fit_tree(X, y - F, params, presorted=presorted)
         F = F + learning_rate * predict_tree(tree, X)
         stages.append(tree)
         stage_rmse.append(float(np.sqrt(np.mean((y - F) ** 2))))
@@ -129,12 +148,9 @@ def fit_boost(
 
 
 def predict_boost(model: BoostModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.n_features:
-        raise ValidationError(
-            f"model was trained on {model.n_features} features, got {X.shape[1]}"
-        )
+    X = _rows(X, model.n_features)
     out = np.full(X.shape[0], model.init_value)
-    for tree in model.stages:
-        out = out + model.learning_rate * predict_tree(tree, X)
+    if model.stages:
+        for pred in walk_stacked(model.stacked, X):
+            out = out + model.learning_rate * pred
     return out

@@ -10,16 +10,18 @@ from .. import format_table
 from ..errors import ValidationError
 from ..features import LagSpec, make_lag_matrix, walk_forward_splits
 from ..jsonio import from_dict
-from .linear import fit_ols, predict_linear
+from .linear import LinearModel, fit_ols, predict_linear
 from .ensemble import (
     BOOST_DEFAULTS,
     FOREST_DEFAULTS,
+    BoostModel,
+    ForestModel,
     fit_boost,
     fit_forest,
     predict_boost,
     predict_forest,
 )
-from .tree import TreeParams, predict_tree
+from .tree import RegressionTree, TreeParams, predict_tree
 
 MODEL_KINDS = ("linear", "forest", "boost")
 
@@ -130,10 +132,6 @@ def fit_model(kind: str, X: np.ndarray, y: np.ndarray, hyperparams=None, seed: i
 
 def predict(model, X: np.ndarray) -> np.ndarray:
     """Uniform prediction contract over every model kind."""
-    from .linear import LinearModel
-    from .ensemble import BoostModel, ForestModel
-    from .tree import RegressionTree
-
     if isinstance(model, LinearModel):
         return predict_linear(model, X)
     if isinstance(model, ForestModel):

@@ -1,7 +1,13 @@
 """Versioned JSON serialization for trained models.
 
-Trees serialize as nested {"f", "t", "l", "r"} / {"v"} dicts; the walkers are
-iterative because unlimited-depth trees can exceed the recursion limit.
+Schema version 2 stores each tree as its node arrays: "feature", "threshold",
+"left", "right" and "value" lists of equal length in the layout of
+models.tree, plus "params" and "n_features". The loader checks that the
+arrays describe a tree (children point forward, every node has two children
+or none and every node but the root one parent, split features exist) before
+anything walks them. Version 1 documents, whose trees are nested
+{"f", "t", "l", "r"} / {"v"} dicts, still load; that reader is iterative
+because unlimited-depth trees can exceed the recursion limit.
 """
 
 from __future__ import annotations
@@ -10,15 +16,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
 
+import numpy as np
+
 from ..errors import ValidationError
 from ..features import LagSpec
 from ..jsonio import from_dict, load_json
 from .ensemble import BoostModel, ForestModel
 from .evaluate import BoostHyperparams, ForestHyperparams
 from .linear import LinearModel
-from .tree import RegressionTree, TreeNode, TreeParams
+from .tree import NodeLists, RegressionTree, TreeParams
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -30,19 +38,12 @@ class LoadedModel:
 
 
 def _tree_to_dict(tree: RegressionTree) -> dict:
-    wrapper: dict = {}
-    stack = [(tree.root, wrapper, "root")]
-    while stack:
-        node, holder, key = stack.pop()
-        if node.is_leaf:
-            holder[key] = {"v": node.value}
-        else:
-            encoded: dict = {"f": node.feature, "t": node.threshold}
-            holder[key] = encoded
-            stack.append((node.left, encoded, "l"))
-            stack.append((node.right, encoded, "r"))
     return {
-        "root": wrapper["root"],
+        "feature": tree.feature.tolist(),
+        "threshold": tree.threshold.tolist(),
+        "left": tree.left.tolist(),
+        "right": tree.right.tolist(),
+        "value": tree.value.tolist(),
         "params": tree.params.to_dict(),
         "n_features": tree.n_features,
     }
@@ -50,6 +51,63 @@ def _tree_to_dict(tree: RegressionTree) -> dict:
 
 @dataclass(frozen=True)
 class _TreeDoc:
+    feature: tuple[int, ...]
+    threshold: tuple[float, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    value: tuple[float, ...]
+    params: TreeParams
+    n_features: int
+
+
+def _tree_from_dict(doc, what: str = "tree") -> RegressionTree:
+    tree = from_dict(_TreeDoc, doc, what)
+    n = len(tree.value)
+    if n == 0:
+        raise ValidationError(f"{what}.value must hold at least one node")
+    for name in ("feature", "threshold", "left", "right"):
+        if len(getattr(tree, name)) != n:
+            raise ValidationError(f"{what}.{name} has {len(getattr(tree, name))} entries but {what}.value has {n}")
+
+    def first(bad: np.ndarray) -> int | None:
+        return int(np.argmax(bad)) if bad.any() else None
+
+    def indices(name: str) -> np.ndarray:
+        try:
+            return np.array(getattr(tree, name), dtype=np.intp)
+        except OverflowError:
+            raise ValidationError(f"{what}.{name} holds an integer out of range") from None
+
+    feature, left, right = indices("feature"), indices("left"), indices("right")
+    leaf = left == -1
+    if (i := first(leaf != (right == -1))) is not None:
+        raise ValidationError(
+            f"{what}.left[{i}] is {left[i]} but {what}.right[{i}] is {right[i]}; a node has two children or none"
+        )
+    nodes = np.arange(n)
+    for name, child in (("left", left), ("right", right)):
+        if (i := first(~leaf & ~((nodes < child) & (child < n)))) is not None:
+            raise ValidationError(f"{what}.{name}[{i}] is {child[i]}; a child must point forward, into ({i}, {n})")
+    parents = np.bincount(np.concatenate([left[~leaf], right[~leaf]]), minlength=n)
+    if (i := first(parents[1:] != 1)) is not None:
+        raise ValidationError(
+            f"{what}: node {i + 1} is a child of {parents[i + 1]} nodes; every node but the root has one parent"
+        )
+    if (i := first(~leaf & ~((0 <= feature) & (feature < tree.n_features)))) is not None:
+        raise ValidationError(f"{what}.feature[{i}] {feature[i]} is not a feature index below {tree.n_features}")
+    return RegressionTree(
+        feature=feature,
+        threshold=np.array(tree.threshold, dtype=np.float64),
+        left=left,
+        right=right,
+        value=np.array(tree.value, dtype=np.float64),
+        params=tree.params,
+        n_features=tree.n_features,
+    )
+
+
+@dataclass(frozen=True)
+class _TreeDocV1:
     root: dict
     params: TreeParams
     n_features: int
@@ -68,23 +126,30 @@ class _Split:
     r: dict
 
 
-def _tree_from_dict(doc, what: str = "tree") -> RegressionTree:
-    tree = from_dict(_TreeDoc, doc, what)
-    root = TreeNode()
-    stack = [(tree.root, root, f"{what}.root")]
+def _tree_from_v1(doc, what: str) -> RegressionTree:
+    tree = from_dict(_TreeDocV1, doc, what)
+    nodes = NodeLists()
+    stack = [(tree.root, 0, f"{what}.root")]
     while stack:
         encoded, node, where = stack.pop()
         if isinstance(encoded, dict) and "v" in encoded:
-            node.value = from_dict(_Leaf, encoded, where).v
+            nodes.value[node] = from_dict(_Leaf, encoded, where).v
             continue
         split = from_dict(_Split, encoded, where)
         if not 0 <= split.f < tree.n_features:
             raise ValidationError(f"{where}.f {split.f} is not a feature index below {tree.n_features}")
-        node.feature, node.threshold = split.f, split.t
-        node.left, node.right = TreeNode(), TreeNode()
-        stack.append((split.l, node.left, f"{where}.l"))
-        stack.append((split.r, node.right, f"{where}.r"))
-    return RegressionTree(root=root, params=tree.params, n_features=tree.n_features)
+        lnode, rnode = nodes.split(node, split.f, split.t)
+        stack.append((split.l, lnode, f"{where}.l"))
+        stack.append((split.r, rnode, f"{where}.r"))
+    return nodes.tree(tree.params, tree.n_features)
+
+
+def _check_widths(trees: list[RegressionTree], n_features: int, what: str) -> None:
+    for i, tree in enumerate(trees):
+        if tree.n_features != n_features:
+            raise ValidationError(
+                f"{what}[{i}].n_features is {tree.n_features}, but the model has {n_features} features"
+            )
 
 
 def model_to_dict(model, seed: int = 0, lag_spec: LagSpec | None = None) -> dict:
@@ -129,7 +194,7 @@ def model_to_dict(model, seed: int = 0, lag_spec: LagSpec | None = None) -> dict
 
 @dataclass(frozen=True)
 class _ModelDoc:
-    schema_version: Literal[1]
+    schema_version: Literal[1, 2]
     kind: str
     seed: int = 0
     lag_spec: LagSpec | None = None
@@ -159,6 +224,7 @@ class _BoostParams:
 
 def model_from_dict(doc) -> LoadedModel:
     doc = from_dict(_ModelDoc, doc, "model")
+    read_tree = _tree_from_v1 if doc.schema_version == 1 else _tree_from_dict
     if doc.kind == "linear":
         p = from_dict(_LinearParams, doc.params, "model.params")
         model = LinearModel(p.intercept, p.coefficients, p.ridge_applied)
@@ -167,8 +233,10 @@ def model_from_dict(doc) -> LoadedModel:
         p = from_dict(_ForestParams, doc.params, "model.params")
         if not p.trees:
             raise ValidationError("model.params.trees must hold at least one tree")
+        trees = [read_tree(t, f"model.params.trees[{i}]") for i, t in enumerate(p.trees)]
+        _check_widths(trees, trees[0].n_features, "model.params.trees")
         model = ForestModel(
-            trees=[_tree_from_dict(t, f"model.params.trees[{i}]") for i, t in enumerate(p.trees)],
+            trees=trees,
             bootstrap=hp.bootstrap,
             seed=doc.seed,
             params=TreeParams(hp.max_depth, hp.min_samples_leaf),
@@ -176,9 +244,11 @@ def model_from_dict(doc) -> LoadedModel:
     elif doc.kind == "boost":
         hp = from_dict(BoostHyperparams, doc.hyperparams, "model.hyperparams")
         p = from_dict(_BoostParams, doc.params, "model.params")
+        stages = [read_tree(t, f"model.params.stages[{i}]") for i, t in enumerate(p.stages)]
+        _check_widths(stages, p.n_features, "model.params.stages")
         model = BoostModel(
             init_value=p.init_value,
-            stages=[_tree_from_dict(t, f"model.params.stages[{i}]") for i, t in enumerate(p.stages)],
+            stages=stages,
             learning_rate=hp.learning_rate,
             seed=doc.seed,
             params=TreeParams(hp.max_depth, hp.min_samples_leaf),

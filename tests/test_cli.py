@@ -97,7 +97,7 @@ def test_train_writes_model_with_lag_spec(tmp_path, historian_csv):
     assert result.returncode == 0, result.stderr
     doc = json.loads((out_dir / "model.json").read_text())
     assert doc["kind"] == "linear"
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["lag_spec"] == {"min_lag": 2, "max_lag": 8}
     assert len(doc["params"]["coefficients"]) == 7
 
@@ -334,6 +334,9 @@ def run_main(argv):
 SMALL_PLAN = {"duration_s": 300, "segments": [[100, 33.0]], "noise_sigma_kpa": 0.2, "warmup_s": 30}
 
 
+SMALL_TREES = {"forest": {"n_trees": 2, "max_depth": 3}, "boost": {"n_stages": 3, "max_depth": 2}}
+
+
 def small_scenario():
     doc = json.loads(pdmecon.data_path("scenario2_avoid_breakdown.json").read_text())
     doc["plan"] = {**doc["plan"], "duration_s": 400, "warmup_s": 0}
@@ -343,15 +346,19 @@ def small_scenario():
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A small historian CSV, a linear model on lags 2..4, the bundled ledger,
-    a shortened bundled scenario and the comparison it produces."""
+    """A small historian CSV, linear, forest and boost models on lags 2..4, the
+    bundled ledger, a shortened bundled scenario and the comparison it produces."""
     d = tmp_path_factory.mktemp("inputs")
     (d / "plan.json").write_text(json.dumps(SMALL_PLAN))
     (d / "scenario.json").write_text(json.dumps(small_scenario()))
     (d / "ledger.json").write_text(pdmecon.data_path("sample_ledger.json").read_text())
+    (d / "hyperparams.json").write_text(json.dumps(SMALL_TREES))
+    train = ["train", "--csv", d / "historian.csv", "--min-lag", 2, "--max-lag", 4, "--seed", 1, "--out-dir", d]
     steps = [
         ["synth", "--plan", d / "plan.json", "--seed", 1, "--out-dir", d],
-        ["train", "--csv", d / "historian.csv", "--min-lag", 2, "--max-lag", 4, "--seed", 1, "--out-dir", d],
+        train,
+        train + ["--kind", "forest", "--hyperparams", d / "hyperparams.json", "--out", "forest_model.json"],
+        train + ["--kind", "boost", "--hyperparams", d / "hyperparams.json", "--out", "boost_model.json"],
         ["simulate", "--scenario", d / "scenario.json", "--model", d / "model.json", "--seed", 1, "--out-dir", d],
     ]
     for argv in steps:
@@ -398,8 +405,16 @@ def edited(doc, *path, value=None, drop=False):
     return doc
 
 
-def model_doc(d):
-    return json.loads((d / "model.json").read_text())
+def model_doc(d, name="model.json"):
+    return json.loads((d / name).read_text())
+
+
+def tree_edited(d, kind, i, field, change):
+    """The trained forest or boost model with change() applied to one field of tree i."""
+    doc = model_doc(d, f"{kind}_model.json")
+    tree = doc["params"]["trees" if kind == "forest" else "stages"][i]
+    tree[field] = change(tree[field])
+    return doc
 
 
 def ledger_doc(d):
@@ -440,6 +455,20 @@ MALFORMED = [
     ("model-list", "simulate", "--model", lambda d: [model_doc(d)], "model must be a JSON object"),
     ("model-missing-intercept", "simulate", "--model",
      lambda d: edited(model_doc(d), "params", "intercept", drop=True), "model.params.intercept"),
+    ("model-tree-short-threshold", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 0, "threshold", lambda t: t[:-1]), "model.params.trees[0].threshold"),
+    ("model-tree-backward-child", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 0, "left", lambda c: [0] + c[1:]), "model.params.trees[0].left[0]"),
+    ("model-tree-shared-child", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 0, "right", lambda c: [c[0] - 1] + c[1:]), "is a child of 2 nodes"),
+    ("model-tree-one-child", "simulate", "--model",
+     lambda d: tree_edited(d, "boost", 0, "right", lambda c: [-1] + c[1:]), "model.params.stages[0].right[0] is -1"),
+    ("model-tree-feature-range", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 1, "feature", lambda f: [3] + f[1:]), "model.params.trees[1].feature[0]"),
+    ("model-forest-mixed-width", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 1, "n_features", lambda n: 5), "model.params.trees[1].n_features"),
+    ("model-boost-stage-width", "simulate", "--model",
+     lambda d: tree_edited(d, "boost", 1, "n_features", lambda n: 5), "model.params.stages[1].n_features"),
     ("ledger-list", "cba", "--ledger", lambda d: [ledger_doc(d)], "ledger must be a JSON object"),
     ("ledger-amount-string", "cba", "--ledger",
      lambda d: edited(ledger_doc(d), "items", 0, "amount", value={"dist": "point", "value": "abc"}),
@@ -520,22 +549,23 @@ def mutated(draw, doc):
     return doc
 
 
-# (command, flag, valid document to mutate)
+# (id, command, flag, valid document to mutate)
 MUTATED_TARGETS = [
-    ("simulate", "--scenario", lambda d: small_scenario()),
-    ("simulate", "--model", model_doc),
-    ("cba", "--ledger", ledger_doc),
-    ("cba", "--bridge", comparison_doc),
-    ("synth", "--plan", lambda d: SMALL_PLAN),
-    ("synth", "--injections", lambda d: [{"kind": "stuck_at", "at_s": 50, "duration_s": 20}]),
-    ("evaluate", "--hyperparams",
-     lambda d: {"forest": {"n_trees": 2, "max_depth": 3}, "boost": {"n_stages": 3, "max_depth": 2}}),
-    ("ingest", "--config", lambda d: {"sentinel_tokens": ["Bad Input"], "timestamp_formats": ["iso8601"]}),
-    ("detect", "--config", lambda d: {"mad_window": 11, "stuck_window": 30, "var_threshold": 25.0}),
+    ("simulate--scenario", "simulate", "--scenario", lambda d: small_scenario()),
+    ("simulate--model", "simulate", "--model", model_doc),
+    ("simulate--model-forest", "simulate", "--model", lambda d: model_doc(d, "forest_model.json")),
+    ("cba--ledger", "cba", "--ledger", ledger_doc),
+    ("cba--bridge", "cba", "--bridge", comparison_doc),
+    ("synth--plan", "synth", "--plan", lambda d: SMALL_PLAN),
+    ("synth--injections", "synth", "--injections", lambda d: [{"kind": "stuck_at", "at_s": 50, "duration_s": 20}]),
+    ("evaluate--hyperparams", "evaluate", "--hyperparams", lambda d: SMALL_TREES),
+    ("ingest--config", "ingest", "--config",
+     lambda d: {"sentinel_tokens": ["Bad Input"], "timestamp_formats": ["iso8601"]}),
+    ("detect--config", "detect", "--config", lambda d: {"mad_window": 11, "stuck_window": 30, "var_threshold": 25.0}),
 ]
 
 
-@pytest.mark.parametrize("target", MUTATED_TARGETS, ids=[f"{c}{f}" for c, f, _ in MUTATED_TARGETS])
+@pytest.mark.parametrize("target", MUTATED_TARGETS, ids=[t[0] for t in MUTATED_TARGETS])
 @settings(
     max_examples=20,
     deadline=None,
@@ -544,7 +574,7 @@ MUTATED_TARGETS = [
 )
 @given(data=st.data())
 def test_mutated_config_exits_0_or_1(tmp_path, inputs, target, data):
-    name, flag, base = target
+    _, name, flag, base = target
     doc = data.draw(mutated(base(inputs)), label="document")
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -1,8 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmecon.errors import ValidationError
-from pdmecon.models import TreeParams, fit_tree, predict_tree, rmse
+from pdmecon.models import TreeParams, fit_boost, fit_forest, fit_tree, predict_forest, predict_tree, rmse
 from pdmecon.models.io import _tree_to_dict
 
 
@@ -115,3 +119,139 @@ def test_predict_feature_mismatch():
     tree = fit_tree(np.arange(6.0).reshape(-1, 1), np.arange(6.0))
     with pytest.raises(ValidationError, match="features"):
         predict_tree(tree, np.zeros((2, 3)))
+
+
+# --- reference: the per-node-argsort engine the presorted fit replaced -------
+
+
+@dataclass
+class RefNode:
+    # leaf when left is None; internal nodes route x[feature] <= threshold left
+    feature: int = -1
+    threshold: float = 0.0
+    value: float = 0.0
+    left: "RefNode | None" = None
+    right: "RefNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def reference_best_split(X, y, min_samples_leaf):
+    n = len(y)
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    cum = np.cumsum(ys, axis=0)
+    cum2 = np.cumsum(ys * ys, axis=0)
+    total, total2 = cum[-1, :], cum2[-1, :]
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = n - nl
+    sl, sl2 = cum[:-1, :], cum2[:-1, :]
+    sse = (sl2 - sl * sl / nl) + (total2 - sl2) - (total - sl) ** 2 / nr
+    valid = xs[:-1, :] < xs[1:, :]
+    if min_samples_leaf > 1:
+        valid &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+    if not valid.any():
+        return None
+    sse = np.where(valid, sse, np.inf)
+    feature, pos = divmod(int(np.argmin(sse.T)), n - 1)
+    return feature, float(0.5 * (xs[pos, feature] + xs[pos + 1, feature]))
+
+
+def reference_fit(X, y, params):
+    root = RefNode()
+    stack = [(root, np.arange(len(y)), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        y_node = y[idx]
+        node.value = float(y_node.mean())
+        if (
+            (params.max_depth is not None and depth >= params.max_depth)
+            or len(idx) < 2 * params.min_samples_leaf
+            or np.ptp(y_node) == 0.0
+        ):
+            continue
+        split = reference_best_split(X[idx], y_node, params.min_samples_leaf)
+        if split is None:
+            continue
+        node.feature, node.threshold = split
+        mask = X[idx, node.feature] <= node.threshold
+        node.left, node.right = RefNode(), RefNode()
+        stack.append((node.left, idx[mask], depth + 1))
+        stack.append((node.right, idx[~mask], depth + 1))
+    return root
+
+
+def reference_predict(root, X):
+    out = np.empty(len(X))
+    for i, x in enumerate(X):
+        node = root
+        while not node.is_leaf:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        out[i] = node.value
+    return out
+
+
+def preorder(root):
+    """(feature, threshold, value) per node, leaves as (value,), in preorder."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            nodes.append((node.value,))
+        else:
+            nodes.append((node.feature, node.threshold, node.value))
+            stack += (node.right, node.left)
+    return nodes
+
+
+@st.composite
+def tree_data(draw):
+    """Small X and y with heavy ties, constant columns and, optionally, duplicated rows."""
+    n = draw(st.integers(1, 30))
+    p = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        X = np.array(draw(st.lists(st.integers(0, 3), min_size=n * p, max_size=n * p)), dtype=float)
+    else:
+        X = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n * p, max_size=n * p)))
+    X = X.reshape(n, p)
+    constant = draw(st.lists(st.integers(0, p - 1), max_size=p))
+    X[:, constant] = 1.5
+    y = np.array(draw(st.lists(st.integers(-3, 3) | st.floats(-1e3, 1e3), min_size=n, max_size=n)), dtype=float)
+    if draw(st.booleans()):  # a bootstrap resample: rows repeat, and their order is scrambled
+        idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        X, y = X[idx], y[idx]
+    params = TreeParams(
+        max_depth=draw(st.sampled_from([0, 1, 3, None])),
+        min_samples_leaf=draw(st.integers(1, 5)),
+    )
+    return X, y, params
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tree_data())
+def test_presorted_fit_matches_per_node_argsort(case):
+    X, y, params = case
+    reference = reference_fit(X, y, params)
+    expected = preorder(reference)
+    assert preorder(fit_tree(X, y, params).root) == expected
+    # every tree of a forest without bootstrap shares one presort
+    forest = fit_forest(X, y, n_trees=2, params=params, bootstrap=False)
+    assert [preorder(t.root) for t in forest.trees] == [expected, expected]
+    per_tree = np.stack([reference_predict(reference, X)] * 2)
+    np.testing.assert_array_equal(predict_forest(forest, X), per_tree.mean(axis=0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tree_data(), st.sampled_from([0.1, 0.5, 1.0]))
+def test_boost_stages_sharing_one_presort_match_reference(case, learning_rate):
+    X, y, params = case
+    model = fit_boost(X, y, n_stages=4, learning_rate=learning_rate, params=params)
+    F = np.full(len(y), model.init_value)
+    for stage in model.stages:
+        reference = reference_fit(X, y - F, params)
+        assert preorder(stage.root) == preorder(reference)
+        F = F + learning_rate * reference_predict(reference, X)
+    np.testing.assert_array_equal(predict_tree(model.stages[-1], X), reference_predict(reference, X))
