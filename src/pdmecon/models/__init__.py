@@ -1,15 +1,9 @@
-"""Forecast regressors: linear, random forest, gradient boosting."""
+"""Forecast regressors: linear, random forest, gradient boosting.
 
-from .ensemble import (
-    BOOST_DEFAULTS,
-    FOREST_DEFAULTS,
-    BoostModel,
-    ForestModel,
-    fit_boost,
-    fit_forest,
-    predict_boost,
-    predict_forest,
-)
+Every model carries its `kind`, `hyperparams` and `n_features` and answers `predict(X)`.
+"""
+
+from .ensemble import BoostHyperparams, BoostModel, ForestHyperparams, ForestModel, fit_boost, fit_forest
 from .evaluate import (
     KIND_LABELS,
     MODEL_KINDS,
@@ -22,20 +16,21 @@ from .evaluate import (
     rmse,
 )
 from .io import LoadedModel, load_model, model_from_dict, model_to_dict
-from .linear import LinearModel, fit_ols, predict_linear
+from .linear import LinearHyperparams, LinearModel, fit_ols
 from .tree import NodeView, RegressionTree, TreeParams, fit_tree, predict_tree
 
 ForecastModel = LinearModel | ForestModel | BoostModel
 
 __all__ = [
-    "BOOST_DEFAULTS",
-    "FOREST_DEFAULTS",
+    "BoostHyperparams",
     "BoostModel",
     "EvalReport",
     "ForecastModel",
+    "ForestHyperparams",
     "ForestModel",
     "Hyperparams",
     "KIND_LABELS",
+    "LinearHyperparams",
     "LinearModel",
     "LoadedModel",
     "MODEL_KINDS",
@@ -53,9 +48,6 @@ __all__ = [
     "model_from_dict",
     "model_to_dict",
     "predict",
-    "predict_boost",
-    "predict_forest",
-    "predict_linear",
     "predict_tree",
     "rmse",
 ]

@@ -10,20 +10,16 @@ from .. import format_table
 from ..errors import ValidationError
 from ..features import LagSpec, make_lag_matrix, walk_forward_splits
 from ..jsonio import from_dict
-from .linear import LinearModel, fit_ols, predict_linear
-from .ensemble import (
-    BOOST_DEFAULTS,
-    FOREST_DEFAULTS,
-    BoostModel,
-    ForestModel,
-    fit_boost,
-    fit_forest,
-    predict_boost,
-    predict_forest,
-)
-from .tree import RegressionTree, TreeParams, predict_tree
+from .ensemble import BoostHyperparams, ForestHyperparams, fit_boost, fit_forest
+from .linear import LinearHyperparams, fit_ols
 
-MODEL_KINDS = ("linear", "forest", "boost")
+# kind -> (hyperparameter dataclass, fit(X, y, hyperparams, seed))
+MODELS = {
+    "linear": (LinearHyperparams, lambda X, y, hyperparams, seed: fit_ols(X, y)),
+    "forest": (ForestHyperparams, fit_forest),
+    "boost": (BoostHyperparams, fit_boost),
+}
+MODEL_KINDS = tuple(MODELS)
 
 KIND_LABELS = {
     "linear": "Linear Regression",
@@ -68,27 +64,6 @@ class EvalReport:
 
 
 @dataclass(frozen=True)
-class LinearHyperparams:
-    """Ordinary least squares has no hyperparameters."""
-
-
-@dataclass(frozen=True)
-class ForestHyperparams:
-    n_trees: int = 100
-    max_depth: int | None = FOREST_DEFAULTS.max_depth
-    min_samples_leaf: int = FOREST_DEFAULTS.min_samples_leaf
-    bootstrap: bool = True
-
-
-@dataclass(frozen=True)
-class BoostHyperparams:
-    n_stages: int = 100
-    learning_rate: float = 0.1
-    max_depth: int | None = BOOST_DEFAULTS.max_depth
-    min_samples_leaf: int = BOOST_DEFAULTS.min_samples_leaf
-
-
-@dataclass(frozen=True)
 class Hyperparams:
     """A hyperparameters file: one object per model kind, each optional."""
 
@@ -98,49 +73,25 @@ class Hyperparams:
 
 
 def fit_model(kind: str, X: np.ndarray, y: np.ndarray, hyperparams=None, seed: int = 0):
-    """Fit one of the three regressor kinds.
+    """Fit one of the regressor kinds in MODELS.
 
     hyperparams is the kind's hyperparameter dataclass or a JSON-style mapping
     of its fields (validated here); None means the defaults.
     """
-    if kind not in MODEL_KINDS:
+    if kind not in MODELS:
         raise ValidationError(f"unknown model kind '{kind}'; expected one of {MODEL_KINDS}")
-    cls = type(getattr(Hyperparams(), kind))
+    cls, fit = MODELS[kind]
     hp = hyperparams if isinstance(hyperparams, cls) else from_dict(
         cls, {} if hyperparams is None else hyperparams, f"hyperparameters.{kind}"
     )
-    if kind == "linear":
-        return fit_ols(X, y)
-    if kind == "forest":
-        return fit_forest(
-            X,
-            y,
-            n_trees=hp.n_trees,
-            params=TreeParams(hp.max_depth, hp.min_samples_leaf),
-            seed=seed,
-            bootstrap=hp.bootstrap,
-        )
-    return fit_boost(
-        X,
-        y,
-        n_stages=hp.n_stages,
-        learning_rate=hp.learning_rate,
-        params=TreeParams(hp.max_depth, hp.min_samples_leaf),
-        seed=seed,
-    )
+    return fit(X, y, hp, seed)
 
 
 def predict(model, X: np.ndarray) -> np.ndarray:
     """Uniform prediction contract over every model kind."""
-    if isinstance(model, LinearModel):
-        return predict_linear(model, X)
-    if isinstance(model, ForestModel):
-        return predict_forest(model, X)
-    if isinstance(model, BoostModel):
-        return predict_boost(model, X)
-    if isinstance(model, RegressionTree):
-        return predict_tree(model, X)
-    raise ValidationError(f"cannot predict with object of type {type(model).__name__}")
+    if getattr(model, "kind", None) not in MODELS:
+        raise ValidationError(f"cannot predict with object of type {type(model).__name__}")
+    return model.predict(X)
 
 
 def evaluate_cv(

@@ -1,5 +1,8 @@
 """Versioned JSON serialization for trained models.
 
+A document holds the model's "kind", "seed", "hyperparams" (the fields of its
+hyperparameter dataclass; a forest's n_trees and a booster's n_stages must
+match its tree count), an optional "lag_spec" and the per-kind "params".
 Schema version 2 stores each tree as its node arrays: "feature", "threshold",
 "left", "right" and "value" lists of equal length in the layout of
 models.tree, plus "params" and "n_features". The loader checks that the
@@ -12,7 +15,7 @@ because unlimited-depth trees can exceed the recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Literal
 
@@ -22,7 +25,7 @@ from ..errors import ValidationError
 from ..features import LagSpec
 from ..jsonio import from_dict, load_json
 from .ensemble import BoostModel, ForestModel
-from .evaluate import BoostHyperparams, ForestHyperparams
+from .evaluate import MODELS
 from .linear import LinearModel
 from .tree import NodeLists, RegressionTree, TreeParams
 
@@ -32,8 +35,6 @@ SCHEMA_VERSION = 2
 @dataclass(frozen=True)
 class LoadedModel:
     model: object
-    kind: str
-    seed: int
     lag_spec: LagSpec | None
 
 
@@ -153,42 +154,32 @@ def _check_widths(trees: list[RegressionTree], n_features: int, what: str) -> No
 
 
 def model_to_dict(model, seed: int = 0, lag_spec: LagSpec | None = None) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION, "seed": seed}
+    """The model's document: its kind, its hyperparameters and its fitted params.
+
+    A forest or boost model records the seed it was fitted with; a linear
+    model, which has none, records `seed`.
+    """
+    doc = {"schema_version": SCHEMA_VERSION, "kind": model.kind, "hyperparams": asdict(model.hyperparams)}
     if lag_spec is not None:
         doc["lag_spec"] = lag_spec.to_dict()
-    if isinstance(model, LinearModel):
-        doc["kind"] = "linear"
-        doc["hyperparams"] = {}
+    if model.kind == "linear":
+        doc["seed"] = seed
         doc["params"] = {
             "intercept": model.intercept,
             "coefficients": [float(c) for c in model.coefficients],
             "ridge_applied": model.ridge_applied,
         }
-    elif isinstance(model, ForestModel):
-        doc["kind"] = "forest"
+    elif model.kind == "forest":
         doc["seed"] = model.seed
-        doc["hyperparams"] = {
-            "n_trees": model.n_trees,
-            "bootstrap": model.bootstrap,
-            **model.params.to_dict(),
-        }
         doc["params"] = {"trees": [_tree_to_dict(t) for t in model.trees]}
-    elif isinstance(model, BoostModel):
-        doc["kind"] = "boost"
+    else:
         doc["seed"] = model.seed
-        doc["hyperparams"] = {
-            "n_stages": model.n_stages,
-            "learning_rate": model.learning_rate,
-            **model.params.to_dict(),
-        }
         doc["params"] = {
             "init_value": model.init_value,
             "stages": [_tree_to_dict(t) for t in model.stages],
             "stage_train_rmse": list(model.stage_train_rmse),
             "n_features": model.n_features,
         }
-    else:
-        raise ValidationError(f"cannot serialize model of type {type(model).__name__}")
     return doc
 
 
@@ -222,42 +213,44 @@ class _BoostParams:
     stage_train_rmse: tuple[float, ...] = ()
 
 
+def _check_count(count: int, name: str, trees: tuple, key: str) -> None:
+    if count != len(trees):
+        raise ValidationError(
+            f"model.hyperparams.{name} is {count}, but model.params.{key} holds {len(trees)} trees"
+        )
+
+
 def model_from_dict(doc) -> LoadedModel:
     doc = from_dict(_ModelDoc, doc, "model")
+    if doc.kind not in MODELS:
+        raise ValidationError(f"unknown model kind {doc.kind!r} in document")
+    hp = from_dict(MODELS[doc.kind][0], doc.hyperparams, "model.hyperparams")
     read_tree = _tree_from_v1 if doc.schema_version == 1 else _tree_from_dict
     if doc.kind == "linear":
         p = from_dict(_LinearParams, doc.params, "model.params")
         model = LinearModel(p.intercept, p.coefficients, p.ridge_applied)
     elif doc.kind == "forest":
-        hp = from_dict(ForestHyperparams, doc.hyperparams, "model.hyperparams")
         p = from_dict(_ForestParams, doc.params, "model.params")
         if not p.trees:
             raise ValidationError("model.params.trees must hold at least one tree")
+        _check_count(hp.n_trees, "n_trees", p.trees, "trees")
         trees = [read_tree(t, f"model.params.trees[{i}]") for i, t in enumerate(p.trees)]
         _check_widths(trees, trees[0].n_features, "model.params.trees")
-        model = ForestModel(
-            trees=trees,
-            bootstrap=hp.bootstrap,
-            seed=doc.seed,
-            params=TreeParams(hp.max_depth, hp.min_samples_leaf),
-        )
-    elif doc.kind == "boost":
-        hp = from_dict(BoostHyperparams, doc.hyperparams, "model.hyperparams")
+        model = ForestModel(trees=trees, hyperparams=hp, seed=doc.seed)
+    else:
         p = from_dict(_BoostParams, doc.params, "model.params")
+        _check_count(hp.n_stages, "n_stages", p.stages, "stages")
         stages = [read_tree(t, f"model.params.stages[{i}]") for i, t in enumerate(p.stages)]
         _check_widths(stages, p.n_features, "model.params.stages")
         model = BoostModel(
             init_value=p.init_value,
             stages=stages,
-            learning_rate=hp.learning_rate,
+            hyperparams=hp,
             seed=doc.seed,
-            params=TreeParams(hp.max_depth, hp.min_samples_leaf),
             n_features=p.n_features,
             stage_train_rmse=list(p.stage_train_rmse),
         )
-    else:
-        raise ValidationError(f"unknown model kind {doc.kind!r} in document")
-    return LoadedModel(model=model, kind=doc.kind, seed=doc.seed, lag_spec=doc.lag_spec)
+    return LoadedModel(model=model, lag_spec=doc.lag_spec)
 
 
 def load_model(path: str | Path) -> LoadedModel:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..errors import ValidationError
+from .tree import as_rows
 
 RIDGE_EPS = 1e-8
 # Condition numbers beyond this are treated as near rank-deficient; constant
@@ -15,10 +17,18 @@ COND_LIMIT = 1e10
 
 
 @dataclass(frozen=True)
+class LinearHyperparams:
+    """Ordinary least squares has no hyperparameters."""
+
+
+@dataclass(frozen=True)
 class LinearModel:
     intercept: float
     coefficients: np.ndarray
     ridge_applied: bool = False
+
+    kind: ClassVar[str] = "linear"
+    hyperparams: ClassVar[LinearHyperparams] = LinearHyperparams()
 
     def __post_init__(self):
         object.__setattr__(
@@ -28,6 +38,9 @@ class LinearModel:
     @property
     def n_features(self) -> int:
         return len(self.coefficients)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.intercept + as_rows(X, self.n_features) @ self.coefficients
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
@@ -54,12 +67,3 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
         beta = np.linalg.solve(gram, A.T @ y)
         ridge_applied = True
     return LinearModel(intercept=float(beta[0]), coefficients=beta[1:], ridge_applied=ridge_applied)
-
-
-def predict_linear(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.n_features:
-        raise ValidationError(
-            f"model was trained on {model.n_features} features, got {X.shape[1]}"
-        )
-    return model.intercept + X @ model.coefficients

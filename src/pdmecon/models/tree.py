@@ -14,14 +14,16 @@ feature with ties in row order, exactly as a stable argsort of the node's own
 rows would give. Split search is vectorized over all features at once: prefix
 sums of y and y^2 along the sorted order, then the child SSE for every
 candidate boundary. Candidate thresholds sit at midpoints between consecutive
-distinct sorted values; ties in reduction resolve to the lowest (feature
-index, threshold) so fitting is deterministic. The build loop uses an explicit
-stack, pathological data can produce trees deeper than Python's recursion
-limit.
+distinct sorted values, or at the lower value where the midpoint rounds up to
+the upper one or overflows, as in scikit-learn; ties in reduction resolve to
+the lowest (feature index, threshold) so fitting is deterministic. The build
+loop uses an explicit stack, pathological data can produce trees deeper than
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,8 +161,13 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_samples_leaf: int):
     sse = np.where(valid, sse, np.inf)
     # feature-major flatten: first minimum = lowest feature, then lowest threshold
     feature, pos = divmod(int(np.argmin(sse)), n - 1)
-    threshold = 0.5 * (xs[feature, pos] + xs[feature, pos + 1])
-    return feature, float(threshold)
+    below, above = float(xs[feature, pos]), float(xs[feature, pos + 1])
+    threshold = 0.5 * (below + above)
+    # the midpoint of adjacent floats can round up to `above`, and below + above
+    # can overflow; either would send every row left, so split at `below`
+    if threshold == above or math.isinf(threshold):
+        threshold = below
+    return feature, threshold
 
 
 def fit_tree(
@@ -261,10 +268,13 @@ def walk_stacked(stacked: tuple, X: np.ndarray) -> np.ndarray:
     return value[node].reshape(len(roots), n_rows)
 
 
-def predict_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
+def as_rows(X: np.ndarray, n_features: int) -> np.ndarray:
+    """X as a float64 matrix of rows, checked against a model's feature count."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != tree.n_features:
-        raise ValidationError(
-            f"tree was grown on {tree.n_features} features, got {X.shape[1]}"
-        )
-    return walk_stacked(stack_trees([tree]), X)[0]
+    if X.shape[1] != n_features:
+        raise ValidationError(f"model was trained on {n_features} features, got {X.shape[1]}")
+    return X
+
+
+def predict_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
+    return walk_stacked(stack_trees([tree]), as_rows(X, tree.n_features))[0]

@@ -320,7 +320,7 @@ def run_policy(
     predictive = isinstance(policy, PredictivePolicy)
     if predictive:
         n_lags = policy.lag_spec.n_features
-        if getattr(policy.model, "n_features", n_lags) != n_lags:
+        if policy.model.n_features != n_lags:
             raise ValidationError(
                 f"model expects {policy.model.n_features} features but the lag spec "
                 f"provides {n_lags}"

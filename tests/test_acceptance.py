@@ -31,6 +31,8 @@ from pdmecon.detect import (
 )
 from pdmecon.features import LagSpec, make_lag_matrix, walk_forward_splits
 from pdmecon.models import (
+    BoostHyperparams,
+    ForestHyperparams,
     fit_boost,
     fit_forest,
     fit_ols,
@@ -116,7 +118,7 @@ def test_criterion_03_boost_monotone():
             p = int(rng.integers(1, 5))
             X = rng.normal(size=(n, p))
             y = rng.normal(size=n) + X @ rng.normal(size=p)
-            model = fit_boost(X, y, n_stages=30, learning_rate=float(rng.uniform(0.05, 1.0)))
+            model = fit_boost(X, y, BoostHyperparams(n_stages=30, learning_rate=float(rng.uniform(0.05, 1.0))))
             seq = np.asarray(model.stage_train_rmse)
             assert np.all(np.diff(seq) <= 1e-12)
 
@@ -126,7 +128,7 @@ def test_criterion_04_forest_decomposition():
         rng = np.random.default_rng(11)
         X = rng.normal(size=(150, 4))
         y = X @ np.array([1.0, -1.0, 2.0, 0.0]) + rng.normal(scale=0.2, size=150)
-        forest = fit_forest(X, y, n_trees=20, seed=3)
+        forest = fit_forest(X, y, ForestHyperparams(n_trees=20), seed=3)
         probes = rng.normal(size=(1000, 4))
         per_tree = np.stack([predict_tree(t, probes) for t in forest.trees])
         assert np.max(np.abs(predict(forest, probes) - per_tree.mean(axis=0))) < 1e-12

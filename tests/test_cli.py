@@ -469,6 +469,10 @@ MALFORMED = [
      lambda d: tree_edited(d, "forest", 1, "n_features", lambda n: 5), "model.params.trees[1].n_features"),
     ("model-boost-stage-width", "simulate", "--model",
      lambda d: tree_edited(d, "boost", 1, "n_features", lambda n: 5), "model.params.stages[1].n_features"),
+    ("model-forest-tree-count", "simulate", "--model",
+     lambda d: edited(model_doc(d, "forest_model.json"), "hyperparams", "n_trees", value=3), "model.hyperparams.n_trees"),
+    ("model-boost-stage-count", "simulate", "--model",
+     lambda d: edited(model_doc(d, "boost_model.json"), "hyperparams", "n_stages", value=2), "model.hyperparams.n_stages"),
     ("ledger-list", "cba", "--ledger", lambda d: [ledger_doc(d)], "ledger must be a JSON object"),
     ("ledger-amount-string", "cba", "--ledger",
      lambda d: edited(ledger_doc(d), "items", 0, "amount", value={"dist": "point", "value": "abc"}),

@@ -6,13 +6,15 @@ import pytest
 from pdmecon.errors import ValidationError
 from pdmecon.features import LagSpec
 from pdmecon.models import (
-    fit_boost,
+    MODEL_KINDS,
+    ForestHyperparams,
     fit_forest,
-    fit_ols,
+    fit_model,
     load_model,
     model_from_dict,
     model_to_dict,
     predict,
+    predict_tree,
 )
 from pdmecon.jsonio import write_json
 
@@ -25,28 +27,25 @@ def data():
     return X, y
 
 
-@pytest.mark.parametrize("kind", ["linear", "forest", "boost"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_roundtrip_preserves_predictions(tmp_path, data, kind):
     X, y = data
-    if kind == "linear":
-        model = fit_ols(X, y)
-    elif kind == "forest":
-        model = fit_forest(X, y, n_trees=4, seed=2)
-    else:
-        model = fit_boost(X, y, n_stages=6, seed=2)
+    model = fit_model(kind, X, y, {"forest": {"n_trees": 4}, "boost": {"n_stages": 6}}.get(kind), seed=2)
+    doc = model_to_dict(model, seed=2, lag_spec=LagSpec(1, 3))
     path = tmp_path / "model.json"
-    write_json(path, model_to_dict(model, seed=2, lag_spec=LagSpec(1, 3)))
+    write_json(path, doc)
     loaded = load_model(path)
-    assert loaded.kind == kind
+    assert loaded.model.kind == kind
     assert loaded.lag_spec == LagSpec(1, 3)
+    assert model_to_dict(loaded.model, seed=2, lag_spec=loaded.lag_spec) == doc
     probes = np.random.default_rng(5).normal(size=(40, 3))
     np.testing.assert_array_equal(predict(loaded.model, probes), predict(model, probes))
 
 
 def test_serialized_document_is_stable(data):
     X, y = data
-    a = model_to_dict(fit_forest(X, y, n_trees=3, seed=7), seed=7)
-    b = model_to_dict(fit_forest(X, y, n_trees=3, seed=7), seed=7)
+    a = model_to_dict(fit_forest(X, y, ForestHyperparams(n_trees=3), seed=7), seed=7)
+    b = model_to_dict(fit_forest(X, y, ForestHyperparams(n_trees=3), seed=7), seed=7)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert a["schema_version"] == 2
 
@@ -76,7 +75,7 @@ def test_deep_tree_roundtrip():
     doc = _tree_to_dict(tree)
     clone = _tree_from_dict(doc)
     probes = np.linspace(0, n, 500).reshape(-1, 1)
-    np.testing.assert_array_equal(predict(clone, probes), predict(tree, probes))
+    np.testing.assert_array_equal(predict_tree(clone, probes), predict_tree(tree, probes))
 
 
 def v1_tree(root, n_features=2):
@@ -118,4 +117,15 @@ def test_trees_must_share_the_model_width(version, kind, key, bad):
         doc = model_to_dict(model_from_dict(doc).model)
     doc["params"][key][bad]["n_features"] = 3
     with pytest.raises(ValidationError, match=rf"model\.params\.{key}\[{bad}\]\.n_features"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("kind, count", [("forest", "n_trees"), ("boost", "n_stages")])
+def test_tree_count_must_match_the_hyperparameters(version, kind, count):
+    doc = v1_document(kind, [v1_tree(V1_SPLITS), v1_tree(V1_SPLITS)])
+    if version == 2:
+        doc = model_to_dict(model_from_dict(doc).model)
+    doc["hyperparams"][count] = 3
+    with pytest.raises(ValidationError, match=rf"model\.hyperparams\.{count} is 3, but .* holds 2 trees"):
         model_from_dict(doc)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -6,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmecon.errors import ValidationError
-from pdmecon.models import TreeParams, fit_boost, fit_forest, fit_tree, predict_forest, predict_tree, rmse
+from pdmecon.models import (
+    BoostHyperparams,
+    ForestHyperparams,
+    TreeParams,
+    fit_boost,
+    fit_forest,
+    fit_tree,
+    predict_tree,
+    rmse,
+)
 from pdmecon.models.io import _tree_to_dict
 
 
@@ -121,6 +131,20 @@ def test_predict_feature_mismatch():
         predict_tree(tree, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "below, above",
+    [(1 + 2**-52, 1 + 2**-51), (1e308, 1.5e308), (-1.5e308, -1e308)],
+    ids=["adjacent", "overflow", "negative-overflow"],
+)
+@pytest.mark.parametrize("max_depth", [3, None])
+def test_split_between_adjacent_or_huge_values_falls_back_to_the_lower(below, above, max_depth):
+    # the midpoint rounds up to `above` (or overflows), which would send both rows left
+    tree = fit_tree(np.array([[below], [above]]), np.array([0.0, 1.0]), TreeParams(max_depth=max_depth))
+    assert tree.root.threshold == below
+    assert (tree.root.left.value, tree.root.right.value) == (0.0, 1.0)
+    assert tree.n_nodes == 3 and not np.isnan(tree.value).any()
+
+
 # --- reference: the per-node-argsort engine the presorted fit replaced -------
 
 
@@ -157,7 +181,9 @@ def reference_best_split(X, y, min_samples_leaf):
         return None
     sse = np.where(valid, sse, np.inf)
     feature, pos = divmod(int(np.argmin(sse.T)), n - 1)
-    return feature, float(0.5 * (xs[pos, feature] + xs[pos + 1, feature]))
+    below, above = float(xs[pos, feature]), float(xs[pos + 1, feature])
+    threshold = 0.5 * (below + above)
+    return feature, below if threshold == above or math.isinf(threshold) else threshold
 
 
 def reference_fit(X, y, params):
@@ -238,17 +264,21 @@ def test_presorted_fit_matches_per_node_argsort(case):
     expected = preorder(reference)
     assert preorder(fit_tree(X, y, params).root) == expected
     # every tree of a forest without bootstrap shares one presort
-    forest = fit_forest(X, y, n_trees=2, params=params, bootstrap=False)
+    forest = fit_forest(X, y, ForestHyperparams(
+        n_trees=2, max_depth=params.max_depth, min_samples_leaf=params.min_samples_leaf, bootstrap=False
+    ))
     assert [preorder(t.root) for t in forest.trees] == [expected, expected]
     per_tree = np.stack([reference_predict(reference, X)] * 2)
-    np.testing.assert_array_equal(predict_forest(forest, X), per_tree.mean(axis=0))
+    np.testing.assert_array_equal(forest.predict(X), per_tree.mean(axis=0))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(tree_data(), st.sampled_from([0.1, 0.5, 1.0]))
 def test_boost_stages_sharing_one_presort_match_reference(case, learning_rate):
     X, y, params = case
-    model = fit_boost(X, y, n_stages=4, learning_rate=learning_rate, params=params)
+    model = fit_boost(X, y, BoostHyperparams(
+        n_stages=4, learning_rate=learning_rate, max_depth=params.max_depth, min_samples_leaf=params.min_samples_leaf
+    ))
     F = np.full(len(y), model.init_value)
     for stage in model.stages:
         reference = reference_fit(X, y - F, params)

@@ -266,7 +266,7 @@ def test_predictive_requires_model():
 
 def test_predictive_with_tree_ensemble_forecaster():
     # exercises the generic (non-linear) branch of the per-step forecaster
-    from pdmecon.models import fit_forest
+    from pdmecon.models import ForestHyperparams, fit_forest
 
     rng = np.random.default_rng(0)
     history = 30.0 + rng.normal(scale=0.2, size=400)
@@ -274,7 +274,7 @@ def test_predictive_with_tree_ensemble_forecaster():
     from pdmecon.features import make_lag_matrix
 
     sup = make_lag_matrix(history, spec)
-    forest = fit_forest(sup.X, sup.y, n_trees=3, params=None, seed=1)
+    forest = fit_forest(sup.X, sup.y, ForestHyperparams(n_trees=3), seed=1)
     policy = PredictivePolicy(
         model=forest,
         lag_spec=spec,
