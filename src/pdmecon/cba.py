@@ -23,7 +23,7 @@ import numpy as np
 
 from . import format_table
 from .errors import ValidationError
-from .jsonio import from_dict, json_object, load_json, tagged
+from .jsonio import from_dict, json_object, load_json, plain, tagged
 from .plantsim import ComparisonReport
 
 
@@ -198,17 +198,6 @@ class McSummary:
             p95=p95,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "sd": self.sd,
-            "max": self.max,
-            "min": self.min,
-            "p5": self.p5,
-            "p50": self.p50,
-            "p95": self.p95,
-        }
-
 
 @dataclass
 class NetBenefitResult:
@@ -219,12 +208,9 @@ class NetBenefitResult:
     ledger_samples: dict = field(default_factory=dict)  # LedgerKind -> ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "items": {name: s.to_dict() for name, s in self.item_summaries.items()},
-            "ledgers": {k.value: s.to_dict() for k, s in self.ledger_summaries.items()},
-            "net": self.net.to_dict(),
-        }
+        """The summaries, without the samples, ledgers keyed by their value."""
+        ledgers = {k.value: s for k, s in self.ledger_summaries.items()}
+        return plain({"schema_version": 1, "items": self.item_summaries, "ledgers": ledgers, "net": self.net})
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

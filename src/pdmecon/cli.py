@@ -64,7 +64,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir or os.environ.get(ENV_OUT_DIR, "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use {out} as the output directory: {exc}") from None
     return out
 
 
@@ -147,9 +150,13 @@ def cmd_evaluate(args) -> int:
     seed = _seed(args)
     lag_spec = _lag_spec(args)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    for kind in kinds:
+    if not kinds:
+        raise ValidationError(f"--kinds names no model kind; expected a subset of {MODEL_KINDS}")
+    for i, kind in enumerate(kinds):
         if kind not in MODEL_KINDS:
             raise ValidationError(f"unknown model kind '{kind}'; expected subset of {MODEL_KINDS}")
+        if kind in kinds[:i]:
+            raise ValidationError(f"--kinds names '{kind}' twice")
     series = _load_series(args.csv, args.channel)
     hp = _config(args.hyperparams, Hyperparams, "hyperparameters")
     reports = [
@@ -159,9 +166,9 @@ def cmd_evaluate(args) -> int:
         "schema_version": 1,
         "channel": args.channel,
         "k": args.k,
-        "lag_spec": lag_spec.to_dict(),
+        "lag_spec": lag_spec,
         "seed": seed,
-        "reports": {r.model_kind: r.to_dict() for r in reports},
+        "reports": {r.model_kind: r for r in reports},
     }
     out = _out_dir(args) / "evaluation.json"
     write_json(out, doc)

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import Series
+from .ingest import series_values
 from .jsonio import dumps
 
 
@@ -94,11 +94,6 @@ class DetectorConfig:
             raise ValidationError("stuck_min_duration must be >= 1")
 
 
-def _values(series) -> np.ndarray:
-    v = series.values if isinstance(series, Series) else series
-    return np.asarray(v, dtype=np.float64)
-
-
 def _flag_runs(flags: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of True as inclusive (start, end) pairs."""
     idx = np.flatnonzero(flags)
@@ -124,7 +119,7 @@ def detect_outliers_gradient(series, max_rate: float) -> list[FaultEvent]:
     """Flag samples whose step from the previous sample exceeds max_rate kPa/s."""
     if max_rate <= 0:
         raise ValidationError("max_rate must be > 0")
-    values = _values(series)
+    values = series_values(series)
     if len(values) < 2:
         raise ValidationError("need at least 2 samples")
     excess = np.abs(np.diff(values)) - max_rate
@@ -143,7 +138,7 @@ def detect_outliers_distance(series, window: int, k: float) -> list[FaultEvent]:
     The window is centered, so the first and last window//2 samples are never
     flagged. The MAD is floored at 1e-9 to avoid flagging identical data.
     """
-    values = _values(series)
+    values = series_values(series)
     if window % 2 == 0 or window < 3:
         raise ValidationError("window must be odd and >= 3")
     if window > len(values):
@@ -174,7 +169,7 @@ def detect_spike(series, window: int, min_rise: float) -> list[FaultEvent]:
         raise ValidationError("window must be >= 2")
     if min_rise <= 0:
         raise ValidationError("min_rise must be > 0")
-    values = _values(series)
+    values = series_values(series)
     n = len(values)
     if n < window:
         return []
@@ -201,7 +196,7 @@ def _window_coverage(hits: np.ndarray, window: int, n: int) -> np.ndarray:
 def detect_stuck(series, config: DetectorConfig) -> list[FaultEvent]:
     """Flag spans where rolling variance stays below stuck_eps_var for at
     least stuck_min_duration samples. Severity is the span length."""
-    values = _values(series)
+    values = series_values(series)
     w = config.stuck_window
     if w > len(values):
         raise ValidationError(f"stuck_window {w} larger than series ({len(values)})")
@@ -217,7 +212,7 @@ def detect_stuck(series, config: DetectorConfig) -> list[FaultEvent]:
 def detect_high_variance(series, config: DetectorConfig) -> list[FaultEvent]:
     """Flag spans where rolling variance exceeds var_threshold. Severity is
     the worst excess over the threshold."""
-    values = _values(series)
+    values = series_values(series)
     w = config.var_window
     if w > len(values):
         raise ValidationError(f"var_window {w} larger than series ({len(values)})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import Series
+from .ingest import Series, series_values
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class LagSpec:
     @property
     def n_features(self) -> int:
         return self.max_lag - self.min_lag + 1
-
-    def to_dict(self) -> dict:
-        return {"min_lag": self.min_lag, "max_lag": self.max_lag}
 
 
 @dataclass(frozen=True)
@@ -90,11 +87,6 @@ class SplitPlan:
                 raise ValidationError("training windows must expand")
 
 
-def _series_values(series) -> np.ndarray:
-    values = series.values if isinstance(series, Series) else series
-    return np.asarray(values, dtype=np.float64)
-
-
 def make_lag_matrix(series: Series | np.ndarray, spec: LagSpec | None = None) -> SupervisedSet:
     """Build the lag-feature supervised set for one sensor series.
 
@@ -102,7 +94,7 @@ def make_lag_matrix(series: Series | np.ndarray, spec: LagSpec | None = None) ->
     (ascending lag order); valid targets are t in [max_lag, len - 1].
     """
     spec = spec or LagSpec()
-    values = _series_values(series)
+    values = series_values(series)
     n = len(values)
     if n <= spec.max_lag:
         raise ValidationError(

@@ -23,11 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IngestError, ValidationError
+from .jsonio import plain
 
 ISO8601 = "iso8601"
 EPOCH_SECONDS = "epoch"
 
 DEFAULT_TIMESTAMP_FORMATS = (ISO8601, "%d/%m/%Y %H:%M:%S", "%d/%m/%Y %H:%M")
+# 0001-01-01T00:00:00 and 9999-12-31T23:59:59 UTC, the range of datetime
+EPOCH_MIN, EPOCH_MAX = -62135596800, 253402300799
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,12 @@ class Series:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def series_values(series: Series | np.ndarray) -> np.ndarray:
+    """The float64 values of a Series, or of a bare array of readings."""
+    values = series.values if isinstance(series, Series) else series
+    return np.asarray(values, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -116,14 +125,7 @@ class IngestReport:
         return self.rows_read - self.rows_dropped_sentinel - self.rows_dropped_unparseable
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "rows_read": self.rows_read,
-            "rows_dropped_sentinel": self.rows_dropped_sentinel,
-            "rows_dropped_unparseable": self.rows_dropped_unparseable,
-            "rows_retained": self.rows_retained,
-            "channels_retained": self.channels_retained,
-        }
+        return {"schema_version": 1, **plain(self), "rows_retained": self.rows_retained}
 
 
 @dataclass(frozen=True)
@@ -143,27 +145,36 @@ class IngestConfig:
 
 
 def _parse_timestamp(text: str, formats: tuple[str, ...]) -> int | None:
-    """Return integer epoch seconds, or None if no configured format matches."""
+    """Return integer epoch seconds, or None if no configured format matches
+    or the time lies outside the years 1 to 9999 that the cleaned CSV can write."""
     for fmt in formats:
-        if fmt == ISO8601:
-            try:
-                dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-            except ValueError:
-                continue
-        elif fmt == EPOCH_SECONDS:
-            try:
-                return int(float(text))
-            except ValueError:
-                continue
-        else:
-            try:
-                dt = datetime.strptime(text, fmt)
-            except ValueError:
-                continue
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        return int(dt.timestamp())
+        try:
+            if fmt == EPOCH_SECONDS:
+                ts = int(float(text))
+            else:
+                if fmt == ISO8601:
+                    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+                else:
+                    dt = datetime.strptime(text, fmt)
+                if dt.tzinfo is None:
+                    dt = dt.replace(tzinfo=timezone.utc)
+                ts = int(dt.timestamp())
+        except (ValueError, OverflowError):  # OverflowError: an epoch cell of inf or 1e400
+            continue
+        return ts if EPOCH_MIN <= ts <= EPOCH_MAX else None
     return None
+
+
+def _lines(path: Path):
+    """The file's lines, read as they are parsed; a file that cannot be opened,
+    read or decoded as UTF-8 is an IngestError naming it."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            yield from fh
+    except FileNotFoundError:
+        raise IngestError(f"file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from None
 
 
 def load_historian_csv(
@@ -180,72 +191,68 @@ def load_historian_csv(
         frame's row count.
 
     Raises:
-        IngestError: missing/empty/header-only file, no parseable rows, or
-            non-monotone timestamps (with row context).
+        IngestError: missing, unreadable, non-UTF-8, empty or header-only
+            file, no parseable rows, or non-monotone timestamps (with row context).
     """
     config = config or IngestConfig()
     path = Path(path)
-    if not path.exists():
-        raise IngestError(f"file not found: {path}")
+    reader = csv.reader(_lines(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError(f"empty file: {path}") from None
+    names = [h.strip() for h in header]
+    if len(names) < 2:
+        raise IngestError(f"{path}: header must have a timestamp column plus >= 1 channel")
+    channel_names = names[1:]
+    n_channels = len(channel_names)
 
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    timestamps: list[int] = []
+    columns: list[list[float]] = [[] for _ in range(n_channels)]
+    rows_read = 0
+    dropped_sentinel = 0
+    dropped_unparseable = 0
+    first_failure: str | None = None
+
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue  # blank line, not a data row
+        rows_read += 1
+        cells = [c.strip() for c in row]
+        if any(c in config.sentinel_tokens for c in cells):
+            dropped_sentinel += 1
+            continue
+        if len(cells) != n_channels + 1:
+            dropped_unparseable += 1
+            if first_failure is None:
+                first_failure = f"line {lineno}: expected {n_channels + 1} cells, got {len(cells)}"
+            continue
+        ts = _parse_timestamp(cells[0], config.timestamp_formats)
+        if ts is None:
+            dropped_unparseable += 1
+            if first_failure is None:
+                first_failure = (
+                    f"line {lineno}, column '{names[0]}': "
+                    f"'{cells[0]}' matches none of {list(config.timestamp_formats)}"
+                )
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"empty file: {path}") from None
-        names = [h.strip() for h in header]
-        if len(names) < 2:
-            raise IngestError(f"{path}: header must have a timestamp column plus >= 1 channel")
-        channel_names = names[1:]
-        n_channels = len(channel_names)
-
-        timestamps: list[int] = []
-        columns: list[list[float]] = [[] for _ in range(n_channels)]
-        rows_read = 0
-        dropped_sentinel = 0
-        dropped_unparseable = 0
-        first_failure: str | None = None
-
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue  # blank line, not a data row
-            rows_read += 1
-            cells = [c.strip() for c in row]
-            if any(c in config.sentinel_tokens for c in cells):
-                dropped_sentinel += 1
-                continue
-            if len(cells) != n_channels + 1:
-                dropped_unparseable += 1
-                if first_failure is None:
-                    first_failure = f"line {lineno}: expected {n_channels + 1} cells, got {len(cells)}"
-                continue
-            ts = _parse_timestamp(cells[0], config.timestamp_formats)
-            if ts is None:
-                dropped_unparseable += 1
-                if first_failure is None:
-                    first_failure = (
-                        f"line {lineno}, column '{names[0]}': "
-                        f"'{cells[0]}' matches none of {list(config.timestamp_formats)}"
-                    )
-                continue
-            try:
-                values = [float(c) for c in cells[1:]]
-            except ValueError:
-                dropped_unparseable += 1
-                if first_failure is None:
-                    bad = next(c for c in cells[1:] if not _is_float(c))
-                    col = channel_names[cells[1:].index(bad)]
-                    first_failure = f"line {lineno}, column '{col}': '{bad}' is not numeric"
-                continue
-            if not all(np.isfinite(values)):
-                dropped_unparseable += 1
-                if first_failure is None:
-                    first_failure = f"line {lineno}: non-finite value"
-                continue
-            timestamps.append(ts)
-            for col, v in zip(columns, values):
-                col.append(v)
+            values = [float(c) for c in cells[1:]]
+        except ValueError:
+            dropped_unparseable += 1
+            if first_failure is None:
+                bad = next(c for c in cells[1:] if not _is_float(c))
+                col = channel_names[cells[1:].index(bad)]
+                first_failure = f"line {lineno}, column '{col}': '{bad}' is not numeric"
+            continue
+        if not all(np.isfinite(values)):
+            dropped_unparseable += 1
+            if first_failure is None:
+                first_failure = f"line {lineno}: non-finite value"
+            continue
+        timestamps.append(ts)
+        for col, v in zip(columns, values):
+            col.append(v)
 
     if rows_read == 0:
         raise IngestError(f"{path}: header-only file, no data rows")
@@ -291,15 +298,16 @@ def select_channel(frame: SensorFrame, name: str) -> Series:
 def write_sensor_csv(frame: SensorFrame, path: str | Path) -> None:
     """Write a frame in the ingest CSV format (round-trips through load_historian_csv).
 
-    Timestamps are emitted as naive-UTC ISO-8601; values use repr so floats
-    survive the round trip bit-exactly.
+    Timestamps are emitted as naive-UTC ISO-8601 (four-digit years, which
+    strftime does not pad); values use repr so floats survive the round trip
+    bit-exactly.
     """
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["Timestamp"] + [ch.name for ch in frame.channels])
         iso = [
-            datetime.fromtimestamp(int(t), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+            datetime.fromtimestamp(int(t), tz=timezone.utc).replace(tzinfo=None).isoformat()
             for t in frame.timestamps
         ]
         cols = [ch.values for ch in frame.channels]

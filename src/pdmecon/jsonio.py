@@ -4,8 +4,13 @@ load_json rejects NaN, Infinity and numbers that overflow a float. from_dict
 builds a config dataclass from its own fields and annotations, rejecting
 unknown fields, missing required fields and wrong types as ``what.field``.
 JSON integers widen to float; int fields reject booleans and non-integral
-numbers; strings are never parsed as numbers. Artifacts go through
-atomic_path, and JSON ones through dumps, which refuses non-finite numbers.
+numbers; strings are never parsed as numbers.
+
+Writing mirrors from_dict: plain turns a dataclass into an object of its
+fields (tuples and lists become lists, numpy arrays their tolist()), and
+dumps applies it to whatever json cannot encode itself, so an artifact
+dataclass is written by its fields with no hand-written copy of them. Keys
+are sorted and non-finite numbers refused. Artifacts go through atomic_path.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -148,12 +155,29 @@ def _coerce(tp, value, where: str):
     raise TypeError(f"{where}: unsupported annotation {tp!r}")
 
 
+def plain(value):
+    """value as plain JSON data: a dataclass becomes an object of its fields,
+    a tuple or list a list and an ndarray its tolist(), recursively."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def dumps(doc, indent: int | None = None) -> str:
-    """Serialize with sorted keys as strict JSON; a non-finite number is a ValidationError."""
+    """Serialize as strict JSON with sorted keys, dataclasses and arrays through
+    plain; a non-finite number is a ValidationError."""
     try:
-        return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
+        return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False, default=plain)
     except ValueError as exc:
-        # the documents are plain trees, so the only ValueError is a NaN or infinity
+        # plain raises TypeError for what it cannot write, so the only ValueError is a NaN or infinity
         raise ValidationError(f"result is not finite ({exc}); an input value is out of range") from None
 
 

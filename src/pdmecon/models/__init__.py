@@ -19,13 +19,10 @@ from .io import LoadedModel, load_model, model_from_dict, model_to_dict
 from .linear import LinearHyperparams, LinearModel, fit_ols
 from .tree import NodeView, RegressionTree, TreeParams, fit_tree, predict_tree
 
-ForecastModel = LinearModel | ForestModel | BoostModel
-
 __all__ = [
     "BoostHyperparams",
     "BoostModel",
     "EvalReport",
-    "ForecastModel",
     "ForestHyperparams",
     "ForestModel",
     "Hyperparams",

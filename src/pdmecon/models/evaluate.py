@@ -55,13 +55,6 @@ class EvalReport:
                 f"average_rmse {self.average_rmse} is not the mean of the splits ({mean})"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "per_split_rmse": list(self.per_split_rmse),
-            "average_rmse": self.average_rmse,
-        }
-
 
 @dataclass(frozen=True)
 class Hyperparams:

@@ -2,7 +2,8 @@
 
 A document holds the model's "kind", "seed", "hyperparams" (the fields of its
 hyperparameter dataclass; a forest's n_trees and a booster's n_stages must
-match its tree count), an optional "lag_spec" and the per-kind "params".
+match its tree count), an optional "lag_spec" and "params", the model's
+other dataclass fields, written by jsonio.plain.
 Schema version 2 stores each tree as its node arrays: "feature", "threshold",
 "left", "right" and "value" lists of equal length in the layout of
 models.tree, plus "params" and "n_features". The loader checks that the
@@ -15,7 +16,7 @@ because unlimited-depth trees can exceed the recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Literal
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..features import LagSpec
-from ..jsonio import from_dict, load_json
+from ..jsonio import from_dict, load_json, plain
 from .ensemble import BoostModel, ForestModel
 from .evaluate import MODELS
 from .linear import LinearModel
@@ -36,18 +37,6 @@ SCHEMA_VERSION = 2
 class LoadedModel:
     model: object
     lag_spec: LagSpec | None
-
-
-def _tree_to_dict(tree: RegressionTree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-        "params": tree.params.to_dict(),
-        "n_features": tree.n_features,
-    }
 
 
 @dataclass(frozen=True)
@@ -156,31 +145,21 @@ def _check_widths(trees: list[RegressionTree], n_features: int, what: str) -> No
 def model_to_dict(model, seed: int = 0, lag_spec: LagSpec | None = None) -> dict:
     """The model's document: its kind, its hyperparameters and its fitted params.
 
-    A forest or boost model records the seed it was fitted with; a linear
-    model, which has none, records `seed`.
+    The params are the model's dataclass fields other than hyperparams and
+    seed. A forest or boost model records the seed it was fitted with; a
+    linear model, which has none, records `seed`.
     """
-    doc = {"schema_version": SCHEMA_VERSION, "kind": model.kind, "hyperparams": asdict(model.hyperparams)}
+    params = {f.name: getattr(model, f.name) for f in fields(model) if f.name not in ("hyperparams", "seed")}
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": model.kind,
+        "seed": getattr(model, "seed", seed),
+        "hyperparams": model.hyperparams,
+        "params": params,
+    }
     if lag_spec is not None:
-        doc["lag_spec"] = lag_spec.to_dict()
-    if model.kind == "linear":
-        doc["seed"] = seed
-        doc["params"] = {
-            "intercept": model.intercept,
-            "coefficients": [float(c) for c in model.coefficients],
-            "ridge_applied": model.ridge_applied,
-        }
-    elif model.kind == "forest":
-        doc["seed"] = model.seed
-        doc["params"] = {"trees": [_tree_to_dict(t) for t in model.trees]}
-    else:
-        doc["seed"] = model.seed
-        doc["params"] = {
-            "init_value": model.init_value,
-            "stages": [_tree_to_dict(t) for t in model.stages],
-            "stage_train_rmse": list(model.stage_train_rmse),
-            "n_features": model.n_features,
-        }
-    return doc
+        doc["lag_spec"] = lag_spec
+    return plain(doc)
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,6 @@ class TreeParams:
         if self.min_samples_leaf < 1:
             raise ValidationError("min_samples_leaf must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {"max_depth": self.max_depth, "min_samples_leaf": self.min_samples_leaf}
-
 
 @dataclass(frozen=True, eq=False)
 class RegressionTree:

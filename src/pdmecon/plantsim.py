@@ -32,7 +32,7 @@ from .detect import Action, decide
 from .errors import ValidationError
 from .features import LagSpec
 from .ingest import Channel, SensorFrame, Series
-from .jsonio import from_dict, tagged
+from .jsonio import from_dict, plain, tagged
 from .models import LinearModel, predict
 
 # Setpoint offsets replaying the recorded change sequence (35, 20, 35, 20, 40
@@ -169,7 +169,7 @@ class PreventivePolicy:
 
 @dataclass(frozen=True)
 class PredictivePolicy:
-    model: object  # any trained ForecastModel
+    model: object  # a trained model: kind, n_features and predict(X)
     lag_spec: LagSpec
     limit_kpa: float = 40.0
     hard_limit_kpa: float = 50.0
@@ -241,17 +241,6 @@ class SimOutcome:
                 f"revenue {self.revenue_units} inconsistent with uptime {self.uptime_s} "
                 f"x rate {self.revenue_rate_per_s}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "uptime_s": self.uptime_s,
-            "downtime_s": self.downtime_s,
-            "maintenance_count": self.maintenance_count,
-            "breakdown_count": self.breakdown_count,
-            "revenue_rate_per_s": self.revenue_rate_per_s,
-            "revenue_units": self.revenue_units,
-        }
 
 
 class _FaultState:
@@ -420,15 +409,8 @@ class ComparisonReport:
     revenue_delta: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "outcomes": {name: o.to_dict() for name, o in self.outcomes.items()},
-            "deltas": {
-                "downtime_avoided_s": self.downtime_avoided_s,
-                "maintenance_avoided": self.maintenance_avoided,
-                "revenue_delta": self.revenue_delta,
-            },
-        }
+        doc = plain(self)
+        return {"schema_version": 1, "outcomes": doc.pop("outcomes"), "deltas": doc}
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,12 @@ def test_exit_codes(tmp_path):
     assert "--seed" in result.stderr
     # unknown subcommand
     assert run_cli("frobnicate").returncode == 1
+    # --out-dir naming an existing file
+    not_a_dir = tmp_path / "not_a_dir"
+    not_a_dir.write_text("", encoding="utf-8")
+    result = run_cli("synth", "--seed", 1, "--out-dir", not_a_dir)
+    assert result.returncode == 1
+    assert f"cannot use {not_a_dir} as the output directory" in result.stderr
 
 
 def test_no_temp_files_left_behind(tmp_path, historian_csv):
@@ -509,6 +515,30 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, inputs, case):
     assert code == 1, err
     assert expected in err, err
     assert not out.exists() or not any(out.iterdir())  # nothing written, not even a temp file
+
+
+@pytest.mark.parametrize("csv", ["directory", "latin-1"])
+def test_unreadable_csv_exits_1_naming_the_file(tmp_path, csv):
+    path = tmp_path / csv
+    if csv == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes("Timestamp,P \xb1\n".encode("latin-1"))
+    out = tmp_path / "out"
+    for name in ("ingest", "train", "evaluate", "detect"):
+        code, err = run_main(with_flag(command(tmp_path, name, out), "--csv", path))
+        assert code == 1, err
+        assert f"cannot read {path}" in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("kinds", ["", " , ", "linear,linear", "forest,linear, forest"])
+def test_evaluate_rejects_empty_or_repeated_kinds(tmp_path, inputs, kinds):
+    out = tmp_path / "out"
+    code, err = run_main(with_flag(command(inputs, "evaluate", out), "--kinds", kinds))
+    assert code == 1, err
+    assert ("names no model kind" if kinds.strip(" ,") == "" else "twice") in err, err
+    assert not out.exists()  # rejected before any fitting, so not even the directory
 
 
 # --- property: any mutation of a valid config exits 0 or 1 ------------------

@@ -1,0 +1,143 @@
+"""Artifact bytes pinned to golden files.
+
+Each artifact type is built by hand, with no fitting, so BLAS and the tree
+search cannot move the bytes; the files in tests/golden/ hold what the
+writers produced before `jsonio.plain` replaced the hand-written to_dict
+copies, and every change to how artifacts are written must keep them.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pdmecon.cba import LedgerKind, McSummary, NetBenefitResult
+from pdmecon.detect import FaultEvent, FaultKind, events_to_jsonl
+from pdmecon.features import LagSpec
+from pdmecon.ingest import IngestReport
+from pdmecon.jsonio import dumps, plain, write_json, write_text
+from pdmecon.models import (
+    BoostHyperparams,
+    BoostModel,
+    EvalReport,
+    ForestHyperparams,
+    ForestModel,
+    LinearModel,
+    RegressionTree,
+    TreeParams,
+    model_to_dict,
+)
+from pdmecon.plantsim import ComparisonReport, SimOutcome
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def split_tree(scale):
+    # x0 <= 0.5 -> node 1; else x1 <= -1.0 -> node 3, else node 4
+    return RegressionTree(
+        feature=np.array([0, -1, 1, -1, -1]),
+        threshold=np.array([0.5, 0.0, -1.0, 0.0, 0.0]),
+        left=np.array([1, -1, 3, -1, -1]),
+        right=np.array([2, -1, 4, -1, -1]),
+        value=np.array([2.0, 1.0, 2.5, 2.0, 3.0]) / scale,
+        params=TreeParams(max_depth=2),
+        n_features=2,
+    )
+
+
+LEAF = RegressionTree(
+    feature=np.array([-1]),
+    threshold=np.array([0.0]),
+    left=np.array([-1]),
+    right=np.array([-1]),
+    value=np.array([0.1]),
+    params=TreeParams(min_samples_leaf=3),
+    n_features=2,
+)
+
+SAMPLES = np.array([1.0, 2.5, 4.0, 7.25, 3.1])
+
+
+def outcome(uptime_s, maintenance_count, breakdown_count):
+    return SimOutcome(
+        duration_s=3600,
+        uptime_s=uptime_s,
+        downtime_s=3600 - uptime_s,
+        maintenance_count=maintenance_count,
+        breakdown_count=breakdown_count,
+        revenue_rate_per_s=1.5,
+        revenue_units=uptime_s * 1.5,
+    )
+
+
+# the documents as the CLI writes them; events.jsonl is text
+ARTIFACTS = {
+    "model_linear.json": model_to_dict(
+        LinearModel(intercept=0.1, coefficients=[1 / 3, -2.5, 1e-7], ridge_applied=True), seed=5, lag_spec=LagSpec(2, 4)
+    ),
+    # the model's own seed is written, not the one passed in
+    "model_forest.json": model_to_dict(
+        ForestModel(trees=[split_tree(3), LEAF], hyperparams=ForestHyperparams(n_trees=2, max_depth=2), seed=4),
+        seed=9,
+        lag_spec=LagSpec(1, 2),
+    ),
+    "model_boost.json": model_to_dict(
+        BoostModel(
+            init_value=1 / 7,
+            stages=[split_tree(7), LEAF],
+            hyperparams=BoostHyperparams(n_stages=2, learning_rate=0.5, max_depth=2),
+            seed=4,
+            n_features=2,
+            stage_train_rmse=[0.75, 0.5],
+        )
+    ),
+    "evaluation.json": {
+        "schema_version": 1,
+        "channel": "DPIT301",
+        "k": 2,
+        "lag_spec": LagSpec(5, 30),
+        "seed": 3,
+        "reports": {
+            "linear": EvalReport("linear", (0.5, 0.25), 0.375),
+            "boost": EvalReport("boost", [1 / 3, 2 / 3], 0.5),
+        },
+    },
+    "ingest_report.json": IngestReport(
+        rows_read=10, rows_dropped_sentinel=2, rows_dropped_unparseable=1, channels_retained=3
+    ).to_dict(),
+    "comparison.json": ComparisonReport(
+        outcomes={"preventive": outcome(3000, 2, 1), "predictive": outcome(3240, 1, 0)},
+        downtime_avoided_s=240,
+        maintenance_avoided=1,
+        revenue_delta=360.0,
+    ).to_dict(),
+    "net_benefit.json": NetBenefitResult(
+        item_summaries={"Fewer breakdowns": McSummary.from_samples(SAMPLES), "Sensors": McSummary.from_samples([2.0])},
+        ledger_summaries={
+            LedgerKind.DIRECT_SAVING: McSummary.from_samples(SAMPLES),
+            LedgerKind.IMPLEMENTATION_COST: McSummary.from_samples([2.0]),
+        },
+        net=McSummary.from_samples(SAMPLES - 2.0),
+        net_samples=SAMPLES - 2.0,
+    ).to_dict(),
+    "events.jsonl": events_to_jsonl(
+        [FaultEvent(FaultKind.SPIKE, 3, 7, 1.25), FaultEvent(FaultKind.STUCK_AT, 10, 10, 0.1 + 0.2)]
+    )
+    + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+def test_artifact_bytes_match_the_golden_file(tmp_path, name):
+    doc, path = ARTIFACTS[name], tmp_path / name
+    if isinstance(doc, str):
+        write_text(path, doc)
+    else:
+        write_json(path, doc)
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_plain_writes_fields_and_refuses_what_json_cannot_hold():
+    assert plain({"k": (LagSpec(1, 2), np.arange(2))}) == {"k": [{"min_lag": 1, "max_lag": 2}, [0, 1]]}
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        dumps({"k": {1}})

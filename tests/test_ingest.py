@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,23 @@ def test_errors_missing_empty_header_only(tmp_path):
         load_historian_csv(header_only)
 
 
+def test_unreadable_file_is_an_ingest_error(tmp_path):
+    with pytest.raises(IngestError, match=f"cannot read {tmp_path}: .*Is a directory"):
+        load_historian_csv(tmp_path)
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("Timestamp,Druck in kPa \xb1 0,1\n2020-02-26T15:44:00,1.0\n".encode("latin-1"))
+    with pytest.raises(IngestError, match=f"cannot read {latin1}: 'utf-8' codec can't decode"):
+        load_historian_csv(latin1)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root reads files whatever their mode")
+def test_file_without_read_permission_is_an_ingest_error(tmp_path):
+    path = write_csv(tmp_path / "t.csv", ["Timestamp,P1", "2020-02-26T15:44:00,1.0"])
+    path.chmod(0)
+    with pytest.raises(IngestError, match=f"cannot read {path}: .*Permission denied"):
+        load_historian_csv(path)
+
+
 def test_error_when_no_timestamp_format_matches(tmp_path):
     path = write_csv(
         tmp_path / "t.csv",
@@ -183,6 +202,23 @@ def test_epoch_timestamp_format_opt_in(tmp_path):
     # default config does not accept bare epoch integers
     with pytest.raises(IngestError):
         load_historian_csv(path)
+
+
+def test_epoch_cells_outside_the_datetime_range_are_dropped(tmp_path):
+    from pdmecon.ingest import EPOCH_SECONDS
+
+    # inf and 1e400 overflow int(); 1e300 overflows int64; 1e12 s is the year 33658,
+    # which the cleaned CSV cannot write; 253402300800 is one second past 9999
+    cells = ["inf", "-inf", "1e400", "1e300", "1e12", "-1e12", "253402300800"]
+    path = write_csv(tmp_path / "t.csv", ["Timestamp,P1", "1000,1.0", *(f"{c},2.0" for c in cells), "1001,3.0"])
+    frame, report = load_historian_csv(path, IngestConfig(timestamp_formats=(EPOCH_SECONDS,)))
+    np.testing.assert_array_equal(frame.timestamps, [1000, 1001])
+    assert report.rows_dropped_unparseable == len(cells)
+    write_sensor_csv(frame, tmp_path / "cleaned.csv")
+    edges = write_csv(tmp_path / "edges.csv", ["Timestamp,P1", "-62135596800,1.0", "253402300799,2.0"])
+    frame, _ = load_historian_csv(edges, IngestConfig(timestamp_formats=(EPOCH_SECONDS,)))
+    write_sensor_csv(frame, tmp_path / "edges_cleaned.csv")
+    np.testing.assert_array_equal(load_historian_csv(tmp_path / "edges_cleaned.csv")[0].timestamps, frame.timestamps)
 
 
 def test_custom_sentinels(tmp_path):

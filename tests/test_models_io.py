@@ -16,7 +16,7 @@ from pdmecon.models import (
     predict,
     predict_tree,
 )
-from pdmecon.jsonio import write_json
+from pdmecon.jsonio import plain, write_json
 
 
 @pytest.fixture
@@ -69,10 +69,10 @@ def test_deep_tree_roundtrip():
     X = np.arange(n, dtype=float).reshape(-1, 1)
     y = np.arange(n, dtype=float) ** 1.5
     from pdmecon.models import fit_tree
-    from pdmecon.models.io import _tree_from_dict, _tree_to_dict
+    from pdmecon.models.io import _tree_from_dict
 
     tree = fit_tree(X, y)
-    doc = _tree_to_dict(tree)
+    doc = plain(tree)
     clone = _tree_from_dict(doc)
     probes = np.linspace(0, n, 500).reshape(-1, 1)
     np.testing.assert_array_equal(predict_tree(clone, probes), predict_tree(tree, probes))

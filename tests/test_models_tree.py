@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmecon.errors import ValidationError
+from pdmecon.jsonio import plain
 from pdmecon.models import (
     BoostHyperparams,
     ForestHyperparams,
@@ -17,7 +18,6 @@ from pdmecon.models import (
     predict_tree,
     rmse,
 )
-from pdmecon.models.io import _tree_to_dict
 
 
 def brute_force_best_split(X, y, min_samples_leaf=1):
@@ -107,7 +107,7 @@ def test_deterministic_structure():
     y = rng.normal(size=80)
     t1 = fit_tree(X, y, TreeParams(max_depth=5))
     t2 = fit_tree(X, y, TreeParams(max_depth=5))
-    assert _tree_to_dict(t1) == _tree_to_dict(t2)
+    assert plain(t1) == plain(t2)
 
 
 def test_leaf_values_are_means():
