@@ -141,15 +141,12 @@ class LineItem:
         allowed = CATEGORY_TAXONOMY[self.ledger]
         if self.category not in allowed:
             raise ValidationError(
-                f"item '{self.name}': category '{self.category}' not valid for "
-                f"{self.ledger.value}; allowed: {list(allowed)}"
+                f"category '{self.category}' not valid for {self.ledger.value}; allowed: {list(allowed)}"
             )
         if self.category == "DisposalGain" and self.kind is not ItemKind.ONE_OFF:
-            raise ValidationError(f"item '{self.name}': DisposalGain must be OneOff")
+            raise ValidationError("DisposalGain must be OneOff")
         if self.kind is ItemKind.ONE_OFF and self.category != "DisposalGain":
-            raise ValidationError(
-                f"item '{self.name}': only DisposalGain items may be OneOff"
-            )
+            raise ValidationError("only DisposalGain items may be OneOff")
 
 
 def item_from_dict(doc, what: str = "item") -> LineItem:

@@ -2,9 +2,13 @@
 
 load_json rejects NaN, Infinity and numbers that overflow a float. from_dict
 builds a config dataclass from its own fields and annotations, rejecting
-unknown fields, missing required fields and wrong types as ``what.field``.
-JSON integers widen to float; int fields reject booleans and non-integral
-numbers; strings are never parsed as numbers.
+unknown fields, missing required fields and wrong types as ``what.field``;
+an error the dataclass itself raises is prefixed with ``what:``. JSON integers
+widen to float; int fields reject booleans and non-integral numbers; strings
+are never parsed as numbers. Besides scalars, Literal, ``X | None``, Enum and
+nested dataclasses, a field may be a ``tuple`` or ``list`` of them or an
+``Annotated[np.ndarray, dtype]`` (a float64 or intp vector). An array field is
+checked in one pass; the element-wise path runs only to name a bad entry.
 
 Writing mirrors from_dict: plain turns a dataclass into an object of its
 fields (tuples and lists become lists, numpy arrays their tolist()), and
@@ -69,7 +73,7 @@ def _wrong(where: str, expected: str, value) -> ValidationError:
 
 @cache
 def _schema(cls) -> tuple[dict, tuple]:
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     init = [f for f in fields(cls) if f.init]
     required = tuple(f.name for f in init if f.default is MISSING and f.default_factory is MISSING)
     return {f.name: hints[f.name] for f in init}, required
@@ -98,7 +102,10 @@ def from_dict(cls, doc, what: str, **fixed):
         if name not in doc and name not in fixed:
             raise ValidationError(f"{what}.{name} is required")
     values = {name: _coerce(hints[name], value, f"{what}.{name}") for name, value in doc.items()}
-    return cls(**values, **fixed)
+    try:
+        return cls(**values, **fixed)
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 def tagged(doc, tag: str, classes: dict, what: str):
@@ -137,14 +144,26 @@ def _coerce(tp, value, where: str):
     if origin in (typing.Union, types.UnionType):  # only `X | None`
         (arm,) = [a for a in args if a is not type(None)]
         return None if value is None else _coerce(arm, value, where)
-    if origin is tuple:
-        if not isinstance(value, list):
-            raise _wrong(where, "an array", value)
-        if args[-1] is Ellipsis:
-            args = (args[0],) * len(value)
-        elif len(value) != len(args):
+    if origin in (tuple, list, typing.Annotated) and not isinstance(value, list):
+        raise _wrong(where, "an array", value)
+    if origin is typing.Annotated:  # Annotated[np.ndarray, dtype]: a float64 or intp vector
+        dtype = np.dtype(args[1])
+        number = float if np.issubdtype(dtype, np.floating) else int
+        if _numbers(number, value):
+            try:
+                return np.array(value, dtype=dtype)
+            except OverflowError:
+                pass  # the element-wise path below names an entry beyond float range
+        try:
+            return np.array(_coerce(list[number], value, where), dtype=dtype)
+        except OverflowError:
+            raise ValidationError(f"{where} holds an integer out of range") from None
+    if origin is tuple and args[-1] is not Ellipsis:
+        if len(value) != len(args):
             raise _wrong(where, f"an array of {len(args)} entries", value)
         return tuple(_coerce(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+    if origin in (tuple, list):
+        return origin(_coerce(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if is_dataclass(tp):
         return from_dict(tp, value, where)
     if isinstance(tp, type) and issubclass(tp, Enum):
@@ -153,6 +172,15 @@ def _coerce(tp, value, where: str):
             raise _wrong(where, f"one of {choices}", value)
         return tp(value)
     raise TypeError(f"{where}: unsupported annotation {tp!r}")
+
+
+# the exact types of JSON numbers a float or an int field takes without conversion
+_NUMBER_TYPES = {float: {int, float}, int: {int}}
+
+
+def _numbers(tp, values: list) -> bool:
+    """True when every entry of values already is a number of type tp, checked in one pass."""
+    return tp in _NUMBER_TYPES and set(map(type, values)) <= _NUMBER_TYPES[tp]
 
 
 def plain(value):
@@ -185,7 +213,12 @@ def dumps(doc, indent: int | None = None) -> str:
 def atomic_path(path):
     """Yield a temp path beside `path`; it replaces `path` only if the block succeeds."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise ValidationError(f"cannot write {path}: it is a directory")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file where a parent directory should be
+        raise ValidationError(f"cannot write {path}: {exc}") from None
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     os.close(fd)
     try:

@@ -3,7 +3,9 @@
 Every tree considers all features at every split. Per-tree randomness comes
 from a stream derived as default_rng((seed, tree_index)), so fitting order and
 worker count cannot change the result. Each model keeps the hyperparameters
-it was fitted with (ForestHyperparams, BoostHyperparams) and its seed.
+it was fitted with (ForestHyperparams, BoostHyperparams) and its seed, and
+checks on construction that it holds n_trees / n_stages trees, all as wide
+as the model.
 """
 
 from __future__ import annotations
@@ -34,6 +36,16 @@ class BoostHyperparams:
     min_samples_leaf: int = 1
 
 
+def _check_trees(trees: list[RegressionTree], name: str, count: int, count_name: str, n_features: int) -> None:
+    if len(trees) != count:
+        raise ValidationError(f"{name} holds {len(trees)} trees, but hyperparams.{count_name} is {count}")
+    for i, tree in enumerate(trees):
+        if tree.n_features != n_features:
+            raise ValidationError(
+                f"{name}[{i}].n_features is {tree.n_features}, but the model has {n_features} features"
+            )
+
+
 @dataclass
 class ForestModel:
     trees: list[RegressionTree]
@@ -41,6 +53,11 @@ class ForestModel:
     seed: int
 
     kind: ClassVar[str] = "forest"
+
+    def __post_init__(self):
+        if not self.trees:
+            raise ValidationError("trees must hold at least one tree")
+        _check_trees(self.trees, "trees", self.hyperparams.n_trees, "n_trees", self.n_features)
 
     @property
     def n_features(self) -> int:
@@ -66,6 +83,9 @@ class BoostModel:
     stage_train_rmse: list[float] = field(default_factory=list)
 
     kind: ClassVar[str] = "boost"
+
+    def __post_init__(self):
+        _check_trees(self.stages, "stages", self.hyperparams.n_stages, "n_stages", self.n_features)
 
     @cached_property
     def stacked(self) -> tuple:

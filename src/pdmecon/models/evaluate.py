@@ -10,14 +10,14 @@ from .. import format_table
 from ..errors import ValidationError
 from ..features import LagSpec, make_lag_matrix, walk_forward_splits
 from ..jsonio import from_dict
-from .ensemble import BoostHyperparams, ForestHyperparams, fit_boost, fit_forest
-from .linear import LinearHyperparams, fit_ols
+from .ensemble import BoostHyperparams, BoostModel, ForestHyperparams, ForestModel, fit_boost, fit_forest
+from .linear import LinearHyperparams, LinearModel, fit_ols
 
-# kind -> (hyperparameter dataclass, fit(X, y, hyperparams, seed))
+# kind -> (hyperparameter dataclass, fit(X, y, hyperparams, seed), model dataclass)
 MODELS = {
-    "linear": (LinearHyperparams, lambda X, y, hyperparams, seed: fit_ols(X, y)),
-    "forest": (ForestHyperparams, fit_forest),
-    "boost": (BoostHyperparams, fit_boost),
+    "linear": (LinearHyperparams, lambda X, y, hyperparams, seed: fit_ols(X, y), LinearModel),
+    "forest": (ForestHyperparams, fit_forest, ForestModel),
+    "boost": (BoostHyperparams, fit_boost, BoostModel),
 }
 MODEL_KINDS = tuple(MODELS)
 
@@ -73,7 +73,7 @@ def fit_model(kind: str, X: np.ndarray, y: np.ndarray, hyperparams=None, seed: i
     """
     if kind not in MODELS:
         raise ValidationError(f"unknown model kind '{kind}'; expected one of {MODEL_KINDS}")
-    cls, fit = MODELS[kind]
+    cls, fit, _ = MODELS[kind]
     hp = hyperparams if isinstance(hyperparams, cls) else from_dict(
         cls, {} if hyperparams is None else hyperparams, f"hyperparameters.{kind}"
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class LinearHyperparams:
 @dataclass(frozen=True)
 class LinearModel:
     intercept: float
-    coefficients: np.ndarray
+    coefficients: Annotated[np.ndarray, np.float64]
     ridge_applied: bool = False
 
     kind: ClassVar[str] = "linear"

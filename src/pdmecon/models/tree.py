@@ -3,10 +3,12 @@
 A fitted tree is five parallel arrays, the layout of scikit-learn's Tree: node
 i routes x[feature[i]] <= threshold[i] to left[i] and the rest to right[i];
 a leaf has left = right = -1 (and feature -1) and predicts value[i]. Internal
-nodes keep the mean of their rows in value too (0.0 in trees read from
-version-1 model files, which did not store it). Children always come after
-their parent, so a walk down the arrays always ends. Prediction stacks the
-trees of a model into one node array and walks all of them level by level.
+nodes keep the mean of their rows in value too. Every tree, fitted, built by
+hand or read from a model file, is checked on construction: the arrays have
+one length, a node has two children or none, children come after their
+parent and every node but the root has one parent, so a walk down the arrays
+always ends. Prediction stacks the trees of a model into one node array and
+walks all of them level by level.
 
 Fitting argsorts X once per feature (stable) and stably partitions that order
 into the children at each split, so every node sees its rows sorted by each
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -45,13 +48,46 @@ class TreeParams:
 
 @dataclass(frozen=True, eq=False)
 class RegressionTree:
-    feature: np.ndarray  # intp; -1 at leaves
-    threshold: np.ndarray  # float64
-    left: np.ndarray  # intp; -1 at leaves
-    right: np.ndarray  # intp; -1 at leaves
-    value: np.ndarray  # float64; the mean of the node's training targets
+    feature: Annotated[np.ndarray, np.intp]  # -1 at leaves
+    threshold: Annotated[np.ndarray, np.float64]
+    left: Annotated[np.ndarray, np.intp]  # -1 at leaves
+    right: Annotated[np.ndarray, np.intp]  # -1 at leaves
+    value: Annotated[np.ndarray, np.float64]  # the mean of the node's training targets
     params: TreeParams
     n_features: int
+
+    def __post_init__(self):
+        for name in ("feature", "left", "right"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.intp))
+        for name in ("threshold", "value"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        n = len(self.value)
+        if n == 0:
+            raise ValidationError("value must hold at least one node")
+        for name in ("feature", "threshold", "left", "right"):
+            if len(getattr(self, name)) != n:
+                raise ValidationError(f"{name} has {len(getattr(self, name))} entries but value has {n}")
+
+        def first(bad: np.ndarray) -> int | None:
+            return int(np.argmax(bad)) if bad.any() else None
+
+        feature, left, right = self.feature, self.left, self.right
+        leaf = left == -1
+        if (i := first(leaf != (right == -1))) is not None:
+            raise ValidationError(
+                f"left[{i}] is {left[i]} but right[{i}] is {right[i]}; a node has two children or none"
+            )
+        nodes = np.arange(n)
+        for name, child in (("left", left), ("right", right)):
+            if (i := first(~leaf & ~((nodes < child) & (child < n)))) is not None:
+                raise ValidationError(f"{name}[{i}] is {child[i]}; a child must point forward, into ({i}, {n})")
+        parents = np.bincount(np.concatenate([left[~leaf], right[~leaf]]), minlength=n)
+        if (i := first(parents[1:] != 1)) is not None:
+            raise ValidationError(
+                f"node {i + 1} is a child of {parents[i + 1]} nodes; every node but the root has one parent"
+            )
+        if (i := first(~leaf & ~((0 <= feature) & (feature < self.n_features)))) is not None:
+            raise ValidationError(f"feature[{i}] {feature[i]} is not a feature index below {self.n_features}")
 
     @property
     def n_nodes(self) -> int:
@@ -113,13 +149,7 @@ class NodeLists:
 
     def tree(self, params: TreeParams, n_features: int) -> RegressionTree:
         return RegressionTree(
-            feature=np.array(self.feature, dtype=np.intp),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.intp),
-            right=np.array(self.right, dtype=np.intp),
-            value=np.array(self.value, dtype=np.float64),
-            params=params,
-            n_features=n_features,
+            self.feature, self.threshold, self.left, self.right, self.value, params=params, n_features=n_features
         )
 
 

@@ -267,7 +267,7 @@ def test_synth_with_injections(tmp_path, small_plan):
     assert np.ptp(values[300:420]) == 0.0
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, historian_csv):
     # unknown flag -> validation error
     assert run_cli("synth", "--bogus", "1").returncode == 1
     # missing input file -> validation error
@@ -284,6 +284,21 @@ def test_exit_codes(tmp_path):
     result = run_cli("synth", "--seed", 1, "--out-dir", not_a_dir)
     assert result.returncode == 1
     assert f"cannot use {not_a_dir} as the output directory" in result.stderr
+    # an output file that is an existing directory
+    taken = tmp_path / "taken"
+    for target, argv in (
+        ("model.json", ["train", "--csv", historian_csv, "--min-lag", 2, "--max-lag", 4, "--seed", 1]),
+        ("historian.csv", ["synth", "--plan", tmp_path / "plan.json", "--seed", 1]),
+    ):
+        (taken / target).mkdir(parents=True)
+        result = run_cli(*argv, "--out-dir", taken)
+        assert result.returncode == 1, result.stderr
+        assert f"cannot write {taken / target}: it is a directory" in result.stderr
+    # an output file under an existing file
+    (taken / "file").write_text("", encoding="utf-8")
+    result = run_cli("synth", "--plan", tmp_path / "plan.json", "--seed", 1, "--out-dir", taken, "--out", "file/x.csv")
+    assert result.returncode == 1, result.stderr
+    assert f"cannot write {taken / 'file' / 'x.csv'}" in result.stderr
 
 
 def test_no_temp_files_left_behind(tmp_path, historian_csv):
@@ -461,24 +476,39 @@ MALFORMED = [
     ("model-list", "simulate", "--model", lambda d: [model_doc(d)], "model must be a JSON object"),
     ("model-missing-intercept", "simulate", "--model",
      lambda d: edited(model_doc(d), "params", "intercept", drop=True), "model.params.intercept"),
+    ("model-coefficient-bool", "simulate", "--model",
+     lambda d: edited(model_doc(d), "params", "coefficients", 0, value=True),
+     "model.params.coefficients[0] must be a number"),
+    ("model-tree-string-threshold", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 0, "threshold", lambda t: t[:2] + ["1"] + t[3:]),
+     "model.params.trees[0].threshold[2] must be a number"),
+    ("model-tree-fractional-child", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 0, "left", lambda c: [1.5] + c[1:]),
+     "model.params.trees[0].left[0] must be an integer"),
+    ("model-tree-huge-child", "simulate", "--model",
+     lambda d: tree_edited(d, "boost", 0, "right", lambda c: [2**64] + c[1:]),
+     "model.params.stages[0].right holds an integer out of range"),
     ("model-tree-short-threshold", "simulate", "--model",
-     lambda d: tree_edited(d, "forest", 0, "threshold", lambda t: t[:-1]), "model.params.trees[0].threshold"),
+     lambda d: tree_edited(d, "forest", 0, "threshold", lambda t: t[:-1]), "model.params.trees[0]: threshold has"),
     ("model-tree-backward-child", "simulate", "--model",
-     lambda d: tree_edited(d, "forest", 0, "left", lambda c: [0] + c[1:]), "model.params.trees[0].left[0]"),
+     lambda d: tree_edited(d, "forest", 0, "left", lambda c: [0] + c[1:]), "model.params.trees[0]: left[0] is 0"),
     ("model-tree-shared-child", "simulate", "--model",
      lambda d: tree_edited(d, "forest", 0, "right", lambda c: [c[0] - 1] + c[1:]), "is a child of 2 nodes"),
     ("model-tree-one-child", "simulate", "--model",
-     lambda d: tree_edited(d, "boost", 0, "right", lambda c: [-1] + c[1:]), "model.params.stages[0].right[0] is -1"),
+     lambda d: tree_edited(d, "boost", 0, "right", lambda c: [-1] + c[1:]),
+     "model.params.stages[0]: left[0] is 1 but right[0] is -1"),
     ("model-tree-feature-range", "simulate", "--model",
-     lambda d: tree_edited(d, "forest", 1, "feature", lambda f: [3] + f[1:]), "model.params.trees[1].feature[0]"),
+     lambda d: tree_edited(d, "forest", 1, "feature", lambda f: [3] + f[1:]), "model.params.trees[1]: feature[0] 3"),
     ("model-forest-mixed-width", "simulate", "--model",
-     lambda d: tree_edited(d, "forest", 1, "n_features", lambda n: 5), "model.params.trees[1].n_features"),
+     lambda d: tree_edited(d, "forest", 1, "n_features", lambda n: 5), "model.params: trees[1].n_features is 5"),
     ("model-boost-stage-width", "simulate", "--model",
-     lambda d: tree_edited(d, "boost", 1, "n_features", lambda n: 5), "model.params.stages[1].n_features"),
+     lambda d: tree_edited(d, "boost", 1, "n_features", lambda n: 5), "model.params: stages[1].n_features is 5"),
     ("model-forest-tree-count", "simulate", "--model",
-     lambda d: edited(model_doc(d, "forest_model.json"), "hyperparams", "n_trees", value=3), "model.hyperparams.n_trees"),
+     lambda d: edited(model_doc(d, "forest_model.json"), "hyperparams", "n_trees", value=3),
+     "model.params: trees holds 2 trees, but hyperparams.n_trees is 3"),
     ("model-boost-stage-count", "simulate", "--model",
-     lambda d: edited(model_doc(d, "boost_model.json"), "hyperparams", "n_stages", value=2), "model.hyperparams.n_stages"),
+     lambda d: edited(model_doc(d, "boost_model.json"), "hyperparams", "n_stages", value=2),
+     "model.params: stages holds 3 trees, but hyperparams.n_stages is 2"),
     ("ledger-list", "cba", "--ledger", lambda d: [ledger_doc(d)], "ledger must be a JSON object"),
     ("ledger-amount-string", "cba", "--ledger",
      lambda d: edited(ledger_doc(d), "items", 0, "amount", value={"dist": "point", "value": "abc"}),

@@ -3,9 +3,11 @@
 Each artifact type is built by hand, with no fitting, so BLAS and the tree
 search cannot move the bytes; the files in tests/golden/ hold what the
 writers produced before `jsonio.plain` replaced the hand-written to_dict
-copies, and every change to how artifacts are written must keep them.
+copies, and every change to how artifacts are written must keep them. The
+model files must also load and write back unchanged.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from pdmecon.models import (
     LinearModel,
     RegressionTree,
     TreeParams,
+    load_model,
     model_to_dict,
 )
 from pdmecon.plantsim import ComparisonReport, SimOutcome
@@ -134,6 +137,15 @@ def test_artifact_bytes_match_the_golden_file(tmp_path, name):
         write_text(path, doc)
     else:
         write_json(path, doc)
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(name for name in ARTIFACTS if name.startswith("model_")))
+def test_model_file_loads_and_writes_back_the_same_bytes(tmp_path, name):
+    loaded = load_model(GOLDEN / name)
+    seed = json.loads((GOLDEN / name).read_text(encoding="utf-8"))["seed"]
+    path = tmp_path / name
+    write_json(path, model_to_dict(loaded.model, seed=seed, lag_spec=loaded.lag_spec))
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 

@@ -57,7 +57,7 @@ def test_boost_zero_stage_model_predicts_init():
     model = BoostModel(
         init_value=10.0,
         stages=[],
-        hyperparams=BoostHyperparams(learning_rate=0.1, max_depth=3),
+        hyperparams=BoostHyperparams(n_stages=0, learning_rate=0.1, max_depth=3),
         seed=0,
         n_features=2,
     )

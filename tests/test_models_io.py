@@ -1,13 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdmecon
+from pdmecon.cli import main
 from pdmecon.errors import ValidationError
 from pdmecon.features import LagSpec
 from pdmecon.models import (
     MODEL_KINDS,
     ForestHyperparams,
+    RegressionTree,
     fit_forest,
     fit_model,
     load_model,
@@ -16,7 +20,7 @@ from pdmecon.models import (
     predict,
     predict_tree,
 )
-from pdmecon.jsonio import plain, write_json
+from pdmecon.jsonio import from_dict, plain, write_json
 
 
 @pytest.fixture
@@ -69,24 +73,29 @@ def test_deep_tree_roundtrip():
     X = np.arange(n, dtype=float).reshape(-1, 1)
     y = np.arange(n, dtype=float) ** 1.5
     from pdmecon.models import fit_tree
-    from pdmecon.models.io import _tree_from_dict
 
     tree = fit_tree(X, y)
-    doc = plain(tree)
-    clone = _tree_from_dict(doc)
+    clone = from_dict(RegressionTree, plain(tree), "tree")
     probes = np.linspace(0, n, 500).reshape(-1, 1)
     np.testing.assert_array_equal(predict_tree(clone, probes), predict_tree(tree, probes))
 
 
-def v1_tree(root, n_features=2):
-    return {"root": root, "params": {"max_depth": None, "min_samples_leaf": 1}, "n_features": n_features}
-
-
 # x0 <= 0.5 -> 1.0; else x1 <= -1.0 -> 2.0, else 3.0
-V1_SPLITS = {"f": 0, "t": 0.5, "l": {"v": 1.0}, "r": {"f": 1, "t": -1.0, "l": {"v": 2.0}, "r": {"v": 3.0}}}
+SPLITS = {
+    "feature": [0, -1, 1, -1, -1],
+    "threshold": [0.5, 0.0, -1.0, 0.0, 0.0],
+    "left": [1, -1, 3, -1, -1],
+    "right": [2, -1, 4, -1, -1],
+    "value": [2.0, 1.0, 2.5, 2.0, 3.0],
+    "params": {"max_depth": None, "min_samples_leaf": 1},
+    "n_features": 2,
+}
+
+# one leaf splits on no feature, so it is a valid tree at any width
+LEAF = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [5.0], "params": SPLITS["params"]}
 
 
-def v1_document(kind, trees, n_features=2):
+def document(kind, trees, n_features=2):
     tree_params = {"max_depth": None, "min_samples_leaf": 1}
     if kind == "forest":
         hyperparams = {"n_trees": len(trees), "bootstrap": True, **tree_params}
@@ -94,38 +103,44 @@ def v1_document(kind, trees, n_features=2):
     else:
         hyperparams = {"n_stages": len(trees), "learning_rate": 0.5, **tree_params}
         params = {"init_value": 1.0, "stages": trees, "n_features": n_features}
-    return {"schema_version": 1, "kind": kind, "seed": 4, "hyperparams": hyperparams, "params": params}
+    return {"schema_version": 2, "kind": kind, "seed": 4, "hyperparams": hyperparams, "params": params}
 
 
-@pytest.mark.parametrize("kind, expected", [("forest", [3.0, 3.5, 4.0]), ("boost", [4.0, 4.5, 5.0])])
-def test_v1_document_loads_and_predicts_as_its_v2_roundtrip(kind, expected):
-    doc = v1_document(kind, [v1_tree(V1_SPLITS), v1_tree({"v": 5.0})])
-    v1 = model_from_dict(doc).model
-    probes = np.array([[0.0, 0.0], [1.0, -2.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(predict(v1, probes), expected)
-    v2_doc = json.loads(json.dumps(model_to_dict(v1, seed=4)))
-    assert v2_doc["schema_version"] == 2
-    assert v2_doc["params"]["trees" if kind == "forest" else "stages"][0]["left"] == [1, -1, 3, -1, -1]
-    np.testing.assert_array_equal(predict(model_from_dict(v2_doc).model, probes), expected)
+def test_version_1_document_exits_1_asking_to_retrain(tmp_path, capsys):
+    # the retired format: trees as nested {"f", "t", "l", "r"} / {"v"} dicts
+    v1_tree = {"root": {"f": 0, "t": 0.5, "l": {"v": 1.0}, "r": {"v": 2.0}}, "params": {}, "n_features": 2}
+    doc = {**document("forest", [v1_tree]), "schema_version": 1}
+    path = tmp_path / "model.json"
+    write_json(path, doc)
+    scenario = Path(pdmecon.__file__).parent / "data" / "scenario2_avoid_breakdown.json"
+    argv = ["simulate", "--scenario", str(scenario), "--model", str(path), "--seed", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    assert "model.schema_version is 1; only version 2 is read, so retrain the model" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [0, 3, -1])
+def test_unknown_schema_version_is_not_told_to_retrain(version):
+    with pytest.raises(ValidationError, match=r"^model\.schema_version must be 1 or 2, got ") as info:
+        model_from_dict({**document("forest", [SPLITS]), "schema_version": version})
+    assert "retrain" not in str(info.value)
+
+
+@pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize("kind, key, bad", [("forest", "trees", 1), ("boost", "stages", 0)])
-def test_trees_must_share_the_model_width(version, kind, key, bad):
-    doc = v1_document(kind, [v1_tree(V1_SPLITS), v1_tree(V1_SPLITS)])
-    if version == 2:
-        doc = model_to_dict(model_from_dict(doc).model)
-    doc["params"][key][bad]["n_features"] = 3
-    with pytest.raises(ValidationError, match=rf"model\.params\.{key}\[{bad}\]\.n_features"):
+def test_trees_must_share_the_model_width(width, kind, key, bad):
+    wide = {**SPLITS, "n_features": 3}
+    doc = document(kind, [wide, wide], n_features=3)
+    model_from_dict(doc)
+    doc["params"][key][bad] = {**LEAF, "n_features": width}
+    with pytest.raises(ValidationError, match=rf"model\.params: {key}\[{bad}\]\.n_features is {width}, but"):
         model_from_dict(doc)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("held", [1, 2])
 @pytest.mark.parametrize("kind, count", [("forest", "n_trees"), ("boost", "n_stages")])
-def test_tree_count_must_match_the_hyperparameters(version, kind, count):
-    doc = v1_document(kind, [v1_tree(V1_SPLITS), v1_tree(V1_SPLITS)])
-    if version == 2:
-        doc = model_to_dict(model_from_dict(doc).model)
+def test_tree_count_must_match_the_hyperparameters(held, kind, count):
+    doc = document(kind, [SPLITS] * held)
+    model_from_dict(doc)
     doc["hyperparams"][count] = 3
-    with pytest.raises(ValidationError, match=rf"model\.hyperparams\.{count} is 3, but .* holds 2 trees"):
+    with pytest.raises(ValidationError, match=rf"model\.params: .* holds {held} trees, but hyperparams\.{count} is 3"):
         model_from_dict(doc)

@@ -11,6 +11,7 @@ from pdmecon.jsonio import plain
 from pdmecon.models import (
     BoostHyperparams,
     ForestHyperparams,
+    RegressionTree,
     TreeParams,
     fit_boost,
     fit_forest,
@@ -129,6 +130,36 @@ def test_predict_feature_mismatch():
     tree = fit_tree(np.arange(6.0).reshape(-1, 1), np.arange(6.0))
     with pytest.raises(ValidationError, match="features"):
         predict_tree(tree, np.zeros((2, 3)))
+
+
+# x0 <= 0.5 -> node 1; else x1 <= -1.0 -> node 3, else node 4
+FIVE_NODES = {
+    "feature": [0, -1, 1, -1, -1],
+    "threshold": [0.5, 0.0, -1.0, 0.0, 0.0],
+    "left": [1, -1, 3, -1, -1],
+    "right": [2, -1, 4, -1, -1],
+    "value": [2.0, 1.0, 2.5, 2.0, 3.0],
+}
+
+
+# (id, arrays changed from FIVE_NODES, text the error must hold)
+TREE_DEFECTS = [
+    ("zero-nodes", {name: [] for name in FIVE_NODES}, "value must hold at least one node"),
+    ("unequal-lengths", {"threshold": [0.5, 0.0, -1.0, 0.0]}, "threshold has 4 entries but value has 5"),
+    ("one-child", {"right": [-1, -1, 4, -1, -1]}, "left[0] is 1 but right[0] is -1"),
+    ("backward-child", {"left": [1, -1, 1, -1, -1], "right": [2, -1, 2, -1, -1]}, "left[2] is 1; a child must"),
+    ("shared-child", {"right": [1, -1, 4, -1, -1]}, "node 1 is a child of 2 nodes"),
+    ("feature-out-of-range", {"feature": [0, -1, 2, -1, -1]}, "feature[2] 2 is not a feature index below 2"),
+]
+
+
+@pytest.mark.parametrize("changes, expected", [c[1:] for c in TREE_DEFECTS], ids=[c[0] for c in TREE_DEFECTS])
+def test_tree_rejects_arrays_that_do_not_describe_a_tree(changes, expected):
+    arrays = {**FIVE_NODES, **changes}
+    RegressionTree(**FIVE_NODES, params=TreeParams(), n_features=2)
+    with pytest.raises(ValidationError) as error:
+        RegressionTree(**arrays, params=TreeParams(), n_features=2)
+    assert expected in str(error.value)
 
 
 @pytest.mark.parametrize(
