@@ -2,10 +2,11 @@
 
 Every tree considers all features at every split. Per-tree randomness comes
 from a stream derived as default_rng((seed, tree_index)), so fitting order and
-worker count cannot change the result. Each model keeps the hyperparameters
-it was fitted with (ForestHyperparams, BoostHyperparams) and its seed, and
-checks on construction that it holds n_trees / n_stages trees, all as wide
-as the model.
+worker count cannot change the result. The hyperparameter classes
+(ForestHyperparams, BoostHyperparams) check their own ranges on construction,
+so a fitted and a loaded model pass the same checks. Each model keeps the
+hyperparameters it was fitted with and its seed, and checks on construction
+that it holds n_trees / n_stages trees, all as wide as the model.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ class ForestHyperparams:
     min_samples_leaf: int = 1
     bootstrap: bool = True
 
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValidationError("n_trees must be >= 1")
+        TreeParams(self.max_depth, self.min_samples_leaf)  # checks both
+
 
 @dataclass(frozen=True)
 class BoostHyperparams:
@@ -34,6 +40,11 @@ class BoostHyperparams:
     learning_rate: float = 0.1
     max_depth: int | None = 3
     min_samples_leaf: int = 1
+
+    def __post_init__(self):
+        if not 0.0 < self.learning_rate <= 1.0:
+            raise ValidationError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
+        TreeParams(self.max_depth, self.min_samples_leaf)  # checks both
 
 
 def _check_trees(trees: list[RegressionTree], name: str, count: int, count_name: str, n_features: int) -> None:
@@ -116,8 +127,6 @@ def fit_forest(
     params = TreeParams(hp.max_depth, hp.min_samples_leaf)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
-    if hp.n_trees < 1:
-        raise ValidationError("n_trees must be >= 1")
     n = len(y)
     presorted = None if hp.bootstrap else presort(X)
     trees = []
@@ -150,8 +159,6 @@ def fit_boost(
     y = np.asarray(y, dtype=np.float64).ravel()
     if hp.n_stages < 1:
         raise ValidationError("n_stages must be >= 1")
-    if not 0.0 < hp.learning_rate <= 1.0:
-        raise ValidationError(f"learning_rate must be in (0, 1], got {hp.learning_rate}")
 
     init_value = float(y.mean())
     F = np.full(len(y), init_value)

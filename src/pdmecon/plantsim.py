@@ -2,18 +2,26 @@
 
 generate_trace replays the experiment profile: a warmup ramp to baseline, then
 piecewise-constant setpoints applied at configured offsets, plus Gaussian
-sensor noise from a seeded stream. inject_fault overlays sensor/process
-faults. run_policy steps the plant one second at a time:
+sensor noise from a seeded stream. A fault injection (SpikeRamp, StuckAt)
+defines its own faulty reading, which inject_fault (synth) and run_policy
+(simulate) both use:
+
+- a spike ramps linearly from the clean reading at at_s to peak_kpa over
+  rise_s seconds, then holds;
+- a stuck-at fault holds the reading at at_s for duration_s seconds.
+
+run_policy steps the plant one second at a time:
 
 - pressure = trace value + linear fouling drift since the last maintenance,
-  unless an injected fault overrides the reading;
+  unless an injected fault overrides the reading (the latest-listed active
+  fault wins, and its clean reading is taken the first second it is read);
 - a preventive policy maintains every cycle_s of operating time, a predictive
   policy forecasts pressure over a horizon with a trained model and applies
   the threshold decision rule each step;
 - any policy whose pressure stays above fail_limit_kpa for more than grace_s
   consecutive seconds suffers a breakdown (longer outage than maintenance);
-- maintenance and repair both halt production, reset fouling, and clear any
-  injected fault that has already started.
+- maintenance and repair both halt production, reset fouling, and on
+  completion clear every injected fault that has started.
 
 Downtime seconds record the plain trace value in the observation buffer so a
 cleared spike cannot poison post-restart forecasts. Time is conserved exactly:
@@ -22,6 +30,7 @@ uptime + downtime == duration for every run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -99,6 +108,15 @@ class SpikeRamp:
         if self.at_s < 0 or self.rise_s < 1:
             raise ValidationError("SpikeRamp requires at_s >= 0 and rise_s >= 1")
 
+    @property
+    def end_s(self) -> float:
+        """A spike has no end of its own; only maintenance clears it."""
+        return math.inf
+
+    def reading(self, t, prior):
+        """The reading at second(s) t >= at_s; prior is the clean reading when the fault first shows."""
+        return prior + (self.peak_kpa - prior) * (np.minimum(t - self.at_s, self.rise_s) / self.rise_s)
+
 
 @dataclass(frozen=True)
 class StuckAt:
@@ -110,6 +128,15 @@ class StuckAt:
     def __post_init__(self):
         if self.at_s < 0 or self.duration_s < 1:
             raise ValidationError("StuckAt requires at_s >= 0 and duration_s >= 1")
+
+    @property
+    def end_s(self) -> int:
+        """The first second at which the reading is free again."""
+        return self.at_s + self.duration_s
+
+    def reading(self, t, prior):
+        """The reading at second(s) t in [at_s, end_s): prior, the clean reading when it first shows."""
+        return prior
 
 
 FaultInjection = SpikeRamp | StuckAt
@@ -123,22 +150,14 @@ def injection_from_dict(doc, what: str = "injection") -> FaultInjection:
 def inject_fault(series: Series, injection: FaultInjection) -> Series:
     """Apply one fault to a standalone series (spikes hold to the end)."""
     values = series.values.copy()
-    n = len(values)
-    if injection.at_s >= n:
-        raise ValidationError(f"injection at_s {injection.at_s} beyond series length {n}")
-    if isinstance(injection, SpikeRamp):
-        prior = values[injection.at_s - 1] if injection.at_s > 0 else values[0]
-        if injection.peak_kpa <= prior:
-            raise ValidationError(
-                f"SpikeRamp peak {injection.peak_kpa} must exceed the prior value {prior:.3f}"
-            )
-        end = min(injection.at_s + injection.rise_s, n - 1)
-        for t in range(injection.at_s, end + 1):
-            values[t] = prior + (injection.peak_kpa - prior) * (t - injection.at_s) / injection.rise_s
-        values[end + 1 :] = injection.peak_kpa
-    else:
-        stop = min(injection.at_s + injection.duration_s, n)
-        values[injection.at_s : stop] = values[injection.at_s]
+    n, at_s = len(values), injection.at_s
+    if at_s >= n:
+        raise ValidationError(f"injection at_s {at_s} beyond series length {n}")
+    prior = values[at_s]
+    if isinstance(injection, SpikeRamp) and injection.peak_kpa <= prior:
+        raise ValidationError(f"SpikeRamp peak {injection.peak_kpa} must exceed the prior value {prior:.3f}")
+    stop = min(injection.end_s, n)
+    values[at_s:stop] = injection.reading(np.arange(at_s, stop), prior)
     return Series(timestamps=series.timestamps, values=values, name=series.name, unit=series.unit)
 
 
@@ -243,31 +262,6 @@ class SimOutcome:
             )
 
 
-class _FaultState:
-    """Tracks one injection inside a run; cleared by completed maintenance."""
-
-    def __init__(self, injection: FaultInjection):
-        self.injection = injection
-        self.cleared = False
-        self.prior: float | None = None  # pressure captured at activation
-
-    def active(self, t: int) -> bool:
-        if self.cleared or t < self.injection.at_s:
-            return False
-        if isinstance(self.injection, StuckAt):
-            return t < self.injection.at_s + self.injection.duration_s
-        return True
-
-    def value(self, t: int, normal_pressure: float) -> float:
-        if self.prior is None:
-            self.prior = normal_pressure
-        inj = self.injection
-        if isinstance(inj, SpikeRamp):
-            frac = min(t - inj.at_s, inj.rise_s) / inj.rise_s
-            return self.prior + (inj.peak_kpa - self.prior) * frac
-        return self.prior
-
-
 def _forecast(model, recent: np.ndarray, lags: np.ndarray, horizon: int) -> np.ndarray:
     """Iterated multi-step forecast feeding predictions back as lag inputs."""
     max_lag = int(lags[-1])
@@ -289,16 +283,13 @@ def run_policy(
     plan: TracePlan,
     injections: list[FaultInjection],
     policy: PolicyConfig,
-    fouling_rate_kpa_per_s: float = 0.0,
-    revenue_rate_per_s: float = 1.0,
+    econ: EconParams = EconParams(),
     seed: int = 0,
 ) -> SimOutcome:
     """Simulate plant operation under one maintenance policy.
 
-    Deterministic given (plan, injections, policy, rates, seed).
+    Deterministic given (plan, injections, policy, econ, seed).
     """
-    if fouling_rate_kpa_per_s < 0:
-        raise ValidationError("fouling_rate_kpa_per_s must be >= 0")
     for inj in injections:
         if inj.at_s >= plan.duration_s:
             raise ValidationError(f"injection at_s {inj.at_s} beyond duration {plan.duration_s}")
@@ -317,7 +308,9 @@ def run_policy(
         lags = policy.lag_spec.lags
         max_lag = int(policy.lag_spec.max_lag)
 
-    faults = [_FaultState(inj) for inj in injections]
+    pending = list(injections)  # not yet cleared by maintenance
+    priors = {}  # injection -> the clean reading the first second it was read (equal injections
+    # are read and cleared together, so they may share one entry)
     obs = np.empty(duration)
     operating = True
     down_remaining = 0
@@ -329,9 +322,10 @@ def run_policy(
 
     for t in range(duration):
         if operating:
-            normal = trace[t] + fouling_rate_kpa_per_s * since_maint
-            fault = next((f for f in reversed(faults) if f.active(t)), None)
-            pressure = fault.value(t, normal) if fault else normal
+            pressure = trace[t] + econ.fouling_rate_kpa_per_s * since_maint
+            fault = next((f for f in reversed(pending) if f.at_s <= t < f.end_s), None)
+            if fault is not None:
+                pressure = fault.reading(t, priors.setdefault(fault, pressure))
             obs[t] = pressure
 
             start_maint = False
@@ -386,9 +380,7 @@ def run_policy(
                 since_maint = 0
                 breach_run = 0
                 scheduled_due = None
-                for f in faults:
-                    if f.injection.at_s <= t:
-                        f.cleared = True
+                pending = [f for f in pending if f.at_s > t]
 
     return SimOutcome(
         duration_s=duration,
@@ -396,8 +388,8 @@ def run_policy(
         downtime_s=downtime,
         maintenance_count=maintenance_count,
         breakdown_count=breakdown_count,
-        revenue_rate_per_s=revenue_rate_per_s,
-        revenue_units=uptime * revenue_rate_per_s,
+        revenue_rate_per_s=econ.revenue_rate_per_s,
+        revenue_units=uptime * econ.revenue_rate_per_s,
     )
 
 
@@ -432,7 +424,7 @@ def compare_policies(
     plan: TracePlan,
     injections: list[FaultInjection],
     policies: dict[str, PolicyConfig],
-    econ: EconParams | None = None,
+    econ: EconParams = EconParams(),
     seed: int = 0,
 ) -> ComparisonReport:
     """Run every policy on the same trace and report per-policy outcomes.
@@ -444,13 +436,7 @@ def compare_policies(
     """
     if len(policies) < 2:
         raise ValidationError("compare_policies needs at least 2 policies")
-    econ = econ or EconParams()
-    outcomes = {
-        name: run_policy(
-            plan, injections, pol, econ.fouling_rate_kpa_per_s, econ.revenue_rate_per_s, seed
-        )
-        for name, pol in policies.items()
-    }
+    outcomes = {name: run_policy(plan, injections, pol, econ, seed) for name, pol in policies.items()}
     downtime_avoided = maintenance_avoided = revenue_delta = None
     if "preventive" in outcomes and "predictive" in outcomes:
         prev, pred = outcomes["preventive"], outcomes["predictive"]

@@ -509,6 +509,12 @@ MALFORMED = [
     ("model-boost-stage-count", "simulate", "--model",
      lambda d: edited(model_doc(d, "boost_model.json"), "hyperparams", "n_stages", value=2),
      "model.params: stages holds 3 trees, but hyperparams.n_stages is 2"),
+    ("model-boost-learning-rate", "simulate", "--model",
+     lambda d: edited(model_doc(d, "boost_model.json"), "hyperparams", "learning_rate", value=5),
+     "model.hyperparams: learning_rate must be in (0, 1]"),
+    ("model-forest-max-depth", "simulate", "--model",
+     lambda d: edited(model_doc(d, "forest_model.json"), "hyperparams", "max_depth", value=-4),
+     "model.hyperparams: max_depth must be >= 0 or None"),
     ("ledger-list", "cba", "--ledger", lambda d: [ledger_doc(d)], "ledger must be a JSON object"),
     ("ledger-amount-string", "cba", "--ledger",
      lambda d: edited(ledger_doc(d), "items", 0, "amount", value={"dist": "point", "value": "abc"}),
