@@ -275,19 +275,24 @@ BRIDGED_MAINTENANCE_ITEM = "Maintenance cost savings"
 
 def bridge_from_simulation(
     comparison: ComparisonReport,
-    revenue_rate: float,
+    revenue_rate: float | None,
     ledger: list[LineItem],
     unit_maintenance_cost: float = 0.0,
 ) -> list[LineItem]:
     """Convert simulated preventive-vs-predictive deltas into ledger entries.
 
     Overwrites (or appends) two point-valued items: avoided lost revenue from
-    the uptime delta, and maintenance cost savings from the count delta.
+    the uptime delta (at the simulated rate when revenue_rate is None), and
+    maintenance cost savings from the count delta.
     """
     if "preventive" not in comparison.outcomes or "predictive" not in comparison.outcomes:
         raise ValidationError("bridge needs both a 'preventive' and a 'predictive' outcome")
     prev = comparison.outcomes["preventive"]
     pred = comparison.outcomes["predictive"]
+    if revenue_rate is None:
+        if prev.revenue_rate_per_s != pred.revenue_rate_per_s:
+            raise ValidationError("comparison outcomes disagree on revenue_rate_per_s; give a revenue rate")
+        revenue_rate = pred.revenue_rate_per_s
     revenue_delta = (pred.uptime_s - prev.uptime_s) * revenue_rate
     maint_delta = prev.maintenance_count - pred.maintenance_count
     bridged = {

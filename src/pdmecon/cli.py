@@ -47,7 +47,7 @@ from .plantsim import (
     comparison_from_dict,
     format_comparison,
     generate_trace,
-    inject_fault,
+    inject_faults,
     injection_from_dict,
     scenario_from_dict,
     trace_to_frame,
@@ -107,9 +107,7 @@ def cmd_synth(args) -> int:
             doc = {"injections": doc}  # the bare-array form
         entries = from_dict(_InjectionsFile, doc, "injections").injections
         injections = [injection_from_dict(d, f"injections[{i}]") for i, d in enumerate(entries)]
-    trace = generate_trace(plan, _seed(args))
-    for inj in injections:
-        trace = inject_fault(trace, inj)
+    trace = inject_faults(generate_trace(plan, _seed(args)), injections)
     out = _out_dir(args) / args.out
     with atomic_path(out) as tmp:
         write_sensor_csv(trace_to_frame(trace), tmp)
@@ -289,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ledger", required=True, help="ledger JSON file")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--bridge", help="comparison JSON to bridge simulated deltas into the ledger")
-    p.add_argument("--revenue-rate", type=float, default=1.0, help="currency units per uptime second")
+    p.add_argument(
+        "--revenue-rate", type=float, help="currency units per uptime second (default: the comparison's rate)"
+    )
     p.add_argument(
         "--unit-maintenance-cost", type=float, default=0.0, help="currency units per avoided maintenance"
     )

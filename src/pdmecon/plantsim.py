@@ -3,27 +3,28 @@
 generate_trace replays the experiment profile: a warmup ramp to baseline, then
 piecewise-constant setpoints applied at configured offsets, plus Gaussian
 sensor noise from a seeded stream. A fault injection (SpikeRamp, StuckAt)
-defines its own faulty reading, which inject_fault (synth) and run_policy
-(simulate) both use:
+defines its own faulty reading from its prior, the clean reading the first
+second the fault wins (the latest-listed active fault wins). fault_readings
+applies a list of faults in one pass, for inject_faults (synth) and run_policy
+(simulate) alike:
 
-- a spike ramps linearly from the clean reading at at_s to peak_kpa over
-  rise_s seconds, then holds;
-- a stuck-at fault holds the reading at at_s for duration_s seconds.
+- a spike ramps linearly from at_s to peak_kpa over rise_s seconds, then holds;
+- a stuck-at fault holds its prior from at_s for duration_s seconds.
 
-run_policy steps the plant one second at a time:
+run_policy runs the plant in operating spans between stops:
 
-- pressure = trace value + linear fouling drift since the last maintenance,
-  unless an injected fault overrides the reading (the latest-listed active
-  fault wins, and its clean reading is taken the first second it is read);
-- a preventive policy maintains every cycle_s of operating time, a predictive
-  policy forecasts pressure over a horizon with a trained model and applies
-  the threshold decision rule each step;
+- at each restart, one call fills the readings to the end of the run: trace
+  value + linear fouling drift since the restart + the faults not yet cleared.
+  No decision can change them before the next stop;
+- each operating second, a preventive policy maintains once cycle_s seconds
+  have passed since the restart; a predictive policy forecasts pressure over a
+  horizon with a trained model and applies the threshold decision rule;
 - any policy whose pressure stays above fail_limit_kpa for more than grace_s
   consecutive seconds suffers a breakdown (longer outage than maintenance);
-- maintenance and repair both halt production, reset fouling, and on
-  completion clear every injected fault that has started.
+- maintenance and repair both halt production for their whole outage in one
+  step, reset fouling, and on completion clear every fault that has started.
 
-Downtime seconds record the plain trace value in the observation buffer so a
+Outage seconds record the plain trace value in the observation buffer so a
 cleared spike cannot poison post-restart forecasts. Time is conserved exactly:
 uptime + downtime == duration for every run.
 """
@@ -31,7 +32,7 @@ uptime + downtime == duration for every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
@@ -97,8 +98,8 @@ def generate_trace(plan: TracePlan, seed: int = 0) -> Series:
 
 @dataclass(frozen=True)
 class SpikeRamp:
-    """Pressure ramps linearly from its prior value to peak_kpa over rise_s
-    seconds, then holds (until cleared by maintenance inside a simulation)."""
+    """Pressure ramps linearly from the clean reading the first second the fault wins
+    to peak_kpa over rise_s seconds from at_s, then holds (until maintenance clears it)."""
 
     at_s: int
     peak_kpa: float
@@ -114,13 +115,13 @@ class SpikeRamp:
         return math.inf
 
     def reading(self, t, prior):
-        """The reading at second(s) t >= at_s; prior is the clean reading when the fault first shows."""
+        """The reading at second(s) t >= at_s; prior is the clean reading the first second the fault wins."""
         return prior + (self.peak_kpa - prior) * (np.minimum(t - self.at_s, self.rise_s) / self.rise_s)
 
 
 @dataclass(frozen=True)
 class StuckAt:
-    """The reading freezes at its current value for duration_s seconds."""
+    """The reading freezes at the clean reading the first second the fault wins, until at_s + duration_s."""
 
     at_s: int
     duration_s: int
@@ -135,7 +136,7 @@ class StuckAt:
         return self.at_s + self.duration_s
 
     def reading(self, t, prior):
-        """The reading at second(s) t in [at_s, end_s): prior, the clean reading when it first shows."""
+        """The reading at second(s) t in [at_s, end_s): the prior itself."""
         return prior
 
 
@@ -147,18 +148,32 @@ def injection_from_dict(doc, what: str = "injection") -> FaultInjection:
     return from_dict(cls, fields, what)
 
 
-def inject_fault(series: Series, injection: FaultInjection) -> Series:
-    """Apply one fault to a standalone series (spikes hold to the end)."""
-    values = series.values.copy()
-    n, at_s = len(values), injection.at_s
-    if at_s >= n:
-        raise ValidationError(f"injection at_s {at_s} beyond series length {n}")
-    prior = values[at_s]
-    if isinstance(injection, SpikeRamp) and injection.peak_kpa <= prior:
-        raise ValidationError(f"SpikeRamp peak {injection.peak_kpa} must exceed the prior value {prior:.3f}")
-    stop = min(injection.end_s, n)
-    values[at_s:stop] = injection.reading(np.arange(at_s, stop), prior)
-    return Series(timestamps=series.timestamps, values=values, name=series.name, unit=series.unit)
+def fault_readings(clean: np.ndarray, injections: list[FaultInjection], start: int = 0) -> np.ndarray:
+    """The readings at seconds start.., where clean[k] is the clean reading at second start + k.
+
+    Each second the latest-listed active fault wins; a fault's prior is clean at the first second it wins.
+    """
+    t = np.arange(start, start + len(clean))
+    readings = clean.copy()
+    free = np.ones(len(clean), dtype=bool)  # not yet won by a later-listed fault
+    for inj in reversed(injections):
+        wins = free & (inj.at_s <= t) & (t < inj.end_s)
+        if wins.any():
+            readings[wins] = inj.reading(t[wins], clean[wins.argmax()])
+            free &= ~wins
+    return readings
+
+
+def inject_faults(series: Series, injections: list[FaultInjection]) -> Series:
+    """Apply faults to a standalone series (spikes hold to the end)."""
+    n = len(series.values)
+    for inj in injections:
+        if inj.at_s >= n:
+            raise ValidationError(f"injection at_s {inj.at_s} beyond series length {n}")
+        clean = series.values[inj.at_s]
+        if isinstance(inj, SpikeRamp) and inj.peak_kpa <= clean:
+            raise ValidationError(f"SpikeRamp peak {inj.peak_kpa} must exceed the clean reading {clean:.3f}")
+    return replace(series, values=fault_readings(series.values, injections))
 
 
 @dataclass(frozen=True)
@@ -309,79 +324,56 @@ def run_policy(
         max_lag = int(policy.lag_spec.max_lag)
 
     pending = list(injections)  # not yet cleared by maintenance
-    priors = {}  # injection -> the clean reading the first second it was read (equal injections
-    # are read and cleared together, so they may share one entry)
     obs = np.empty(duration)
-    operating = True
-    down_remaining = 0
-    since_maint = 0
-    breach_run = 0
-    scheduled_due: int | None = None
-    uptime = downtime = 0
-    maintenance_count = breakdown_count = 0
+    start = downtime = maintenance_count = breakdown_count = 0
 
-    for t in range(duration):
-        if operating:
-            pressure = trace[t] + econ.fouling_rate_kpa_per_s * since_maint
-            fault = next((f for f in reversed(pending) if f.at_s <= t < f.end_s), None)
-            if fault is not None:
-                pressure = fault.reading(t, priors.setdefault(fault, pressure))
-            obs[t] = pressure
-
-            start_maint = False
-            if predictive:
-                if scheduled_due is not None and t >= scheduled_due:
-                    start_maint = True
-                else:
-                    if t + 1 >= max_lag:
-                        horizon = _forecast(policy.model, obs[: t + 1], lags, policy.horizon_s)
-                    else:
-                        horizon = np.array([pressure])  # not enough history yet
-                    directive = decide(
-                        horizon,
-                        policy.limit_kpa,
-                        policy.hard_limit_kpa,
-                        pressure,
-                        policy.schedule_window_s,
-                    )
-                    if directive.action is Action.HALT:
-                        start_maint = True
-                    elif directive.action is Action.SCHEDULE:
-                        due = t + directive.schedule_within_s
-                        scheduled_due = due if scheduled_due is None else min(scheduled_due, due)
+    while start < duration:
+        clean = trace[start:] + econ.fouling_rate_kpa_per_s * np.arange(duration - start)
+        obs[start:] = fault_readings(clean, pending, start)
+        breach_run = 0
+        scheduled_due: int | None = None
+        for t in range(start, duration):
+            pressure = obs[t]
+            if not predictive:
+                start_maint = t - start >= policy.cycle_s
+            elif scheduled_due is not None and t >= scheduled_due:
+                start_maint = True
             else:
-                if since_maint >= policy.cycle_s:
-                    start_maint = True
+                if t + 1 >= max_lag:
+                    horizon = _forecast(policy.model, obs[: t + 1], lags, policy.horizon_s)
+                else:
+                    horizon = np.array([pressure])  # not enough history yet
+                directive = decide(
+                    horizon,
+                    policy.limit_kpa,
+                    policy.hard_limit_kpa,
+                    pressure,
+                    policy.schedule_window_s,
+                )
+                start_maint = directive.action is Action.HALT
+                if directive.action is Action.SCHEDULE and scheduled_due is None:
+                    scheduled_due = t + directive.schedule_within_s  # a later SCHEDULE is never due sooner
 
             if start_maint:
-                operating = False
-                down_remaining = policy.maint_duration_s
+                outage = policy.maint_duration_s
                 maintenance_count += 1
-            else:
-                if pressure > breakdown.fail_limit_kpa:
-                    breach_run += 1
-                else:
-                    breach_run = 0
-                if breach_run > breakdown.grace_s:
-                    operating = False
-                    down_remaining = breakdown.repair_duration_s
-                    breakdown_count += 1
+                break
+            breach_run = breach_run + 1 if pressure > breakdown.fail_limit_kpa else 0
+            if breach_run > breakdown.grace_s:
+                outage = breakdown.repair_duration_s
+                breakdown_count += 1
+                break
         else:
-            obs[t] = trace[t]
+            break  # no stop before the end of the run
 
-        if operating:
-            uptime += 1
-            since_maint += 1
-        else:
-            downtime += 1
-            down_remaining -= 1
-            if down_remaining <= 0:
-                operating = True
-                since_maint = 0
-                breach_run = 0
-                scheduled_due = None
-                pending = [f for f in pending if f.at_s > t]
+        # the stop second t and the rest of the outage are down; the plant restarts at end
+        end = min(t + outage, duration)
+        obs[t + 1 : end] = trace[t + 1 : end]
+        downtime += end - t
+        pending = [f for f in pending if f.at_s >= end]
+        start = end
 
+    uptime = duration - downtime
     return SimOutcome(
         duration_s=duration,
         uptime_s=uptime,
@@ -506,10 +498,9 @@ def scenario_from_dict(doc) -> Scenario:
     return Scenario(plan=doc.plan, injections=injections, policy_docs=doc.policies, econ=doc.econ)
 
 
-def trace_to_frame(series: Series, channel_name: str | None = None) -> SensorFrame:
+def trace_to_frame(series: Series) -> SensorFrame:
     """Wrap a trace as a single-channel SensorFrame for CSV export."""
-    name = channel_name or series.name or "DPIT301"
     return SensorFrame(
         timestamps=series.timestamps,
-        channels=(Channel(name=name, values=series.values, unit=series.unit),),
+        channels=(Channel(name=series.name or "DPIT301", values=series.values, unit=series.unit),),
     )

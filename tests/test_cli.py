@@ -267,6 +267,26 @@ def test_synth_with_injections(tmp_path, small_plan):
     assert np.ptp(values[300:420]) == 0.0
 
 
+def test_synth_overlapping_injections_read_the_clean_trace(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"duration_s": 1200, "segments": [], "noise_sigma_kpa": 0.0, "warmup_s": 0}))
+    inj = tmp_path / "inj.json"
+    inj.write_text(json.dumps([
+        {"kind": "spike_ramp", "at_s": 600, "peak_kpa": 60.0, "rise_s": 120},
+        {"kind": "stuck_at", "at_s": 650, "duration_s": 300},
+    ]))
+    code, err = run_main(["synth", "--plan", plan, "--injections", inj, "--seed", 1, "--out-dir", tmp_path])
+    assert code == 0, err
+
+    from pdmecon.ingest import load_historian_csv, select_channel
+
+    frame, _ = load_historian_csv(tmp_path / "historian.csv")
+    values = select_channel(frame, "DPIT301").values
+    assert values[649] == 30.0 + 30.0 * 49 / 120
+    assert set(values[650:950]) == {30.0}  # the stuck reading holds the clean trace, not the ramp
+    assert values[950] == 60.0
+
+
 def test_exit_codes(tmp_path, historian_csv):
     # unknown flag -> validation error
     assert run_cli("synth", "--bogus", "1").returncode == 1
@@ -446,6 +466,13 @@ def comparison_doc(d):
     return json.loads((d / "comparison.json").read_text())
 
 
+def rated(doc, policy, rate):
+    """One outcome of a comparison document as if simulated at another revenue rate."""
+    outcome = dict(doc["outcomes"][policy], revenue_rate_per_s=rate)
+    outcome["revenue_units"] = outcome["uptime_s"] * rate
+    return outcome
+
+
 # (id, command, flag, malformed document or raw text from the inputs dir, text stderr must hold)
 MALFORMED = [
     ("plan-list", "synth", "--plan", lambda d: [SMALL_PLAN], "trace plan must be a JSON object"),
@@ -525,6 +552,9 @@ MALFORMED = [
      lambda d: json.dumps(edited(ledger_doc(d), "items", 0, "amount", value={"dist": "point", "value": math.nan})),
      "bad.json: NaN is not allowed"),
     ("bridge-list", "cba", "--bridge", lambda d: [comparison_doc(d)], "comparison must be a JSON object"),
+    ("bridge-revenue-rates-disagree", "cba", "--bridge",
+     lambda d: edited(comparison_doc(d), "outcomes", "predictive", value=rated(comparison_doc(d), "predictive", 2.0)),
+     "disagree on revenue_rate_per_s"),
     ("bridge-missing-uptime", "cba", "--bridge",
      lambda d: edited(comparison_doc(d), "outcomes", "preventive", "uptime_s", drop=True),
      "comparison.outcomes.preventive.uptime_s"),
@@ -551,6 +581,22 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, inputs, case):
     assert code == 1, err
     assert expected in err, err
     assert not out.exists() or not any(out.iterdir())  # nothing written, not even a temp file
+
+
+def test_cba_bridge_prices_uptime_at_the_simulated_rate(tmp_path, inputs):
+    doc = comparison_doc(inputs)
+    doc["outcomes"] = {policy: rated(doc, policy, 2.0) for policy in doc["outcomes"]}
+    uptime_delta = doc["outcomes"]["predictive"]["uptime_s"] - doc["outcomes"]["preventive"]["uptime_s"]
+    assert uptime_delta != 0
+    doc["deltas"]["revenue_delta"] = uptime_delta * 2.0
+    comparison = tmp_path / "comparison.json"
+    comparison.write_text(json.dumps(doc))
+    for flags, rate in [([], 2.0), (["--revenue-rate", 3.0], 3.0)]:  # an explicit rate wins
+        out = tmp_path / str(rate)
+        code, err = run_main(with_flag(command(inputs, "cba", out), "--bridge", comparison) + flags)
+        assert code == 0, err
+        bridged = json.loads((out / "net_benefit.json").read_text())["items"]["Avoidance of lost revenue"]
+        assert bridged["mean"] == uptime_delta * rate
 
 
 @pytest.mark.parametrize("csv", ["directory", "latin-1"])

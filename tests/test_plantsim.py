@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 import pdmecon
 from pdmecon.detect import Action, DetectorConfig, decide, detect_stuck
 from pdmecon.errors import ValidationError
-from pdmecon.features import LagSpec
+from pdmecon.features import LagSpec, make_lag_matrix
 from pdmecon.jsonio import from_dict
-from pdmecon.models import LinearModel
+from pdmecon.models import BoostHyperparams, ForestHyperparams, LinearModel, fit_model
 from pdmecon.plantsim import (
     BreakdownRule,
     EconParams,
@@ -21,7 +21,7 @@ from pdmecon.plantsim import (
     _forecast,
     compare_policies,
     generate_trace,
-    inject_fault,
+    inject_faults,
     run_policy,
     scenario_from_dict,
     trace_to_frame,
@@ -109,7 +109,7 @@ def test_plan_validation():
 
 def test_stuck_injection_freezes_span():
     trace = generate_trace(quiet_plan(duration=600, sigma=0.3), seed=4)
-    injected = inject_fault(trace, StuckAt(at_s=100, duration_s=120))
+    injected = inject_faults(trace, [StuckAt(at_s=100, duration_s=120)])
     assert np.ptp(injected.values[100:220]) == 0.0
     events = detect_stuck(injected.values, DetectorConfig())
     assert any(e.start_index >= 90 and e.end_index <= 230 for e in events)
@@ -119,7 +119,7 @@ def test_stuck_injection_freezes_span():
 
 def test_spike_injection_reaches_peak_and_holds():
     trace = generate_trace(quiet_plan(duration=500), seed=0)
-    injected = inject_fault(trace, SpikeRamp(at_s=200, peak_kpa=55.0, rise_s=60))
+    injected = inject_faults(trace, [SpikeRamp(at_s=200, peak_kpa=55.0, rise_s=60)])
     assert injected.values.max() >= 55.0
     np.testing.assert_allclose(injected.values[260:], 55.0)
     assert injected.values[229] == pytest.approx(30.0 + (55.0 - 30.0) * 29 / 60)
@@ -128,7 +128,7 @@ def test_spike_injection_reaches_peak_and_holds():
 def test_synth_and_simulation_share_one_ramp():
     trace = generate_trace(quiet_plan(duration=400, sigma=0.3), seed=6)
     spike = SpikeRamp(at_s=150, peak_kpa=52.5, rise_s=70)
-    injected = inject_fault(trace, spike)
+    injected = inject_faults(trace, [spike])
     expected = spike.reading(np.arange(150, 400), trace.values[150])
     np.testing.assert_array_equal(injected.values[150:], expected)
     np.testing.assert_array_equal(injected.values[:150], trace.values[:150])
@@ -137,9 +137,21 @@ def test_synth_and_simulation_share_one_ramp():
 def test_injection_bounds_checked():
     trace = generate_trace(quiet_plan(duration=100), seed=0)
     with pytest.raises(ValidationError, match="beyond"):
-        inject_fault(trace, SpikeRamp(at_s=100, peak_kpa=55.0, rise_s=10))
+        inject_faults(trace, [SpikeRamp(at_s=100, peak_kpa=55.0, rise_s=10)])
     with pytest.raises(ValidationError, match="exceed"):
-        inject_fault(trace, SpikeRamp(at_s=50, peak_kpa=10.0, rise_s=10))
+        inject_faults(trace, [SpikeRamp(at_s=50, peak_kpa=10.0, rise_s=10)])
+
+
+def test_a_stuck_reading_inside_a_ramp_holds_the_clean_reading():
+    trace = generate_trace(quiet_plan(duration=1200), seed=0)
+    spike, stuck = SpikeRamp(at_s=600, peak_kpa=60.0, rise_s=120), StuckAt(at_s=650, duration_s=300)
+    values = inject_faults(trace, [spike, stuck]).values
+    np.testing.assert_array_equal(values[650:950], 30.0)
+    # freezing the already-faulted series instead would hold the ramp's 42.5 kPa
+    frozen_ramp = inject_faults(trace, [spike]).values
+    frozen_ramp[650:950] = frozen_ramp[650]
+    assert frozen_ramp[650] == 42.5
+    np.testing.assert_array_equal(np.flatnonzero(values != frozen_ramp), np.arange(650, 950))
 
 
 # --- policy simulation ---
@@ -191,6 +203,15 @@ def test_fouling_drives_predictive_maintenance():
     # pressure crosses 40 kPa after ~1000 s of fouling; maintenance resets it
     assert outcome.maintenance_count >= 1
     assert outcome.breakdown_count == 0
+
+
+def test_fouling_counts_from_each_restart():
+    # 30 kPa + 0.01 kPa/s first exceeds the 40 kPa limit 1001 s after each restart;
+    # maintenance follows 300 s later and lasts 120 s: 1301-1420, then 2722-2799 (cut)
+    plan = quiet_plan(duration=2800)
+    outcome = run_policy(plan, [], predictive(), EconParams(fouling_rate_kpa_per_s=0.01), seed=0)
+    assert outcome.maintenance_count == 2
+    assert outcome.downtime_s == 120 + 78
 
 
 def test_time_conservation_random_configs():
@@ -375,6 +396,12 @@ class _FaultState:
         return self.prior
 
 
+def reference_reading(faults, t, normal):
+    """The latest-listed active fault's reading at second t, else the normal reading."""
+    fault = next((f for f in reversed(faults) if f.active(t)), None)
+    return fault.value(t, normal) if fault else normal
+
+
 def reference_run_policy(plan, injections, policy, econ, seed):
     trace = generate_trace(plan, seed).values
     duration = plan.duration_s
@@ -396,9 +423,7 @@ def reference_run_policy(plan, injections, policy, econ, seed):
 
     for t in range(duration):
         if operating:
-            normal = trace[t] + econ.fouling_rate_kpa_per_s * since_maint
-            fault = next((f for f in reversed(faults) if f.active(t)), None)
-            pressure = fault.value(t, normal) if fault else normal
+            pressure = reference_reading(faults, t, trace[t] + econ.fouling_rate_kpa_per_s * since_maint)
             obs[t] = pressure
 
             start_maint = False
@@ -464,18 +489,45 @@ def reference_run_policy(plan, injections, policy, econ, seed):
     )
 
 
-@st.composite
-def simulation_case(draw):
-    """A short plan with setpoint jumps, up to four overlapping faults and a policy
-    that maintains often enough for faults to start during downtime."""
-    duration = draw(st.integers(30, 800))
+def short_plan(draw, duration):
+    """A plan with up to three setpoint jumps, optional noise and an optional warmup ramp."""
     offsets = draw(st.lists(st.integers(0, duration - 1), max_size=3, unique=True))
-    plan = TracePlan(
+    return TracePlan(
         duration_s=duration,
         segments=tuple((o, draw(st.floats(15.0, 60.0))) for o in sorted(offsets)),
         noise_sigma_kpa=draw(st.sampled_from([0.0, 0.3])),
         warmup_s=draw(st.sampled_from([0, duration // 4])),
     )
+
+
+# A short seeded trace that crosses the policies' limits, for fitting tiny tree models.
+TRAINING_PLAN = TracePlan(duration_s=200, segments=((60, 45.0), (130, 60.0)), noise_sigma_kpa=0.3, warmup_s=0)
+
+
+def forecast_model(draw, n_lags):
+    """A linear model near persistence, or a forest or boost model of at most 3 trees
+    of depth at most 3 fitted on TRAINING_PLAN."""
+    kind = draw(st.sampled_from(["linear", "forest", "boost"]))
+    if kind == "linear":
+        coefficients = np.zeros(n_lags)
+        coefficients[0] = draw(st.floats(0.9, 1.05))
+        return LinearModel(intercept=draw(st.floats(-0.5, 0.5)), coefficients=coefficients)
+    trees, depth = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    hp = (
+        ForestHyperparams(n_trees=trees, max_depth=depth)
+        if kind == "forest"
+        else BoostHyperparams(n_stages=trees, max_depth=depth, learning_rate=draw(st.sampled_from([0.5, 1.0])))
+    )
+    sup = make_lag_matrix(generate_trace(TRAINING_PLAN, seed=draw(st.integers(0, 3))), LagSpec(1, n_lags))
+    return fit_model(kind, sup.X, sup.y, hp, seed=draw(st.integers(0, 3)))
+
+
+@st.composite
+def simulation_case(draw):
+    """A short plan with setpoint jumps, up to four overlapping faults and a policy
+    that maintains often enough for faults to start during downtime."""
+    duration = draw(st.integers(30, 800))
+    plan = short_plan(draw, duration)
     at_s = st.integers(0, duration - 1)
     injections = draw(st.lists(
         st.builds(SpikeRamp, at_s=at_s, peak_kpa=st.floats(20.0, 70.0), rise_s=st.integers(1, 120))
@@ -492,15 +544,15 @@ def simulation_case(draw):
         policy = PreventivePolicy(cycle_s=draw(st.integers(1, 300)), maint_duration_s=maint, breakdown=breakdown)
     else:
         n_lags = draw(st.integers(1, 3))
-        coefficients = np.zeros(n_lags)
-        coefficients[0] = draw(st.floats(0.9, 1.05))
+        model = forecast_model(draw, n_lags)
         limit = draw(st.floats(31.0, 45.0))
         policy = PredictivePolicy(
-            model=LinearModel(intercept=draw(st.floats(-0.5, 0.5)), coefficients=coefficients),
+            model=model,
             lag_spec=LagSpec(1, n_lags),
             limit_kpa=limit,
             hard_limit_kpa=limit + draw(st.floats(0.5, 15.0)),
-            horizon_s=draw(st.integers(1, 10)),
+            # tree models predict one row per call, so their horizon stays short
+            horizon_s=draw(st.integers(1, 10 if isinstance(model, LinearModel) else 3)),
             schedule_window_s=draw(st.integers(1, 120)),
             maint_duration_s=maint,
             breakdown=breakdown,
@@ -535,3 +587,39 @@ FAULT_AT_RESTART = (
 @example(FAULT_AT_RESTART)
 def test_run_policy_matches_the_fault_state_reference(case):
     assert run_policy(*case) == reference_run_policy(*case)
+
+
+@st.composite
+def injection_case(draw):
+    """A short trace with up to four overlapping faults, each spike peaking above the
+    clean reading where it starts."""
+    duration = draw(st.integers(30, 600))
+    trace = generate_trace(short_plan(draw, duration), seed=draw(st.integers(0, 3)))
+    injections = []
+    for _ in range(draw(st.integers(0, 4))):
+        at_s = draw(st.integers(0, duration - 1))
+        if draw(st.booleans()):
+            peak = float(trace.values[at_s]) + draw(st.floats(0.1, 30.0))
+            injections.append(SpikeRamp(at_s=at_s, peak_kpa=peak, rise_s=draw(st.integers(1, 120))))
+        else:
+            injections.append(StuckAt(at_s=at_s, duration_s=draw(st.integers(1, 200))))
+    return trace, injections
+
+
+# A spike that starts under a later-listed stuck reading ramps from the clean
+# reading when the stuck reading ends (45 kPa at 150 s), not from the one where
+# it starts (30 kPa at 100 s).
+SPIKE_UNDER_STUCK = (
+    generate_trace(TracePlan(duration_s=400, segments=((120, 45.0),), noise_sigma_kpa=0.0, warmup_s=0)),
+    [SpikeRamp(at_s=100, peak_kpa=60.0, rise_s=100), StuckAt(at_s=50, duration_s=100)],
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(injection_case())
+@example(SPIKE_UNDER_STUCK)
+def test_inject_faults_matches_the_fault_state_reference(case):
+    trace, injections = case
+    faults = [_FaultState(inj) for inj in injections]
+    expected = [reference_reading(faults, t, trace.values[t]) for t in range(len(trace))]
+    np.testing.assert_array_equal(inject_faults(trace, injections).values, expected)
