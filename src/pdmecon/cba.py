@@ -2,10 +2,11 @@
 
 Line items belong to one of three ledgers (implementation cost, direct saving,
 indirect saving) under a fixed category taxonomy; amounts are points or
-probability distributions in abstract currency units per year (one-off items
-are flagged and added once per annual run). Each trial samples every item
-independently from a per-trial stream derived as default_rng((seed, trial)),
-so trials can run concurrently without changing the result, and computes
+probability distributions, each named by its "dist" in a ledger file, in
+abstract currency units per year (one-off items are flagged and added once per
+annual run). Each trial samples every item independently from a per-trial
+stream derived as default_rng((seed, trial)), so trials can run concurrently
+without changing the result, and computes
 
     net = direct total + indirect total - implementation total
 
@@ -17,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Literal
+from typing import Annotated, ClassVar, Literal
 
 import numpy as np
 
 from . import format_table
 from .errors import ValidationError
-from .jsonio import from_dict, json_object, load_json, plain, tagged
+from .jsonio import from_dict, json_object, load_json, plain
 from .plantsim import ComparisonReport
 
 
@@ -50,6 +51,7 @@ CATEGORY_TAXONOMY = {
 
 @dataclass(frozen=True)
 class Point:
+    dist: ClassVar[str] = "point"
     value: float
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -58,6 +60,7 @@ class Point:
 
 @dataclass(frozen=True)
 class Uniform:
+    dist: ClassVar[str] = "uniform"
     low: float
     high: float
 
@@ -75,6 +78,7 @@ class Uniform:
 
 @dataclass(frozen=True)
 class Triangular:
+    dist: ClassVar[str] = "triangular"
     low: float
     mode: float
     high: float
@@ -95,6 +99,7 @@ class Triangular:
 class Normal:
     """Gaussian truncated at zero by rejection resampling."""
 
+    dist: ClassVar[str] = "normal"
     mu: float
     sigma: float
 
@@ -117,13 +122,7 @@ class Normal:
         )
 
 
-AmountSpec = Point | Uniform | Triangular | Normal
-
-
-def amount_from_dict(doc, what: str = "amount") -> AmountSpec:
-    kinds = {"point": Point, "uniform": Uniform, "triangular": Triangular, "normal": Normal}
-    cls, fields = tagged(doc, "dist", kinds, what)
-    return from_dict(cls, fields, what)
+AmountSpec = Annotated[Point | Uniform | Triangular | Normal, "dist"]
 
 
 @dataclass(frozen=True)
@@ -150,12 +149,11 @@ class LineItem:
 
 
 def item_from_dict(doc, what: str = "item") -> LineItem:
-    """A ledger item; kind defaults to Variable."""
+    """A ledger item, named in errors by its name when it has one; kind defaults to Variable."""
     fields = {"kind": ItemKind.VARIABLE.value, **json_object(doc, what)}
     if isinstance(fields.get("name"), str):
         what = f"{what} {fields['name']!r}"
-    amount = amount_from_dict(fields.pop("amount", None), f"{what}.amount")
-    return from_dict(LineItem, fields, what, amount=amount)
+    return from_dict(LineItem, fields, what)
 
 
 @dataclass(frozen=True)

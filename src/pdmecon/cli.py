@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cba import McConfig, bridge_from_simulation, format_summary_table, load_ledger, net_benefit
@@ -42,13 +42,13 @@ from .models import (
     model_to_dict,
 )
 from .plantsim import (
+    FaultInjection,
     TracePlan,
     compare_policies,
     comparison_from_dict,
     format_comparison,
     generate_trace,
     inject_faults,
-    injection_from_dict,
     scenario_from_dict,
     trace_to_frame,
 )
@@ -73,12 +73,21 @@ def _out_dir(args) -> Path:
 
 @dataclass(frozen=True)
 class _InjectionsFile:
-    injections: tuple[dict, ...] = ()
+    injections: list[dict] = field(default_factory=list)
 
 
 def _config(path: str | None, cls, what: str):
     """The config dataclass from a JSON file, or its defaults when no file is given."""
     return from_dict(cls, load_json(path, what), what) if path else cls()
+
+
+def _injections(path: str) -> list[FaultInjection]:
+    """The injections file: an array of injections, or an object holding it as "injections"."""
+    doc = load_json(path, "injections")
+    if not isinstance(doc, dict):
+        doc = {"injections": doc}  # the bare-array form
+    entries = from_dict(_InjectionsFile, doc, "injections").injections
+    return from_dict(list[FaultInjection], entries, "injections")
 
 
 def _seed(args) -> int:
@@ -100,13 +109,7 @@ def _load_series(csv_path: str, channel: str):
 
 def cmd_synth(args) -> int:
     plan = _config(args.plan, TracePlan, "trace plan")
-    injections = []
-    if args.injections:
-        doc = load_json(args.injections, "injections")
-        if not isinstance(doc, dict):
-            doc = {"injections": doc}  # the bare-array form
-        entries = from_dict(_InjectionsFile, doc, "injections").injections
-        injections = [injection_from_dict(d, f"injections[{i}]") for i, d in enumerate(entries)]
+    injections = _injections(args.injections) if args.injections else []
     trace = inject_faults(generate_trace(plan, _seed(args)), injections)
     out = _out_dir(args) / args.out
     with atomic_path(out) as tmp:
@@ -210,12 +213,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_cba(args) -> int:
     seed = _seed(args)
+    if not args.bridge and (args.revenue_rate is not None or args.unit_maintenance_cost is not None):
+        raise ValidationError("--revenue-rate and --unit-maintenance-cost price simulated deltas; give --bridge")
     items = load_ledger(args.ledger)
     if args.bridge:
         comparison = comparison_from_dict(load_json(args.bridge, "comparison"))
-        items = bridge_from_simulation(
-            comparison, args.revenue_rate, items, args.unit_maintenance_cost
-        )
+        unit_cost = 0.0 if args.unit_maintenance_cost is None else args.unit_maintenance_cost
+        items = bridge_from_simulation(comparison, args.revenue_rate, items, unit_cost)
     result = net_benefit(items, McConfig(trials=args.trials, seed=seed))
     out = _out_dir(args) / "net_benefit.json"
     write_json(out, result.to_dict())
@@ -291,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--revenue-rate", type=float, help="currency units per uptime second (default: the comparison's rate)"
     )
     p.add_argument(
-        "--unit-maintenance-cost", type=float, default=0.0, help="currency units per avoided maintenance"
+        "--unit-maintenance-cost", type=float, help="currency units per avoided maintenance (default: 0)"
     )
     common(p)
     p.set_defaults(func=cmd_cba)

@@ -6,9 +6,12 @@ unknown fields, missing required fields and wrong types as ``what.field``;
 an error the dataclass itself raises is prefixed with ``what:``. JSON integers
 widen to float; int fields reject booleans and non-integral numbers; strings
 are never parsed as numbers. Besides scalars, Literal, ``X | None``, Enum and
-nested dataclasses, a field may be a ``tuple`` or ``list`` of them or an
-``Annotated[np.ndarray, dtype]`` (a float64 or intp vector). An array field is
-checked in one pass; the element-wise path runs only to name a bad entry.
+nested dataclasses, a field may be a ``tuple``, ``list`` or ``dict[str, X]`` of
+them or an ``Annotated[np.ndarray, dtype]`` (a float64 or intp vector). An array
+field is checked in one pass; the element-wise path runs only to name a bad
+entry. A tagged type ``Annotated[A | B, "tag"]`` is read as the arm whose ``tag``
+class attribute the document's ``tag`` field names, as a fault injection by its
+``kind`` and a ledger amount by its ``dist``.
 
 Writing mirrors from_dict: plain turns a dataclass into an object of its
 fields (tuples and lists become lists, numpy arrays their tolist()), and
@@ -86,14 +89,32 @@ def json_object(doc, what: str) -> dict:
     return doc
 
 
+def _tag(tp) -> str | None:
+    """The tag field of a tagged type Annotated[A | B, "tag"], else None."""
+    args = typing.get_args(tp)
+    return args[1] if typing.get_origin(tp) is typing.Annotated and isinstance(args[1], str) else None
+
+
 def from_dict(cls, doc, what: str, **fixed):
-    """Build the dataclass cls from the JSON object doc.
+    """Build the dataclass cls, or the arm of the tagged type cls that doc names, from the JSON object doc.
 
     `fixed` supplies fields that come from the caller rather than the file
-    (a trained model, say); the document may not set them.
+    (a trained model, say): each goes to the class only if it declares it, and
+    the document may not set it. Any other type is read as a field of that type.
     """
+    tag = _tag(cls)
+    if tag is None and not is_dataclass(cls):
+        return _coerce(cls, doc, what)
     json_object(doc, what)
+    if tag is not None:
+        arms = {getattr(arm, tag): arm for arm in typing.get_args(typing.get_args(cls)[0])}
+        doc = dict(doc)
+        name = doc.pop(tag, None)
+        cls = arms.get(name) if isinstance(name, str) else None
+        if cls is None:
+            raise _wrong(f"{what}.{tag}", f"one of {list(arms)}", name)
     hints, required = _schema(cls)
+    fixed = {name: value for name, value in fixed.items() if name in hints}
     allowed = hints.keys() - fixed.keys()
     if not doc.keys() <= allowed:
         unknown = ", ".join(f"{what}.{key}" for key in sorted(doc.keys() - allowed))
@@ -106,16 +127,6 @@ def from_dict(cls, doc, what: str, **fixed):
         return cls(**values, **fixed)
     except ValidationError as exc:
         raise ValidationError(f"{what}: {exc}") from None
-
-
-def tagged(doc, tag: str, classes: dict, what: str):
-    """Split an object whose `tag` field picks one of `classes`; returns (class, other fields)."""
-    rest = dict(json_object(doc, what))
-    name = rest.pop(tag, None)
-    cls = classes.get(name) if isinstance(name, str) else None
-    if cls is None:
-        raise _wrong(f"{what}.{tag}", f"one of {list(classes)}", name)
-    return cls, rest
 
 
 def _coerce(tp, value, where: str):
@@ -136,6 +147,8 @@ def _coerce(tp, value, where: str):
         if isinstance(value, tp):
             return value
         raise _wrong(where, {str: "a string", bool: "true or false", dict: "a JSON object"}[tp], value)
+    if is_dataclass(tp) or _tag(tp) is not None:
+        return from_dict(tp, value, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Literal:
         if any(value == a and type(value) is type(a) for a in args):
@@ -144,6 +157,8 @@ def _coerce(tp, value, where: str):
     if origin in (typing.Union, types.UnionType):  # only `X | None`
         (arm,) = [a for a in args if a is not type(None)]
         return None if value is None else _coerce(arm, value, where)
+    if origin is dict:
+        return {key: _coerce(args[1], v, f"{where}.{key}") for key, v in json_object(value, where).items()}
     if origin in (tuple, list, typing.Annotated) and not isinstance(value, list):
         raise _wrong(where, "an array", value)
     if origin is typing.Annotated:  # Annotated[np.ndarray, dtype]: a float64 or intp vector
@@ -164,8 +179,6 @@ def _coerce(tp, value, where: str):
         return tuple(_coerce(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
     if origin in (tuple, list):
         return origin(_coerce(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    if is_dataclass(tp):
-        return from_dict(tp, value, where)
     if isinstance(tp, type) and issubclass(tp, Enum):
         choices = [m.value for m in tp]
         if value not in choices:

@@ -74,9 +74,8 @@ def model_from_dict(doc) -> LoadedModel:
         )
     hyperparams_class, _, model_class = MODELS[doc.kind]
     hp = from_dict(hyperparams_class, doc.hyperparams, "model.hyperparams")
-    own = {f.name for f in fields(model_class)}  # a linear model has neither field
-    fixed = {"hyperparams": hp, "seed": doc.seed}
-    model = from_dict(model_class, doc.params, "model.params", **{k: v for k, v in fixed.items() if k in own})
+    # a linear model declares neither field, so from_dict passes it neither
+    model = from_dict(model_class, doc.params, "model.params", hyperparams=hp, seed=doc.seed)
     return LoadedModel(model=model, lag_spec=doc.lag_spec)
 
 

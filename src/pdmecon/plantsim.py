@@ -11,6 +11,9 @@ applies a list of faults in one pass, for inject_faults (synth) and run_policy
 - a spike ramps linearly from at_s to peak_kpa over rise_s seconds, then holds;
 - a stuck-at fault holds its prior from at_s for duration_s seconds.
 
+Both refuse a fault that starts after the trace ends and a spike whose peak is
+not above the clean reading at its at_s.
+
 run_policy runs the plant in operating spans between stops:
 
 - at each restart, one call fills the readings to the end of the run: trace
@@ -27,13 +30,16 @@ run_policy runs the plant in operating spans between stops:
 Outage seconds record the plain trace value in the observation buffer so a
 cleared spike cannot poison post-restart forecasts. Time is conserved exactly:
 uptime + downtime == duration for every run.
+
+A scenario file is read by Scenario's own fields, a fault or a policy by its
+"kind"; the policies stay JSON objects until build_policies binds the model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Literal
+from typing import Annotated, ClassVar, Literal
 
 import numpy as np
 
@@ -42,7 +48,7 @@ from .detect import Action, decide
 from .errors import ValidationError
 from .features import LagSpec
 from .ingest import Channel, SensorFrame, Series
-from .jsonio import from_dict, plain, tagged
+from .jsonio import from_dict, plain
 from .models import LinearModel, predict
 
 # Setpoint offsets replaying the recorded change sequence (35, 20, 35, 20, 40
@@ -101,6 +107,7 @@ class SpikeRamp:
     """Pressure ramps linearly from the clean reading the first second the fault wins
     to peak_kpa over rise_s seconds from at_s, then holds (until maintenance clears it)."""
 
+    kind: ClassVar[str] = "spike_ramp"
     at_s: int
     peak_kpa: float
     rise_s: int
@@ -123,6 +130,7 @@ class SpikeRamp:
 class StuckAt:
     """The reading freezes at the clean reading the first second the fault wins, until at_s + duration_s."""
 
+    kind: ClassVar[str] = "stuck_at"
     at_s: int
     duration_s: int
 
@@ -140,12 +148,7 @@ class StuckAt:
         return prior
 
 
-FaultInjection = SpikeRamp | StuckAt
-
-
-def injection_from_dict(doc, what: str = "injection") -> FaultInjection:
-    cls, fields = tagged(doc, "kind", {"spike_ramp": SpikeRamp, "stuck_at": StuckAt}, what)
-    return from_dict(cls, fields, what)
+FaultInjection = Annotated[SpikeRamp | StuckAt, "kind"]
 
 
 def fault_readings(clean: np.ndarray, injections: list[FaultInjection], start: int = 0) -> np.ndarray:
@@ -164,15 +167,20 @@ def fault_readings(clean: np.ndarray, injections: list[FaultInjection], start: i
     return readings
 
 
+def _check_injections(clean: np.ndarray, injections: list[FaultInjection]) -> None:
+    """Refuse a fault that starts after the clean trace ends or a spike that does not rise above it."""
+    for inj in injections:
+        if inj.at_s >= len(clean):
+            raise ValidationError(f"injection at_s {inj.at_s} beyond duration {len(clean)}")
+        if isinstance(inj, SpikeRamp) and inj.peak_kpa <= clean[inj.at_s]:
+            raise ValidationError(
+                f"SpikeRamp peak {inj.peak_kpa} must exceed the clean reading {clean[inj.at_s]:.3f}"
+            )
+
+
 def inject_faults(series: Series, injections: list[FaultInjection]) -> Series:
     """Apply faults to a standalone series (spikes hold to the end)."""
-    n = len(series.values)
-    for inj in injections:
-        if inj.at_s >= n:
-            raise ValidationError(f"injection at_s {inj.at_s} beyond series length {n}")
-        clean = series.values[inj.at_s]
-        if isinstance(inj, SpikeRamp) and inj.peak_kpa <= clean:
-            raise ValidationError(f"SpikeRamp peak {inj.peak_kpa} must exceed the clean reading {clean:.3f}")
+    _check_injections(series.values, injections)
     return replace(series, values=fault_readings(series.values, injections))
 
 
@@ -191,6 +199,7 @@ class BreakdownRule:
 
 @dataclass(frozen=True)
 class PreventivePolicy:
+    kind: ClassVar[str] = "preventive"
     cycle_s: int = 1800
     maint_duration_s: int = 300
     breakdown: BreakdownRule = field(default_factory=BreakdownRule)
@@ -203,6 +212,7 @@ class PreventivePolicy:
 
 @dataclass(frozen=True)
 class PredictivePolicy:
+    kind: ClassVar[str] = "predictive"
     model: object  # a trained model: kind, n_features and predict(X)
     lag_spec: LagSpec
     limit_kpa: float = 40.0
@@ -215,6 +225,11 @@ class PredictivePolicy:
     def __post_init__(self):
         if self.model is None or self.lag_spec is None:
             raise ValidationError("a predictive policy requires a trained model and its lag spec")
+        if self.model.n_features != self.lag_spec.n_features:
+            raise ValidationError(
+                f"model expects {self.model.n_features} features but the lag spec "
+                f"provides {self.lag_spec.n_features}"
+            )
         if self.horizon_s < 1 or self.schedule_window_s < 1 or self.maint_duration_s < 1:
             raise ValidationError("horizon_s, schedule_window_s, maint_duration_s must be >= 1")
         if self.limit_kpa >= self.hard_limit_kpa:
@@ -231,18 +246,7 @@ def _check_repair_dominates(maint_duration_s: int, breakdown: BreakdownRule) -> 
         )
 
 
-PolicyConfig = PreventivePolicy | PredictivePolicy
-
-
-def policy_from_dict(
-    doc, model=None, lag_spec: LagSpec | None = None, what: str = "policy"
-) -> PolicyConfig:
-    cls, fields = tagged(
-        doc, "kind", {"preventive": PreventivePolicy, "predictive": PredictivePolicy}, what
-    )
-    if cls is PreventivePolicy:
-        return from_dict(cls, fields, what)
-    return from_dict(cls, fields, what, model=model, lag_spec=lag_spec)
+PolicyConfig = Annotated[PreventivePolicy | PredictivePolicy, "kind"]
 
 
 @dataclass(frozen=True)
@@ -305,21 +309,12 @@ def run_policy(
 
     Deterministic given (plan, injections, policy, econ, seed).
     """
-    for inj in injections:
-        if inj.at_s >= plan.duration_s:
-            raise ValidationError(f"injection at_s {inj.at_s} beyond duration {plan.duration_s}")
-
     trace = generate_trace(plan, seed).values
+    _check_injections(trace, injections)
     duration = plan.duration_s
     breakdown = policy.breakdown
     predictive = isinstance(policy, PredictivePolicy)
     if predictive:
-        n_lags = policy.lag_spec.n_features
-        if policy.model.n_features != n_lags:
-            raise ValidationError(
-                f"model expects {policy.model.n_features} features but the lag spec "
-                f"provides {n_lags}"
-            )
         lags = policy.lag_spec.lags
         max_lag = int(policy.lag_spec.max_lag)
 
@@ -387,7 +382,7 @@ def run_policy(
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    outcomes: dict  # policy name -> SimOutcome
+    outcomes: dict[str, SimOutcome]
     downtime_avoided_s: int | None = None
     maintenance_avoided: int | None = None
     revenue_delta: float | None = None
@@ -400,16 +395,13 @@ class ComparisonReport:
 @dataclass(frozen=True)
 class _ComparisonDoc:
     schema_version: Literal[1]
-    outcomes: dict
+    outcomes: dict[str, SimOutcome]
     deltas: dict = field(default_factory=dict)
 
 
 def comparison_from_dict(doc) -> ComparisonReport:
     doc = from_dict(_ComparisonDoc, doc, "comparison")
-    outcomes = {
-        name: from_dict(SimOutcome, o, f"comparison.outcomes.{name}") for name, o in doc.outcomes.items()
-    }
-    return from_dict(ComparisonReport, doc.deltas, "comparison.deltas", outcomes=outcomes)
+    return from_dict(ComparisonReport, doc.deltas, "comparison.deltas", outcomes=doc.outcomes)
 
 
 def compare_policies(
@@ -466,36 +458,24 @@ def format_comparison(report: ComparisonReport) -> str:
     return "\n".join(lines)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    plan: TracePlan
-    injections: list
-    policy_docs: dict  # name -> raw policy dict; model bound at build time
-    econ: EconParams
+    schema_version: Literal[1]
+    policies: dict  # name -> JSON policy object, read by build_policies with the model bound
+    description: str = ""
+    plan: TracePlan = TracePlan()
+    injections: tuple[FaultInjection, ...] = ()
+    econ: EconParams = EconParams()
 
     def build_policies(self, model=None, lag_spec: LagSpec | None = None) -> dict[str, PolicyConfig]:
         return {
-            name: policy_from_dict(doc, model, lag_spec, f"scenario.policies.{name}")
-            for name, doc in self.policy_docs.items()
+            name: from_dict(PolicyConfig, doc, f"scenario.policies.{name}", model=model, lag_spec=lag_spec)
+            for name, doc in self.policies.items()
         }
 
 
-@dataclass(frozen=True)
-class _ScenarioDoc:
-    schema_version: Literal[1]
-    policies: dict
-    description: str = ""
-    plan: TracePlan = TracePlan()
-    injections: tuple[dict, ...] = ()
-    econ: EconParams = EconParams()
-
-
 def scenario_from_dict(doc) -> Scenario:
-    doc = from_dict(_ScenarioDoc, doc, "scenario")
-    injections = [
-        injection_from_dict(d, f"scenario.injections[{i}]") for i, d in enumerate(doc.injections)
-    ]
-    return Scenario(plan=doc.plan, injections=injections, policy_docs=doc.policies, econ=doc.econ)
+    return from_dict(Scenario, doc, "scenario")
 
 
 def trace_to_frame(series: Series) -> SensorFrame:

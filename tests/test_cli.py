@@ -542,6 +542,8 @@ MALFORMED = [
     ("model-forest-max-depth", "simulate", "--model",
      lambda d: edited(model_doc(d, "forest_model.json"), "hyperparams", "max_depth", value=-4),
      "model.hyperparams: max_depth must be >= 0 or None"),
+    ("model-lag-spec-width", "simulate", "--model", lambda d: edited(model_doc(d), "lag_spec", "max_lag", value=5),
+     "scenario.policies.predictive: model expects 3 features but the lag spec provides 4"),
     ("ledger-list", "cba", "--ledger", lambda d: [ledger_doc(d)], "ledger must be a JSON object"),
     ("ledger-amount-string", "cba", "--ledger",
      lambda d: edited(ledger_doc(d), "items", 0, "amount", value={"dist": "point", "value": "abc"}),
@@ -597,6 +599,32 @@ def test_cba_bridge_prices_uptime_at_the_simulated_rate(tmp_path, inputs):
         assert code == 0, err
         bridged = json.loads((out / "net_benefit.json").read_text())["items"]["Avoidance of lost revenue"]
         assert bridged["mean"] == uptime_delta * rate
+
+
+@pytest.mark.parametrize("flag", ["--revenue-rate", "--unit-maintenance-cost"])
+def test_cba_pricing_flags_need_a_bridge(tmp_path, inputs, flag):
+    argv = command(inputs, "cba", tmp_path / "out")
+    at = argv.index("--bridge")
+    del argv[at : at + 2]
+    code, err = run_main(argv + [flag, 5.0])
+    assert code == 1, err
+    assert "--revenue-rate and --unit-maintenance-cost" in err and "--bridge" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_refuses_the_spike_synth_refuses(tmp_path, inputs):
+    scenario = small_scenario()
+    scenario["injections"][0]["peak_kpa"] = 20.0  # below the 30 kPa clean reading at at_s
+    for name, doc in [("scenario", scenario), ("plan", scenario["plan"]), ("injections", scenario["injections"])]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    synth = ["synth", "--plan", tmp_path / "plan.json", "--injections", tmp_path / "injections.json",
+             "--seed", 1, "--out-dir", tmp_path / "out"]
+    simulate = with_flag(command(inputs, "simulate", tmp_path / "out"), "--scenario", tmp_path / "scenario.json")
+    (synth_code, synth_err), (simulate_code, simulate_err) = run_main(synth), run_main(simulate)
+    assert synth_code == simulate_code == 1
+    assert simulate_err == synth_err
+    assert "error: SpikeRamp peak 20.0 must exceed the clean reading 30." in simulate_err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("csv", ["directory", "latin-1"])

@@ -142,6 +142,22 @@ def test_injection_bounds_checked():
         inject_faults(trace, [SpikeRamp(at_s=50, peak_kpa=10.0, rise_s=10)])
 
 
+@pytest.mark.parametrize("policy", [preventive, predictive])
+def test_simulation_refuses_what_synth_refuses(policy):
+    plan = quiet_plan(duration=200)
+    trace = generate_trace(plan, seed=0)
+    for spike, text in [
+        (SpikeRamp(at_s=100, peak_kpa=20.0, rise_s=50), "SpikeRamp peak 20.0 must exceed the clean reading 30.000"),
+        (SpikeRamp(at_s=100, peak_kpa=30.0, rise_s=50), "SpikeRamp peak 30.0 must exceed the clean reading 30.000"),
+        (StuckAt(at_s=200, duration_s=5), "injection at_s 200 beyond duration 200"),
+    ]:
+        with pytest.raises(ValidationError) as synth:
+            inject_faults(trace, [spike])
+        with pytest.raises(ValidationError) as simulate:
+            run_policy(plan, [spike], policy(), seed=0)
+        assert str(synth.value) == str(simulate.value) == text
+
+
 def test_a_stuck_reading_inside_a_ramp_holds_the_clean_reading():
     trace = generate_trace(quiet_plan(duration=1200), seed=0)
     spike, stuck = SpikeRamp(at_s=600, peak_kpa=60.0, rise_s=120), StuckAt(at_s=650, duration_s=300)
@@ -283,7 +299,7 @@ def test_bundled_scenarios_load():
 
         doc = json.loads(pdmecon.data_path(name).read_text())
         scenario = scenario_from_dict(doc)
-        assert set(scenario.policy_docs) == {"preventive", "predictive"}
+        assert set(scenario.policies) == {"preventive", "predictive"}
         policies = scenario.build_policies(model=persistence_model(), lag_spec=PERSISTENCE_LAGS)
         assert isinstance(policies["preventive"], PreventivePolicy)
         assert isinstance(policies["predictive"], PredictivePolicy)
@@ -324,9 +340,8 @@ def test_predictive_with_tree_ensemble_forecaster():
 
 
 def test_model_feature_mismatch_rejected():
-    policy = PredictivePolicy(model=persistence_model(), lag_spec=LagSpec(1, 5))
     with pytest.raises(ValidationError, match="features"):
-        run_policy(quiet_plan(duration=100), [], policy, seed=0)
+        PredictivePolicy(model=persistence_model(), lag_spec=LagSpec(1, 5))
 
 
 def test_comparison_report_dict_roundtrip():
@@ -522,18 +537,28 @@ def forecast_model(draw, n_lags):
     return fit_model(kind, sup.X, sup.y, hp, seed=draw(st.integers(0, 3)))
 
 
+def fault_list(draw, clean):
+    """Up to four overlapping faults, each spike peaking above the clean reading where it starts."""
+    injections = []
+    for _ in range(draw(st.integers(0, 4))):
+        at_s = draw(st.integers(0, len(clean) - 1))
+        if draw(st.booleans()):
+            peak = float(clean[at_s]) + draw(st.floats(0.1, 30.0))
+            injections.append(SpikeRamp(at_s=at_s, peak_kpa=peak, rise_s=draw(st.integers(1, 120))))
+        else:
+            injections.append(StuckAt(at_s=at_s, duration_s=draw(st.integers(1, 200))))
+    return injections
+
+
 @st.composite
 def simulation_case(draw):
-    """A short plan with setpoint jumps, up to four overlapping faults and a policy
-    that maintains often enough for faults to start during downtime."""
+    """A short plan with setpoint jumps, up to four overlapping faults (each spike peaking
+    above the clean reading where it starts) and a policy that maintains often enough
+    for faults to start during downtime."""
     duration = draw(st.integers(30, 800))
     plan = short_plan(draw, duration)
-    at_s = st.integers(0, duration - 1)
-    injections = draw(st.lists(
-        st.builds(SpikeRamp, at_s=at_s, peak_kpa=st.floats(20.0, 70.0), rise_s=st.integers(1, 120))
-        | st.builds(StuckAt, at_s=at_s, duration_s=st.integers(1, 200)),
-        max_size=4,
-    ))
+    seed = draw(st.integers(0, 3))
+    injections = fault_list(draw, generate_trace(plan, seed).values)
     maint = draw(st.integers(1, 60))
     breakdown = BreakdownRule(
         fail_limit_kpa=draw(st.floats(35.0, 60.0)),
@@ -558,7 +583,7 @@ def simulation_case(draw):
             breakdown=breakdown,
         )
     econ = EconParams(fouling_rate_kpa_per_s=draw(st.floats(0.0, 0.01)))
-    return plan, injections, policy, econ, draw(st.integers(0, 3))
+    return plan, injections, policy, econ, seed
 
 
 # Two cases the draws reach only rarely, pinned. A fault that starts under a
@@ -595,15 +620,7 @@ def injection_case(draw):
     clean reading where it starts."""
     duration = draw(st.integers(30, 600))
     trace = generate_trace(short_plan(draw, duration), seed=draw(st.integers(0, 3)))
-    injections = []
-    for _ in range(draw(st.integers(0, 4))):
-        at_s = draw(st.integers(0, duration - 1))
-        if draw(st.booleans()):
-            peak = float(trace.values[at_s]) + draw(st.floats(0.1, 30.0))
-            injections.append(SpikeRamp(at_s=at_s, peak_kpa=peak, rise_s=draw(st.integers(1, 120))))
-        else:
-            injections.append(StuckAt(at_s=at_s, duration_s=draw(st.integers(1, 200))))
-    return trace, injections
+    return trace, fault_list(draw, trace.values)
 
 
 # A spike that starts under a later-listed stuck reading ramps from the clean
