@@ -21,9 +21,9 @@ or malformed file or config), 2 only for a fault inside the program.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cba import McConfig, bridge_from_simulation, format_summary_table, load_ledger, net_benefit
@@ -71,23 +71,21 @@ def _out_dir(args) -> Path:
     return out
 
 
-@dataclass(frozen=True)
-class _InjectionsFile:
-    injections: list[dict] = field(default_factory=list)
-
-
 def _config(path: str | None, cls, what: str):
     """The config dataclass from a JSON file, or its defaults when no file is given."""
     return from_dict(cls, load_json(path, what), what) if path else cls()
 
 
 def _injections(path: str) -> list[FaultInjection]:
-    """The injections file: an array of injections, or an object holding it as "injections"."""
+    """The injections file: an array of injections, or an object holding it as "injections".
+    Either way an error names the array injections, its first entry injections[0]."""
     doc = load_json(path, "injections")
-    if not isinstance(doc, dict):
-        doc = {"injections": doc}  # the bare-array form
-    entries = from_dict(_InjectionsFile, doc, "injections").injections
-    return from_dict(list[FaultInjection], entries, "injections")
+    if isinstance(doc, dict):
+        if doc.keys() - {"injections"}:
+            unknown = ", ".join(f"injections.{key}" for key in sorted(doc.keys() - {"injections"}))
+            raise ValidationError(f"unknown field {unknown}; allowed: ['injections']")
+        doc = doc.get("injections", [])
+    return from_dict(list[FaultInjection], doc, "injections")
 
 
 def _seed(args) -> int:
@@ -215,6 +213,9 @@ def cmd_cba(args) -> int:
     seed = _seed(args)
     if not args.bridge and (args.revenue_rate is not None or args.unit_maintenance_cost is not None):
         raise ValidationError("--revenue-rate and --unit-maintenance-cost price simulated deltas; give --bridge")
+    for flag, price in [("--revenue-rate", args.revenue_rate), ("--unit-maintenance-cost", args.unit_maintenance_cost)]:
+        if price is not None and not 0 <= price < math.inf:
+            raise ValidationError(f"{flag} must be a finite number >= 0, got {price}")
     items = load_ledger(args.ledger)
     if args.bridge:
         comparison = comparison_from_dict(load_json(args.bridge, "comparison"))

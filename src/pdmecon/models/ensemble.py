@@ -12,7 +12,7 @@ that it holds n_trees / n_stages trees, all as wide as the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import ClassVar
 
 import numpy as np
@@ -80,7 +80,9 @@ class ForestModel:
         return stack_trees(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return walk_stacked(self.stacked, as_rows(X, self.n_features)).mean(axis=0)
+        # summed tree by tree, so a row sums the same alone as among many (mean(axis=0) does not)
+        preds = walk_stacked(self.stacked, as_rows(X, self.n_features))
+        return reduce(np.add, preds) / len(preds)
 
 
 @dataclass

@@ -14,16 +14,24 @@ applies a list of faults in one pass, for inject_faults (synth) and run_policy
 Both refuse a fault that starts after the trace ends and a spike whose peak is
 not above the clean reading at its at_s.
 
-run_policy runs the plant in operating spans between stops:
+run_policy runs the plant in operating spans and computes each stop rather
+than stepping to it:
 
 - at each restart, one call fills the readings to the end of the run: trace
   value + linear fouling drift since the restart + the faults not yet cleared.
-  No decision can change them before the next stop;
-- each operating second, a preventive policy maintains once cycle_s seconds
-  have passed since the restart; a predictive policy forecasts pressure over a
-  horizon with a trained model and applies the threshold decision rule;
-- any policy whose pressure stays above fail_limit_kpa for more than grace_s
-  consecutive seconds suffers a breakdown (longer outage than maintenance);
+  No decision can change them before the next stop, so the stop is the first of
+  these seconds:
+- a breakdown, once the readings stay above fail_limit_kpa for more than
+  grace_s consecutive seconds (one cumulative count finds it);
+- a preventive policy's maintenance, cycle_s seconds after the restart;
+- a predictive policy's HALT, at the first reading >= hard_limit_kpa, or the
+  maintenance schedule_window_s after its first SCHEDULE. That is the first
+  second whose forecast over the horizon crosses limit_kpa (before max_lag
+  seconds of history, the reading itself). Blocks of 256 seconds, doubling up
+  to 2048 (fewer for a long horizon), are forecast in one batch: one model
+  call per horizon step covers the whole block. The comparisons are decide's,
+  and decide makes the directive at the SCHEDULE second. Maintenance wins a
+  tie with a breakdown;
 - maintenance and repair both halt production for their whole outage in one
   step, reset fouling, and on completion clear every fault that has started.
 
@@ -44,7 +52,7 @@ from typing import Annotated, ClassVar, Literal
 import numpy as np
 
 from . import format_table
-from .detect import Action, decide
+from .detect import decide
 from .errors import ValidationError
 from .features import LagSpec
 from .ingest import Channel, SensorFrame, Series
@@ -281,21 +289,51 @@ class SimOutcome:
             )
 
 
-def _forecast(model, recent: np.ndarray, lags: np.ndarray, horizon: int) -> np.ndarray:
-    """Iterated multi-step forecast feeding predictions back as lag inputs."""
-    max_lag = int(lags[-1])
-    work = np.empty(max_lag + horizon)
-    work[:max_lag] = recent[-max_lag:]
-    if isinstance(model, LinearModel):
-        intercept, coefs = model.intercept, model.coefficients
-        for h in range(horizon):
-            pos = max_lag + h
-            work[pos] = intercept + coefs @ work[pos - lags]
-    else:
-        for h in range(horizon):
-            pos = max_lag + h
-            work[pos] = predict(model, work[pos - lags][None, :])[0]
-    return work[max_lag:]
+def _forecast(model, windows: np.ndarray, lags: np.ndarray, horizon: int) -> np.ndarray:
+    """Iterated multi-step forecasts, one row per (rows, max_lag) lag window, shape (rows, horizon).
+
+    Predictions feed back as lag inputs. The work buffer is time-major, so each step reads
+    its lag inputs as whole rows; a row's forecast does not depend on the rows beside it.
+    """
+    max_lag = windows.shape[1]
+    work = np.empty((max_lag + horizon, len(windows)))
+    work[:max_lag] = windows.T
+    for pos in range(max_lag, max_lag + horizon):
+        if isinstance(model, LinearModel):
+            acc = np.zeros(len(windows))
+            for coef, lag in zip(model.coefficients, lags):
+                acc += coef * work[pos - lag]  # a fixed-order sum: the same bits for any number of rows
+            work[pos] = model.intercept + acc
+        else:
+            work[pos] = predict(model, work[pos - lags].T)
+    return work[max_lag:].T
+
+
+def _first(mask: np.ndarray) -> int:
+    """The index of the first True in mask, or len(mask) when there is none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _first_schedule(policy: PredictivePolicy, obs: np.ndarray, start: int, stop: int):
+    """The first second in [start, stop) whose forecast crosses limit_kpa, with that forecast;
+    (stop, None) when there is none. Blocks of 256 seconds, doubling up to 2048, are forecast at once;
+    a long horizon shrinks the blocks so the work buffer stays within 2**20 numbers (8 MB)."""
+    lags, max_lag, limit = policy.lag_spec.lags, int(policy.lag_spec.max_lag), policy.limit_kpa
+    cap = max(1, min(2048, 2**20 // (max_lag + policy.horizon_s)))
+    early = min(max(start, max_lag - 1), stop)  # too little history: the forecast is the reading itself
+    t = start + _first(obs[start:early] > limit)
+    if t < early:
+        return t, obs[t : t + 1]
+    windows = np.lib.stride_tricks.sliding_window_view(obs, max_lag)  # row t + 1 - max_lag ends at second t
+    lo, block = early, min(256, cap)
+    while lo < stop:
+        hi = min(lo + block, stop)
+        forecast = _forecast(policy.model, windows[lo + 1 - max_lag : hi + 1 - max_lag], lags, policy.horizon_s)
+        i = _first((forecast > limit).any(axis=1))
+        if i < len(forecast):
+            return lo + i, forecast[i]
+        lo, block = hi, min(2 * block, cap)
+    return stop, None
 
 
 def run_policy(
@@ -313,10 +351,7 @@ def run_policy(
     _check_injections(trace, injections)
     duration = plan.duration_s
     breakdown = policy.breakdown
-    predictive = isinstance(policy, PredictivePolicy)
-    if predictive:
-        lags = policy.lag_spec.lags
-        max_lag = int(policy.lag_spec.max_lag)
+    grace = breakdown.grace_s
 
     pending = list(injections)  # not yet cleared by maintenance
     obs = np.empty(duration)
@@ -324,42 +359,29 @@ def run_policy(
 
     while start < duration:
         clean = trace[start:] + econ.fouling_rate_kpa_per_s * np.arange(duration - start)
-        obs[start:] = fault_readings(clean, pending, start)
-        breach_run = 0
-        scheduled_due: int | None = None
-        for t in range(start, duration):
-            pressure = obs[t]
-            if not predictive:
-                start_maint = t - start >= policy.cycle_s
-            elif scheduled_due is not None and t >= scheduled_due:
-                start_maint = True
-            else:
-                if t + 1 >= max_lag:
-                    horizon = _forecast(policy.model, obs[: t + 1], lags, policy.horizon_s)
-                else:
-                    horizon = np.array([pressure])  # not enough history yet
+        obs[start:] = readings = fault_readings(clean, pending, start)
+        # breakdown: the first second ending more than grace_s consecutive readings above fail_limit_kpa
+        above = np.concatenate(([0], np.cumsum(readings > breakdown.fail_limit_kpa)))
+        broken = start + grace + _first(above[grace + 1 :] - above[: -grace - 1] == grace + 1)
+        if isinstance(policy, PredictivePolicy):
+            due = start + _first(readings >= policy.hard_limit_kpa)  # HALT
+            t, forecast = _first_schedule(policy, obs, start, min(due, broken))
+            if forecast is not None:
                 directive = decide(
-                    horizon,
-                    policy.limit_kpa,
-                    policy.hard_limit_kpa,
-                    pressure,
-                    policy.schedule_window_s,
+                    forecast, policy.limit_kpa, policy.hard_limit_kpa, obs[t], policy.schedule_window_s
                 )
-                start_maint = directive.action is Action.HALT
-                if directive.action is Action.SCHEDULE and scheduled_due is None:
-                    scheduled_due = t + directive.schedule_within_s  # a later SCHEDULE is never due sooner
-
-            if start_maint:
-                outage = policy.maint_duration_s
-                maintenance_count += 1
-                break
-            breach_run = breach_run + 1 if pressure > breakdown.fail_limit_kpa else 0
-            if breach_run > breakdown.grace_s:
-                outage = breakdown.repair_duration_s
-                breakdown_count += 1
-                break
+                due = min(due, t + directive.schedule_within_s)  # a later SCHEDULE is never due sooner
         else:
+            due = start + policy.cycle_s
+        t = min(due, broken)
+        if t >= duration:
             break  # no stop before the end of the run
+        if due <= broken:  # maintenance wins a tie with a breakdown
+            outage = policy.maint_duration_s
+            maintenance_count += 1
+        else:
+            outage = breakdown.repair_duration_s
+            breakdown_count += 1
 
         # the stop second t and the rest of the outage are down; the plant restarts at end
         end = min(t + outage, duration)

@@ -473,14 +473,22 @@ def rated(doc, policy, rate):
     return outcome
 
 
-# (id, command, flag, malformed document or raw text from the inputs dir, text stderr must hold)
+class FlagValue(str):
+    """A malformed flag value given on the command line rather than as a file."""
+
+
+# (id, command, flag, malformed document, raw text or flag value from the inputs dir, text stderr must hold)
 MALFORMED = [
     ("plan-list", "synth", "--plan", lambda d: [SMALL_PLAN], "trace plan must be a JSON object"),
     ("plan-short-segment", "synth", "--plan", lambda d: {"segments": [[1]]}, "trace plan.segments[0]"),
     ("plan-string-duration", "synth", "--plan", lambda d: {"duration_s": "10"}, "trace plan.duration_s"),
     ("injection-missing-peak", "synth", "--injections",
      lambda d: [{"kind": "spike_ramp", "at_s": 10, "rise_s": 5}], "injections[0].peak_kpa"),
-    ("injections-number", "synth", "--injections", lambda d: 3, "injections.injections must be an array"),
+    ("injections-number", "synth", "--injections", lambda d: 3, "error: injections must be an array, got 3"),
+    ("injections-entry-number", "synth", "--injections", lambda d: [3],
+     "error: injections[0] must be a JSON object, got 3"),
+    ("injections-object-entry-number", "synth", "--injections", lambda d: {"injections": [3]},
+     "error: injections[0] must be a JSON object, got 3"),
     ("ingest-config-list", "ingest", "--config", lambda d: [], "ingest config must be a JSON object"),
     ("ingest-sentinels-number", "ingest", "--config", lambda d: {"sentinel_tokens": 5},
      "ingest config.sentinel_tokens"),
@@ -569,6 +577,14 @@ MALFORMED = [
          "items", 1, "amount", value={"dist": "point", "value": 1e308},
      ),
      "not finite"),
+    ("cba-revenue-rate-negative", "cba", "--revenue-rate", lambda d: FlagValue("-2"),
+     "--revenue-rate must be a finite number >= 0, got -2.0"),
+    ("cba-revenue-rate-nan", "cba", "--revenue-rate", lambda d: FlagValue("nan"),
+     "--revenue-rate must be a finite number >= 0, got nan"),
+    ("cba-unit-cost-negative", "cba", "--unit-maintenance-cost", lambda d: FlagValue("-10"),
+     "--unit-maintenance-cost must be a finite number >= 0, got -10.0"),
+    ("cba-unit-cost-infinite", "cba", "--unit-maintenance-cost", lambda d: FlagValue("inf"),
+     "--unit-maintenance-cost must be a finite number >= 0, got inf"),
 ]
 
 
@@ -579,7 +595,7 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, inputs, case):
     bad = tmp_path / "bad.json"
     bad.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
-    code, err = run_main(with_flag(command(inputs, name, out), flag, bad))
+    code, err = run_main(with_flag(command(inputs, name, out), flag, doc if isinstance(doc, FlagValue) else bad))
     assert code == 1, err
     assert expected in err, err
     assert not out.exists() or not any(out.iterdir())  # nothing written, not even a temp file

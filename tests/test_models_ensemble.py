@@ -40,6 +40,18 @@ def test_forest_prediction_is_mean_of_trees(data):
     np.testing.assert_allclose(predict(forest, probes), per_tree.mean(axis=0), atol=1e-12)
 
 
+@pytest.mark.parametrize("n_trees", [1, 7, 8, 9, 100])
+def test_forest_predicts_a_row_alone_as_among_many(data, n_trees):
+    X, y = data
+    forest = fit_forest(X, y, ForestHyperparams(n_trees=n_trees, max_depth=3), seed=2)
+    probes = np.random.default_rng(4).normal(size=(50, 4))
+    many = predict(forest, probes)
+    alone = np.array([predict(forest, row[None, :])[0] for row in probes])
+    np.testing.assert_array_equal(alone, many)
+    # the in-order sum is what mean(axis=0) gives over many rows
+    np.testing.assert_array_equal(many, np.stack([predict_tree(t, probes) for t in forest.trees]).mean(axis=0))
+
+
 def test_forest_seed_determinism(data):
     X, y = data
     a = fit_forest(X, y, ForestHyperparams(n_trees=5), seed=33)

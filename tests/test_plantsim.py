@@ -1,14 +1,18 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pdmecon
+from pdmecon import plantsim
 from pdmecon.detect import Action, DetectorConfig, decide, detect_stuck
 from pdmecon.errors import ValidationError
 from pdmecon.features import LagSpec, make_lag_matrix
 from pdmecon.jsonio import from_dict
-from pdmecon.models import BoostHyperparams, ForestHyperparams, LinearModel, fit_model
+from pdmecon.models import BoostHyperparams, ForestHyperparams, LinearModel, fit_model, predict
 from pdmecon.plantsim import (
     BreakdownRule,
     EconParams,
@@ -384,6 +388,20 @@ def test_trace_export_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.channel("DPIT301").values, trace.values)
 
 
+def test_a_long_horizon_forecasts_in_smaller_blocks(monkeypatch):
+    # 2,048 seconds of a 5,000-step horizon would need an 82 MB work buffer; blocks shrink to keep it at 8 MB
+    forecast, sizes = plantsim._forecast, []
+
+    def recorded(model, windows, lags, horizon):
+        sizes.append(windows.shape[0] * (windows.shape[1] + horizon))
+        return forecast(model, windows, lags, horizon)
+
+    monkeypatch.setattr(plantsim, "_forecast", recorded)
+    outcome = run_policy(quiet_plan(duration=1500), [], replace(predictive(), horizon_s=5000), seed=0)
+    assert outcome.downtime_s == 0
+    assert 2**19 < max(sizes) <= 2**20
+
+
 # --- the per-second loop as it stood with a fault-state object per injection ---
 
 class _FaultState:
@@ -447,7 +465,7 @@ def reference_run_policy(plan, injections, policy, econ, seed):
                     start_maint = True
                 else:
                     if t + 1 >= max_lag:
-                        horizon = _forecast(policy.model, obs[: t + 1], lags, policy.horizon_s)
+                        horizon = _forecast(policy.model, obs[None, t + 1 - max_lag : t + 1], lags, policy.horizon_s)[0]
                     else:
                         horizon = np.array([pressure])
                     directive = decide(
@@ -533,8 +551,12 @@ def forecast_model(draw, n_lags):
         if kind == "forest"
         else BoostHyperparams(n_stages=trees, max_depth=depth, learning_rate=draw(st.sampled_from([0.5, 1.0])))
     )
-    sup = make_lag_matrix(generate_trace(TRAINING_PLAN, seed=draw(st.integers(0, 3))), LagSpec(1, n_lags))
-    return fit_model(kind, sup.X, sup.y, hp, seed=draw(st.integers(0, 3)))
+    return fit_on_training_plan(kind, hp, n_lags, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+
+
+def fit_on_training_plan(kind, hyperparams, n_lags, trace_seed, fit_seed):
+    sup = make_lag_matrix(generate_trace(TRAINING_PLAN, seed=trace_seed), LagSpec(1, n_lags))
+    return fit_model(kind, sup.X, sup.y, hyperparams, seed=fit_seed)
 
 
 def fault_list(draw, clean):
@@ -606,10 +628,53 @@ FAULT_AT_RESTART = (
 )
 
 
+# A forest of eight stumps: the cases above draw at most three trees, and from eight
+# trees on numpy's mean(axis=0) averages one row differently from many.
+FOREST_OF_STUMPS = (
+    TracePlan(duration_s=400, segments=((150, 46.0), (250, 30.0)), noise_sigma_kpa=0.3, warmup_s=0),
+    [SpikeRamp(at_s=300, peak_kpa=65.0, rise_s=40)],
+    PredictivePolicy(
+        model=fit_on_training_plan("forest", ForestHyperparams(n_trees=8, max_depth=1), 3, 0, 0),
+        lag_spec=LagSpec(1, 3),
+        horizon_s=5,
+        maint_duration_s=20,
+        breakdown=BreakdownRule(repair_duration_s=100),
+    ),
+    EconParams(),
+    1,
+)
+
+
+def block_edge(schedule_s):
+    """Persistence forecasts cross the 40 kPa limit first at schedule_s. With lags 1-2 the
+    first forecast block covers seconds 1-256, so 256 is its last second and 257 the next
+    block's first. The run ends inside the maintenance, so its downtime shows the second."""
+    plan = TracePlan(duration_s=600, segments=((schedule_s, 45.0),), noise_sigma_kpa=0.0, warmup_s=0)
+    return plan, [], predictive(), EconParams(), 0
+
+
+# Second 0 has too little history to forecast, so its reading (45 kPa) schedules
+# maintenance for 300 s; the run ends 50 s into it.
+EARLY_SCHEDULE = (
+    TracePlan(duration_s=350, segments=((0, 45.0),), noise_sigma_kpa=0.0, warmup_s=0),
+    [],
+    predictive(),
+    EconParams(),
+    0,
+)
+# Persistence forecasts of exactly the 40 kPa limit do not cross it.
+AT_THE_LIMIT = (quiet_plan(duration=400, baseline=40.0), [], predictive(), EconParams(), 0)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(simulation_case())
 @example(HIDDEN_FAULT)
 @example(FAULT_AT_RESTART)
+@example(FOREST_OF_STUMPS)
+@example(block_edge(256))
+@example(block_edge(257))
+@example(EARLY_SCHEDULE)
+@example(AT_THE_LIMIT)
 def test_run_policy_matches_the_fault_state_reference(case):
     assert run_policy(*case) == reference_run_policy(*case)
 
@@ -640,3 +705,61 @@ def test_inject_faults_matches_the_fault_state_reference(case):
     faults = [_FaultState(inj) for inj in injections]
     expected = [reference_reading(faults, t, trace.values[t]) for t in range(len(trace))]
     np.testing.assert_array_equal(inject_faults(trace, injections).values, expected)
+
+
+# --- the bundled scenarios under tree models fitted on the seed-1 trace ---
+
+SEED1_LAGS = LagSpec(5, 30)
+
+
+@pytest.fixture(scope="module")
+def seed1_models():
+    """A forest of eight trees and a boost model fitted on the default plan's seed-1 trace."""
+    sup = make_lag_matrix(generate_trace(TracePlan(), seed=1), SEED1_LAGS)
+    return {
+        "forest": fit_model("forest", sup.X, sup.y, ForestHyperparams(n_trees=8, max_depth=4), seed=1),
+        "boost": fit_model("boost", sup.X, sup.y, BoostHyperparams(n_stages=10, max_depth=3), seed=1),
+    }
+
+
+def bundled_scenario(name):
+    return scenario_from_dict(json.loads(pdmecon.data_path(name).read_text()))
+
+
+def test_a_forest_backed_run_forecasts_in_blocks(monkeypatch, seed1_models):
+    # scenario 2 cut to 1,200 s with the spike at 600 s; one forecast per second made 52,320 predict calls
+    scenario = bundled_scenario("scenario2_avoid_breakdown.json")
+    plan = replace(scenario.plan, duration_s=1200, warmup_s=0)
+    injections = [replace(scenario.injections[0], at_s=600)]
+    policy = scenario.build_policies(seed1_models["forest"], SEED1_LAGS)["predictive"]
+    rows = []
+
+    def counted(model, X):
+        rows.append(len(X))
+        return predict(model, X)
+
+    monkeypatch.setattr(plantsim, "predict", counted)
+    outcome = run_policy(plan, injections, policy, scenario.econ, seed=1)
+    assert 0 < len(rows) <= 1000
+    assert (outcome.uptime_s, outcome.maintenance_count, outcome.breakdown_count) == (900, 1, 0)
+
+
+# (uptime_s, downtime_s, maintenance_count, breakdown_count) per policy, recorded with
+# one forecast per second and the forest's one-row mean before forecasts were batched
+SEED1_OUTCOMES = {
+    ("forest", "scenario1_delay_maintenance.json"): {"preventive": (7500, 1200, 4, 0), "predictive": (8100, 600, 2, 0)},
+    ("forest", "scenario2_avoid_breakdown.json"): {"preventive": (6000, 2700, 3, 1), "predictive": (8400, 300, 1, 0)},
+    ("boost", "scenario1_delay_maintenance.json"): {"preventive": (7500, 1200, 4, 0), "predictive": (8700, 0, 0, 0)},
+    ("boost", "scenario2_avoid_breakdown.json"): {"preventive": (6000, 2700, 3, 1), "predictive": (8400, 300, 1, 0)},
+}
+
+
+@pytest.mark.parametrize("kind, name", list(SEED1_OUTCOMES))
+def test_bundled_scenarios_keep_their_tree_model_outcomes(seed1_models, kind, name):
+    scenario = bundled_scenario(name)
+    policies = scenario.build_policies(seed1_models[kind], SEED1_LAGS)
+    report = compare_policies(scenario.plan, list(scenario.injections), policies, scenario.econ, seed=1)
+    assert report.outcomes == {
+        policy: SimOutcome(8700, uptime, downtime, maintenance, breakdowns, 1.0, float(uptime))
+        for policy, (uptime, downtime, maintenance, breakdowns) in SEED1_OUTCOMES[(kind, name)].items()
+    }

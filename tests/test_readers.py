@@ -3,10 +3,11 @@
 The reference readers below are the scenario, injections, ledger and
 comparison readers as they stood before jsonio read tagged objects by their
 `kind` or `dist` tag. For any one-edit mutation of a valid document, both must
-build equal objects or refuse it with the same text. One difference is
+build equal objects or refuse it with the same text. Two differences are
 intended: an item without an `amount` may be refused as "... is required" or
 for another fault of the same item, where the reference always named the
-missing amount first.
+missing amount first; and an injections file names its array `injections` in
+both of its forms, where the reference named it `injections.injections`.
 """
 
 import json
@@ -106,7 +107,10 @@ def reference_injections(path):
     doc = load_json(path, "injections")
     if not isinstance(doc, dict):
         doc = {"injections": doc}
-    entries = from_dict(_InjectionsFile, doc, "injections").injections
+    try:
+        entries = from_dict(_InjectionsFile, doc, "injections").injections
+    except ValidationError as exc:  # intended: both forms name the array injections, not injections.injections
+        raise ValidationError(str(exc).replace("injections.injections", "injections")) from None
     return [injection_from_dict(d, f"injections[{i}]") for i, d in enumerate(entries)]
 
 
