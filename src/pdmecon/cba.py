@@ -231,25 +231,27 @@ def net_benefit(ledger: list[LineItem], config: McConfig) -> NetBenefitResult:
         raise ValidationError(f"duplicate item names: {dupes}")
 
     samples = _sample_matrix(ledger, config)
-    item_summaries = {
-        item.name: McSummary.from_samples(samples[:, j]) for j, item in enumerate(ledger)
-    }
     ledger_samples = {}
-    for kind in LedgerKind:
-        cols = [j for j, item in enumerate(ledger) if item.ledger is kind]
-        ledger_samples[kind] = samples[:, cols].sum(axis=1) if cols else np.zeros(config.trials)
-    net_samples = (
-        ledger_samples[LedgerKind.DIRECT_SAVING]
-        + ledger_samples[LedgerKind.INDIRECT_SAVING]
-        - ledger_samples[LedgerKind.IMPLEMENTATION_COST]
-    )
-    return NetBenefitResult(
-        item_summaries=item_summaries,
-        ledger_summaries={k: McSummary.from_samples(v) for k, v in ledger_samples.items()},
-        net=McSummary.from_samples(net_samples),
-        net_samples=net_samples,
-        ledger_samples=ledger_samples,
-    )
+    # an overflow is refused, here or when the result is written, rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind in LedgerKind:
+            cols = [j for j, item in enumerate(ledger) if item.ledger is kind]
+            ledger_samples[kind] = samples[:, cols].sum(axis=1) if cols else np.zeros(config.trials)
+        net_samples = (
+            ledger_samples[LedgerKind.DIRECT_SAVING]
+            + ledger_samples[LedgerKind.INDIRECT_SAVING]
+            - ledger_samples[LedgerKind.IMPLEMENTATION_COST]
+        )
+        totals = np.column_stack([samples, *ledger_samples.values(), net_samples]).sum(axis=0)
+        if not np.isfinite(totals).all():
+            raise ValidationError("net benefit is not finite: the ledger's amounts overflow a float when summed")
+        return NetBenefitResult(
+            item_summaries={item.name: McSummary.from_samples(samples[:, j]) for j, item in enumerate(ledger)},
+            ledger_summaries={k: McSummary.from_samples(v) for k, v in ledger_samples.items()},
+            net=McSummary.from_samples(net_samples),
+            net_samples=net_samples,
+            ledger_samples=ledger_samples,
+        )
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ whole-row: any row containing a sentinel token (default "Bad Input") or a cell
 that fails to parse is dropped and counted, which keeps all channels aligned
 without imputation.
 
+The file is read in blocks of BLOCK_ROWS rows, a whole column at a time.
+Timestamp cells of exactly the shape YYYY-MM-DDThh:mm:ss (ISO8601), DD/MM/YYYY
+hh:mm:ss or DD/MM/YYYY hh:mm are parsed in one vectorised pass per block; every
+other cell is tried against the configured formats in order, and the first
+format that matches decides.
+
 Assumptions:
 - Header row is mandatory; the first column is the timestamp.
 - Decimal separator is "." regardless of locale.
@@ -16,8 +22,10 @@ Assumptions:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +39,7 @@ EPOCH_SECONDS = "epoch"
 DEFAULT_TIMESTAMP_FORMATS = (ISO8601, "%d/%m/%Y %H:%M:%S", "%d/%m/%Y %H:%M")
 # 0001-01-01T00:00:00 and 9999-12-31T23:59:59 UTC, the range of datetime
 EPOCH_MIN, EPOCH_MAX = -62135596800, 253402300799
+BLOCK_ROWS = 4096  # CSV rows parsed, or written, per block of whole columns
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,83 @@ def _parse_timestamp(text: str, formats: tuple[str, ...]) -> int | None:
     return None
 
 
+# the exact shape of each built-in format's cells, letters YMDhms standing for ASCII digits;
+# no two of these shapes, nor an EPOCH_SECONDS cell, can match one cell
+_TEMPLATES = {
+    ISO8601: "YYYY-MM-DDThh:mm:ss", "%d/%m/%Y %H:%M:%S": "DD/MM/YYYY hh:mm:ss", "%d/%m/%Y %H:%M": "DD/MM/YYYY hh:mm"
+}
+
+
+def _template_epochs(cells: list[str], template: str) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, epochs): which cells have exactly the template's shape and name a real time, and those times."""
+    n, width = len(cells), len(template)
+    codes = np.array(cells, dtype=f"U{width}").view(np.uint32).reshape(n, width)
+    digit = np.array([c in "YMDhms" for c in template])
+    shape = np.where(digit, (codes >= 48) & (codes <= 57), codes == [ord(c) for c in template])
+    # by Python length: a U array drops trailing NULs, so it cannot tell "...:00" from "...:00\x00"
+    hit = shape.all(axis=1) & (np.fromiter(map(len, cells), np.intp, n) == width)
+    digits = np.where(hit[:, None] & digit, codes - 48, 0)
+
+    def field(letter: str) -> np.ndarray:
+        pos = [i for i, c in enumerate(template) if c == letter]
+        return digits[:, pos] @ 10 ** np.arange(len(pos) - 1, -1, -1) if pos else np.zeros(n, np.int64)
+
+    year, month, day, hour, minute, second = map(field, "YMDhms")
+    months = (year - 1970) * 12 + month - 1
+    first, after = ((months + k).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) for k in (0, 1))
+    hit &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= after - first)
+    hit &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    return hit, (first + day - 1) * 86400 + hour * 3600 + minute * 60 + second
+
+
+def _parse_timestamps(cells: list[str], formats: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, epochs) for a column of cells, as _parse_timestamp gives them one by one: the cells of a
+    built-in shape in one pass per shape, while only built-ins and EPOCH_SECONDS precede its format."""
+    ok, epochs = np.zeros(len(cells), bool), np.zeros(len(cells), np.int64)
+    for fmt in formats:
+        if fmt not in _TEMPLATES and fmt != EPOCH_SECONDS:
+            break
+        if fmt in _TEMPLATES and not ok.all():
+            hit, stamps = _template_epochs(cells, _TEMPLATES[fmt])
+            ok, epochs = ok | hit, np.where(hit, stamps, epochs)
+    for i in np.flatnonzero(~ok):
+        ts = _parse_timestamp(cells[i], formats)
+        if ts is not None:
+            ok[i], epochs[i] = True, ts
+    return ok, epochs
+
+
+def _float(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _floats(cells: list[str]) -> list[float]:
+    """The cells as floats, NaN where a cell is not a number; never through a U array,
+    which drops trailing NULs, so that "1.5\x00" is refused as float() refuses it."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return list(map(_float, cells))
+
+
+def _row_fault(row: list[str], names: list[str], formats: tuple[str, ...]) -> str:
+    """Why an unparseable row is dropped, worded for the first-failure detail."""
+    cells = [c.strip() for c in row]
+    if len(cells) != len(names):
+        return f": expected {len(names)} cells, got {len(cells)}"
+    if _parse_timestamp(cells[0], formats) is None:
+        return f", column '{names[0]}': '{cells[0]}' matches none of {list(formats)}"
+    for name, cell in zip(names[1:], cells[1:]):
+        try:
+            float(cell)
+        except ValueError:
+            return f", column '{name}': '{cell}' is not numeric"
+    return ": non-finite value"
+
+
 def _lines(path: Path):
     """The file's lines, read as they are parsed; a file that cannot be opened,
     read or decoded as UTF-8 is an IngestError naming it."""
@@ -204,63 +290,44 @@ def load_historian_csv(
     names = [h.strip() for h in header]
     if len(names) < 2:
         raise IngestError(f"{path}: header must have a timestamp column plus >= 1 channel")
-    channel_names = names[1:]
-    n_channels = len(channel_names)
+    width, tokens, formats = len(names), set(config.sentinel_tokens), config.timestamp_formats
 
-    timestamps: list[int] = []
-    columns: list[list[float]] = [[] for _ in range(n_channels)]
-    rows_read = 0
-    dropped_sentinel = 0
-    dropped_unparseable = 0
+    stamps, values = [np.zeros(0, np.int64)], [np.zeros((width - 1, 0))]
+    rows_read = dropped_sentinel = dropped_unparseable = 0
     first_failure: str | None = None
-
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue  # blank line, not a data row
-        rows_read += 1
-        cells = [c.strip() for c in row]
-        if any(c in config.sentinel_tokens for c in cells):
-            dropped_sentinel += 1
-            continue
-        if len(cells) != n_channels + 1:
-            dropped_unparseable += 1
-            if first_failure is None:
-                first_failure = f"line {lineno}: expected {n_channels + 1} cells, got {len(cells)}"
-            continue
-        ts = _parse_timestamp(cells[0], config.timestamp_formats)
-        if ts is None:
-            dropped_unparseable += 1
-            if first_failure is None:
-                first_failure = (
-                    f"line {lineno}, column '{names[0]}': "
-                    f"'{cells[0]}' matches none of {list(config.timestamp_formats)}"
-                )
-            continue
-        try:
-            values = [float(c) for c in cells[1:]]
-        except ValueError:
-            dropped_unparseable += 1
-            if first_failure is None:
-                bad = next(c for c in cells[1:] if not _is_float(c))
-                col = channel_names[cells[1:].index(bad)]
-                first_failure = f"line {lineno}, column '{col}': '{bad}' is not numeric"
-            continue
-        if not all(np.isfinite(values)):
-            dropped_unparseable += 1
-            if first_failure is None:
-                first_failure = f"line {lineno}: non-finite value"
-            continue
-        timestamps.append(ts)
-        for col, v in zip(columns, values):
-            col.append(v)
+    lineno = 2  # the number of the block's first row; blank rows are numbered too
+    while block := list(islice(reader, BLOCK_ROWS)):
+        lengths = np.fromiter(map(len, block), np.intp, len(block))
+        full = np.flatnonzero(lengths == width)
+        columns = [list(map(str.strip, col)) for col in zip(*(block[i] for i in full))] or [[]] * width
+        sentinel = np.zeros(len(full), bool)
+        for col in columns:
+            if not tokens.isdisjoint(col):
+                sentinel |= np.fromiter(map(tokens.__contains__, col), bool, len(full))
+        ok, epochs = _parse_timestamps(columns[0], formats)
+        readings = np.array([_floats(col) for col in columns[1:]]).reshape(width - 1, len(full))
+        ok &= np.isfinite(readings).all(axis=0) & ~sentinel
+        stamps.append(epochs[ok])
+        values.append(readings[:, ok])
+        # rare: rows of the wrong width; a blank line has no cells and is not a data row
+        odd = np.flatnonzero((lengths != width) & (lengths > 0))
+        odd_sentinel = np.array([not tokens.isdisjoint(c.strip() for c in block[i]) for i in odd], bool)
+        failed = np.concatenate([full[~ok & ~sentinel], odd[~odd_sentinel]])
+        rows_read += len(full) + len(odd)
+        dropped_sentinel += int(sentinel.sum() + odd_sentinel.sum())
+        dropped_unparseable += len(failed)
+        if first_failure is None and len(failed):
+            i = int(failed.min())
+            first_failure = f"line {lineno + i}{_row_fault(block[i], names, formats)}"
+        lineno += len(block)
 
     if rows_read == 0:
         raise IngestError(f"{path}: header-only file, no data rows")
-    if not timestamps:
+    ts_arr = np.concatenate(stamps)
+    if not len(ts_arr):
         detail = f" (first failure: {first_failure})" if first_failure else ""
         raise IngestError(f"{path}: no rows survived cleaning{detail}")
 
-    ts_arr = np.asarray(timestamps, dtype=np.int64)
     if np.any(np.diff(ts_arr) <= 0):
         bad = int(np.argmax(np.diff(ts_arr) <= 0)) + 1
         raise IngestError(
@@ -270,23 +337,15 @@ def load_historian_csv(
 
     frame = SensorFrame(
         timestamps=ts_arr,
-        channels=tuple(Channel(name, np.asarray(col)) for name, col in zip(channel_names, columns)),
+        channels=tuple(Channel(name, col) for name, col in zip(names[1:], np.concatenate(values, axis=1))),
     )
     report = IngestReport(
         rows_read=rows_read,
         rows_dropped_sentinel=dropped_sentinel,
         rows_dropped_unparseable=dropped_unparseable,
-        channels_retained=n_channels,
+        channels_retained=width - 1,
     )
     return frame, report
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def select_channel(frame: SensorFrame, name: str) -> Series:
@@ -298,18 +357,16 @@ def select_channel(frame: SensorFrame, name: str) -> Series:
 def write_sensor_csv(frame: SensorFrame, path: str | Path) -> None:
     """Write a frame in the ingest CSV format (round-trips through load_historian_csv).
 
-    Timestamps are emitted as naive-UTC ISO-8601 (four-digit years, which
-    strftime does not pad); values use repr so floats survive the round trip
-    bit-exactly.
+    Timestamps are emitted as naive-UTC ISO-8601 with four-digit years; values
+    use repr so floats survive the round trip bit-exactly. Rows are formatted
+    and written a block at a time.
     """
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["Timestamp"] + [ch.name for ch in frame.channels])
-        iso = [
-            datetime.fromtimestamp(int(t), tz=timezone.utc).replace(tzinfo=None).isoformat()
-            for t in frame.timestamps
-        ]
-        cols = [ch.values for ch in frame.channels]
-        for i, stamp in enumerate(iso):
-            writer.writerow([stamp] + [repr(float(c[i])) for c in cols])
+    ts = frame.timestamps
+    if len(ts) and not (EPOCH_MIN <= ts.min() and ts.max() <= EPOCH_MAX):
+        raise ValueError(f"timestamps {ts.min()}..{ts.max()} lie outside the years 1 to 9999")
+    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(["Timestamp"] + frame.channel_names)  # names may need quoting
+        for s in range(0, len(ts), BLOCK_ROWS):
+            cols = [ts[s : s + BLOCK_ROWS].astype("datetime64[s]").astype(str).tolist()]
+            cols += [map(repr, ch.values[s : s + BLOCK_ROWS].tolist()) for ch in frame.channels]
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")

@@ -42,6 +42,8 @@ class BoostHyperparams:
     min_samples_leaf: int = 1
 
     def __post_init__(self):
+        if self.n_stages < 1:
+            raise ValidationError("n_stages must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValidationError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
         TreeParams(self.max_depth, self.min_samples_leaf)  # checks both
@@ -108,9 +110,8 @@ class BoostModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = as_rows(X, self.n_features)
         out = np.full(X.shape[0], self.init_value)
-        if self.stages:
-            for pred in walk_stacked(self.stacked, X):
-                out = out + self.hyperparams.learning_rate * pred
+        for pred in walk_stacked(self.stacked, X):
+            out = out + self.hyperparams.learning_rate * pred
         return out
 
 
@@ -159,8 +160,6 @@ def fit_boost(
     params = TreeParams(hp.max_depth, hp.min_samples_leaf)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
-    if hp.n_stages < 1:
-        raise ValidationError("n_stages must be >= 1")
 
     init_value = float(y.mean())
     F = np.full(len(y), init_value)

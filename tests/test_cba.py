@@ -21,6 +21,7 @@ from pdmecon.cba import (
     net_benefit,
 )
 from pdmecon.errors import ValidationError
+from pdmecon.jsonio import dumps
 from pdmecon.plantsim import ComparisonReport, SimOutcome
 
 
@@ -169,6 +170,25 @@ def test_net_benefit_validation():
         net_benefit([], McConfig(trials=10, seed=0))
     with pytest.raises(ValidationError, match="duplicate"):
         net_benefit([item("same"), item("same")], McConfig(trials=10, seed=0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ledgers, category", [
+    ((LedgerKind.DIRECT_SAVING, LedgerKind.DIRECT_SAVING), "Operating"),  # each trial's sum overflows
+    ((LedgerKind.DIRECT_SAVING, LedgerKind.IMPLEMENTATION_COST), "Equipment"),  # each trial nets 0; the mean overflows
+])
+def test_overflowing_ledger_is_refused_without_warnings(ledgers, category):
+    ledger = [item("saving", ledgers[0], amount=Point(1e308)), item("other", ledgers[1], category, Point(1e308))]
+    with pytest.raises(ValidationError, match="net benefit is not finite"):
+        net_benefit(ledger, McConfig(trials=100, seed=1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_spread_is_refused_when_written_without_warnings():
+    # the mean fits a float, the squared deviations behind the standard deviation do not
+    result = net_benefit([item("huge", amount=Uniform(1e200, 2e200))], McConfig(trials=100, seed=1))
+    with pytest.raises(ValidationError, match="not finite"):
+        dumps(result.to_dict())
 
 
 def test_seed_determinism():

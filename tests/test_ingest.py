@@ -1,11 +1,23 @@
+import csv
 import os
+from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from pdmecon import ingest
 from pdmecon.errors import IngestError, ValidationError
 from pdmecon.ingest import (
+    DEFAULT_TIMESTAMP_FORMATS,
+    EPOCH_MAX,
+    EPOCH_MIN,
+    EPOCH_SECONDS,
+    ISO8601,
     IngestConfig,
+    IngestReport,
     SensorFrame,
     Channel,
     load_historian_csv,
@@ -271,3 +283,245 @@ def test_frame_invariants_enforced():
         SensorFrame(timestamps=np.array([1, 2]), channels=(Channel("a", [0.0, np.nan]),))
     with pytest.raises(ValidationError, match="values"):
         SensorFrame(timestamps=np.array([1, 2]), channels=(Channel("a", [0.0]),))
+
+
+# ---------------------------------------------------------------- block-wise loader and writer against row-by-row references
+
+
+def reference_load(path, config=None):
+    """load_historian_csv one row at a time, every cell parsed by _parse_timestamp or float."""
+    config = config or IngestConfig()
+    path = Path(path)
+    reader = csv.reader(ingest._lines(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError(f"empty file: {path}") from None
+    names = [h.strip() for h in header]
+    if len(names) < 2:
+        raise IngestError(f"{path}: header must have a timestamp column plus >= 1 channel")
+    channel_names = names[1:]
+    n_channels = len(channel_names)
+
+    timestamps, columns = [], [[] for _ in range(n_channels)]
+    rows_read = dropped_sentinel = dropped_unparseable = 0
+    first_failure = None
+
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        rows_read += 1
+        cells = [c.strip() for c in row]
+        if any(c in config.sentinel_tokens for c in cells):
+            dropped_sentinel += 1
+            continue
+        if len(cells) != n_channels + 1:
+            dropped_unparseable += 1
+            if first_failure is None:
+                first_failure = f"line {lineno}: expected {n_channels + 1} cells, got {len(cells)}"
+            continue
+        ts = ingest._parse_timestamp(cells[0], config.timestamp_formats)
+        if ts is None:
+            dropped_unparseable += 1
+            if first_failure is None:
+                first_failure = (
+                    f"line {lineno}, column '{names[0]}': "
+                    f"'{cells[0]}' matches none of {list(config.timestamp_formats)}"
+                )
+            continue
+        try:
+            values = [float(c) for c in cells[1:]]
+        except ValueError:
+            dropped_unparseable += 1
+            if first_failure is None:
+                bad = next(c for c in cells[1:] if not _is_float(c))
+                col = channel_names[cells[1:].index(bad)]
+                first_failure = f"line {lineno}, column '{col}': '{bad}' is not numeric"
+            continue
+        if not all(np.isfinite(values)):
+            dropped_unparseable += 1
+            if first_failure is None:
+                first_failure = f"line {lineno}: non-finite value"
+            continue
+        timestamps.append(ts)
+        for col, v in zip(columns, values):
+            col.append(v)
+
+    if rows_read == 0:
+        raise IngestError(f"{path}: header-only file, no data rows")
+    if not timestamps:
+        detail = f" (first failure: {first_failure})" if first_failure else ""
+        raise IngestError(f"{path}: no rows survived cleaning{detail}")
+    ts_arr = np.asarray(timestamps, dtype=np.int64)
+    if np.any(np.diff(ts_arr) <= 0):
+        bad = int(np.argmax(np.diff(ts_arr) <= 0)) + 1
+        raise IngestError(
+            f"{path}: timestamps must be strictly increasing; violation at retained row {bad} "
+            f"(epoch {ts_arr[bad]} after {ts_arr[bad - 1]})"
+        )
+    frame = SensorFrame(ts_arr, tuple(Channel(name, np.asarray(col)) for name, col in zip(channel_names, columns)))
+    return frame, IngestReport(rows_read, dropped_sentinel, dropped_unparseable, n_channels)
+
+
+def _is_float(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def reference_write(frame, path):
+    """write_sensor_csv one row at a time through csv.writer and datetime."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["Timestamp"] + [ch.name for ch in frame.channels])
+        iso = [
+            datetime.fromtimestamp(int(t), tz=timezone.utc).replace(tzinfo=None).isoformat()
+            for t in frame.timestamps
+        ]
+        cols = [ch.values for ch in frame.channels]
+        for i, stamp in enumerate(iso):
+            writer.writerow([stamp] + [repr(float(c[i])) for c in cols])
+
+
+def _renderings(t: int) -> list[str]:
+    """One time in every shape the formats under test accept, or nearly accept."""
+    d = datetime.fromtimestamp(t, tz=timezone.utc)
+    ymd, dmy = f"{d.year:04d}-{d.month:02d}-{d.day:02d}", f"{d.day:02d}/{d.month:02d}/{d.year:04d}"
+    hms = f"{d.hour:02d}:{d.minute:02d}:{d.second:02d}"
+    return [
+        f"{ymd}T{hms}",
+        f"{ymd} {hms}",
+        f"{dmy} {hms}",
+        f"{dmy} {hms[:5]}",
+        f"{d.day}/{d.month}/{d.year} {d.hour}:{d.minute:02d}",
+        str(t),
+    ]
+
+
+ODD_STAMPS = [
+    "Bad Input", "", "31/02/2026 25:61:00", "٢٠٢٦-02-26T15:44:00", "２０２０-02-26T15:44:00", "٢٦/02/2020 15:44:00",
+    "2020-02-26T15:44:60", "2020-02-26T24:00:00", "0000-01-01T00:00:00", "00/01/0000 00:00", "29/02/2020 00:00:00",
+    "29/02/2021 00:00:00", "2020-02-26T15:44:00\x00", "2020-02-26T15:44:0\x00", "2020-02-26T15:44:00Z",
+    "1e400", "inf", "253402300800", "26/2/2020 15:44", "26/02/2020\t15:44:00",
+]
+ODD_VALUES = ["Bad Input", "N/A", "", "oops", "nan", "-inf", "1.5\x00", "١٢", "１２", "1_000", "1e400", " 2.5 "]
+FORMAT_ORDERS = [
+    DEFAULT_TIMESTAMP_FORMATS,
+    (ISO8601,),
+    (EPOCH_SECONDS, ISO8601),
+    (ISO8601, EPOCH_SECONDS),
+    ("%Y-%m-%d %H:%M:%S", ISO8601),
+    ("%Y-%d-%mT%H:%M:%S", ISO8601),  # takes ISO-shaped cells first, day and month swapped
+    ("%d/%m/%Y %H:%M", "%d/%m/%Y %H:%M:%S", EPOCH_SECONDS),
+    ("%d/%m/%Y %H:%M:%S", "%Y-%m-%d %H:%M:%S", "%d/%m/%Y %H:%M"),
+]
+padding = st.sampled_from(["", "", " ", " \t"])
+odd_stamps = st.sampled_from(ODD_STAMPS) | st.text("0123456789-/:T .Z\x00٣", max_size=20)
+odd_values = st.sampled_from(ODD_VALUES) | st.floats().map(repr) | st.text("0123456789.e+-naif \x00١", max_size=6)
+
+
+@st.composite
+def dirty_exports(draw):
+    """(channels, rows): rows of increasing times in mixed shapes, odd cells and wrong widths."""
+    channels = draw(st.integers(1, 3))
+    base = draw(st.integers(EPOCH_MIN, EPOCH_MAX - 61 * 40))
+    rows = []
+    for i in range(draw(st.integers(0, 14))):
+        width = draw(st.sampled_from([channels + 1] * 6 + [0, 1, channels + 2]))
+        if width == 0:
+            rows.append([])
+            continue
+        # mostly cells that parse, so that most exports keep some rows
+        stamp = draw(st.sampled_from(_renderings(base + 61 * i)) if draw(st.integers(0, 3)) else odd_stamps)
+        cells = [stamp] + [draw(st.floats(-1e6, 1e6).map(repr) if draw(st.integers(0, 5)) else odd_values)
+                           for _ in range(width - 1)]
+        rows.append([draw(padding) + c + draw(padding) for c in cells])
+    return channels, rows
+
+
+def _load_or_error(load, path, config):
+    try:
+        return load(path, config)
+    except IngestError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of three rows, so that a handful of rows crosses block boundaries."""
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(export=dirty_exports(), formats=st.sampled_from(FORMAT_ORDERS), tokens=st.sampled_from([("Bad Input",), ("N/A", "oops")]))
+@example(export=(1, [["2020-02-26T15:44:00", "1.0"], ["2020-02-26T15:44:01", "Bad Input", "2"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+@example(export=(2, [[" 2020-02-26T15:44:00 ", "\t1.0 ", " 2"], ["2020-02-26T15:44:01", "1.5\x00", "2"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+@example(export=(1, [["2020-02-26T15:44:00\x00", "1.0"], ["26/02/2020 15:44:0\x00", "2"], ["2020-02-26T15:44:02", "3"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+@example(export=(1, [["٢٠٢٠-02-26T15:44:00", "١٢"], ["٢٦/02/2020 15:45:00", "１２"], ["２６/02/2020 15:46", "3"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+@example(export=(1, [["29/02/2020 00:00:00", "1"], ["29/02/2021 00:00:00", "2"], ["2024-02-29T00:00:00", "3"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+@example(export=(1, [["2020-02-26T15:44:60", "1"], ["0000-01-01T00:00:00", "2"], ["26/2/2020 15:44", "3"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+@example(export=(1, [["1582731840", "1"], ["2020-02-26T15:44:01", "2"], ["2020-02-26 15:44:02", "3"]]),
+         formats=(EPOCH_SECONDS, ISO8601), tokens=("Bad Input",))
+@example(export=(1, [["2020-02-26 15:44:00", "1"], ["2020-02-26T15:44:01", "2"], ["2020-02-26T15:44:01", "3"]]),
+         formats=("%Y-%m-%d %H:%M:%S", ISO8601), tokens=("Bad Input",))
+@example(export=(1, [["week 4", "1"], ["31/02/2026 25:61:00", "2"], [], ["2020-02-26T15:44:00", "x", "y"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+@example(export=(1, [["2020-05-06T00:00:00", "1"], ["2020-06-07T00:00:00", "2"], ["2020-07-30T00:00:00", "3"]]),
+         formats=("%Y-%d-%mT%H:%M:%S", ISO8601), tokens=("Bad Input",))
+def test_loader_matches_row_by_row_reference(tmp_path, small_blocks, export, formats, tokens):
+    channels, rows = export
+    path = tmp_path / "export.csv"
+    header = ",".join(["Timestamp"] + [f"P{j}" for j in range(channels)])
+    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n", encoding="utf-8")
+    config = IngestConfig(sentinel_tokens=tokens, timestamp_formats=formats)
+    expected = _load_or_error(reference_load, path, config)
+    got = _load_or_error(load_historian_csv, path, config)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    (frame, report), (ref_frame, ref_report) = got, expected
+    assert report == ref_report
+    assert frame.timestamps.dtype == np.int64 and frame.timestamps.tobytes() == ref_frame.timestamps.tobytes()
+    assert frame.channel_names == ref_frame.channel_names
+    for ch, ref in zip(frame.channels, ref_frame.channels):
+        assert ch.values.dtype == np.float64 and ch.values.tobytes() == ref.values.tobytes()
+
+
+frames = st.integers(0, 3).flatmap(
+    lambda channels: st.tuples(
+        st.lists(st.integers(EPOCH_MIN, EPOCH_MAX) | st.sampled_from([EPOCH_MIN, EPOCH_MAX, 0]), unique=True, max_size=9),
+        st.lists(st.text(max_size=4) | st.sampled_from(["a,b", 'q"t', " sp "]), min_size=channels, max_size=channels),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e308]),
+                 min_size=9 * channels, max_size=9 * channels),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(frames)
+@example(([EPOCH_MIN, -1, 0, EPOCH_MAX], ["DPIT301", "a,b"], [-0.0, 5e-324, 1e308, -1e308] + [0.0] * 5 + [0.1, 2.2e-308, 1.0, -3.5] + [0.0] * 5))
+def test_writer_bytes_match_row_by_row_reference(tmp_path, small_blocks, frame_parts):
+    stamps, names, values = frame_parts
+    stamps = sorted(stamps)
+    frame = SensorFrame(
+        np.array(stamps, dtype=np.int64),
+        tuple(Channel(name, values[j * 9 : j * 9 + len(stamps)]) for j, name in enumerate(names)),
+    )
+    write_sensor_csv(frame, tmp_path / "block.csv")
+    reference_write(frame, tmp_path / "row.csv")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+@pytest.mark.parametrize("stamp", [EPOCH_MIN - 1, EPOCH_MAX + 1, 2**62])
+def test_writer_refuses_times_outside_the_years_1_to_9999(tmp_path, stamp):
+    frame = SensorFrame(np.array([0, stamp]) if stamp > 0 else np.array([stamp, 0]), (Channel("P1", [1.0, 2.0]),))
+    with pytest.raises(ValueError, match="outside the years 1 to 9999"):
+        write_sensor_csv(frame, tmp_path / "out.csv")

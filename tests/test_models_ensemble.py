@@ -6,7 +6,6 @@ import pytest
 from pdmecon.errors import ValidationError
 from pdmecon.models import (
     BoostHyperparams,
-    BoostModel,
     ForestHyperparams,
     fit_boost,
     fit_forest,
@@ -65,15 +64,10 @@ def test_forest_errors(data):
         fit_forest(X, y, ForestHyperparams(n_trees=0))
 
 
-def test_boost_zero_stage_model_predicts_init():
-    model = BoostModel(
-        init_value=10.0,
-        stages=[],
-        hyperparams=BoostHyperparams(n_stages=0, learning_rate=0.1, max_depth=3),
-        seed=0,
-        n_features=2,
-    )
-    np.testing.assert_array_equal(predict(model, np.zeros((3, 2))), [10.0, 10.0, 10.0])
+def test_boost_refuses_zero_stages():
+    # a boost model without stages would predict init_value for every row
+    with pytest.raises(ValidationError, match="n_stages must be >= 1"):
+        BoostHyperparams(n_stages=0, learning_rate=0.1, max_depth=3)
 
 
 def test_boost_memorizes_in_one_stage_with_unit_rate():

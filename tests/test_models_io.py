@@ -144,3 +144,9 @@ def test_tree_count_must_match_the_hyperparameters(held, kind, count):
     doc["hyperparams"][count] = 3
     with pytest.raises(ValidationError, match=rf"model\.params: .* holds {held} trees, but hyperparams\.{count} is 3"):
         model_from_dict(doc)
+
+
+def test_boost_document_without_stages_is_refused():
+    doc = document("boost", [])
+    with pytest.raises(ValidationError, match=r"n_stages must be >= 1"):
+        model_from_dict(doc)
