@@ -24,6 +24,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .cba import McConfig, bridge_from_simulation, format_summary_table, load_ledger, net_benefit
@@ -182,9 +183,7 @@ def cmd_detect(args) -> int:
     events = run_all_detectors(series, config)
     out = _out_dir(args)
     write_text(out / "events.jsonl", events_to_jsonl(events) + ("\n" if events else ""))
-    counts: dict[str, int] = {}
-    for e in events:
-        counts[e.kind.value] = counts.get(e.kind.value, 0) + 1
+    counts = Counter(e.kind.value for e in events)
     write_json(
         out / "detect_summary.json",
         {"schema_version": 1, "channel": args.channel, "total": len(events), "by_kind": counts},

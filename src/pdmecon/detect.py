@@ -9,11 +9,15 @@ Four fault families are covered, each as a pure scan over a uniformly sampled
 - stuck-at: rolling variance below a floor for a minimum duration;
 - high variance: rolling variance above a ceiling.
 
-Adjacent flagged samples merge into one inclusive [start, end] event; every
-detector returns events sorted by start with no overlaps. All constants live
-in DetectorConfig. Rolling variance is population variance (ddof=0) on a
-series centered by its global mean, which keeps the cumulative-sum form
-accurate for near-constant kPa-scale data.
+Every detector is ``detect_*(series, config: DetectorConfig) ->
+list[FaultEvent]`` and reads its thresholds and windows from the config, which
+checks their ranges itself; a detector refuses only what depends on the data
+(too few samples, a window longer than the series). Adjacent flagged samples
+merge into one inclusive [start, end] event; every detector returns events
+sorted by start with no overlaps. An event is written by its fields. Rolling
+variance is population variance (ddof=0) on a series centered by its global
+mean, which keeps the cumulative-sum form accurate for near-constant kPa-scale
+data.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import format_table
 from .errors import ValidationError
 from .ingest import series_values
 from .jsonio import dumps
@@ -39,21 +44,13 @@ class FaultKind(str, Enum):
 @dataclass(frozen=True)
 class FaultEvent:
     kind: FaultKind
-    start_index: int
-    end_index: int  # inclusive
+    start: int
+    end: int  # inclusive
     severity: float
 
     def __post_init__(self):
-        if self.start_index > self.end_index:
-            raise ValidationError(f"event start {self.start_index} > end {self.end_index}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "start": self.start_index,
-            "end": self.end_index,
-            "severity": self.severity,
-        }
+        if self.start > self.end:
+            raise ValidationError(f"event start {self.start} > end {self.end}")
 
 
 @dataclass(frozen=True)
@@ -115,61 +112,47 @@ def _rolling_var(values: np.ndarray, window: int) -> np.ndarray:
     return np.maximum(s2 / window - (s1 / window) ** 2, 0.0)
 
 
-def detect_outliers_gradient(series, max_rate: float) -> list[FaultEvent]:
-    """Flag samples whose step from the previous sample exceeds max_rate kPa/s."""
-    if max_rate <= 0:
-        raise ValidationError("max_rate must be > 0")
+def detect_outliers_gradient(series, config: DetectorConfig) -> list[FaultEvent]:
+    """Flag samples whose step from the previous sample exceeds gradient_max_rate kPa/s."""
     values = series_values(series)
     if len(values) < 2:
         raise ValidationError("need at least 2 samples")
-    excess = np.abs(np.diff(values)) - max_rate
+    excess = np.abs(np.diff(values)) - config.gradient_max_rate
     flags = np.concatenate(([False], excess > 0))
-    events = []
-    for start, end in _flag_runs(flags):
-        events.append(
-            FaultEvent(FaultKind.OUTLIER, start, end, float(excess[start - 1 : end].max()))
-        )
-    return events
-
-
-def detect_outliers_distance(series, window: int, k: float) -> list[FaultEvent]:
-    """Flag samples farther than k rolling MADs from the rolling median.
-
-    The window is centered, so the first and last window//2 samples are never
-    flagged. The MAD is floored at 1e-9 to avoid flagging identical data.
-    """
-    values = series_values(series)
-    if window % 2 == 0 or window < 3:
-        raise ValidationError("window must be odd and >= 3")
-    if window > len(values):
-        raise ValidationError(f"window {window} larger than series ({len(values)})")
-    half = window // 2
-    n = len(values)
-    flags = np.zeros(n, dtype=bool)
-    deviations = np.zeros(n)
-    strides = np.lib.stride_tricks.sliding_window_view(values, window)
-    medians = np.median(strides, axis=1)
-    mads = np.median(np.abs(strides - medians[:, None]), axis=1)
-    centers = np.arange(half, n - half)
-    dev = np.abs(values[centers] - medians)
-    limit = k * np.maximum(mads, 1e-9)
-    flags[centers] = dev > limit
-    deviations[centers] = dev - limit
     return [
-        FaultEvent(FaultKind.OUTLIER, start, end, float(deviations[start : end + 1].max()))
+        FaultEvent(FaultKind.OUTLIER, start, end, float(excess[start - 1 : end].max()))
         for start, end in _flag_runs(flags)
     ]
 
 
-def detect_spike(series, window: int, min_rise: float) -> list[FaultEvent]:
-    """Flag short-window uptrends: total rise >= min_rise with >= 80% of the
-    in-window steps non-decreasing. Overlapping windows merge; severity is the
-    rise over the merged span."""
-    if window < 2:
-        raise ValidationError("window must be >= 2")
-    if min_rise <= 0:
-        raise ValidationError("min_rise must be > 0")
+def detect_outliers_distance(series, config: DetectorConfig) -> list[FaultEvent]:
+    """Flag samples farther than mad_k rolling MADs from the rolling median.
+
+    The window is centered, so the first and last mad_window // 2 samples are
+    never flagged. The MAD is floored at 1e-9 to avoid flagging identical data.
+    """
     values = series_values(series)
+    window = config.mad_window
+    if window > len(values):
+        raise ValidationError(f"mad_window {window} larger than series ({len(values)})")
+    strides = np.lib.stride_tricks.sliding_window_view(values, window)
+    medians = np.median(strides, axis=1)
+    mads = np.median(np.abs(strides - medians[:, None]), axis=1)
+    centers = slice(window // 2, len(values) - window // 2)
+    excess = np.zeros(len(values))  # distance beyond the limit at each window's center
+    excess[centers] = np.abs(values[centers] - medians) - config.mad_k * np.maximum(mads, 1e-9)
+    return [
+        FaultEvent(FaultKind.OUTLIER, start, end, float(excess[start : end + 1].max()))
+        for start, end in _flag_runs(excess > 0)
+    ]
+
+
+def detect_spike(series, config: DetectorConfig) -> list[FaultEvent]:
+    """Flag spike_window-long uptrends: total rise >= spike_min_rise with >= 80%
+    of the in-window steps non-decreasing. Overlapping windows merge; severity
+    is the rise over the merged span."""
+    values = series_values(series)
+    window = config.spike_window
     n = len(values)
     if n < window:
         return []
@@ -177,7 +160,7 @@ def detect_spike(series, window: int, min_rise: float) -> list[FaultEvent]:
     c = np.concatenate(([0.0], np.cumsum(steps_up)))
     up_share = (c[window - 1 :] - c[: -(window - 1)]) / (window - 1)
     rise = values[window - 1 :] - values[: n - window + 1]
-    window_hits = (rise >= min_rise) & (up_share >= 0.8)
+    window_hits = (rise >= config.spike_min_rise) & (up_share >= 0.8)
     covered = _window_coverage(window_hits, window, n)
     return [
         FaultEvent(FaultKind.SPIKE, start, end, float(values[end] - values[start]))
@@ -201,12 +184,11 @@ def detect_stuck(series, config: DetectorConfig) -> list[FaultEvent]:
     if w > len(values):
         raise ValidationError(f"stuck_window {w} larger than series ({len(values)})")
     low = _rolling_var(values, w) < config.stuck_eps_var
-    events = []
-    for start, end in _flag_runs(_window_coverage(low, w, len(values))):
-        duration = end - start + 1
-        if duration >= config.stuck_min_duration:
-            events.append(FaultEvent(FaultKind.STUCK_AT, start, end, float(duration)))
-    return events
+    return [
+        FaultEvent(FaultKind.STUCK_AT, start, end, float(end - start + 1))
+        for start, end in _flag_runs(_window_coverage(low, w, len(values)))
+        if end - start + 1 >= config.stuck_min_duration
+    ]
 
 
 def detect_high_variance(series, config: DetectorConfig) -> list[FaultEvent]:
@@ -216,25 +198,20 @@ def detect_high_variance(series, config: DetectorConfig) -> list[FaultEvent]:
     w = config.var_window
     if w > len(values):
         raise ValidationError(f"var_window {w} larger than series ({len(values)})")
-    var = _rolling_var(values, w)
-    high = var > config.var_threshold
-    events = []
-    for start, end in _flag_runs(_window_coverage(high, w, len(values))):
-        severity = float(var[start : min(end, len(var) - 1) + 1].max() - config.var_threshold)
-        events.append(FaultEvent(FaultKind.HIGH_VARIANCE, start, end, severity))
-    return events
+    excess = _rolling_var(values, w) - config.var_threshold
+    return [
+        FaultEvent(FaultKind.HIGH_VARIANCE, start, end, float(excess[start : min(end, len(excess) - 1) + 1].max()))
+        for start, end in _flag_runs(_window_coverage(excess > 0, w, len(values)))
+    ]
 
 
-def run_all_detectors(series, config: DetectorConfig | None = None) -> list[FaultEvent]:
-    """Run every detector with its configured constants; events sorted by start."""
-    config = config or DetectorConfig()
-    events = []
-    events += detect_outliers_gradient(series, config.gradient_max_rate)
-    events += detect_outliers_distance(series, config.mad_window, config.mad_k)
-    events += detect_spike(series, config.spike_window, config.spike_min_rise)
-    events += detect_stuck(series, config)
-    events += detect_high_variance(series, config)
-    return sorted(events, key=lambda e: (e.start_index, e.end_index, e.kind.value))
+DETECTORS = (detect_outliers_gradient, detect_outliers_distance, detect_spike, detect_stuck, detect_high_variance)
+
+
+def run_all_detectors(series, config: DetectorConfig) -> list[FaultEvent]:
+    """Run every detector in DETECTORS; events sorted by start, end and kind."""
+    events = [event for detect in DETECTORS for event in detect(series, config)]
+    return sorted(events, key=lambda e: (e.start, e.end, e.kind.value))
 
 
 class Action(str, Enum):
@@ -287,15 +264,12 @@ def decide(
 
 
 def events_to_jsonl(events: list[FaultEvent]) -> str:
-    """One compact JSON object per line: {kind, start, end, severity}."""
-    return "\n".join(dumps(e.to_dict()) for e in events)
+    """One compact JSON object of the event's fields per line: {kind, start, end, severity}."""
+    return "\n".join(map(dumps, events))
 
 
 def format_events(events: list[FaultEvent]) -> str:
-    header = f"{'kind':<13}{'start':>8}{'end':>8}{'severity':>12}"
-    lines = [header]
-    for e in events:
-        lines.append(f"{e.kind.value:<13}{e.start_index:>8}{e.end_index:>8}{e.severity:>12.3f}")
-    if not events:
-        lines.append("(no events)")
-    return "\n".join(lines)
+    """Text table of the events, one row each; "(no events)" under the header when empty."""
+    rows = [[e.kind.value, str(e.start), str(e.end), f"{e.severity:.3f}"] for e in events]
+    table = format_table(["kind", "start", "end", "severity"], rows)
+    return table if events else f"{table}\n(no events)"

@@ -44,12 +44,12 @@ BLOCK_ROWS = 4096  # CSV rows parsed, or written, per block of whole columns
 
 @dataclass(frozen=True)
 class Series:
-    """A single sensor channel: aligned timestamps and values."""
+    """A single sensor channel: aligned timestamps and values. It carries no
+    unit; the detectors, models and simulator read pressures in kPa."""
 
     timestamps: np.ndarray  # int64 epoch seconds
     values: np.ndarray  # float64
     name: str = ""
-    unit: str = "kPa"
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
@@ -74,7 +74,6 @@ def series_values(series: Series | np.ndarray) -> np.ndarray:
 class Channel:
     name: str
     values: np.ndarray
-    unit: str = "kPa"
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
@@ -351,7 +350,7 @@ def load_historian_csv(
 def select_channel(frame: SensorFrame, name: str) -> Series:
     """Project one channel out of a frame, preserving row order and timestamps."""
     ch = frame.channel(name)
-    return Series(timestamps=frame.timestamps, values=ch.values, name=ch.name, unit=ch.unit)
+    return Series(timestamps=frame.timestamps, values=ch.values, name=ch.name)
 
 
 def write_sensor_csv(frame: SensorFrame, path: str | Path) -> None:

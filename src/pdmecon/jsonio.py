@@ -178,6 +178,9 @@ def _coerce(tp, value, where: str):
             raise _wrong(where, f"an array of {len(args)} entries", value)
         return tuple(_coerce(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
     if origin in (tuple, list):
+        if is_dataclass(args[0]) or _tag(args[0]) is not None:  # a non-object entry is named before any entry is read
+            for i, v in enumerate(value):
+                json_object(v, f"{where}[{i}]")
         return origin(_coerce(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if isinstance(tp, type) and issubclass(tp, Enum):
         choices = [m.value for m in tp]

@@ -9,7 +9,6 @@ import numpy as np
 from .. import format_table
 from ..errors import ValidationError
 from ..features import LagSpec, make_lag_matrix, walk_forward_splits
-from ..jsonio import from_dict
 from .ensemble import BoostHyperparams, BoostModel, ForestHyperparams, ForestModel, fit_boost, fit_forest
 from .linear import LinearHyperparams, LinearModel, fit_ols
 
@@ -20,6 +19,7 @@ MODELS = {
     "boost": (BoostHyperparams, fit_boost, BoostModel),
 }
 MODEL_KINDS = tuple(MODELS)
+AnyHyperparams = LinearHyperparams | ForestHyperparams | BoostHyperparams
 
 KIND_LABELS = {
     "linear": "Linear Regression",
@@ -65,19 +65,19 @@ class Hyperparams:
     boost: BoostHyperparams = BoostHyperparams()
 
 
-def fit_model(kind: str, X: np.ndarray, y: np.ndarray, hyperparams=None, seed: int = 0):
+def fit_model(kind: str, X: np.ndarray, y: np.ndarray, hyperparams: AnyHyperparams | None = None, seed: int = 0):
     """Fit one of the regressor kinds in MODELS.
 
-    hyperparams is the kind's hyperparameter dataclass or a JSON-style mapping
-    of its fields (validated here); None means the defaults.
+    hyperparams is the kind's hyperparameter dataclass, or None for its defaults.
     """
     if kind not in MODELS:
         raise ValidationError(f"unknown model kind '{kind}'; expected one of {MODEL_KINDS}")
     cls, fit, _ = MODELS[kind]
-    hp = hyperparams if isinstance(hyperparams, cls) else from_dict(
-        cls, {} if hyperparams is None else hyperparams, f"hyperparameters.{kind}"
-    )
-    return fit(X, y, hp, seed)
+    if hyperparams is None:
+        hyperparams = cls()
+    elif not isinstance(hyperparams, cls):
+        raise ValidationError(f"{kind} hyperparameters must be {cls.__name__}, got {type(hyperparams).__name__}")
+    return fit(X, y, hyperparams, seed)
 
 
 def predict(model, X: np.ndarray) -> np.ndarray:
@@ -92,7 +92,7 @@ def evaluate_cv(
     lag_spec: LagSpec,
     k: int,
     model_kind: str,
-    hyperparams: dict | None = None,
+    hyperparams: AnyHyperparams | None = None,
     seed: int = 0,
 ) -> EvalReport:
     """Walk-forward evaluation: fit a fresh model per fold, report test RMSE.
@@ -122,7 +122,7 @@ def format_eval_table(reports: list[EvalReport]) -> str:
     if any(len(r.per_split_rmse) != n_splits for r in reports):
         raise ValidationError("reports disagree on split count")
     headers = ["Split Number"] + [
-        f"{KIND_LABELS.get(r.model_kind, r.model_kind)} RMSE (kPa)" for r in reports
+        f"{KIND_LABELS[r.model_kind]} RMSE (kPa)" for r in reports
     ]
     rows = [[str(i + 1)] + [f"{r.per_split_rmse[i]:.2f}" for r in reports] for i in range(n_splits)]
     rows.append(["Average"] + [f"{r.average_rmse:.2f}" for r in reports])

@@ -74,7 +74,6 @@ DEFAULT_SETPOINT_SEGMENTS = (
 @dataclass(frozen=True)
 class TracePlan:
     duration_s: int = 8700
-    sample_period_s: int = 1
     baseline_kpa: float = 30.0
     segments: tuple[tuple[int, float], ...] = DEFAULT_SETPOINT_SEGMENTS
     noise_sigma_kpa: float = 0.2
@@ -83,8 +82,6 @@ class TracePlan:
     def __post_init__(self):
         if self.duration_s < 1:
             raise ValidationError("duration_s must be >= 1")
-        if self.sample_period_s != 1:
-            raise ValidationError("sample_period_s is fixed at 1 second")
         if self.noise_sigma_kpa < 0:
             raise ValidationError("noise_sigma_kpa must be >= 0")
         if self.warmup_s < 0:
@@ -97,7 +94,7 @@ class TracePlan:
 
 
 def generate_trace(plan: TracePlan, seed: int = 0) -> Series:
-    """Deterministic synthetic DPIT series for a plan and seed."""
+    """Deterministic synthetic DPIT series for a plan and seed, one reading per second."""
     n = plan.duration_s
     t = np.arange(n)
     base = np.full(n, plan.baseline_kpa)
@@ -107,7 +104,7 @@ def generate_trace(plan: TracePlan, seed: int = 0) -> Series:
         ramp = t < plan.warmup_s
         base[ramp] = plan.baseline_kpa * t[ramp] / plan.warmup_s
     noise = np.random.default_rng(seed).standard_normal(n) * plan.noise_sigma_kpa
-    return Series(timestamps=t.astype(np.int64), values=base + noise, name="DPIT301", unit="kPa")
+    return Series(timestamps=t.astype(np.int64), values=base + noise, name="DPIT301")
 
 
 @dataclass(frozen=True)
@@ -504,5 +501,5 @@ def trace_to_frame(series: Series) -> SensorFrame:
     """Wrap a trace as a single-channel SensorFrame for CSV export."""
     return SensorFrame(
         timestamps=series.timestamps,
-        channels=(Channel(name=series.name or "DPIT301", values=series.values, unit=series.unit),),
+        channels=(Channel(name=series.name or "DPIT301", values=series.values),),
     )

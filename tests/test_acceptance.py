@@ -357,8 +357,8 @@ def test_criterion_11_detector_suite():
 
         displaced = np.full(120, 30.0)
         displaced[60] = 80.0
-        assert detect_outliers_gradient(displaced, config.gradient_max_rate)
-        assert detect_outliers_distance(displaced, config.mad_window, config.mad_k)
+        assert detect_outliers_gradient(displaced, config)
+        assert detect_outliers_distance(displaced, config)
 
         slow = 30.0 + 0.01 * np.arange(400)
         assert run_all_detectors(slow, config) == []

@@ -144,6 +144,25 @@ def test_detect_outputs(tmp_path, historian_csv):
     assert summary["total"] >= 0
 
 
+@pytest.mark.parametrize(
+    "values, rows",
+    [
+        ([30.0] * 100, [["StuckAt", "0", "99", "100.000"]]),  # one event: the whole flat trace
+        ([30.0 + 0.01 * t for t in range(400)], [["(no", "events)"]]),  # a slow ramp flags nothing
+    ],
+    ids=["one-event", "no-events"],
+)
+def test_detect_prints_a_table_of_the_events(tmp_path, values, rows):
+    csv_path = tmp_path / "trace.csv"
+    csv_path.write_text(
+        "Timestamp,DPIT301\n" + "".join(f"1970-01-01T00:{t // 60:02d}:{t % 60:02d},{v!r}\n" for t, v in enumerate(values))
+    )
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["detect", "--csv", str(csv_path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert [line.split() for line in stdout.getvalue().splitlines()] == [["kind", "start", "end", "severity"], *rows]
+
+
 def test_simulate_and_cba_pipeline(tmp_path, historian_csv):
     model_dir = tmp_path / "model"
     result = run_cli(
@@ -482,6 +501,8 @@ MALFORMED = [
     ("plan-list", "synth", "--plan", lambda d: [SMALL_PLAN], "trace plan must be a JSON object"),
     ("plan-short-segment", "synth", "--plan", lambda d: {"segments": [[1]]}, "trace plan.segments[0]"),
     ("plan-string-duration", "synth", "--plan", lambda d: {"duration_s": "10"}, "trace plan.duration_s"),
+    ("plan-sample-period", "synth", "--plan", lambda d: {**SMALL_PLAN, "sample_period_s": 1},
+     "error: unknown field trace plan.sample_period_s"),
     ("injection-missing-peak", "synth", "--injections",
      lambda d: [{"kind": "spike_ramp", "at_s": 10, "rise_s": 5}], "injections[0].peak_kpa"),
     ("injections-number", "synth", "--injections", lambda d: 3, "error: injections must be an array, got 3"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdmecon.detect import (
+    DETECTORS,
     Action,
     DetectorConfig,
     FaultKind,
@@ -20,44 +21,44 @@ from pdmecon.errors import ValidationError
 def assert_sorted_non_overlapping(events):
     """Per-detector contract: sorted by start, no overlaps after merging."""
     for prev, cur in zip(events, events[1:]):
-        assert prev.start_index <= cur.start_index
-        assert prev.end_index < cur.start_index
+        assert prev.start <= cur.start
+        assert prev.end < cur.start
 
 
 # --- gradient outliers ---
 
 def test_gradient_constant_none():
-    assert detect_outliers_gradient(np.full(50, 30.0), 10.0) == []
+    assert detect_outliers_gradient(np.full(50, 30.0), DetectorConfig()) == []
 
 
 def test_gradient_isolated_jump():
-    events = detect_outliers_gradient(np.array([0.0, 0.0, 100.0, 0.0, 0.0]), 10.0)
+    events = detect_outliers_gradient(np.array([0.0, 0.0, 100.0, 0.0, 0.0]), DetectorConfig())
     assert len(events) == 1
     (event,) = events
     assert event.kind is FaultKind.OUTLIER
-    assert event.start_index <= 2 <= event.end_index
+    assert event.start <= 2 <= event.end
     assert event.severity >= 90.0
 
 
 def test_gradient_subthreshold_ramp():
-    assert detect_outliers_gradient(np.arange(100.0), 2.0) == []
+    assert detect_outliers_gradient(np.arange(100.0), DetectorConfig(gradient_max_rate=2.0)) == []
 
 
 def test_gradient_scale_covariance():
     rng = np.random.default_rng(6)
     series = np.cumsum(rng.normal(size=200)) + rng.normal(scale=4, size=200)
-    base = detect_outliers_gradient(series, 5.0)
-    scaled = detect_outliers_gradient(3.5 * series, 3.5 * 5.0)
-    assert [(e.start_index, e.end_index) for e in base] == [
-        (e.start_index, e.end_index) for e in scaled
+    base = detect_outliers_gradient(series, DetectorConfig(gradient_max_rate=5.0))
+    scaled = detect_outliers_gradient(3.5 * series, DetectorConfig(gradient_max_rate=3.5 * 5.0))
+    assert [(e.start, e.end) for e in base] == [
+        (e.start, e.end) for e in scaled
     ]
 
 
 def test_gradient_errors():
-    with pytest.raises(ValidationError):
-        detect_outliers_gradient(np.zeros(10), 0.0)
-    with pytest.raises(ValidationError):
-        detect_outliers_gradient(np.zeros(1), 1.0)
+    with pytest.raises(ValidationError, match="gradient_max_rate must be > 0"):
+        DetectorConfig(gradient_max_rate=0.0)
+    with pytest.raises(ValidationError, match="at least 2 samples"):
+        detect_outliers_gradient(np.zeros(1), DetectorConfig())
 
 
 # --- distance outliers ---
@@ -65,24 +66,24 @@ def test_gradient_errors():
 def test_distance_single_displaced_point():
     series = np.full(60, 30.0)
     series[25] = 80.0
-    events = detect_outliers_distance(series, 11, 5.0)
+    events = detect_outliers_distance(series, DetectorConfig(mad_window=11, mad_k=5.0))
     assert len(events) == 1
-    assert events[0].start_index == events[0].end_index == 25
+    assert events[0].start == events[0].end == 25
 
 
 def test_distance_noiseless_ramp_none():
-    assert detect_outliers_distance(np.arange(100.0), 11, 3.0) == []
+    assert detect_outliers_distance(np.arange(100.0), DetectorConfig(mad_window=11, mad_k=3.0)) == []
 
 
 def test_distance_identical_series_none():
-    assert detect_outliers_distance(np.full(40, 5.0), 11, 5.0) == []
+    assert detect_outliers_distance(np.full(40, 5.0), DetectorConfig(mad_window=11, mad_k=5.0)) == []
 
 
 def test_distance_window_errors():
     with pytest.raises(ValidationError, match="odd"):
-        detect_outliers_distance(np.zeros(20), 10, 3.0)
-    with pytest.raises(ValidationError, match="larger"):
-        detect_outliers_distance(np.zeros(5), 7, 3.0)
+        DetectorConfig(mad_window=10)
+    with pytest.raises(ValidationError, match="mad_window 7 larger than series"):
+        detect_outliers_distance(np.zeros(5), DetectorConfig(mad_window=7))
 
 
 # --- spikes ---
@@ -95,20 +96,31 @@ def spike_series():
 
 
 def test_spike_ramp_detected():
-    events = detect_spike(spike_series(), 10, 5.0)
+    events = detect_spike(spike_series(), DetectorConfig(spike_window=10, spike_min_rise=5.0))
     assert len(events) == 1
     assert events[0].kind is FaultKind.SPIKE
-    assert events[0].start_index <= 50
-    assert events[0].end_index >= 59
+    assert events[0].start <= 50
+    assert events[0].end >= 59
     assert events[0].severity >= 5.0
 
 
 def test_spike_constant_none():
-    assert detect_spike(np.full(60, 30.0), 10, 5.0) == []
+    assert detect_spike(np.full(60, 30.0), DetectorConfig()) == []
 
 
 def test_spike_decreasing_none():
-    assert detect_spike(np.linspace(100, 0, 80), 10, 5.0) == []
+    assert detect_spike(np.linspace(100, 0, 80), DetectorConfig()) == []
+
+
+def test_spike_series_shorter_than_window_none():
+    assert detect_spike(np.arange(5.0) * 10, DetectorConfig(spike_window=10)) == []
+
+
+def test_spike_errors():
+    with pytest.raises(ValidationError, match="spike_window must be >= 2"):
+        DetectorConfig(spike_window=1)
+    with pytest.raises(ValidationError, match="spike_min_rise must be > 0"):
+        DetectorConfig(spike_min_rise=0.0)
 
 
 # --- stuck-at ---
@@ -127,9 +139,9 @@ def test_stuck_constant_segment_detected():
     assert len(events) == 1
     (event,) = events
     assert event.kind is FaultKind.STUCK_AT
-    assert event.start_index >= 100
-    assert event.end_index <= 220
-    assert event.end_index - event.start_index + 1 >= 100  # spans most of the segment
+    assert event.start >= 100
+    assert event.end <= 220
+    assert event.end - event.start + 1 >= 100  # spans most of the segment
 
 
 def test_stuck_short_segment_gated():
@@ -150,8 +162,8 @@ def test_high_variance_alternating_segment():
     series[100:180] = 30.0 + 10.0 * (-1.0) ** np.arange(80)  # variance 100 > 25
     events = detect_high_variance(series, DetectorConfig())
     assert len(events) == 1
-    assert events[0].start_index <= 100
-    assert events[0].end_index >= 179 - 1
+    assert events[0].start <= 100
+    assert events[0].end >= 179 - 1
     assert events[0].severity > 0
 
 
@@ -192,18 +204,12 @@ def test_events_sorted_and_merged_on_messy_data():
     series[200:260] = 31.0
     series[400:440] = 30.0 + 8.0 * (-1.0) ** np.arange(40)
     config = DetectorConfig()
-    per_detector = [
-        detect_outliers_gradient(series, config.gradient_max_rate),
-        detect_outliers_distance(series, config.mad_window, config.mad_k),
-        detect_spike(series, config.spike_window, config.spike_min_rise),
-        detect_stuck(series, config),
-        detect_high_variance(series, config),
-    ]
+    per_detector = [detect(series, config) for detect in DETECTORS]
     assert any(per_detector)
     for events in per_detector:
         assert_sorted_non_overlapping(events)
     combined = run_all_detectors(series, config)
-    assert [e.start_index for e in combined] == sorted(e.start_index for e in combined)
+    assert [e.start for e in combined] == sorted(e.start for e in combined)
 
 
 def test_translation_covariance_local_detectors():
@@ -214,16 +220,12 @@ def test_translation_covariance_local_detectors():
 
     config = DetectorConfig()
     shift = 37
-    for detector in (
-        lambda s: detect_outliers_gradient(s, config.gradient_max_rate),
-        lambda s: detect_outliers_distance(s, config.mad_window, config.mad_k),
-        lambda s: detect_spike(s, config.spike_window, config.spike_min_rise),
-    ):
-        base = detector(build(120))
-        moved = detector(build(120 + shift))
+    for detector in (detect_outliers_gradient, detect_outliers_distance, detect_spike):
+        base = detector(build(120), config)
+        moved = detector(build(120 + shift), config)
         assert len(base) == len(moved) > 0
         for a, b in zip(base, moved):
-            assert (b.start_index, b.end_index) == (a.start_index + shift, a.end_index + shift)
+            assert (b.start, b.end) == (a.start + shift, a.end + shift)
 
 
 def test_translation_covariance_stuck():
@@ -234,17 +236,16 @@ def test_translation_covariance_stuck():
     base = detect_stuck(series, DetectorConfig())
     moved = detect_stuck(np.roll(series, shift), DetectorConfig())
     assert len(base) == len(moved) == 1
-    assert moved[0].start_index == base[0].start_index + shift
-    assert moved[0].end_index == base[0].end_index + shift
+    assert moved[0].start == base[0].start + shift
+    assert moved[0].end == base[0].end + shift
 
 
 def test_jsonl_output():
     series = np.full(30, 30.0)
     series[10] = 99.0
-    events = detect_outliers_gradient(series, 10.0)
+    events = detect_outliers_gradient(series, DetectorConfig())
     lines = events_to_jsonl(events).splitlines()
-    assert len(lines) == len(events)
-    assert '"kind": "Outlier"' in lines[0]
+    assert lines == ['{"end": 11, "kind": "Outlier", "severity": 59.0, "start": 10}']  # the step up and back down
 
 
 # --- decision rule ---
@@ -261,7 +262,7 @@ def test_decide_schedule_on_forecast_crossing():
     assert d.action is Action.SCHEDULE
     assert d.schedule_within_s == 300
     assert d.trigger.kind is FaultKind.LIMIT_BREACH
-    assert d.trigger.start_index == 30
+    assert d.trigger.start == 30
 
 
 def test_decide_halt_on_hard_limit():

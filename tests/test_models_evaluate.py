@@ -5,7 +5,16 @@ import pytest
 
 from pdmecon.errors import ValidationError
 from pdmecon.features import LagSpec
-from pdmecon.models import evaluate_cv, format_eval_table, rmse
+from pdmecon.jsonio import from_dict
+from pdmecon.models import (
+    BoostHyperparams,
+    ForestHyperparams,
+    Hyperparams,
+    evaluate_cv,
+    fit_model,
+    format_eval_table,
+    rmse,
+)
 
 
 def ar_series(n=400, phi=0.5, c=1.0, lag=5):
@@ -60,7 +69,7 @@ def test_report_shape_and_average():
         LagSpec(5, 30),
         5,
         "forest",
-        {"n_trees": 5, "max_depth": 6},
+        ForestHyperparams(n_trees=5, max_depth=6),
         seed=3,
     )
     assert len(report.per_split_rmse) == 5
@@ -69,16 +78,25 @@ def test_report_shape_and_average():
 
 def test_seed_determinism():
     series = ar_series(260) + np.random.default_rng(4).normal(scale=0.1, size=260)
-    a = evaluate_cv(series, LagSpec(5, 30), 5, "forest", {"n_trees": 4, "max_depth": 5}, seed=9)
-    b = evaluate_cv(series, LagSpec(5, 30), 5, "forest", {"n_trees": 4, "max_depth": 5}, seed=9)
+    a = evaluate_cv(series, LagSpec(5, 30), 5, "forest", ForestHyperparams(n_trees=4, max_depth=5), seed=9)
+    b = evaluate_cv(series, LagSpec(5, 30), 5, "forest", ForestHyperparams(n_trees=4, max_depth=5), seed=9)
     assert a == b
 
 
 def test_unknown_kind_and_hyperparams_rejected():
     with pytest.raises(ValidationError, match="unknown model kind"):
         evaluate_cv(ar_series(), LagSpec(5, 30), 5, "arima")
-    with pytest.raises(ValidationError, match="hyperparameters"):
-        evaluate_cv(ar_series(), LagSpec(5, 30), 5, "forest", {"trees": 3})
+    # an unknown field is refused where hyperparameters are read, by the file reader
+    with pytest.raises(ValidationError, match=r"unknown field hyperparameters\.forest\.trees"):
+        from_dict(Hyperparams, {"forest": {"trees": 3}}, "hyperparameters")
+    with pytest.raises(ValidationError, match="forest hyperparameters must be ForestHyperparams, got dict"):
+        evaluate_cv(ar_series(), LagSpec(5, 30), 5, "forest", {"n_trees": 3})
+
+
+def test_another_kinds_hyperparameters_are_refused():
+    X, y = np.zeros((10, 2)), np.zeros(10)
+    with pytest.raises(ValidationError, match="boost hyperparameters must be BoostHyperparams, got ForestHyperparams"):
+        fit_model("boost", X, y, ForestHyperparams())
 
 
 def test_constant_series_hits_ridge_path_without_failing():
@@ -90,7 +108,7 @@ def test_constant_series_hits_ridge_path_without_failing():
 def test_format_eval_table_shape():
     reports = [
         evaluate_cv(ar_series(200), LagSpec(2, 6), 5, "linear"),
-        evaluate_cv(ar_series(200), LagSpec(2, 6), 5, "boost", {"n_stages": 3}, seed=1),
+        evaluate_cv(ar_series(200), LagSpec(2, 6), 5, "boost", BoostHyperparams(n_stages=3), seed=1),
     ]
     table = format_eval_table(reports)
     lines = table.splitlines()

@@ -10,6 +10,7 @@ from pdmecon.errors import ValidationError
 from pdmecon.features import LagSpec
 from pdmecon.models import (
     MODEL_KINDS,
+    BoostHyperparams,
     ForestHyperparams,
     RegressionTree,
     fit_forest,
@@ -34,7 +35,8 @@ def data():
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_roundtrip_preserves_predictions(tmp_path, data, kind):
     X, y = data
-    model = fit_model(kind, X, y, {"forest": {"n_trees": 4}, "boost": {"n_stages": 6}}.get(kind), seed=2)
+    hyperparams = {"forest": ForestHyperparams(n_trees=4), "boost": BoostHyperparams(n_stages=6)}.get(kind)
+    model = fit_model(kind, X, y, hyperparams, seed=2)
     doc = model_to_dict(model, seed=2, lag_spec=LagSpec(1, 3))
     path = tmp_path / "model.json"
     write_json(path, doc)

@@ -116,7 +116,7 @@ def test_stuck_injection_freezes_span():
     injected = inject_faults(trace, [StuckAt(at_s=100, duration_s=120)])
     assert np.ptp(injected.values[100:220]) == 0.0
     events = detect_stuck(injected.values, DetectorConfig())
-    assert any(e.start_index >= 90 and e.end_index <= 230 for e in events)
+    assert any(e.start >= 90 and e.end <= 230 for e in events)
     # original untouched
     assert np.ptp(trace.values[100:220]) > 0.0
 

@@ -221,6 +221,25 @@ def test_readers_match_the_per_kind_reference(tmp_path, document, data):
         assert got == expected
 
 
+# (id, document whose injections hold an empty object and then null, reference reader, reader under test)
+OBJECT_THEN_NULL = [
+    ("injections", [{}, None], reference_injections, cli._injections),
+    ("injections-object", {"injections": [{}, None]}, reference_injections, cli._injections),
+    ("scenario", {**SCENARIO, "injections": [{}, None]}, reference_scenario, new_scenario),
+]
+
+
+@pytest.mark.parametrize("document", OBJECT_THEN_NULL, ids=[d[0] for d in OBJECT_THEN_NULL])
+def test_every_entry_is_an_object_before_any_entry_is_read(tmp_path, document):
+    _, doc, reference, reader = document
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    args = (path, MODEL, LAG_SPEC) if reader is new_scenario else (path,)
+    expected = read(reference, *args)
+    assert expected.endswith("injections[1] must be a JSON object, got null"), expected
+    assert read(reader, *args) == expected
+
+
 @pytest.mark.parametrize("document", DOCUMENTS, ids=[d[0] for d in DOCUMENTS])
 def test_each_unmutated_document_is_read_whole(tmp_path, document):
     _, base, reference, reader = document
