@@ -18,6 +18,6 @@ def data_path(name: str) -> Path:
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:
-    """Left-aligned text table, columns two spaces apart."""
+    """Left-aligned text table, columns two spaces apart, no line ending in a space."""
     widths = [max([len(h)] + [len(row[c]) for row in rows]) for c, h in enumerate(headers)]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in [headers, *rows])
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in [headers, *rows])

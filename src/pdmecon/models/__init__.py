@@ -17,7 +17,7 @@ from .evaluate import (
 )
 from .io import LoadedModel, load_model, model_from_dict, model_to_dict
 from .linear import LinearHyperparams, LinearModel, fit_ols
-from .tree import NodeView, RegressionTree, TreeParams, fit_tree, predict_tree
+from .tree import RegressionTree, TreeParams, fit_tree, predict_tree
 
 __all__ = [
     "BoostHyperparams",
@@ -31,7 +31,6 @@ __all__ = [
     "LinearModel",
     "LoadedModel",
     "MODEL_KINDS",
-    "NodeView",
     "RegressionTree",
     "TreeParams",
     "evaluate_cv",

@@ -4,13 +4,13 @@ A document holds the model's "kind", "seed", "hyperparams" (the fields of its
 hyperparameter dataclass), an optional "lag_spec" and "params", the model's
 other dataclass fields, written by jsonio.plain and read back by
 jsonio.from_dict into the model class that MODELS names for the kind. A tree
-is its node arrays: "feature", "threshold", "left", "right" and "value" lists
-of equal length in the layout of models.tree, plus "params" and "n_features".
-The model and tree classes check themselves on construction (a forest's
-n_trees and a booster's n_stages match its tree count, the trees share one
-width, the arrays describe a tree), so a loaded model has passed the same
-checks as a fitted one before anything walks it. Only schema version 2 is
-read; a version-1 model (nested-dict trees) must be retrained.
+is its nodes in preorder as models.tree holds them: "feature" per node (-1 at
+a leaf), "threshold" per split, "value" per leaf, plus "n_features". The model
+and tree classes check themselves on construction (a forest's n_trees and a
+booster's n_stages match its tree count, the trees share one width, the arrays
+describe one tree), so a loaded model has passed the same checks as a fitted
+one before anything walks it. Only schema version 3 is read; a version-1
+(nested-dict trees) or version-2 (per-node arrays) model must be retrained.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..features import LagSpec
 from ..jsonio import from_dict, load_json, plain
 from .evaluate import MODELS
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def model_to_dict(model, seed: int = 0, lag_spec: LagSpec | None = None) -> dict
 
 @dataclass(frozen=True)
 class _ModelDoc:
-    schema_version: Literal[1, 2]  # 1 is known only to ask for a retrain
+    schema_version: Literal[1, 2, 3]  # 1 and 2 are known only to ask for a retrain
     kind: str
     seed: int = 0
     lag_spec: LagSpec | None = None

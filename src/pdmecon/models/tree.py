@@ -1,14 +1,15 @@
 """CART-style regression tree grown by variance reduction, stored as flat arrays.
 
-A fitted tree is five parallel arrays, the layout of scikit-learn's Tree: node
-i routes x[feature[i]] <= threshold[i] to left[i] and the rest to right[i];
-a leaf has left = right = -1 (and feature -1) and predicts value[i]. Internal
-nodes keep the mean of their rows in value too. Every tree, fitted, built by
-hand or read from a model file, is checked on construction: the arrays have
-one length, a node has two children or none, children come after their
-parent and every node but the root has one parent, so a walk down the arrays
-always ends. Prediction stacks the trees of a model into one node array and
-walks all of them level by level.
+A fitted tree is its nodes in preorder: feature[i] is the feature node i
+splits on, or -1 at a leaf; threshold holds one entry per split and value one
+per leaf, both in node order. A split sends x[feature] <= threshold to its
+left child, the next node, and the rest to its right child, the node after
+the left subtree. Every tree, fitted, built by hand or read from a model file,
+is checked on construction: features are -1 or in range, the counts match,
+and the open-subtree count (1 + splits - leaves so far) stays at 1 or more
+before the last node and reaches 0 at it, so the nodes are exactly one tree.
+Prediction stacks the trees of a model into one node array and walks all of
+them level by level.
 
 Fitting argsorts X once per feature (stable) and stably partitions that order
 into the children at each split, so every node sees its rows sorted by each
@@ -19,8 +20,8 @@ candidate boundary. Candidate thresholds sit at midpoints between consecutive
 distinct sorted values, or at the lower value where the midpoint rounds up to
 the upper one or overflows, as in scikit-learn; ties in reduction resolve to
 the lowest (feature index, threshold) so fitting is deterministic. The build
-loop uses an explicit stack, pathological data can produce trees deeper than
-Python's recursion limit.
+loop uses an explicit stack that pops nodes in preorder; pathological data can
+produce trees deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -48,54 +49,60 @@ class TreeParams:
 
 @dataclass(frozen=True, eq=False)
 class RegressionTree:
-    feature: Annotated[np.ndarray, np.intp]  # -1 at leaves
-    threshold: Annotated[np.ndarray, np.float64]
-    left: Annotated[np.ndarray, np.intp]  # -1 at leaves
-    right: Annotated[np.ndarray, np.intp]  # -1 at leaves
-    value: Annotated[np.ndarray, np.float64]  # the mean of the node's training targets
-    params: TreeParams
+    feature: Annotated[np.ndarray, np.intp]  # per node in preorder, -1 at a leaf
+    threshold: Annotated[np.ndarray, np.float64]  # per split, in node order
+    value: Annotated[np.ndarray, np.float64]  # per leaf, in node order: the mean of its training targets
     n_features: int
 
     def __post_init__(self):
-        for name in ("feature", "left", "right"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.intp))
+        object.__setattr__(self, "feature", np.asarray(self.feature, dtype=np.intp))
         for name in ("threshold", "value"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        n = len(self.value)
+        feature, n = self.feature, len(self.feature)
         if n == 0:
-            raise ValidationError("value must hold at least one node")
-        for name in ("feature", "threshold", "left", "right"):
-            if len(getattr(self, name)) != n:
-                raise ValidationError(f"{name} has {len(getattr(self, name))} entries but value has {n}")
+            raise ValidationError("feature must hold at least one node")
 
         def first(bad: np.ndarray) -> int | None:
             return int(np.argmax(bad)) if bad.any() else None
 
-        feature, left, right = self.feature, self.left, self.right
-        leaf = left == -1
-        if (i := first(leaf != (right == -1))) is not None:
-            raise ValidationError(
-                f"left[{i}] is {left[i]} but right[{i}] is {right[i]}; a node has two children or none"
-            )
-        nodes = np.arange(n)
-        for name, child in (("left", left), ("right", right)):
-            if (i := first(~leaf & ~((nodes < child) & (child < n)))) is not None:
-                raise ValidationError(f"{name}[{i}] is {child[i]}; a child must point forward, into ({i}, {n})")
-        parents = np.bincount(np.concatenate([left[~leaf], right[~leaf]]), minlength=n)
-        if (i := first(parents[1:] != 1)) is not None:
-            raise ValidationError(
-                f"node {i + 1} is a child of {parents[i + 1]} nodes; every node but the root has one parent"
-            )
+        leaf = feature == -1
         if (i := first(~leaf & ~((0 <= feature) & (feature < self.n_features)))) is not None:
-            raise ValidationError(f"feature[{i}] {feature[i]} is not a feature index below {self.n_features}")
+            raise ValidationError(f"feature[{i}] {feature[i]} is not -1 or a feature index below {self.n_features}")
+        for name, count, what in (("threshold", n - leaf.sum(), "splits"), ("value", leaf.sum(), "leaves")):
+            if len(getattr(self, name)) != count:
+                raise ValidationError(f"{name} has {len(getattr(self, name))} entries but the tree has {count} {what}")
+        # subtrees still open after each node: a split opens two in place of its own, a leaf closes its own
+        open_after = 1 + np.cumsum(np.where(leaf, -1, 1))
+        if (i := first(open_after[:-1] < 1)) is not None:
+            raise ValidationError(f"node {i} completes the tree, but {n - 1 - i} more node(s) follow it")
+        if open_after[-1] != 0:
+            raise ValidationError(f"node {n - 1} is the last, but {open_after[-1]} open subtree(s) have no nodes")
 
     @property
     def n_nodes(self) -> int:
-        return len(self.value)
+        return len(self.feature)
 
     @property
     def root(self) -> "NodeView":
-        return NodeView(self, 0)
+        return NodeView(self, 0, self.per_node())
+
+    def per_node(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(left, right, threshold, value) for every node; a leaf is its own left and right child.
+
+        A split's left child is the next node, and its right child the next
+        node that starts with as many open subtrees as the split did. threshold
+        is 0.0 at a leaf and value 0.0 at a split.
+        """
+        leaf = self.feature == -1
+        step = np.where(leaf, -1, 1)
+        order = np.argsort(np.cumsum(step) - step, kind="stable")  # by the subtrees open before each node
+        left, right = np.arange(len(leaf)) + ~leaf, np.arange(len(leaf))
+        node, after = order[:-1], order[1:]
+        split = ~leaf[node]
+        right[node[split]] = after[split]
+        threshold, value = np.zeros(len(leaf)), np.zeros(len(leaf))
+        threshold[~leaf], value[leaf] = self.threshold, self.value
+        return left, right, threshold, value
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,18 +111,19 @@ class NodeView:
 
     tree: RegressionTree
     index: int
+    nodes: tuple  # the tree's per_node(), computed once for the whole walk
 
     @property
     def is_leaf(self) -> bool:
-        return bool(self.tree.left[self.index] < 0)
+        return bool(self.tree.feature[self.index] == -1)
 
     @property
     def left(self) -> "NodeView | None":
-        return None if self.is_leaf else NodeView(self.tree, int(self.tree.left[self.index]))
+        return None if self.is_leaf else NodeView(self.tree, self.index + 1, self.nodes)
 
     @property
     def right(self) -> "NodeView | None":
-        return None if self.is_leaf else NodeView(self.tree, int(self.tree.right[self.index]))
+        return None if self.is_leaf else NodeView(self.tree, int(self.nodes[1][self.index]), self.nodes)
 
     @property
     def feature(self) -> int:
@@ -123,34 +131,12 @@ class NodeView:
 
     @property
     def threshold(self) -> float:
-        return float(self.tree.threshold[self.index])
+        return float(self.nodes[2][self.index])
 
     @property
-    def value(self) -> float:
-        return float(self.tree.value[self.index])
-
-
-class NodeLists:
-    """A tree under construction: node 0 is the root, every new node a leaf."""
-
-    def __init__(self):
-        self.feature, self.threshold, self.left, self.right, self.value = [-1], [0.0], [-1], [-1], [0.0]
-
-    def split(self, node: int, feature: int, threshold: float) -> tuple[int, int]:
-        """Turn leaf `node` into a split over two new leaves; returns their indices."""
-        lnode = len(self.value)
-        for column, fill in (
-            (self.feature, -1), (self.threshold, 0.0), (self.left, -1), (self.right, -1), (self.value, 0.0)
-        ):
-            column += (fill, fill)
-        self.feature[node], self.threshold[node] = feature, threshold
-        self.left[node], self.right[node] = lnode, lnode + 1
-        return lnode, lnode + 1
-
-    def tree(self, params: TreeParams, n_features: int) -> RegressionTree:
-        return RegressionTree(
-            self.feature, self.threshold, self.left, self.right, self.value, params=params, n_features=n_features
-        )
+    def value(self) -> float | None:
+        """The leaf's prediction; None at a split."""
+        return float(self.nodes[3][self.index]) if self.is_leaf else None
 
 
 def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,61 +208,60 @@ def fit_tree(
     def splittable(rows: np.ndarray, depth: int) -> bool:
         return (max_depth is None or depth < max_depth) and len(rows) >= 2 * min_leaf
 
-    nodes = NodeLists()
+    feature, threshold, value = [], [], []
     goes_left = np.zeros(len(y), dtype=bool)
-    # (node, its rows ascending, (their per-feature sorted order, sorted X), depth)
-    stack = [(0, np.arange(len(y)), presort(X) if presorted is None else presorted, 0)]
+    # (a node's rows ascending, (their per-feature sorted order, sorted X), depth); popped in preorder
+    stack = [(np.arange(len(y)), presort(X) if presorted is None else presorted, 0)]
     while stack:
-        node, idx, sorted_rows, depth = stack.pop()
+        idx, sorted_rows, depth = stack.pop()
         y_node = y[idx]  # ascending rows: the mean's pairwise sum sees the same order
-        nodes.value[node] = float(y_node.mean())
-        if not splittable(idx, depth) or np.ptp(y_node) == 0.0:
-            continue
-        order, xs = sorted_rows
-        split = _best_split(xs, y.take(order), min_leaf)
+        split = None
+        if splittable(idx, depth) and np.ptp(y_node) != 0.0:
+            order, xs = sorted_rows
+            split = _best_split(xs, y.take(order), min_leaf)
         if split is None:
+            feature.append(-1)
+            value.append(float(y_node.mean()))
             continue
+        feature.append(split[0])
+        threshold.append(split[1])
         mask = X[idx, split[0]] <= split[1]
         lrows, rrows = idx[mask], idx[~mask]
         # a stable partition keeps each feature's sorted order within both children
         goes_left[lrows] = True
         side = goes_left.take(order)
         goes_left[lrows] = False
-        for child, child_rows, here in zip(nodes.split(node, *split), (lrows, rrows), (side, ~side)):
+        # the right child goes on the stack first, so the left one pops next
+        for child_rows, here in ((rrows, ~side), (lrows, side)):
             child_sorted = None  # a child that cannot split needs no sorted arrays
             if splittable(child_rows, depth + 1):
                 at = np.flatnonzero(here)
                 shape = (len(order), len(child_rows))
                 child_sorted = order.take(at).reshape(shape), xs.take(at).reshape(shape)
-            stack.append((child, child_rows, child_sorted, depth + 1))
-    return nodes.tree(params, X.shape[1])
+            stack.append((child_rows, child_sorted, depth + 1))
+    return RegressionTree(feature, threshold, value, n_features=X.shape[1])
 
 
 def stack_trees(trees: list[RegressionTree]) -> tuple:
     """Concatenate trees into one node array for walk_stacked.
 
-    Returns (feature, threshold, left, right, value, roots, depth). A leaf's
-    children point at the leaf itself, so every row that walks `depth` levels
-    down from a root ends on its leaf.
+    Returns (feature, threshold, left, right, value, roots, depth), the first
+    five per node as in each tree's per_node(). A leaf is its own child, so
+    every row that walks `depth` levels down from a root ends on its leaf.
     """
     sizes = [tree.n_nodes for tree in trees]
     roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)
     offset = np.repeat(roots, sizes)
-
-    def joined(name: str) -> np.ndarray:
-        return np.concatenate([getattr(tree, name) for tree in trees])
-
-    leaf = joined("left") < 0
-    itself = np.arange(len(leaf))
-    left = np.where(leaf, itself, joined("left") + offset)
-    right = np.where(leaf, itself, joined("right") + offset)
+    left, right, threshold, value = (np.concatenate(column) for column in zip(*(tree.per_node() for tree in trees)))
+    left, right = left + offset, right + offset
+    feature = np.concatenate([tree.feature for tree in trees])
+    leaf = feature == -1
     depth, level = 0, roots[~leaf[roots]]
     while level.size:
         level = np.concatenate([left[level], right[level]])
         level = level[~leaf[level]]
         depth += 1
-    feature = np.where(leaf, 0, joined("feature"))
-    return feature, joined("threshold"), left, right, joined("value"), roots, depth
+    return np.where(leaf, 0, feature), threshold, left, right, value, roots, depth
 
 
 def walk_stacked(stacked: tuple, X: np.ndarray) -> np.ndarray:

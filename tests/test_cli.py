@@ -97,7 +97,7 @@ def test_train_writes_model_with_lag_spec(tmp_path, historian_csv):
     assert result.returncode == 0, result.stderr
     doc = json.loads((out_dir / "model.json").read_text())
     assert doc["kind"] == "linear"
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["lag_spec"] == {"min_lag": 2, "max_lag": 8}
     assert len(doc["params"]["coefficients"]) == 7
 
@@ -469,11 +469,12 @@ def model_doc(d, name="model.json"):
     return json.loads((d / name).read_text())
 
 
-def tree_edited(d, kind, i, field, change):
-    """The trained forest or boost model with change() applied to one field of tree i."""
+def tree_edited(d, kind, i, **changes):
+    """The trained forest or boost model with each change(old value or None) applied to its field of tree i."""
     doc = model_doc(d, f"{kind}_model.json")
     tree = doc["params"]["trees" if kind == "forest" else "stages"][i]
-    tree[field] = change(tree[field])
+    for field, change in changes.items():
+        tree[field] = change(tree.get(field))
     return doc
 
 
@@ -536,29 +537,41 @@ MALFORMED = [
      lambda d: edited(model_doc(d), "params", "coefficients", 0, value=True),
      "model.params.coefficients[0] must be a number"),
     ("model-tree-string-threshold", "simulate", "--model",
-     lambda d: tree_edited(d, "forest", 0, "threshold", lambda t: t[:2] + ["1"] + t[3:]),
+     lambda d: tree_edited(d, "forest", 0, threshold=lambda t: t[:2] + ["1"] + t[3:]),
      "model.params.trees[0].threshold[2] must be a number"),
-    ("model-tree-fractional-child", "simulate", "--model",
-     lambda d: tree_edited(d, "forest", 0, "left", lambda c: [1.5] + c[1:]),
-     "model.params.trees[0].left[0] must be an integer"),
-    ("model-tree-huge-child", "simulate", "--model",
-     lambda d: tree_edited(d, "boost", 0, "right", lambda c: [2**64] + c[1:]),
-     "model.params.stages[0].right holds an integer out of range"),
+    ("model-tree-fractional-feature", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 0, feature=lambda f: [1.5] + f[1:]),
+     "model.params.trees[0].feature[0] must be an integer"),
+    ("model-tree-huge-feature", "simulate", "--model",
+     lambda d: tree_edited(d, "boost", 0, feature=lambda f: [2**64] + f[1:]),
+     "model.params.stages[0].feature holds an integer out of range"),
+    ("model-tree-feature-minus-2", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 0, feature=lambda f: [-2] + f[1:]),
+     "model.params.trees[0]: feature[0] -2 is not -1 or a feature index below 3"),
     ("model-tree-short-threshold", "simulate", "--model",
-     lambda d: tree_edited(d, "forest", 0, "threshold", lambda t: t[:-1]), "model.params.trees[0]: threshold has"),
-    ("model-tree-backward-child", "simulate", "--model",
-     lambda d: tree_edited(d, "forest", 0, "left", lambda c: [0] + c[1:]), "model.params.trees[0]: left[0] is 0"),
-    ("model-tree-shared-child", "simulate", "--model",
-     lambda d: tree_edited(d, "forest", 0, "right", lambda c: [c[0] - 1] + c[1:]), "is a child of 2 nodes"),
+     lambda d: tree_edited(d, "forest", 0, threshold=lambda t: t[:-1]), "model.params.trees[0]: threshold has"),
+    ("model-tree-long-value", "simulate", "--model",
+     lambda d: tree_edited(d, "boost", 0, value=lambda v: v + [0.0]), "model.params.stages[0]: value has"),
+    # a leaf in front of the root: it is a whole tree, and the root's nodes follow it
+    ("model-tree-leaf-ends-early", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 0, feature=lambda f: [-1] + f, value=lambda v: [0.0] + v),
+     "model.params.trees[0]: node 0 completes the tree, but"),
+    # without its last leaf, the last split has one child
     ("model-tree-one-child", "simulate", "--model",
-     lambda d: tree_edited(d, "boost", 0, "right", lambda c: [-1] + c[1:]),
-     "model.params.stages[0]: left[0] is 1 but right[0] is -1"),
+     lambda d: tree_edited(d, "boost", 0, feature=lambda f: f[:-1], value=lambda v: v[:-1]),
+     "1 open subtree(s) have no nodes"),
     ("model-tree-feature-range", "simulate", "--model",
-     lambda d: tree_edited(d, "forest", 1, "feature", lambda f: [3] + f[1:]), "model.params.trees[1]: feature[0] 3"),
+     lambda d: tree_edited(d, "forest", 1, feature=lambda f: [3] + f[1:]), "model.params.trees[1]: feature[0] 3"),
+    # schema 2's per-node children and per-tree hyperparameters are not fields of a tree
+    ("model-tree-left", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 0, left=lambda _: [1, -1, -1]), "unknown field model.params.trees[0].left"),
+    ("model-tree-params", "simulate", "--model",
+     lambda d: tree_edited(d, "forest", 0, params=lambda _: {"max_depth": None, "min_samples_leaf": 50}),
+     "unknown field model.params.trees[0].params"),
     ("model-forest-mixed-width", "simulate", "--model",
-     lambda d: tree_edited(d, "forest", 1, "n_features", lambda n: 5), "model.params: trees[1].n_features is 5"),
+     lambda d: tree_edited(d, "forest", 1, n_features=lambda n: 5), "model.params: trees[1].n_features is 5"),
     ("model-boost-stage-width", "simulate", "--model",
-     lambda d: tree_edited(d, "boost", 1, "n_features", lambda n: 5), "model.params: stages[1].n_features is 5"),
+     lambda d: tree_edited(d, "boost", 1, n_features=lambda n: 5), "model.params: stages[1].n_features is 5"),
     ("model-forest-tree-count", "simulate", "--model",
      lambda d: edited(model_doc(d, "forest_model.json"), "hyperparams", "n_trees", value=3),
      "model.params: trees holds 2 trees, but hyperparams.n_trees is 3"),
@@ -620,6 +633,16 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, inputs, case):
     assert code == 1, err
     assert expected in err, err
     assert not out.exists() or not any(out.iterdir())  # nothing written, not even a temp file
+
+
+@pytest.mark.parametrize("name", ["evaluate", "detect", "simulate", "cba"])
+def test_printed_tables_have_no_trailing_spaces(tmp_path, inputs, name):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main([str(a) for a in command(inputs, name, tmp_path)]) == 0
+    lines = stdout.getvalue().splitlines()
+    assert len(lines) > 1
+    assert [line for line in lines if line.endswith(" ")] == []
 
 
 def test_cba_bridge_prices_uptime_at_the_simulated_rate(tmp_path, inputs):

@@ -4,7 +4,9 @@ Each artifact type is built by hand, with no fitting, so BLAS and the tree
 search cannot move the bytes; the files in tests/golden/ hold what the
 writers produced before `jsonio.plain` replaced the hand-written to_dict
 copies, and every change to how artifacts are written must keep them. The
-model files must also load and write back unchanged.
+model files, rewritten from the same hand-built models when trees became
+preorder arrays (schema 3), must also load and write back unchanged and
+predict what they did before.
 """
 
 import json
@@ -26,7 +28,6 @@ from pdmecon.models import (
     ForestModel,
     LinearModel,
     RegressionTree,
-    TreeParams,
     load_model,
     model_to_dict,
 )
@@ -36,27 +37,16 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def split_tree(scale):
-    # x0 <= 0.5 -> node 1; else x1 <= -1.0 -> node 3, else node 4
+    # preorder: x0 <= 0.5 -> leaf 1; else x1 <= -1.0 -> leaf 2, else leaf 3
     return RegressionTree(
         feature=np.array([0, -1, 1, -1, -1]),
-        threshold=np.array([0.5, 0.0, -1.0, 0.0, 0.0]),
-        left=np.array([1, -1, 3, -1, -1]),
-        right=np.array([2, -1, 4, -1, -1]),
-        value=np.array([2.0, 1.0, 2.5, 2.0, 3.0]) / scale,
-        params=TreeParams(max_depth=2),
+        threshold=np.array([0.5, -1.0]),
+        value=np.array([1.0, 2.0, 3.0]) / scale,
         n_features=2,
     )
 
 
-LEAF = RegressionTree(
-    feature=np.array([-1]),
-    threshold=np.array([0.0]),
-    left=np.array([-1]),
-    right=np.array([-1]),
-    value=np.array([0.1]),
-    params=TreeParams(min_samples_leaf=3),
-    n_features=2,
-)
+LEAF = RegressionTree(feature=np.array([-1]), threshold=np.array([]), value=np.array([0.1]), n_features=2)
 
 SAMPLES = np.array([1.0, 2.5, 4.0, 7.25, 3.1])
 
@@ -147,6 +137,21 @@ def test_model_file_loads_and_writes_back_the_same_bytes(tmp_path, name):
     path = tmp_path / name
     write_json(path, model_to_dict(loaded.model, seed=seed, lag_spec=loaded.lag_spec))
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# x0 in (0, 0.5, 1) by x1 in (-2, -1, 0) reaches every leaf of split_tree
+PROBES = np.array([[a, b] for a in (0.0, 0.5, 1.0) for b in (-2.0, -1.0, 0.0)])
+
+# what the hand-built trees predicted on PROBES when trees were stored as per-node arrays (schema 2)
+PROBE_PREDICTIONS = {
+    "model_forest.json": [0.21666666666666667] * 6 + [0.3833333333333333] * 2 + [0.55],
+    "model_boost.json": [0.2642857142857143] * 6 + [0.3357142857142857] * 2 + [0.4071428571428571],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_PREDICTIONS))
+def test_golden_tree_model_predicts_the_floats_it_always_has(name):
+    assert load_model(GOLDEN / name).model.predict(PROBES).tolist() == PROBE_PREDICTIONS[name]
 
 
 def test_plain_writes_fields_and_refuses_what_json_cannot_hold():

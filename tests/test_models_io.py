@@ -53,7 +53,7 @@ def test_serialized_document_is_stable(data):
     a = model_to_dict(fit_forest(X, y, ForestHyperparams(n_trees=3), seed=7), seed=7)
     b = model_to_dict(fit_forest(X, y, ForestHyperparams(n_trees=3), seed=7), seed=7)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    assert a["schema_version"] == 2
+    assert a["schema_version"] == 3
 
 
 def test_bad_documents_rejected(tmp_path):
@@ -82,19 +82,11 @@ def test_deep_tree_roundtrip():
     np.testing.assert_array_equal(predict_tree(clone, probes), predict_tree(tree, probes))
 
 
-# x0 <= 0.5 -> 1.0; else x1 <= -1.0 -> 2.0, else 3.0
-SPLITS = {
-    "feature": [0, -1, 1, -1, -1],
-    "threshold": [0.5, 0.0, -1.0, 0.0, 0.0],
-    "left": [1, -1, 3, -1, -1],
-    "right": [2, -1, 4, -1, -1],
-    "value": [2.0, 1.0, 2.5, 2.0, 3.0],
-    "params": {"max_depth": None, "min_samples_leaf": 1},
-    "n_features": 2,
-}
+# preorder: x0 <= 0.5 -> 1.0; else x1 <= -1.0 -> 2.0, else 3.0
+SPLITS = {"feature": [0, -1, 1, -1, -1], "threshold": [0.5, -1.0], "value": [1.0, 2.0, 3.0], "n_features": 2}
 
 # one leaf splits on no feature, so it is a valid tree at any width
-LEAF = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [5.0], "params": SPLITS["params"]}
+LEAF = {"feature": [-1], "threshold": [], "value": [5.0]}
 
 
 def document(kind, trees, n_features=2):
@@ -105,24 +97,40 @@ def document(kind, trees, n_features=2):
     else:
         hyperparams = {"n_stages": len(trees), "learning_rate": 0.5, **tree_params}
         params = {"init_value": 1.0, "stages": trees, "n_features": n_features}
-    return {"schema_version": 2, "kind": kind, "seed": 4, "hyperparams": hyperparams, "params": params}
+    return {"schema_version": 3, "kind": kind, "seed": 4, "hyperparams": hyperparams, "params": params}
 
 
-def test_version_1_document_exits_1_asking_to_retrain(tmp_path, capsys):
-    # the retired format: trees as nested {"f", "t", "l", "r"} / {"v"} dicts
-    v1_tree = {"root": {"f": 0, "t": 0.5, "l": {"v": 1.0}, "r": {"v": 2.0}}, "params": {}, "n_features": 2}
-    doc = {**document("forest", [v1_tree]), "schema_version": 1}
+RETIRED_TREES = {
+    # nested {"f", "t", "l", "r"} / {"v"} dicts
+    1: {"root": {"f": 0, "t": 0.5, "l": {"v": 1.0}, "r": {"v": 2.0}}, "params": {}, "n_features": 2},
+    # five arrays of one entry per node, children by index, means at every node
+    2: {
+        "feature": [0, -1, -1],
+        "threshold": [0.5, 0.0, 0.0],
+        "left": [1, -1, -1],
+        "right": [2, -1, -1],
+        "value": [1.5, 1.0, 2.0],
+        "params": {"max_depth": None, "min_samples_leaf": 1},
+        "n_features": 2,
+    },
+}
+
+
+@pytest.mark.parametrize("version", sorted(RETIRED_TREES))
+def test_retired_version_exits_1_asking_to_retrain(tmp_path, capsys, version):
+    doc = {**document("forest", [RETIRED_TREES[version]]), "schema_version": version}
     path = tmp_path / "model.json"
     write_json(path, doc)
     scenario = Path(pdmecon.__file__).parent / "data" / "scenario2_avoid_breakdown.json"
     argv = ["simulate", "--scenario", str(scenario), "--model", str(path), "--seed", "1", "--out-dir", str(tmp_path)]
     assert main(argv) == 1
-    assert "model.schema_version is 1; only version 2 is read, so retrain the model" in capsys.readouterr().err
+    expected = f"model.schema_version is {version}; only version 3 is read, so retrain the model"
+    assert expected in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [0, 3, -1])
+@pytest.mark.parametrize("version", [0, 4, -1])
 def test_unknown_schema_version_is_not_told_to_retrain(version):
-    with pytest.raises(ValidationError, match=r"^model\.schema_version must be 1 or 2, got ") as info:
+    with pytest.raises(ValidationError, match=r"^model\.schema_version must be 1 or 2 or 3, got ") as info:
         model_from_dict({**document("forest", [SPLITS]), "schema_version": version})
     assert "retrain" not in str(info.value)
 

@@ -50,7 +50,7 @@ def test_step_data_depth_one():
     X = np.arange(10.0).reshape(-1, 1)
     y = np.where(X[:, 0] < 5, 0.0, 10.0)
     tree = fit_tree(X, y, TreeParams(max_depth=1))
-    assert not tree.root.is_leaf
+    assert not tree.root.is_leaf and tree.root.value is None
     assert 4.0 < tree.root.threshold < 5.0
     assert tree.root.left.value == 0.0
     assert tree.root.right.value == 10.0
@@ -132,34 +132,89 @@ def test_predict_feature_mismatch():
         predict_tree(tree, np.zeros((2, 3)))
 
 
-# x0 <= 0.5 -> node 1; else x1 <= -1.0 -> node 3, else node 4
+# preorder: x0 <= 0.5 -> leaf 1.0; else x1 <= -1.0 -> leaf 2.0, else leaf 3.0
 FIVE_NODES = {
     "feature": [0, -1, 1, -1, -1],
-    "threshold": [0.5, 0.0, -1.0, 0.0, 0.0],
-    "left": [1, -1, 3, -1, -1],
-    "right": [2, -1, 4, -1, -1],
-    "value": [2.0, 1.0, 2.5, 2.0, 3.0],
+    "threshold": [0.5, -1.0],
+    "value": [1.0, 2.0, 3.0],
 }
 
 
 # (id, arrays changed from FIVE_NODES, text the error must hold)
 TREE_DEFECTS = [
-    ("zero-nodes", {name: [] for name in FIVE_NODES}, "value must hold at least one node"),
-    ("unequal-lengths", {"threshold": [0.5, 0.0, -1.0, 0.0]}, "threshold has 4 entries but value has 5"),
-    ("one-child", {"right": [-1, -1, 4, -1, -1]}, "left[0] is 1 but right[0] is -1"),
-    ("backward-child", {"left": [1, -1, 1, -1, -1], "right": [2, -1, 2, -1, -1]}, "left[2] is 1; a child must"),
-    ("shared-child", {"right": [1, -1, 4, -1, -1]}, "node 1 is a child of 2 nodes"),
-    ("feature-out-of-range", {"feature": [0, -1, 2, -1, -1]}, "feature[2] 2 is not a feature index below 2"),
+    ("zero-nodes", {name: [] for name in FIVE_NODES}, "feature must hold at least one node"),
+    ("unequal-lengths", {"threshold": [0.5]}, "threshold has 1 entries but the tree has 2 splits"),
+    ("value-count", {"value": [1.0, 2.0, 3.0, 4.0]}, "value has 4 entries but the tree has 3 leaves"),
+    ("feature-minus-2", {"feature": [0, -1, -2, -1, -1]}, "feature[2] -2 is not -1 or a feature index below 2"),
+    ("feature-out-of-range", {"feature": [0, -1, 2, -1, -1]}, "feature[2] 2 is not -1 or a feature index"),
+    ("leaf-ends-early", {"feature": [0, -1, -1, 1, -1]}, "node 2 completes the tree, but 2 more node(s) follow it"),
+    # the split at node 2 has a left child and no right one
+    ("one-child", {"feature": [0, -1, 1, -1], "value": [1.0, 2.0]}, "node 3 is the last, but 1 open subtree(s)"),
 ]
 
 
 @pytest.mark.parametrize("changes, expected", [c[1:] for c in TREE_DEFECTS], ids=[c[0] for c in TREE_DEFECTS])
 def test_tree_rejects_arrays_that_do_not_describe_a_tree(changes, expected):
     arrays = {**FIVE_NODES, **changes}
-    RegressionTree(**FIVE_NODES, params=TreeParams(), n_features=2)
+    RegressionTree(**FIVE_NODES, n_features=2)
     with pytest.raises(ValidationError) as error:
-        RegressionTree(**arrays, params=TreeParams(), n_features=2)
+        RegressionTree(**arrays, n_features=2)
     assert expected in str(error.value)
+
+
+def stack_walk(splits):
+    """Read a split/leaf sequence as one tree in preorder with an explicit stack.
+
+    Returns the (left, right) children per node, a leaf its own, or None
+    when the sequence is not exactly one tree.
+    """
+    left, right = list(range(len(splits))), list(range(len(splits)))
+    slots = [(None, None)]  # (parent, side) of each subtree still waiting for its root
+    for i, split in enumerate(splits):
+        if not slots:
+            return None
+        parent, side = slots.pop()
+        if parent is not None:
+            (left if side == "left" else right)[parent] = i
+        if split:
+            slots += [(i, "right"), (i, "left")]
+    return (left, right) if splits and not slots else None
+
+
+@st.composite
+def split_sequences(draw):
+    """Random split (True) / leaf (False) sequences, half of them grown as one tree and then perhaps edited."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.booleans(), max_size=40))
+    splits, open_subtrees = [], 1
+    while open_subtrees and len(splits) < 40:
+        splits.append(draw(st.booleans()))
+        open_subtrees += 1 if splits[-1] else -1
+    if draw(st.booleans()):  # cut nodes off the end, add some, or both
+        splits = splits[: len(splits) - draw(st.integers(0, 2))] + draw(st.lists(st.booleans(), max_size=2))
+    return splits
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(split_sequences())
+def test_a_node_sequence_is_accepted_iff_a_stack_walk_finds_one_tree(splits):
+    n_splits = sum(splits)
+    arrays = {
+        "feature": [0 if split else -1 for split in splits],
+        "threshold": np.arange(n_splits, dtype=float),
+        "value": np.arange(len(splits) - n_splits, dtype=float),
+    }
+    children = stack_walk(splits)
+    if children is None:
+        with pytest.raises(ValidationError):
+            RegressionTree(**arrays, n_features=1)
+        return
+    tree = RegressionTree(**arrays, n_features=1)
+    left, right, threshold, value = tree.per_node()
+    assert (left.tolist(), right.tolist()) == children
+    split = np.array(splits, dtype=bool)
+    assert threshold[split].tolist() == arrays["threshold"].tolist()
+    assert value[~split].tolist() == arrays["value"].tolist()
 
 
 @pytest.mark.parametrize(
@@ -252,16 +307,21 @@ def reference_predict(root, X):
 
 
 def preorder(root):
-    """(feature, threshold, value) per node, leaves as (value,), in preorder."""
-    nodes, stack = [], [root]
+    """The reference tree as RegressionTree's arrays: (feature per node, threshold per split, value per leaf)."""
+    feature, threshold, value, stack = [], [], [], [root]
     while stack:
         node = stack.pop()
+        feature.append(node.feature)
         if node.is_leaf:
-            nodes.append((node.value,))
+            value.append(node.value)
         else:
-            nodes.append((node.feature, node.threshold, node.value))
+            threshold.append(node.threshold)
             stack += (node.right, node.left)
-    return nodes
+    return feature, threshold, value
+
+
+def arrays(tree):
+    return tree.feature.tolist(), tree.threshold.tolist(), tree.value.tolist()
 
 
 @st.composite
@@ -293,12 +353,12 @@ def test_presorted_fit_matches_per_node_argsort(case):
     X, y, params = case
     reference = reference_fit(X, y, params)
     expected = preorder(reference)
-    assert preorder(fit_tree(X, y, params).root) == expected
+    assert arrays(fit_tree(X, y, params)) == expected
     # every tree of a forest without bootstrap shares one presort
     forest = fit_forest(X, y, ForestHyperparams(
         n_trees=2, max_depth=params.max_depth, min_samples_leaf=params.min_samples_leaf, bootstrap=False
     ))
-    assert [preorder(t.root) for t in forest.trees] == [expected, expected]
+    assert [arrays(t) for t in forest.trees] == [expected, expected]
     per_tree = np.stack([reference_predict(reference, X)] * 2)
     np.testing.assert_array_equal(forest.predict(X), per_tree.mean(axis=0))
 
@@ -313,6 +373,6 @@ def test_boost_stages_sharing_one_presort_match_reference(case, learning_rate):
     F = np.full(len(y), model.init_value)
     for stage in model.stages:
         reference = reference_fit(X, y - F, params)
-        assert preorder(stage.root) == preorder(reference)
+        assert arrays(stage) == preorder(reference)
         F = F + learning_rate * reference_predict(reference, X)
     np.testing.assert_array_equal(predict_tree(model.stages[-1], X), reference_predict(reference, X))
