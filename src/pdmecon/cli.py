@@ -27,11 +27,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from .cba import McConfig, bridge_from_simulation, format_summary_table, load_ledger, net_benefit
 from .detect import DetectorConfig, events_to_jsonl, format_events, run_all_detectors
 from .errors import ValidationError
 from .features import LagSpec, make_lag_matrix
-from .ingest import IngestConfig, load_historian_csv, select_channel, write_sensor_csv
+from .ingest import IngestConfig, SensorFrame, load_historian_csv, write_sensor_csv
 from .jsonio import atomic_path, from_dict, load_json, write_json, write_text
 from .models import (
     MODEL_KINDS,
@@ -43,6 +45,7 @@ from .models import (
     model_to_dict,
 )
 from .plantsim import (
+    TRACE_CHANNEL,
     FaultInjection,
     TracePlan,
     compare_policies,
@@ -51,7 +54,6 @@ from .plantsim import (
     generate_trace,
     inject_faults,
     scenario_from_dict,
-    trace_to_frame,
 )
 
 ENV_OUT_DIR = "PDMECON_OUT_DIR"
@@ -101,18 +103,13 @@ def _lag_spec(args) -> LagSpec:
     return LagSpec(min_lag=args.min_lag, max_lag=args.max_lag)
 
 
-def _load_series(csv_path: str, channel: str):
-    frame, _ = load_historian_csv(csv_path)
-    return select_channel(frame, channel)
-
-
 def cmd_synth(args) -> int:
     plan = _config(args.plan, TracePlan, "trace plan")
     injections = _injections(args.injections) if args.injections else []
     trace = inject_faults(generate_trace(plan, _seed(args)), injections)
     out = _out_dir(args) / args.out
     with atomic_path(out) as tmp:
-        write_sensor_csv(trace_to_frame(trace), tmp)
+        write_sensor_csv(SensorFrame(np.arange(len(trace)), (TRACE_CHANNEL,), trace[None]), tmp)
     print(f"wrote {len(trace)} rows to {out}")
     return 0
 
@@ -136,8 +133,8 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     seed = _seed(args)
     lag_spec = _lag_spec(args)
-    series = _load_series(args.csv, args.channel)
-    supervised = make_lag_matrix(series, lag_spec)
+    values = load_historian_csv(args.csv)[0].channel(args.channel)
+    supervised = make_lag_matrix(values, lag_spec)
     hp = getattr(_config(args.hyperparams, Hyperparams, "hyperparameters"), args.kind)
     model = fit_model(args.kind, supervised.X, supervised.y, hp, seed)
     out = _out_dir(args) / args.out
@@ -157,10 +154,10 @@ def cmd_evaluate(args) -> int:
             raise ValidationError(f"unknown model kind '{kind}'; expected subset of {MODEL_KINDS}")
         if kind in kinds[:i]:
             raise ValidationError(f"--kinds names '{kind}' twice")
-    series = _load_series(args.csv, args.channel)
+    values = load_historian_csv(args.csv)[0].channel(args.channel)
     hp = _config(args.hyperparams, Hyperparams, "hyperparameters")
     reports = [
-        evaluate_cv(series, lag_spec, args.k, kind, getattr(hp, kind), seed) for kind in kinds
+        evaluate_cv(values, lag_spec, args.k, kind, getattr(hp, kind), seed) for kind in kinds
     ]
     doc = {
         "schema_version": 1,
@@ -179,8 +176,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_detect(args) -> int:
     config = _config(args.config, DetectorConfig, "detector config")
-    series = _load_series(args.csv, args.channel)
-    events = run_all_detectors(series, config)
+    values = load_historian_csv(args.csv)[0].channel(args.channel)
+    events = run_all_detectors(values, config)
     out = _out_dir(args)
     write_text(out / "events.jsonl", events_to_jsonl(events) + ("\n" if events else ""))
     counts = Counter(e.kind.value for e in events)
@@ -254,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a forecast model on one channel")
     p.add_argument("--csv", required=True)
-    p.add_argument("--channel", default="DPIT301")
+    p.add_argument("--channel", default=TRACE_CHANNEL)
     p.add_argument("--kind", choices=MODEL_KINDS, default="linear")
     p.add_argument("--min-lag", type=int, default=5)
     p.add_argument("--max-lag", type=int, default=30)
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="walk-forward RMSE report")
     p.add_argument("--csv", required=True)
-    p.add_argument("--channel", default="DPIT301")
+    p.add_argument("--channel", default=TRACE_CHANNEL)
     p.add_argument("--kinds", default="linear,forest,boost", help="comma-separated model kinds")
     p.add_argument("--k", type=int, default=5, help="number of splits")
     p.add_argument("--min-lag", type=int, default=5)
@@ -276,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run rule-based fault detectors")
     p.add_argument("--csv", required=True)
-    p.add_argument("--channel", default="DPIT301")
+    p.add_argument("--channel", default=TRACE_CHANNEL)
     p.add_argument("--config", help="detector config JSON")
     common(p, seed=False)
     p.set_defaults(func=cmd_detect)

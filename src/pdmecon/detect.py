@@ -9,15 +9,15 @@ Four fault families are covered, each as a pure scan over a uniformly sampled
 - stuck-at: rolling variance below a floor for a minimum duration;
 - high variance: rolling variance above a ceiling.
 
-Every detector is ``detect_*(series, config: DetectorConfig) ->
-list[FaultEvent]`` and reads its thresholds and windows from the config, which
-checks their ranges itself; a detector refuses only what depends on the data
-(too few samples, a window longer than the series). Adjacent flagged samples
-merge into one inclusive [start, end] event; every detector returns events
-sorted by start with no overlaps. An event is written by its fields. Rolling
-variance is population variance (ddof=0) on a series centered by its global
-mean, which keeps the cumulative-sum form accurate for near-constant kPa-scale
-data.
+Every detector is ``detect_*(values, config: DetectorConfig) ->
+list[FaultEvent]`` over one sensor's readings and reads its thresholds and
+windows from the config, which checks their ranges itself; a detector refuses
+only what depends on the data (too few samples, a window longer than the
+series). Adjacent flagged samples merge into one inclusive [start, end]
+event; every detector returns events sorted by start with no overlaps. An
+event is written by its fields. Rolling variance is population variance
+(ddof=0) on a series centered by its global mean, which keeps the
+cumulative-sum form accurate for near-constant kPa-scale data.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from . import format_table
 from .errors import ValidationError
-from .ingest import series_values
 from .jsonio import dumps
 
 
@@ -112,9 +111,9 @@ def _rolling_var(values: np.ndarray, window: int) -> np.ndarray:
     return np.maximum(s2 / window - (s1 / window) ** 2, 0.0)
 
 
-def detect_outliers_gradient(series, config: DetectorConfig) -> list[FaultEvent]:
+def detect_outliers_gradient(values, config: DetectorConfig) -> list[FaultEvent]:
     """Flag samples whose step from the previous sample exceeds gradient_max_rate kPa/s."""
-    values = series_values(series)
+    values = np.asarray(values, dtype=np.float64)
     if len(values) < 2:
         raise ValidationError("need at least 2 samples")
     excess = np.abs(np.diff(values)) - config.gradient_max_rate
@@ -125,13 +124,13 @@ def detect_outliers_gradient(series, config: DetectorConfig) -> list[FaultEvent]
     ]
 
 
-def detect_outliers_distance(series, config: DetectorConfig) -> list[FaultEvent]:
+def detect_outliers_distance(values, config: DetectorConfig) -> list[FaultEvent]:
     """Flag samples farther than mad_k rolling MADs from the rolling median.
 
     The window is centered, so the first and last mad_window // 2 samples are
     never flagged. The MAD is floored at 1e-9 to avoid flagging identical data.
     """
-    values = series_values(series)
+    values = np.asarray(values, dtype=np.float64)
     window = config.mad_window
     if window > len(values):
         raise ValidationError(f"mad_window {window} larger than series ({len(values)})")
@@ -147,11 +146,11 @@ def detect_outliers_distance(series, config: DetectorConfig) -> list[FaultEvent]
     ]
 
 
-def detect_spike(series, config: DetectorConfig) -> list[FaultEvent]:
+def detect_spike(values, config: DetectorConfig) -> list[FaultEvent]:
     """Flag spike_window-long uptrends: total rise >= spike_min_rise with >= 80%
     of the in-window steps non-decreasing. Overlapping windows merge; severity
     is the rise over the merged span."""
-    values = series_values(series)
+    values = np.asarray(values, dtype=np.float64)
     window = config.spike_window
     n = len(values)
     if n < window:
@@ -176,10 +175,10 @@ def _window_coverage(hits: np.ndarray, window: int, n: int) -> np.ndarray:
     return covered
 
 
-def detect_stuck(series, config: DetectorConfig) -> list[FaultEvent]:
+def detect_stuck(values, config: DetectorConfig) -> list[FaultEvent]:
     """Flag spans where rolling variance stays below stuck_eps_var for at
     least stuck_min_duration samples. Severity is the span length."""
-    values = series_values(series)
+    values = np.asarray(values, dtype=np.float64)
     w = config.stuck_window
     if w > len(values):
         raise ValidationError(f"stuck_window {w} larger than series ({len(values)})")
@@ -191,10 +190,10 @@ def detect_stuck(series, config: DetectorConfig) -> list[FaultEvent]:
     ]
 
 
-def detect_high_variance(series, config: DetectorConfig) -> list[FaultEvent]:
+def detect_high_variance(values, config: DetectorConfig) -> list[FaultEvent]:
     """Flag spans where rolling variance exceeds var_threshold. Severity is
     the worst excess over the threshold."""
-    values = series_values(series)
+    values = np.asarray(values, dtype=np.float64)
     w = config.var_window
     if w > len(values):
         raise ValidationError(f"var_window {w} larger than series ({len(values)})")
@@ -208,9 +207,9 @@ def detect_high_variance(series, config: DetectorConfig) -> list[FaultEvent]:
 DETECTORS = (detect_outliers_gradient, detect_outliers_distance, detect_spike, detect_stuck, detect_high_variance)
 
 
-def run_all_detectors(series, config: DetectorConfig) -> list[FaultEvent]:
+def run_all_detectors(values, config: DetectorConfig) -> list[FaultEvent]:
     """Run every detector in DETECTORS; events sorted by start, end and kind."""
-    events = [event for detect in DETECTORS for event in detect(series, config)]
+    events = [event for detect in DETECTORS for event in detect(values, config)]
     return sorted(events, key=lambda e: (e.start, e.end, e.kind.value))
 
 

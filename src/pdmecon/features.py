@@ -1,10 +1,10 @@
 """Lag features and leakage-free walk-forward splits.
 
-A supervised row at source position t predicts series[t] from the values
-min_lag..max_lag seconds earlier, columns ordered by ascending lag so fitted
-coefficients stay interpretable. Splits use an expanding training window; the
-remainder of n/(k+1) is absorbed into the first training window so every test
-fold has the same size.
+A supervised row at source position t predicts values[t], one sensor's
+reading, from its readings min_lag..max_lag seconds earlier, columns ordered
+by ascending lag so fitted coefficients stay interpretable. Splits use an
+expanding training window; the remainder of n/(k+1) is absorbed into the first
+training window so every test fold has the same size.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import Series, series_values
 
 
 @dataclass(frozen=True)
@@ -87,14 +86,14 @@ class SplitPlan:
                 raise ValidationError("training windows must expand")
 
 
-def make_lag_matrix(series: Series | np.ndarray, spec: LagSpec | None = None) -> SupervisedSet:
-    """Build the lag-feature supervised set for one sensor series.
+def make_lag_matrix(values, spec: LagSpec | None = None) -> SupervisedSet:
+    """Build the lag-feature supervised set for one sensor's readings.
 
-    Row for target position t holds series[t - min_lag] ... series[t - max_lag]
+    Row for target position t holds values[t - min_lag] ... values[t - max_lag]
     (ascending lag order); valid targets are t in [max_lag, len - 1].
     """
     spec = spec or LagSpec()
-    values = series_values(series)
+    values = np.asarray(values, dtype=np.float64)
     n = len(values)
     if n <= spec.max_lag:
         raise ValidationError(

@@ -1,7 +1,8 @@
 """Historian CSV ingestion.
 
 Loads sensor exports into an in-memory SensorFrame: one strictly increasing
-timestamp column (integer epoch seconds) plus N numeric channels. Cleaning is
+timestamp column (integer epoch seconds) plus N named channels, held as one
+float64 array of N rows; frame.channel(name) is one channel's row. Cleaning is
 whole-row: any row containing a sentinel token (default "Bad Input") or a cell
 that fails to parse is dropped and counted, which keeps all channels aligned
 without imputation.
@@ -13,7 +14,8 @@ other cell is tried against the configured formats in order, and the first
 format that matches decides.
 
 Assumptions:
-- Header row is mandatory; the first column is the timestamp.
+- Header row is mandatory; the first column is the timestamp, and no two
+  channel columns share a name.
 - Decimal separator is "." regardless of locale.
 - Timestamps have second resolution; duplicate or backward timestamps are
   rejected (plant historians emit monotone time).
@@ -43,82 +45,43 @@ BLOCK_ROWS = 4096  # CSV rows parsed, or written, per block of whole columns
 
 
 @dataclass(frozen=True)
-class Series:
-    """A single sensor channel: aligned timestamps and values. It carries no
-    unit; the detectors, models and simulator read pressures in kPa."""
-
-    timestamps: np.ndarray  # int64 epoch seconds
-    values: np.ndarray  # float64
-    name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.timestamps.shape != self.values.shape:
-            raise ValidationError(
-                f"series '{self.name}': {len(self.timestamps)} timestamps "
-                f"vs {len(self.values)} values"
-            )
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def series_values(series: Series | np.ndarray) -> np.ndarray:
-    """The float64 values of a Series, or of a bare array of readings."""
-    values = series.values if isinstance(series, Series) else series
-    return np.asarray(values, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class Channel:
-    name: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-
-@dataclass(frozen=True)
 class SensorFrame:
-    """Cleaned multi-channel table of sensor readings.
+    """Cleaned multi-channel table of sensor readings: one name per channel and
+    one float64 array of shape (channels, rows), a row of readings per channel.
+    Readings carry no unit; the detectors, models and simulator read kPa.
 
     Invariants (enforced at construction): timestamps strictly increasing,
-    every channel exactly n_rows long, no NaN or infinite values.
+    values shaped (len(names), n_rows), no NaN or infinite values.
     """
 
-    timestamps: np.ndarray
-    channels: tuple[Channel, ...]
+    timestamps: np.ndarray  # int64 epoch seconds
+    names: tuple[str, ...]
+    values: np.ndarray  # float64, (channels, rows)
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
-        object.__setattr__(self, "channels", tuple(self.channels))
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if len(self.timestamps) and np.any(np.diff(self.timestamps) <= 0):
             bad = int(np.argmax(np.diff(self.timestamps) <= 0)) + 1
             raise ValidationError(f"timestamps not strictly increasing at row {bad}")
-        for ch in self.channels:
-            if len(ch.values) != len(self.timestamps):
-                raise ValidationError(
-                    f"channel '{ch.name}' has {len(ch.values)} values, expected {self.n_rows}"
-                )
-            if not np.all(np.isfinite(ch.values)):
-                raise ValidationError(f"channel '{ch.name}' contains NaN or infinite values")
+        if self.values.shape != (len(self.names), self.n_rows):
+            raise ValidationError(
+                f"values of shape {self.values.shape}, expected {(len(self.names), self.n_rows)} (channels x rows)"
+            )
+        finite = np.isfinite(self.values).all(axis=1)
+        if not finite.all():
+            raise ValidationError(f"channel '{self.names[int(finite.argmin())]}' contains NaN or infinite values")
 
     @property
     def n_rows(self) -> int:
         return len(self.timestamps)
 
-    @property
-    def channel_names(self) -> list[str]:
-        return [ch.name for ch in self.channels]
-
-    def channel(self, name: str) -> Channel:
-        for ch in self.channels:
-            if ch.name == name:
-                return ch
-        raise ValidationError(
-            f"unknown channel '{name}'; available: {', '.join(self.channel_names)}"
-        )
+    def channel(self, name: str) -> np.ndarray:
+        """The named channel's readings, a row of values."""
+        if name not in self.names:
+            raise ValidationError(f"unknown channel '{name}'; available: {', '.join(self.names)}")
+        return self.values[self.names.index(name)]
 
 
 @dataclass(frozen=True)
@@ -277,7 +240,8 @@ def load_historian_csv(
 
     Raises:
         IngestError: missing, unreadable, non-UTF-8, empty or header-only
-            file, no parseable rows, or non-monotone timestamps (with row context).
+            file, a channel named twice in the header, no parseable rows, or
+            non-monotone timestamps (with row context).
     """
     config = config or IngestConfig()
     path = Path(path)
@@ -289,6 +253,9 @@ def load_historian_csv(
     names = [h.strip() for h in header]
     if len(names) < 2:
         raise IngestError(f"{path}: header must have a timestamp column plus >= 1 channel")
+    twice = [name for i, name in enumerate(names[1:], 1) if name in names[1:i]]
+    if twice:
+        raise IngestError(f"{path}: header names channel '{twice[0]}' twice")
     width, tokens, formats = len(names), set(config.sentinel_tokens), config.timestamp_formats
 
     stamps, values = [np.zeros(0, np.int64)], [np.zeros((width - 1, 0))]
@@ -334,10 +301,7 @@ def load_historian_csv(
             f"(epoch {ts_arr[bad]} after {ts_arr[bad - 1]})"
         )
 
-    frame = SensorFrame(
-        timestamps=ts_arr,
-        channels=tuple(Channel(name, col) for name, col in zip(names[1:], np.concatenate(values, axis=1))),
-    )
+    frame = SensorFrame(timestamps=ts_arr, names=tuple(names[1:]), values=np.concatenate(values, axis=1))
     report = IngestReport(
         rows_read=rows_read,
         rows_dropped_sentinel=dropped_sentinel,
@@ -345,12 +309,6 @@ def load_historian_csv(
         channels_retained=width - 1,
     )
     return frame, report
-
-
-def select_channel(frame: SensorFrame, name: str) -> Series:
-    """Project one channel out of a frame, preserving row order and timestamps."""
-    ch = frame.channel(name)
-    return Series(timestamps=frame.timestamps, values=ch.values, name=ch.name)
 
 
 def write_sensor_csv(frame: SensorFrame, path: str | Path) -> None:
@@ -364,8 +322,8 @@ def write_sensor_csv(frame: SensorFrame, path: str | Path) -> None:
     if len(ts) and not (EPOCH_MIN <= ts.min() and ts.max() <= EPOCH_MAX):
         raise ValueError(f"timestamps {ts.min()}..{ts.max()} lie outside the years 1 to 9999")
     with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(["Timestamp"] + frame.channel_names)  # names may need quoting
+        csv.writer(fh, lineterminator="\n").writerow(["Timestamp", *frame.names])  # names may need quoting
         for s in range(0, len(ts), BLOCK_ROWS):
             cols = [ts[s : s + BLOCK_ROWS].astype("datetime64[s]").astype(str).tolist()]
-            cols += [map(repr, ch.values[s : s + BLOCK_ROWS].tolist()) for ch in frame.channels]
+            cols += [map(repr, row) for row in frame.values[:, s : s + BLOCK_ROWS].tolist()]
             fh.write("\n".join(map(",".join, zip(*cols))) + "\n")

@@ -88,7 +88,7 @@ def predict(model, X: np.ndarray) -> np.ndarray:
 
 
 def evaluate_cv(
-    series,
+    values,
     lag_spec: LagSpec,
     k: int,
     model_kind: str,
@@ -100,7 +100,7 @@ def evaluate_cv(
     The report has one RMSE per split plus their arithmetic mean, mirroring
     the shape of a per-split results table.
     """
-    supervised = make_lag_matrix(series, lag_spec)
+    supervised = make_lag_matrix(values, lag_spec)
     plan = walk_forward_splits(supervised.n_rows, k)
     per_split = []
     for fold in plan.folds:

@@ -1,12 +1,12 @@
 """Synthetic DPIT traces and maintenance-policy simulation.
 
-generate_trace replays the experiment profile: a warmup ramp to baseline, then
-piecewise-constant setpoints applied at configured offsets, plus Gaussian
-sensor noise from a seeded stream. A fault injection (SpikeRamp, StuckAt)
-defines its own faulty reading from its prior, the clean reading the first
-second the fault wins (the latest-listed active fault wins). fault_readings
-applies a list of faults in one pass, for inject_faults (synth) and run_policy
-(simulate) alike:
+generate_trace replays the experiment profile as an array of readings, one
+per second: a warmup ramp to baseline, then piecewise-constant setpoints
+applied at configured offsets, plus Gaussian sensor noise from a seeded
+stream. A fault injection (SpikeRamp, StuckAt) defines its own faulty reading
+from its prior, the clean reading the first second the fault wins (the
+latest-listed active fault wins). fault_readings applies a list of faults in
+one pass, for inject_faults (synth) and run_policy (simulate) alike:
 
 - a spike ramps linearly from at_s to peak_kpa over rise_s seconds, then holds;
 - a stuck-at fault holds its prior from at_s for duration_s seconds.
@@ -46,7 +46,7 @@ A scenario file is read by Scenario's own fields, a fault or a policy by its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Annotated, ClassVar, Literal
 
 import numpy as np
@@ -55,7 +55,6 @@ from . import format_table
 from .detect import decide
 from .errors import ValidationError
 from .features import LagSpec
-from .ingest import Channel, SensorFrame, Series
 from .jsonio import from_dict, plain
 from .models import LinearModel, predict
 
@@ -69,6 +68,7 @@ DEFAULT_SETPOINT_SEGMENTS = (
     (3180, 20.0),
     (4200, 40.0),
 )
+TRACE_CHANNEL = "DPIT301"  # the channel a synthetic trace is written as, and the CLI's default channel
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ class TracePlan:
             raise ValidationError("segment offsets must lie within [0, duration_s)")
 
 
-def generate_trace(plan: TracePlan, seed: int = 0) -> Series:
-    """Deterministic synthetic DPIT series for a plan and seed, one reading per second."""
+def generate_trace(plan: TracePlan, seed: int = 0) -> np.ndarray:
+    """Deterministic synthetic DPIT readings for a plan and seed, one per second."""
     n = plan.duration_s
     t = np.arange(n)
     base = np.full(n, plan.baseline_kpa)
@@ -104,7 +104,7 @@ def generate_trace(plan: TracePlan, seed: int = 0) -> Series:
         ramp = t < plan.warmup_s
         base[ramp] = plan.baseline_kpa * t[ramp] / plan.warmup_s
     noise = np.random.default_rng(seed).standard_normal(n) * plan.noise_sigma_kpa
-    return Series(timestamps=t.astype(np.int64), values=base + noise, name="DPIT301")
+    return base + noise
 
 
 @dataclass(frozen=True)
@@ -183,10 +183,10 @@ def _check_injections(clean: np.ndarray, injections: list[FaultInjection]) -> No
             )
 
 
-def inject_faults(series: Series, injections: list[FaultInjection]) -> Series:
-    """Apply faults to a standalone series (spikes hold to the end)."""
-    _check_injections(series.values, injections)
-    return replace(series, values=fault_readings(series.values, injections))
+def inject_faults(trace: np.ndarray, injections: list[FaultInjection]) -> np.ndarray:
+    """The readings of a standalone trace with the faults applied (spikes hold to the end)."""
+    _check_injections(trace, injections)
+    return fault_readings(trace, injections)
 
 
 @dataclass(frozen=True)
@@ -344,7 +344,7 @@ def run_policy(
 
     Deterministic given (plan, injections, policy, econ, seed).
     """
-    trace = generate_trace(plan, seed).values
+    trace = generate_trace(plan, seed)
     _check_injections(trace, injections)
     duration = plan.duration_s
     breakdown = policy.breakdown
@@ -496,10 +496,3 @@ class Scenario:
 def scenario_from_dict(doc) -> Scenario:
     return from_dict(Scenario, doc, "scenario")
 
-
-def trace_to_frame(series: Series) -> SensorFrame:
-    """Wrap a trace as a single-channel SensorFrame for CSV export."""
-    return SensorFrame(
-        timestamps=series.timestamps,
-        channels=(Channel(name=series.name or "DPIT301", values=series.values),),
-    )

@@ -65,12 +65,9 @@ def cli(*args):
 
 
 def write_series_csv(path, values):
-    from pdmecon.ingest import SensorFrame, Channel, write_sensor_csv
+    from pdmecon.ingest import SensorFrame, write_sensor_csv
 
-    frame = SensorFrame(
-        timestamps=np.arange(len(values), dtype=np.int64),
-        channels=(Channel("DPIT301", np.asarray(values)),),
-    )
+    frame = SensorFrame(timestamps=np.arange(len(values)), names=("DPIT301",), values=[values])
     write_sensor_csv(frame, path)
     return path
 

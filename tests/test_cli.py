@@ -278,11 +278,11 @@ def test_synth_with_injections(tmp_path, small_plan):
     )
     assert result.returncode == 0, result.stderr
 
-    from pdmecon.ingest import load_historian_csv, select_channel
+    from pdmecon.ingest import load_historian_csv
     import numpy as np
 
     frame, _ = load_historian_csv(out_dir / "historian.csv")
-    values = select_channel(frame, "DPIT301").values
+    values = frame.channel("DPIT301")
     assert np.ptp(values[300:420]) == 0.0
 
 
@@ -297,10 +297,10 @@ def test_synth_overlapping_injections_read_the_clean_trace(tmp_path):
     code, err = run_main(["synth", "--plan", plan, "--injections", inj, "--seed", 1, "--out-dir", tmp_path])
     assert code == 0, err
 
-    from pdmecon.ingest import load_historian_csv, select_channel
+    from pdmecon.ingest import load_historian_csv
 
     frame, _ = load_historian_csv(tmp_path / "historian.csv")
-    values = select_channel(frame, "DPIT301").values
+    values = frame.channel("DPIT301")
     assert values[649] == 30.0 + 30.0 * 49 / 120
     assert set(values[650:950]) == {30.0}  # the stuck reading holds the clean trace, not the ramp
     assert values[950] == 60.0
@@ -699,6 +699,25 @@ def test_unreadable_csv_exits_1_naming_the_file(tmp_path, csv):
         code, err = run_main(with_flag(command(tmp_path, name, out), "--csv", path))
         assert code == 1, err
         assert f"cannot read {path}" in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name", ["train", "evaluate", "detect"])
+def test_unknown_channel_exits_1_naming_the_available_ones(tmp_path, inputs, name):
+    out = tmp_path / "out"
+    code, err = run_main(with_flag(command(inputs, name, out), "--channel", "DPIT999"))
+    assert code == 1, err
+    assert "unknown channel 'DPIT999'; available: DPIT301" in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_csv_naming_a_channel_twice_exits_1(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("Timestamp,A, A\n2020-02-26T15:44:00,1.0,2.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = run_main(["ingest", "--csv", path, "--out-dir", out])
+    assert code == 1, err
+    assert f"error: {path}: header names channel 'A' twice" in err, err
     assert not out.exists() or not any(out.iterdir())
 
 

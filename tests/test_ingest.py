@@ -19,9 +19,7 @@ from pdmecon.ingest import (
     IngestConfig,
     IngestReport,
     SensorFrame,
-    Channel,
     load_historian_csv,
-    select_channel,
     write_sensor_csv,
 )
 
@@ -43,12 +41,12 @@ def test_clean_csv_passes_through(tmp_path):
     )
     frame, report = load_historian_csv(path)
     assert frame.n_rows == 3
-    assert frame.channel_names == ["P1", "P2"]
+    assert frame.names == ("P1", "P2")
     assert report.rows_read == 3
     assert report.rows_dropped_sentinel == 0
     assert report.rows_dropped_unparseable == 0
     assert report.channels_retained == 2
-    np.testing.assert_array_equal(frame.channel("P1").values, [1.0, 1.5, 2.0])
+    np.testing.assert_array_equal(frame.channel("P1"), [1.0, 1.5, 2.0])
 
 
 def test_sentinel_row_dropped_whole(tmp_path):
@@ -65,7 +63,7 @@ def test_sentinel_row_dropped_whole(tmp_path):
     assert frame.n_rows == 2
     assert report.rows_dropped_sentinel == 1
     # surviving rows keep their order
-    np.testing.assert_array_equal(frame.channel("P1").values, [1.0, 2.0])
+    np.testing.assert_array_equal(frame.channel("P1"), [1.0, 2.0])
 
 
 def test_report_reconciles_and_counts_all_data_rows(tmp_path):
@@ -177,6 +175,12 @@ def test_error_when_no_timestamp_format_matches(tmp_path):
         load_historian_csv(path)
 
 
+def test_header_naming_a_channel_twice_rejected(tmp_path):
+    path = write_csv(tmp_path / "t.csv", ["Timestamp,A,P1, A", "2020-02-26T15:44:00,1.0,2.0,3.0"])
+    with pytest.raises(IngestError, match=f"^{path}: header names channel 'A' twice$"):
+        load_historian_csv(path)
+
+
 def test_duplicate_timestamps_rejected(tmp_path):
     path = write_csv(
         tmp_path / "t.csv",
@@ -248,41 +252,41 @@ def test_roundtrip_identity(tmp_path):
     rng = np.random.default_rng(7)
     frame = SensorFrame(
         timestamps=np.arange(50, dtype=np.int64) + 1_000_000,
-        channels=(
-            Channel("DPIT301", rng.normal(30, 0.3, 50)),
-            Channel("FIT301", rng.normal(2, 0.1, 50)),
-        ),
+        names=("DPIT301", "FIT301"),
+        values=[rng.normal(30, 0.3, 50), rng.normal(2, 0.1, 50)],
     )
     out = tmp_path / "frame.csv"
     write_sensor_csv(frame, out)
     frame2, report = load_historian_csv(out)
     assert report.rows_dropped_sentinel == report.rows_dropped_unparseable == 0
     np.testing.assert_array_equal(frame2.timestamps, frame.timestamps)
-    assert frame2.channel_names == frame.channel_names
-    for name in frame.channel_names:
-        np.testing.assert_array_equal(frame2.channel(name).values, frame.channel(name).values)
+    assert frame2.names == frame.names
+    assert frame2.values.tobytes() == frame.values.tobytes()
 
 
-def test_select_channel():
-    frame = SensorFrame(
-        timestamps=np.arange(4, dtype=np.int64),
-        channels=(Channel("DPIT301", [1.0, 2.0, 3.0, 4.0]),),
-    )
-    series = select_channel(frame, "DPIT301")
-    assert len(series) == frame.n_rows
-    np.testing.assert_array_equal(series.values, [1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(series.timestamps, frame.timestamps)
-    with pytest.raises(ValidationError, match="DPIT301"):
-        select_channel(frame, "DPIT999")
+def test_frame_channel():
+    frame = SensorFrame(np.arange(4), names=("FIT301", "DPIT301"), values=[[0.0] * 4, [1.0, 2.0, 3.0, 4.0]])
+    values = frame.channel("DPIT301")
+    assert len(values) == frame.n_rows
+    np.testing.assert_array_equal(values, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValidationError, match="^unknown channel 'DPIT999'; available: FIT301, DPIT301$"):
+        frame.channel("DPIT999")
 
 
 def test_frame_invariants_enforced():
     with pytest.raises(ValidationError, match="strictly increasing"):
-        SensorFrame(timestamps=np.array([1, 1]), channels=(Channel("a", [0.0, 1.0]),))
-    with pytest.raises(ValidationError, match="NaN"):
-        SensorFrame(timestamps=np.array([1, 2]), channels=(Channel("a", [0.0, np.nan]),))
-    with pytest.raises(ValidationError, match="values"):
-        SensorFrame(timestamps=np.array([1, 2]), channels=(Channel("a", [0.0]),))
+        SensorFrame(timestamps=np.array([1, 1]), names=("a",), values=[[0.0, 1.0]])
+    with pytest.raises(ValidationError, match="^channel 'b' contains NaN"):
+        SensorFrame(timestamps=np.array([1, 2]), names=("a", "b"), values=[[0.0, 1.0], [0.0, np.nan]])
+    with pytest.raises(ValidationError, match="^channel 'a' contains NaN or infinite values$"):
+        SensorFrame(timestamps=np.array([1, 2]), names=("a", "b"), values=[[np.inf, 1.0], [0.0, np.nan]])
+    with pytest.raises(ValidationError, match=r"values of shape \(1, 1\), expected \(1, 2\)"):
+        SensorFrame(timestamps=np.array([1, 2]), names=("a",), values=[[0.0]])
+    # readings of one channel, not yet a (channels x rows) array
+    with pytest.raises(ValidationError, match=r"values of shape \(2,\), expected \(1, 2\)"):
+        SensorFrame(timestamps=np.array([1, 2]), names=("a",), values=[0.0, 1.0])
+    with pytest.raises(ValidationError, match=r"values of shape \(1, 2\), expected \(2, 2\)"):
+        SensorFrame(timestamps=np.array([1, 2]), names=("a", "b"), values=[[0.0, 1.0]])
 
 
 # ---------------------------------------------------------------- block-wise loader and writer against row-by-row references
@@ -302,6 +306,9 @@ def reference_load(path, config=None):
         raise IngestError(f"{path}: header must have a timestamp column plus >= 1 channel")
     channel_names = names[1:]
     n_channels = len(channel_names)
+    for i, name in enumerate(channel_names):
+        if name in channel_names[:i]:
+            raise IngestError(f"{path}: header names channel '{name}' twice")
 
     timestamps, columns = [], [[] for _ in range(n_channels)]
     rows_read = dropped_sentinel = dropped_unparseable = 0
@@ -359,7 +366,7 @@ def reference_load(path, config=None):
             f"{path}: timestamps must be strictly increasing; violation at retained row {bad} "
             f"(epoch {ts_arr[bad]} after {ts_arr[bad - 1]})"
         )
-    frame = SensorFrame(ts_arr, tuple(Channel(name, np.asarray(col)) for name, col in zip(channel_names, columns)))
+    frame = SensorFrame(ts_arr, tuple(channel_names), columns)
     return frame, IngestReport(rows_read, dropped_sentinel, dropped_unparseable, n_channels)
 
 
@@ -375,12 +382,12 @@ def reference_write(frame, path):
     """write_sensor_csv one row at a time through csv.writer and datetime."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["Timestamp"] + [ch.name for ch in frame.channels])
+        writer.writerow(["Timestamp"] + list(frame.names))
         iso = [
             datetime.fromtimestamp(int(t), tz=timezone.utc).replace(tzinfo=None).isoformat()
             for t in frame.timestamps
         ]
-        cols = [ch.values for ch in frame.channels]
+        cols = list(frame.values)
         for i, stamp in enumerate(iso):
             writer.writerow([stamp] + [repr(float(c[i])) for c in cols])
 
@@ -490,9 +497,8 @@ def test_loader_matches_row_by_row_reference(tmp_path, small_blocks, export, for
     (frame, report), (ref_frame, ref_report) = got, expected
     assert report == ref_report
     assert frame.timestamps.dtype == np.int64 and frame.timestamps.tobytes() == ref_frame.timestamps.tobytes()
-    assert frame.channel_names == ref_frame.channel_names
-    for ch, ref in zip(frame.channels, ref_frame.channels):
-        assert ch.values.dtype == np.float64 and ch.values.tobytes() == ref.values.tobytes()
+    assert frame.names == ref_frame.names
+    assert frame.values.dtype == np.float64 and frame.values.tobytes() == ref_frame.values.tobytes()
 
 
 frames = st.integers(0, 3).flatmap(
@@ -513,7 +519,8 @@ def test_writer_bytes_match_row_by_row_reference(tmp_path, small_blocks, frame_p
     stamps = sorted(stamps)
     frame = SensorFrame(
         np.array(stamps, dtype=np.int64),
-        tuple(Channel(name, values[j * 9 : j * 9 + len(stamps)]) for j, name in enumerate(names)),
+        names,
+        np.array([values[j * 9 : j * 9 + len(stamps)] for j in range(len(names))]).reshape(len(names), len(stamps)),
     )
     write_sensor_csv(frame, tmp_path / "block.csv")
     reference_write(frame, tmp_path / "row.csv")
@@ -522,6 +529,6 @@ def test_writer_bytes_match_row_by_row_reference(tmp_path, small_blocks, frame_p
 
 @pytest.mark.parametrize("stamp", [EPOCH_MIN - 1, EPOCH_MAX + 1, 2**62])
 def test_writer_refuses_times_outside_the_years_1_to_9999(tmp_path, stamp):
-    frame = SensorFrame(np.array([0, stamp]) if stamp > 0 else np.array([stamp, 0]), (Channel("P1", [1.0, 2.0]),))
+    frame = SensorFrame(np.array([0, stamp]) if stamp > 0 else np.array([stamp, 0]), ("P1",), [[1.0, 2.0]])
     with pytest.raises(ValueError, match="outside the years 1 to 9999"):
         write_sensor_csv(frame, tmp_path / "out.csv")

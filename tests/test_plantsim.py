@@ -14,6 +14,7 @@ from pdmecon.features import LagSpec, make_lag_matrix
 from pdmecon.jsonio import from_dict
 from pdmecon.models import BoostHyperparams, ForestHyperparams, LinearModel, fit_model, predict
 from pdmecon.plantsim import (
+    TRACE_CHANNEL,
     BreakdownRule,
     EconParams,
     PredictivePolicy,
@@ -28,7 +29,6 @@ from pdmecon.plantsim import (
     inject_faults,
     run_policy,
     scenario_from_dict,
-    trace_to_frame,
 )
 
 PERSISTENCE_LAGS = LagSpec(1, 2)
@@ -75,14 +75,14 @@ def preventive(cycle=700, maint=120, repair=600):
 
 def test_noiseless_trace_is_ramp_then_baseline():
     plan = TracePlan(duration_s=300, segments=(), noise_sigma_kpa=0.0, warmup_s=100)
-    values = generate_trace(plan, seed=0).values
+    values = generate_trace(plan, seed=0)
     np.testing.assert_allclose(values[:100], 30.0 * np.arange(100) / 100)
     np.testing.assert_allclose(values[100:], 30.0)
 
 
 def test_default_segments_apply_at_offsets():
     plan = TracePlan(noise_sigma_kpa=0.0)
-    values = generate_trace(plan, seed=0).values
+    values = generate_trace(plan, seed=0)
     assert len(values) == 8700
     for offset, setpoint in [(1200, 35.0), (1800, 20.0), (2460, 35.0), (3180, 20.0), (4200, 40.0)]:
         assert values[offset] == setpoint
@@ -92,10 +92,10 @@ def test_default_segments_apply_at_offsets():
 
 def test_trace_seed_determinism():
     plan = quiet_plan(duration=500, sigma=0.2)
-    a = generate_trace(plan, seed=9).values
-    b = generate_trace(plan, seed=9).values
+    a = generate_trace(plan, seed=9)
+    b = generate_trace(plan, seed=9)
     np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, generate_trace(plan, seed=10).values)
+    assert not np.array_equal(a, generate_trace(plan, seed=10))
 
 
 def test_plan_validation():
@@ -114,28 +114,28 @@ def test_plan_validation():
 def test_stuck_injection_freezes_span():
     trace = generate_trace(quiet_plan(duration=600, sigma=0.3), seed=4)
     injected = inject_faults(trace, [StuckAt(at_s=100, duration_s=120)])
-    assert np.ptp(injected.values[100:220]) == 0.0
-    events = detect_stuck(injected.values, DetectorConfig())
+    assert np.ptp(injected[100:220]) == 0.0
+    events = detect_stuck(injected, DetectorConfig())
     assert any(e.start >= 90 and e.end <= 230 for e in events)
     # original untouched
-    assert np.ptp(trace.values[100:220]) > 0.0
+    assert np.ptp(trace[100:220]) > 0.0
 
 
 def test_spike_injection_reaches_peak_and_holds():
     trace = generate_trace(quiet_plan(duration=500), seed=0)
     injected = inject_faults(trace, [SpikeRamp(at_s=200, peak_kpa=55.0, rise_s=60)])
-    assert injected.values.max() >= 55.0
-    np.testing.assert_allclose(injected.values[260:], 55.0)
-    assert injected.values[229] == pytest.approx(30.0 + (55.0 - 30.0) * 29 / 60)
+    assert injected.max() >= 55.0
+    np.testing.assert_allclose(injected[260:], 55.0)
+    assert injected[229] == pytest.approx(30.0 + (55.0 - 30.0) * 29 / 60)
 
 
 def test_synth_and_simulation_share_one_ramp():
     trace = generate_trace(quiet_plan(duration=400, sigma=0.3), seed=6)
     spike = SpikeRamp(at_s=150, peak_kpa=52.5, rise_s=70)
     injected = inject_faults(trace, [spike])
-    expected = spike.reading(np.arange(150, 400), trace.values[150])
-    np.testing.assert_array_equal(injected.values[150:], expected)
-    np.testing.assert_array_equal(injected.values[:150], trace.values[:150])
+    expected = spike.reading(np.arange(150, 400), trace[150])
+    np.testing.assert_array_equal(injected[150:], expected)
+    np.testing.assert_array_equal(injected[:150], trace[:150])
 
 
 def test_injection_bounds_checked():
@@ -165,10 +165,10 @@ def test_simulation_refuses_what_synth_refuses(policy):
 def test_a_stuck_reading_inside_a_ramp_holds_the_clean_reading():
     trace = generate_trace(quiet_plan(duration=1200), seed=0)
     spike, stuck = SpikeRamp(at_s=600, peak_kpa=60.0, rise_s=120), StuckAt(at_s=650, duration_s=300)
-    values = inject_faults(trace, [spike, stuck]).values
+    values = inject_faults(trace, [spike, stuck])
     np.testing.assert_array_equal(values[650:950], 30.0)
     # freezing the already-faulted series instead would hold the ramp's 42.5 kPa
-    frozen_ramp = inject_faults(trace, [spike]).values
+    frozen_ramp = inject_faults(trace, [spike])
     frozen_ramp[650:950] = frozen_ramp[650]
     assert frozen_ramp[650] == 42.5
     np.testing.assert_array_equal(np.flatnonzero(values != frozen_ramp), np.arange(650, 950))
@@ -377,15 +377,14 @@ def test_stuck_sensor_inside_simulation():
 
 
 def test_trace_export_roundtrip(tmp_path):
-    from pdmecon.ingest import load_historian_csv, write_sensor_csv
+    from pdmecon.ingest import SensorFrame, load_historian_csv, write_sensor_csv
 
     trace = generate_trace(quiet_plan(duration=400, sigma=0.2), seed=3)
-    frame = trace_to_frame(trace)
     out = tmp_path / "trace.csv"
-    write_sensor_csv(frame, out)
+    write_sensor_csv(SensorFrame(np.arange(len(trace)), (TRACE_CHANNEL,), trace[None]), out)
     loaded, report = load_historian_csv(out)
     assert report.rows_retained == 400
-    np.testing.assert_array_equal(loaded.channel("DPIT301").values, trace.values)
+    np.testing.assert_array_equal(loaded.channel("DPIT301"), trace)
 
 
 def test_a_long_horizon_forecasts_in_smaller_blocks(monkeypatch):
@@ -436,7 +435,7 @@ def reference_reading(faults, t, normal):
 
 
 def reference_run_policy(plan, injections, policy, econ, seed):
-    trace = generate_trace(plan, seed).values
+    trace = generate_trace(plan, seed)
     duration = plan.duration_s
     breakdown = policy.breakdown
     predictive = isinstance(policy, PredictivePolicy)
@@ -580,7 +579,7 @@ def simulation_case(draw):
     duration = draw(st.integers(30, 800))
     plan = short_plan(draw, duration)
     seed = draw(st.integers(0, 3))
-    injections = fault_list(draw, generate_trace(plan, seed).values)
+    injections = fault_list(draw, generate_trace(plan, seed))
     maint = draw(st.integers(1, 60))
     breakdown = BreakdownRule(
         fail_limit_kpa=draw(st.floats(35.0, 60.0)),
@@ -685,7 +684,7 @@ def injection_case(draw):
     clean reading where it starts."""
     duration = draw(st.integers(30, 600))
     trace = generate_trace(short_plan(draw, duration), seed=draw(st.integers(0, 3)))
-    return trace, fault_list(draw, trace.values)
+    return trace, fault_list(draw, trace)
 
 
 # A spike that starts under a later-listed stuck reading ramps from the clean
@@ -703,8 +702,8 @@ SPIKE_UNDER_STUCK = (
 def test_inject_faults_matches_the_fault_state_reference(case):
     trace, injections = case
     faults = [_FaultState(inj) for inj in injections]
-    expected = [reference_reading(faults, t, trace.values[t]) for t in range(len(trace))]
-    np.testing.assert_array_equal(inject_faults(trace, injections).values, expected)
+    expected = [reference_reading(faults, t, trace[t]) for t in range(len(trace))]
+    np.testing.assert_array_equal(inject_faults(trace, injections), expected)
 
 
 # --- the bundled scenarios under tree models fitted on the seed-1 trace ---
