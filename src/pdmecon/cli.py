@@ -199,7 +199,7 @@ def cmd_simulate(args) -> int:
     policies = scenario.build_policies(model=model, lag_spec=lag_spec)
     report = compare_policies(scenario.plan, scenario.injections, policies, scenario.econ, seed)
     out = _out_dir(args) / "comparison.json"
-    write_json(out, report.to_dict())
+    write_json(out, report)
     print(format_comparison(report))
     print(f"wrote {out}")
     return 0

@@ -14,8 +14,11 @@ other cell is tried against the configured formats in order, and the first
 format that matches decides.
 
 Assumptions:
-- Header row is mandatory; the first column is the timestamp, and no two
-  channel columns share a name.
+- Header row is mandatory; the first column is the timestamp, and every
+  channel column has a name of its own (not empty, not shared).
+- A cell is at most the csv module's field limit (131,072 characters by
+  default); a longer one refuses the file rather than raising that limit,
+  which is process-wide.
 - Decimal separator is "." regardless of locale.
 - Timestamps have second resolution; duplicate or backward timestamps are
   rejected (plant historians emit monotone time).
@@ -225,6 +228,18 @@ def _lines(path: Path):
         raise IngestError(f"cannot read {path}: {exc}") from None
 
 
+def _blocks(path: Path):
+    """The file's header row (None if it has none), then its rows in lists of up to
+    BLOCK_ROWS; a line the csv module cannot parse is an IngestError naming the file and line."""
+    reader = csv.reader(_lines(path))
+    try:
+        yield next(reader, None)
+        while block := list(islice(reader, BLOCK_ROWS)):
+            yield block
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_historian_csv(
     path: str | Path, config: IngestConfig | None = None
 ) -> tuple[SensorFrame, IngestReport]:
@@ -240,19 +255,22 @@ def load_historian_csv(
 
     Raises:
         IngestError: missing, unreadable, non-UTF-8, empty or header-only
-            file, a channel named twice in the header, no parseable rows, or
-            non-monotone timestamps (with row context).
+            file, a line the csv module cannot parse (a cell longer than its
+            field limit, say), a header channel cell that is empty or names a
+            channel twice, no parseable rows, or non-monotone timestamps
+            (with row context).
     """
     config = config or IngestConfig()
     path = Path(path)
-    reader = csv.reader(_lines(path))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError(f"empty file: {path}") from None
+    blocks = _blocks(path)
+    header = next(blocks)
+    if header is None:
+        raise IngestError(f"empty file: {path}")
     names = [h.strip() for h in header]
     if len(names) < 2:
         raise IngestError(f"{path}: header must have a timestamp column plus >= 1 channel")
+    if not all(names[1:]):
+        raise IngestError(f"{path}: header column {names.index('', 1) + 1} names no channel")
     twice = [name for i, name in enumerate(names[1:], 1) if name in names[1:i]]
     if twice:
         raise IngestError(f"{path}: header names channel '{twice[0]}' twice")
@@ -262,7 +280,7 @@ def load_historian_csv(
     rows_read = dropped_sentinel = dropped_unparseable = 0
     first_failure: str | None = None
     lineno = 2  # the number of the block's first row; blank rows are numbered too
-    while block := list(islice(reader, BLOCK_ROWS)):
+    for block in blocks:
         lengths = np.fromiter(map(len, block), np.intp, len(block))
         full = np.flatnonzero(lengths == width)
         columns = [list(map(str.strip, col)) for col in zip(*(block[i] for i in full))] or [[]] * width

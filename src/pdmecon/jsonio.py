@@ -1,6 +1,7 @@
 """The JSON boundary: reading inputs, building config dataclasses, writing artifacts.
 
-load_json rejects NaN, Infinity and numbers that overflow a float. from_dict
+load_json rejects NaN, Infinity, numbers that overflow a float and arrays or
+objects nested deeper than the parser's recursion allows. from_dict
 builds a config dataclass from its own fields and annotations, rejecting
 unknown fields, missing required fields and wrong types as ``what.field``;
 an error the dataclass itself raises is prefixed with ``what:``. JSON integers
@@ -63,10 +64,15 @@ def load_json(path, what: str):
         raise
     except ValueError as exc:
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{what} file {path} nests arrays or objects too deeply to read") from None
 
 
 def _show(value) -> str:
-    text = json.dumps(value, default=repr)
+    try:
+        text = json.dumps(value, default=repr)
+    except RecursionError:  # a value load_json could parse, but only just
+        return "a value nested too deeply to show"
     return text if len(text) <= 40 else text[:37] + "..."
 
 

@@ -1,16 +1,18 @@
 """Versioned JSON serialization for trained models.
 
-A document holds the model's "kind", "seed", "hyperparams" (the fields of its
-hyperparameter dataclass), an optional "lag_spec" and "params", the model's
-other dataclass fields, written by jsonio.plain and read back by
-jsonio.from_dict into the model class that MODELS names for the kind. A tree
-is its nodes in preorder as models.tree holds them: "feature" per node (-1 at
-a leaf), "threshold" per split, "value" per leaf, plus "n_features". The model
-and tree classes check themselves on construction (a forest's n_trees and a
-booster's n_stages match its tree count, the trees share one width, the arrays
-describe one tree), so a loaded model has passed the same checks as a fitted
-one before anything walks it. Only schema version 3 is read; a version-1
-(nested-dict trees) or version-2 (per-node arrays) model must be retrained.
+A document is the fields of _ModelDoc, the one class that both writes it
+(through jsonio.plain) and reads it back (through jsonio.from_dict): the
+"schema_version", the model's "kind", "seed", "hyperparams" (the fields of its
+hyperparameter dataclass), "lag_spec" (left out when none was given) and
+"params", the model's other dataclass fields, read into the model class that
+MODELS names for the kind. A tree is its nodes in preorder as models.tree
+holds them: "feature" per node (-1 at a leaf), "threshold" per split, "value"
+per leaf, plus "n_features". The model and tree classes check themselves on
+construction (a forest's n_trees and a booster's n_stages match its tree
+count, the trees share one width, the arrays describe one tree), so a loaded
+model has passed the same checks as a fitted one before anything walks it.
+Only schema version 3 is read; a version-1 (nested-dict trees) or version-2
+(per-node arrays) model must be retrained.
 """
 
 from __future__ import annotations
@@ -33,6 +35,16 @@ class LoadedModel:
     lag_spec: LagSpec | None
 
 
+@dataclass(frozen=True)
+class _ModelDoc:
+    schema_version: Literal[1, 2, 3]  # 1 and 2 are known only to ask for a retrain
+    kind: str
+    seed: int = 0
+    lag_spec: LagSpec | None = None
+    hyperparams: dict = field(default_factory=dict)  # written from the kind's hyperparameter dataclass
+    params: dict = field(default_factory=dict)  # written from the model's other fields
+
+
 def model_to_dict(model, seed: int = 0, lag_spec: LagSpec | None = None) -> dict:
     """The model's document: its kind, its hyperparameters and its fitted params.
 
@@ -41,26 +53,11 @@ def model_to_dict(model, seed: int = 0, lag_spec: LagSpec | None = None) -> dict
     linear model, which has none, records `seed`.
     """
     params = {f.name: getattr(model, f.name) for f in fields(model) if f.name not in ("hyperparams", "seed")}
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": model.kind,
-        "seed": getattr(model, "seed", seed),
-        "hyperparams": model.hyperparams,
-        "params": params,
-    }
-    if lag_spec is not None:
-        doc["lag_spec"] = lag_spec
-    return plain(doc)
-
-
-@dataclass(frozen=True)
-class _ModelDoc:
-    schema_version: Literal[1, 2, 3]  # 1 and 2 are known only to ask for a retrain
-    kind: str
-    seed: int = 0
-    lag_spec: LagSpec | None = None
-    hyperparams: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
+    seed = getattr(model, "seed", seed)
+    doc = plain(_ModelDoc(SCHEMA_VERSION, model.kind, seed, lag_spec, model.hyperparams, params))
+    if lag_spec is None:
+        del doc["lag_spec"]  # absent, as a model saved without one has always been written
+    return doc
 
 
 def model_from_dict(doc) -> LoadedModel:

@@ -41,6 +41,10 @@ uptime + downtime == duration for every run.
 
 A scenario file is read by Scenario's own fields, a fault or a policy by its
 "kind"; the policies stay JSON objects until build_policies binds the model.
+A policy named "preventive" or "predictive" must be of that kind, since
+compare_policies and the cost-benefit bridge pick the pair by name.
+comparison.json is the fields of ComparisonReport, which comparison_from_dict
+reads back.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from . import format_table
 from .detect import decide
 from .errors import ValidationError
 from .features import LagSpec
-from .jsonio import from_dict, plain
+from .jsonio import from_dict
 from .models import LinearModel, predict
 
 # Setpoint offsets replaying the recorded change sequence (35, 20, 35, 20, 40
@@ -400,27 +404,25 @@ def run_policy(
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
-    outcomes: dict[str, SimOutcome]
+class Deltas:
+    """A comparison's preventive-versus-predictive deltas (see compare_policies); None without that pair."""
+
     downtime_avoided_s: int | None = None
     maintenance_avoided: int | None = None
     revenue_delta: float | None = None
 
-    def to_dict(self) -> dict:
-        doc = plain(self)
-        return {"schema_version": 1, "outcomes": doc.pop("outcomes"), "deltas": doc}
-
 
 @dataclass(frozen=True)
-class _ComparisonDoc:
+class ComparisonReport:
+    """The comparison.json document, written by its fields and read back by comparison_from_dict."""
+
     schema_version: Literal[1]
     outcomes: dict[str, SimOutcome]
-    deltas: dict = field(default_factory=dict)
+    deltas: Deltas = Deltas()
 
 
 def comparison_from_dict(doc) -> ComparisonReport:
-    doc = from_dict(_ComparisonDoc, doc, "comparison")
-    return from_dict(ComparisonReport, doc.deltas, "comparison.deltas", outcomes=doc.outcomes)
+    return from_dict(ComparisonReport, doc, "comparison")
 
 
 def compare_policies(
@@ -440,18 +442,15 @@ def compare_policies(
     if len(policies) < 2:
         raise ValidationError("compare_policies needs at least 2 policies")
     outcomes = {name: run_policy(plan, injections, pol, econ, seed) for name, pol in policies.items()}
-    downtime_avoided = maintenance_avoided = revenue_delta = None
+    deltas = Deltas()
     if "preventive" in outcomes and "predictive" in outcomes:
         prev, pred = outcomes["preventive"], outcomes["predictive"]
-        downtime_avoided = prev.downtime_s - pred.downtime_s
-        maintenance_avoided = prev.maintenance_count - pred.maintenance_count
-        revenue_delta = pred.revenue_units - prev.revenue_units
-    return ComparisonReport(
-        outcomes=outcomes,
-        downtime_avoided_s=downtime_avoided,
-        maintenance_avoided=maintenance_avoided,
-        revenue_delta=revenue_delta,
-    )
+        deltas = Deltas(
+            downtime_avoided_s=prev.downtime_s - pred.downtime_s,
+            maintenance_avoided=prev.maintenance_count - pred.maintenance_count,
+            revenue_delta=pred.revenue_units - prev.revenue_units,
+        )
+    return ComparisonReport(1, outcomes, deltas)
 
 
 def format_comparison(report: ComparisonReport) -> str:
@@ -468,11 +467,11 @@ def format_comparison(report: ComparisonReport) -> str:
         for name, o in report.outcomes.items()
     ]
     lines = [format_table(headers, rows)]
-    if report.revenue_delta is not None:
+    if report.deltas.revenue_delta is not None:
         lines.append(
-            f"deltas: downtime avoided {report.downtime_avoided_s} s, "
-            f"maintenance avoided {report.maintenance_avoided}, "
-            f"revenue delta {report.revenue_delta:.1f}"
+            f"deltas: downtime avoided {report.deltas.downtime_avoided_s} s, "
+            f"maintenance avoided {report.deltas.maintenance_avoided}, "
+            f"revenue delta {report.deltas.revenue_delta:.1f}"
         )
     return "\n".join(lines)
 
@@ -487,10 +486,16 @@ class Scenario:
     econ: EconParams = EconParams()
 
     def build_policies(self, model=None, lag_spec: LagSpec | None = None) -> dict[str, PolicyConfig]:
-        return {
-            name: from_dict(PolicyConfig, doc, f"scenario.policies.{name}", model=model, lag_spec=lag_spec)
-            for name, doc in self.policies.items()
-        }
+        policies = {}
+        for name, doc in self.policies.items():
+            policy = from_dict(PolicyConfig, doc, f"scenario.policies.{name}", model=model, lag_spec=lag_spec)
+            if name in ("preventive", "predictive") and policy.kind != name:
+                raise ValidationError(
+                    f"scenario.policies.{name} is of kind {policy.kind!r}, "
+                    f"but the name {name!r} is reserved for a policy of kind {name!r}"
+                )
+            policies[name] = policy
+        return policies
 
 
 def scenario_from_dict(doc) -> Scenario:

@@ -254,10 +254,11 @@ def test_ledger_file_errors(tmp_path):
 
 def comparison(uptime_prev, uptime_pred, maint_prev, maint_pred, duration=2000):
     return ComparisonReport(
+        schema_version=1,
         outcomes={
             "preventive": outcome(uptime_prev, duration - uptime_prev, maint_prev),
             "predictive": outcome(uptime_pred, duration - uptime_pred, maint_pred),
-        }
+        },
     )
 
 
@@ -291,7 +292,7 @@ def test_bridge_overwrites_existing_items():
 
 
 def test_bridge_requires_both_policies():
-    report = ComparisonReport(outcomes={"preventive": outcome(100, 0, 1)})
+    report = ComparisonReport(schema_version=1, outcomes={"preventive": outcome(100, 0, 1)})
     with pytest.raises(ValidationError, match="predictive"):
         bridge_from_simulation(report, 1.0, [], 0.0)
 

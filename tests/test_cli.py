@@ -611,6 +611,13 @@ MALFORMED = [
          "items", 1, "amount", value={"dist": "point", "value": 1e308},
      ),
      "not finite"),
+    # nested deeper than the parser's recursion allows
+    *[
+        (f"{flag.strip('-')}-nested-too-deeply", name, flag, lambda d: "[" * 100_000,
+         "bad.json nests arrays or objects too deeply to read")
+        for name, flag in [("synth", "--plan"), ("train", "--hyperparams"), ("simulate", "--scenario"),
+                           ("cba", "--ledger"), ("simulate", "--model"), ("cba", "--bridge")]
+    ],
     ("cba-revenue-rate-negative", "cba", "--revenue-rate", lambda d: FlagValue("-2"),
      "--revenue-rate must be a finite number >= 0, got -2.0"),
     ("cba-revenue-rate-nan", "cba", "--revenue-rate", lambda d: FlagValue("nan"),
@@ -633,6 +640,18 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, inputs, case):
     assert code == 1, err
     assert expected in err, err
     assert not out.exists() or not any(out.iterdir())  # nothing written, not even a temp file
+
+
+def test_json_nested_about_as_deep_as_the_parser_allows_exits_1(tmp_path, inputs):
+    # some of these depths parse and only the error message's rendering of the value recurses too deeply
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 200, limit + 10):
+        bad.write_text('{"duration_s": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+        code, err = run_main(with_flag(command(inputs, "synth", out), "--plan", bad))
+        assert code == 1, (depth, err)
+        assert "trace plan.duration_s must be an integer" in err or "nests arrays or objects too deeply" in err, err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("name", ["evaluate", "detect", "simulate", "cba"])
@@ -700,6 +719,53 @@ def test_unreadable_csv_exits_1_naming_the_file(tmp_path, csv):
         assert code == 1, err
         assert f"cannot read {path}" in err, err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("Timestamp,,DPIT301\n2020-02-26T15:44:00,1.0,2.0\n", "header column 2 names no channel"),
+        ("Timestamp,DPIT301,\n2020-02-26T15:44:00,1.0,2.0\n", "header column 3 names no channel"),
+        (f"Timestamp,DPIT301\n2020-02-26T15:44:00,{'1' * 131_073}\n", "line 2: field larger than field limit"),
+    ],
+    ids=["empty-channel-name", "trailing-comma", "cell-beyond-field-limit"],
+)
+def test_csv_the_loader_refuses_exits_1_naming_the_file(tmp_path, text, expected):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    for name in ("ingest", "train", "evaluate", "detect"):
+        code, err = run_main(with_flag(command(tmp_path, name, out), "--csv", path))
+        assert code == 1, err
+        assert f"error: {path}: {expected}" in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_scenario_with_swapped_policy_names_exits_1_before_any_policy_runs(tmp_path, inputs):
+    scenario = small_scenario()
+    policies = scenario["policies"]
+    scenario["policies"] = {"preventive": policies["predictive"], "predictive": policies["preventive"]}
+    (tmp_path / "swapped.json").write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    code, err = run_main(with_flag(command(inputs, "simulate", out), "--scenario", tmp_path / "swapped.json"))
+    assert code == 1, err
+    assert (
+        "error: scenario.policies.preventive is of kind 'predictive', "
+        "but the name 'preventive' is reserved for a policy of kind 'preventive'"
+    ) in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_policies_named_outside_the_pair_run_without_deltas(tmp_path, inputs):
+    scenario = small_scenario()
+    scenario["policies"] = {"calendar": scenario["policies"]["preventive"], "forecast": scenario["policies"]["predictive"]}
+    (tmp_path / "renamed.json").write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    code, err = run_main(with_flag(command(inputs, "simulate", out), "--scenario", tmp_path / "renamed.json"))
+    assert code == 0, err
+    comparison = json.loads((out / "comparison.json").read_text())
+    assert sorted(comparison["outcomes"]) == ["calendar", "forecast"]
+    assert comparison["deltas"] == {"downtime_avoided_s": None, "maintenance_avoided": None, "revenue_delta": None}
 
 
 @pytest.mark.parametrize("name", ["train", "evaluate", "detect"])

@@ -31,7 +31,7 @@ from pdmecon.models import (
     load_model,
     model_to_dict,
 )
-from pdmecon.plantsim import ComparisonReport, SimOutcome
+from pdmecon.plantsim import ComparisonReport, Deltas, SimOutcome
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -99,11 +99,8 @@ ARTIFACTS = {
         rows_read=10, rows_dropped_sentinel=2, rows_dropped_unparseable=1, channels_retained=3
     ).to_dict(),
     "comparison.json": ComparisonReport(
-        outcomes={"preventive": outcome(3000, 2, 1), "predictive": outcome(3240, 1, 0)},
-        downtime_avoided_s=240,
-        maintenance_avoided=1,
-        revenue_delta=360.0,
-    ).to_dict(),
+        1, {"preventive": outcome(3000, 2, 1), "predictive": outcome(3240, 1, 0)}, Deltas(240, 1, 360.0)
+    ),
     "net_benefit.json": NetBenefitResult(
         item_summaries={"Fewer breakdowns": McSummary.from_samples(SAMPLES), "Sensors": McSummary.from_samples([2.0])},
         ledger_summaries={

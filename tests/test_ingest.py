@@ -181,6 +181,29 @@ def test_header_naming_a_channel_twice_rejected(tmp_path):
         load_historian_csv(path)
 
 
+@pytest.mark.parametrize(
+    "header, column", [("Timestamp,,A", 2), ("Timestamp,A,", 3), ("Timestamp,A, \t,B", 3), ("Timestamp,,", 2)]
+)
+def test_header_with_an_empty_channel_name_rejected(tmp_path, header, column):
+    cells = ",".join(["1.0"] * (header.count(",")))
+    path = write_csv(tmp_path / "t.csv", [header, f"2020-02-26T15:44:00,{cells}"])
+    expected = f"{path}: header column {column} names no channel"
+    with pytest.raises(IngestError, match=f"^{expected}$"):
+        load_historian_csv(path)
+    assert _load_or_error(reference_load, path, None) == expected
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_cell_beyond_the_csv_field_limit_is_an_ingest_error(tmp_path, line):
+    limit = csv.field_size_limit()
+    lines = ["Timestamp,P1", "2020-02-26T15:44:00,1.0", "2020-02-26T15:44:01,2.0"]
+    lines[line - 1] = lines[line - 1][:-1] + "1" * limit
+    path = write_csv(tmp_path / "t.csv", lines)
+    with pytest.raises(IngestError, match=f"^{path}: line {line}: field larger than field limit \\({limit}\\)$"):
+        load_historian_csv(path)
+    assert csv.field_size_limit() == limit  # the process-wide limit is left as it was
+
+
 def test_duplicate_timestamps_rejected(tmp_path):
     path = write_csv(
         tmp_path / "t.csv",
@@ -306,6 +329,9 @@ def reference_load(path, config=None):
         raise IngestError(f"{path}: header must have a timestamp column plus >= 1 channel")
     channel_names = names[1:]
     n_channels = len(channel_names)
+    for column, name in enumerate(channel_names, start=2):
+        if not name:
+            raise IngestError(f"{path}: header column {column} names no channel")
     for i, name in enumerate(channel_names):
         if name in channel_names[:i]:
             raise IngestError(f"{path}: header names channel '{name}' twice")

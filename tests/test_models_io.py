@@ -48,6 +48,17 @@ def test_roundtrip_preserves_predictions(tmp_path, data, kind):
     np.testing.assert_array_equal(predict(loaded.model, probes), predict(model, probes))
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_document_without_a_lag_spec_reads_back_with_none(data, kind):
+    X, y = data
+    hyperparams = {"forest": ForestHyperparams(n_trees=2), "boost": BoostHyperparams(n_stages=2)}.get(kind)
+    doc = model_to_dict(fit_model(kind, X, y, hyperparams, seed=2), seed=2)
+    assert sorted(doc) == ["hyperparams", "kind", "params", "schema_version", "seed"]
+    loaded = model_from_dict(json.loads(json.dumps(doc)))
+    assert loaded.lag_spec is None
+    assert model_to_dict(loaded.model, seed=2) == doc
+
+
 def test_serialized_document_is_stable(data):
     X, y = data
     a = model_to_dict(fit_forest(X, y, ForestHyperparams(n_trees=3), seed=7), seed=7)

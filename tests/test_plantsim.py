@@ -11,11 +11,13 @@ from pdmecon import plantsim
 from pdmecon.detect import Action, DetectorConfig, decide, detect_stuck
 from pdmecon.errors import ValidationError
 from pdmecon.features import LagSpec, make_lag_matrix
-from pdmecon.jsonio import from_dict
+from pdmecon.jsonio import dumps, from_dict
 from pdmecon.models import BoostHyperparams, ForestHyperparams, LinearModel, fit_model, predict
 from pdmecon.plantsim import (
     TRACE_CHANNEL,
     BreakdownRule,
+    ComparisonReport,
+    Deltas,
     EconParams,
     PredictivePolicy,
     PreventivePolicy,
@@ -264,7 +266,7 @@ def test_monotone_economics_in_repair_duration():
             EconParams(),
             seed=0,
         )
-        deltas.append(report.revenue_delta)
+        deltas.append(report.deltas.revenue_delta)
     assert deltas == sorted(deltas)
     assert deltas[0] > 0
 
@@ -275,9 +277,7 @@ def test_compare_identical_policies_zero_deltas():
     report = compare_policies(
         plan, [], {"preventive": policy, "predictive": policy}, EconParams(), seed=0
     )
-    assert report.downtime_avoided_s == 0
-    assert report.maintenance_avoided == 0
-    assert report.revenue_delta == 0.0
+    assert report.deltas == Deltas(downtime_avoided_s=0, maintenance_avoided=0, revenue_delta=0.0)
 
 
 def test_compare_requires_two_policies():
@@ -357,10 +357,22 @@ def test_comparison_report_dict_roundtrip():
         EconParams(revenue_rate_per_s=2.0),
         seed=3,
     )
-    from pdmecon.plantsim import comparison_from_dict
+    assert report.deltas.revenue_delta is not None
+    assert from_dict(ComparisonReport, json.loads(dumps(report)), "comparison") == report
 
-    clone = comparison_from_dict(report.to_dict())
-    assert clone == report
+
+def test_comparison_without_the_pair_round_trips_with_null_deltas():
+    report = compare_policies(
+        quiet_plan(duration=1200),
+        [SpikeRamp(at_s=600, peak_kpa=60.0, rise_s=60)],
+        {"calendar": preventive(), "forecast": predictive()},
+        EconParams(),
+        seed=3,
+    )
+    doc = json.loads(dumps(report))
+    assert doc["deltas"] == {"downtime_avoided_s": None, "maintenance_avoided": None, "revenue_delta": None}
+    assert sorted(doc) == ["deltas", "outcomes", "schema_version"]
+    assert from_dict(ComparisonReport, doc, "comparison") == report
 
 
 def test_stuck_sensor_inside_simulation():

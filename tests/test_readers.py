@@ -8,6 +8,9 @@ intended: an item without an `amount` may be refused as "... is required" or
 for another fault of the same item, where the reference always named the
 missing amount first; and an injections file names its array `injections` in
 both of its forms, where the reference named it `injections.injections`.
+The scenario reference also refuses a policy named `preventive` or `predictive`
+of the other kind, as `Scenario.build_policies` does, and the comparison
+reference builds the one class, `ComparisonReport`, that writes the file.
 """
 
 import json
@@ -29,6 +32,7 @@ from pdmecon.jsonio import _wrong, from_dict, json_object, load_json
 from pdmecon.models import LinearModel
 from pdmecon.plantsim import (
     ComparisonReport,
+    Deltas,
     EconParams,
     PredictivePolicy,
     PreventivePolicy,
@@ -92,9 +96,14 @@ class _ScenarioDoc:
 def reference_scenario(path, model, lag_spec):
     doc = from_dict(_ScenarioDoc, load_json(path, "scenario"), "scenario")
     injections = [injection_from_dict(d, f"scenario.injections[{i}]") for i, d in enumerate(doc.injections)]
-    policies = {
-        name: policy_from_dict(d, model, lag_spec, f"scenario.policies.{name}") for name, d in doc.policies.items()
-    }
+    policies = {}
+    for name, d in doc.policies.items():
+        policies[name] = policy_from_dict(d, model, lag_spec, f"scenario.policies.{name}")
+        if name in ("preventive", "predictive") and policies[name].kind != name:
+            raise ValidationError(
+                f"scenario.policies.{name} is of kind {policies[name].kind!r}, "
+                f"but the name {name!r} is reserved for a policy of kind {name!r}"
+            )
     return doc.plan, injections, policies, doc.econ
 
 
@@ -122,16 +131,16 @@ def reference_ledger(path):
 
 
 @dataclass(frozen=True)
-class _ComparisonDoc:
+class _ComparisonFile:
     schema_version: Literal[1]
     outcomes: dict
     deltas: dict = field(default_factory=dict)
 
 
 def reference_comparison(path):
-    doc = from_dict(_ComparisonDoc, load_json(path, "comparison"), "comparison")
+    doc = from_dict(_ComparisonFile, load_json(path, "comparison"), "comparison")
     outcomes = {name: from_dict(SimOutcome, o, f"comparison.outcomes.{name}") for name, o in doc.outcomes.items()}
-    return from_dict(ComparisonReport, doc.deltas, "comparison.deltas", outcomes=outcomes)
+    return ComparisonReport(doc.schema_version, outcomes, from_dict(Deltas, doc.deltas, "comparison.deltas"))
 
 
 # --- the readers under test ----------------------------------------------------
