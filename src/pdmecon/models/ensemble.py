@@ -18,7 +18,9 @@ from typing import ClassVar
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import RegressionTree, TreeParams, as_rows, fit_tree, predict_tree, presort, stack_trees, walk_stacked
+from .tree import (
+    RegressionTree, TreeParams, as_rows, check_target, fit_tree, predict_tree, presort, stack_trees, walk_stacked
+)
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ def fit_boost(
     params = TreeParams(hp.max_depth, hp.min_samples_leaf)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
-
+    check_target(y)  # before the mean, which can overflow too
     init_value = float(y.mean())
     F = np.full(len(y), init_value)
     presorted = presort(X)

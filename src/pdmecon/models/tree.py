@@ -14,14 +14,20 @@ them level by level.
 Fitting argsorts X once per feature (stable) and stably partitions that order
 into the children at each split, so every node sees its rows sorted by each
 feature with ties in row order, exactly as a stable argsort of the node's own
-rows would give. Split search is vectorized over all features at once: prefix
-sums of y and y^2 along the sorted order, then the child SSE for every
-candidate boundary. Candidate thresholds sit at midpoints between consecutive
-distinct sorted values, or at the lower value where the midpoint rounds up to
-the upper one or overflows, as in scikit-learn; ties in reduction resolve to
-the lowest (feature index, threshold) so fitting is deterministic. The build
-loop uses an explicit stack that pops nodes in preorder; pathological data can
-produce trees deeper than Python's recursion limit.
+rows would give. Split search takes prefix sums of y and y^2 along the sorted
+order, then the child SSE for every candidate boundary. It runs over blocks
+of features whose temporaries stay under a fixed cell count, in a few reused
+buffers, so a large node allocates one SSE array and a bounded amount besides
+rather than several fresh full-size temporaries. Each SSE comes from the same
+operations in the same order as over all features at once, and one argmin
+over the whole SSE array picks the split, so blocking changes no bit of any
+tree. Targets are refused where those sums could overflow float64. Candidate
+thresholds sit at midpoints between consecutive distinct sorted values, or at
+the lower value where the midpoint rounds up to the upper one or overflows,
+as in scikit-learn; ties in reduction resolve to the lowest (feature index,
+threshold) so fitting is deterministic. The build loop uses an explicit stack
+that pops nodes in preorder; pathological data can produce trees deeper than
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -149,31 +155,64 @@ def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.take_along_axis(X.T, order, axis=1)
 
 
-def _best_split(xs: np.ndarray, ys: np.ndarray, min_samples_leaf: int):
+# float64 cells per temporary of the split search. 2**15 cells (256 KB) stay
+# in cache and are reused from malloc's heap; full-size (features x rows)
+# temporaries are fresh mmaps that page-fault on first touch.
+_BLOCK_CELLS = 2**15
+
+
+def _best_split(xs: np.ndarray, order: np.ndarray, y: np.ndarray, min_samples_leaf: int):
     """Return (feature, threshold) minimizing child SSE, or None if no valid split.
 
-    xs and ys are (features, rows): each row holds the node's X values of one
-    feature in sorted order and the targets in that same order.
+    xs and order are (features, rows): each row holds the node's X values of
+    one feature in sorted order and the row indices in that same order. The
+    child SSE of every candidate boundary goes into one (features, rows - 1)
+    array, computed a block of features at a time in a few reused buffers.
     """
-    n = xs.shape[1]
-    cum = np.cumsum(ys, axis=1)
-    cum2 = np.cumsum(ys * ys, axis=1)
-    total, total2 = cum[:, -1:], cum2[:, -1:]
-
+    n_features, n = xs.shape
     # boundary after sorted position i puts i+1 rows on the left
     nl = np.arange(1, n, dtype=np.float64)
     nr = n - nl
-    sl, sl2 = cum[:, :-1], cum2[:, :-1]
-    sse = (sl2 - sl * sl / nl) + (total2 - sl2) - (total - sl) ** 2 / nr
-
-    valid = xs[:, :-1] < xs[:, 1:]
+    sse = np.empty((n_features, n - 1))
+    width = min(n_features, max(1, _BLOCK_CELLS // n))  # features per block
+    ys, cum, cum2 = np.empty((width, n)), np.empty((width, n)), np.empty((width, n))
+    a, b = np.empty((width, n - 1)), np.empty((width, n - 1))
+    bad = np.empty((width, n - 1), dtype=bool)
+    for start in range(0, n_features, width):
+        if start + width > n_features:  # the last block can be narrower: trim the buffers to it
+            k = n_features - start
+            ys, cum, cum2, a, b, bad = ys[:k], cum[:k], cum2[:k], a[:k], b[:k], bad[:k]
+        block = slice(start, start + width)
+        out = sse[block]
+        # mode="wrap" writes straight into out (the default "raise" buffers); order is always in range
+        np.take(y, order[block], out=ys, mode="wrap")
+        np.cumsum(ys, axis=1, out=cum)
+        np.multiply(ys, ys, out=ys)
+        np.cumsum(ys, axis=1, out=cum2)
+        sl, sl2, total, total2 = cum[:, :-1], cum2[:, :-1], cum[:, -1:], cum2[:, -1:]
+        # (sl2 - sl * sl / nl) + (total2 - sl2) - (total - sl) ** 2 / nr, one
+        # operation at a time in that order: cumsum adds along a row in
+        # sequence, so every SSE has the bits of the unblocked expression
+        np.multiply(sl, sl, out=a)
+        np.divide(a, nl, out=a)
+        np.subtract(sl2, a, out=a)
+        np.subtract(total2, sl2, out=b)
+        np.add(a, b, out=a)
+        np.subtract(total, sl, out=b)
+        np.square(b, out=b)
+        np.divide(b, nr, out=b)
+        np.subtract(a, b, out=out)
+        np.less(xs[block, :-1], xs[block, 1:], out=bad)
+        np.logical_not(bad, out=bad)
+        np.copyto(out, np.inf, where=bad)
     if min_samples_leaf > 1:
-        valid &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-    if not valid.any():
-        return None
-    sse = np.where(valid, sse, np.inf)
-    # feature-major flatten: first minimum = lowest feature, then lowest threshold
+        sse[:, : min_samples_leaf - 1] = sse[:, n - min_samples_leaf :] = np.inf
+    # feature-major flatten: first minimum = lowest feature, then lowest
+    # threshold. fit_tree's target bound keeps every valid SSE finite, so an
+    # infinite minimum means no valid boundary
     feature, pos = divmod(int(np.argmin(sse)), n - 1)
+    if sse[feature, pos] == np.inf:
+        return None
     below, above = float(xs[feature, pos]), float(xs[feature, pos + 1])
     threshold = 0.5 * (below + above)
     # the midpoint of adjacent floats can round up to `above`, and below + above
@@ -181,6 +220,23 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_samples_leaf: int):
     if threshold == above or math.isinf(threshold):
         threshold = below
     return feature, threshold
+
+
+def check_target(y: np.ndarray) -> None:
+    """Refuse empty targets, and targets that would overflow the split search.
+
+    The search squares sums of up to len(y) targets, so every |y| must be at
+    most sqrt(float64 max) / (2 * len(y)); NaN fails the check too.
+    """
+    if len(y) == 0:
+        raise ValidationError("cannot fit a tree on empty data")
+    bound = math.sqrt(np.finfo(np.float64).max) / (2 * len(y))
+    largest = float(np.max(np.abs(y)))
+    if not largest <= bound:
+        raise ValidationError(
+            f"cannot fit a tree on targets as large as |y| = {largest:.6g}: with {len(y)} rows, "
+            f"split search overflows float64 beyond |y| = {bound:.6g}"
+        )
 
 
 def fit_tree(
@@ -199,8 +255,7 @@ def fit_tree(
     params = params or TreeParams()
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
-    if len(y) == 0:
-        raise ValidationError("cannot fit a tree on empty data")
+    check_target(y)
     if X.shape[0] != len(y):
         raise ValidationError(f"X has {X.shape[0]} rows but y has {len(y)} entries")
     min_leaf, max_depth = params.min_samples_leaf, params.max_depth
@@ -218,7 +273,7 @@ def fit_tree(
         split = None
         if splittable(idx, depth) and np.ptp(y_node) != 0.0:
             order, xs = sorted_rows
-            split = _best_split(xs, y.take(order), min_leaf)
+            split = _best_split(xs, order, y, min_leaf)
         if split is None:
             feature.append(-1)
             value.append(float(y_node.mean()))

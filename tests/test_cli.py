@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -794,6 +795,27 @@ def test_evaluate_rejects_empty_or_repeated_kinds(tmp_path, inputs, kinds):
     assert code == 1, err
     assert ("names no model kind" if kinds.strip(" ,") == "" else "twice") in err, err
     assert not out.exists()  # rejected before any fitting, so not even the directory
+
+
+@pytest.mark.parametrize(
+    "name, kind_flag, kinds",
+    [("train", "--kind", "forest"), ("train", "--kind", "boost"), ("evaluate", "--kinds", "forest,boost")],
+)
+def test_tree_fit_on_readings_beyond_the_overflow_bound_exits_1(tmp_path, name, kind_flag, kinds):
+    # squared sums of readings near 1e200 overflow; the split search used to pick splits from NaN
+    path = tmp_path / "huge.csv"
+    rows = (f"2020-02-26T15:{i // 60:02d}:{i % 60:02d},{1 + i % 7 / 10}e200" for i in range(60))
+    path.write_text("Timestamp,DPIT301\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = with_flag(with_flag(command(tmp_path, name, out), "--csv", path), kind_flag, kinds)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_main(argv)
+    assert code == 1, err
+    assert "error: cannot fit a tree on targets as large as |y| = " in err, err
+    assert "split search overflows float64 beyond |y| = " in err, err
+    assert not caught, [str(w.message) for w in caught]
+    assert not (out / "model.json").exists() and not (out / "evaluation.json").exists()
 
 
 # --- property: any mutation of a valid config exits 0 or 1 ------------------

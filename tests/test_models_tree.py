@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from pdmecon.errors import ValidationError
 from pdmecon.jsonio import plain
+from pdmecon.models import tree as tree_module
 from pdmecon.models import (
     BoostHyperparams,
     ForestHyperparams,
@@ -124,6 +127,22 @@ def test_leaf_values_are_means():
 def test_empty_data_error():
     with pytest.raises(ValidationError, match="empty"):
         fit_tree(np.zeros((0, 1)), np.zeros(0))
+
+
+def test_targets_beyond_the_overflow_bound_are_refused():
+    # 1e200 squared overflows: the split search used to pick the first NaN SSE
+    X = np.arange(8.0).reshape(-1, 1)
+    y = np.array([0.0] * 4 + [1e200] * 4)
+    bound = math.sqrt(np.finfo(np.float64).max) / 16
+    with pytest.raises(ValidationError, match=f"as large as \\|y\\| = 1e\\+200: with 8 rows") as error:
+        fit_tree(X, y)
+    assert f"beyond |y| = {bound:.6g}" in str(error.value)
+    for fit in (fit_forest, fit_boost):
+        with pytest.raises(ValidationError, match="split search overflows"):
+            fit(X, y)
+    # at the bound the same shape still fits: one split between the two levels
+    tree = fit_tree(X, np.where(y > 0, bound, 0.0))
+    assert arrays(tree) == ([0, -1, -1], [3.5], [0.0, bound])
 
 
 def test_predict_feature_mismatch():
@@ -376,3 +395,36 @@ def test_boost_stages_sharing_one_presort_match_reference(case, learning_rate):
         assert arrays(stage) == preorder(reference)
         F = F + learning_rate * reference_predict(reference, X)
     np.testing.assert_array_equal(predict_tree(model.stages[-1], X), reference_predict(reference, X))
+
+
+def test_reference_properties_hold_with_one_feature_per_block():
+    # the hypothesis nodes are at most 30 x 4, so at the default block size each fits in one block
+    with patch.object(tree_module, "_BLOCK_CELLS", 1):
+        test_presorted_fit_matches_per_node_argsort()
+        test_boost_stages_sharing_one_presort_match_reference()
+
+
+def test_fit_spanning_several_blocks_matches_reference():
+    rng = np.random.default_rng(16)
+    n, p = 3000, 26
+    assert p * n > 2 * tree_module._BLOCK_CELLS  # the root's split search takes three blocks
+    X = rng.normal(size=(n, p))
+    X[:, ::3] = rng.integers(0, 40, size=X[:, ::3].shape)  # ties, so invalid boundaries
+    y = X[:, 5] - 0.5 * X[:, 12] + rng.normal(size=n)
+    params = TreeParams(max_depth=6, min_samples_leaf=3)
+    assert arrays(fit_tree(X, y, params)) == preorder(reference_fit(X, y, params))
+
+
+def test_split_search_allocates_a_bounded_multiple_of_its_sse_array():
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(8192, 26)), rng.normal(size=8192)
+    order, xs = tree_module.presort(X)
+    tracemalloc.start()
+    try:
+        split = tree_module._best_split(xs, order, y, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split is not None
+    sse_bytes = 26 * 8191 * 8
+    assert peak < 2.5 * sse_bytes, f"peak {peak} bytes is {peak / sse_bytes:.2f} x the sse array"
