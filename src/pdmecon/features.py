@@ -38,12 +38,10 @@ class LagSpec:
 
 @dataclass(frozen=True)
 class SupervisedSet:
-    """Design matrix X (rows x lag count), target y, and source-row indices."""
+    """Design matrix X (rows x lag count) and target y; row i's target is values[max_lag + i]."""
 
     X: np.ndarray
     y: np.ndarray
-    origin_index: np.ndarray
-    lags: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -104,7 +102,7 @@ def make_lag_matrix(values, spec: LagSpec | None = None) -> SupervisedSet:
     X = np.empty((len(targets), spec.n_features), dtype=np.float64)
     for j, lag in enumerate(spec.lags):
         X[:, j] = values[targets - lag]
-    return SupervisedSet(X=X, y=values[targets], origin_index=targets, lags=spec.lags)
+    return SupervisedSet(X=X, y=values[targets])
 
 
 def walk_forward_splits(n_rows: int, k: int = 5) -> SplitPlan:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Annotated, ClassVar
 
@@ -49,6 +50,9 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
     Solved through an SVD-backed factorization. If the design is near rank
     deficient (condition number > COND_LIMIT) a diagonal ridge of RIDGE_EPS is
     added to the normal equations and the result is flagged via ridge_applied.
+    The normal equations sum n products of two inputs, so every |value| of X
+    and y must be at most sqrt(float64 max / (2 * n)), which leaves half the
+    range for rounding; NaN fails the check too.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -57,6 +61,13 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
         raise ValidationError(f"X has {n} rows but y has {len(y)} entries")
     if n < p + 1:
         raise ValidationError(f"need at least {p + 1} rows to fit {p} features, got {n}")
+    bound = math.sqrt(np.finfo(np.float64).max / (2 * n))
+    largest = float(np.maximum(np.abs(X).max(initial=0.0), np.abs(y).max()))  # NaN propagates
+    if not largest <= bound:
+        raise ValidationError(
+            f"cannot fit a linear model on values as large as |x| = {largest:.6g}: with {n} rows, "
+            f"the normal equations overflow float64 beyond |x| = {bound:.6g}"
+        )
 
     A = np.column_stack([np.ones(n), X])
     beta, _, rank, sv = np.linalg.lstsq(A, y, rcond=None)

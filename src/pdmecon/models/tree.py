@@ -113,7 +113,8 @@ class RegressionTree:
 
 @dataclass(frozen=True, eq=False)
 class NodeView:
-    """Read-only view of one node of a RegressionTree."""
+    """One node of a RegressionTree, linked to its children. Only the benchmark tracer's
+    node count walks these links; the view goes once it reads n_nodes (ROADMAP item 1)."""
 
     tree: RegressionTree
     index: int
@@ -130,19 +131,6 @@ class NodeView:
     @property
     def right(self) -> "NodeView | None":
         return None if self.is_leaf else NodeView(self.tree, int(self.nodes[1][self.index]), self.nodes)
-
-    @property
-    def feature(self) -> int:
-        return int(self.tree.feature[self.index])
-
-    @property
-    def threshold(self) -> float:
-        return float(self.nodes[2][self.index])
-
-    @property
-    def value(self) -> float | None:
-        """The leaf's prediction; None at a split."""
-        return float(self.nodes[3][self.index]) if self.is_leaf else None
 
 
 def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

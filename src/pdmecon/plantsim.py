@@ -266,6 +266,8 @@ class EconParams:
     def __post_init__(self):
         if self.fouling_rate_kpa_per_s < 0:
             raise ValidationError("fouling_rate_kpa_per_s must be >= 0")
+        if self.revenue_rate_per_s < 0:
+            raise ValidationError("revenue_rate_per_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -279,6 +281,11 @@ class SimOutcome:
     revenue_units: float
 
     def __post_init__(self):
+        if self.duration_s < 1:
+            raise ValidationError("duration_s must be >= 1")
+        for name in ("uptime_s", "downtime_s", "maintenance_count", "breakdown_count", "revenue_rate_per_s"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.uptime_s + self.downtime_s != self.duration_s:
             raise ValidationError(
                 f"time not conserved: {self.uptime_s} + {self.downtime_s} != {self.duration_s}"
@@ -325,10 +332,11 @@ def _first_schedule(policy: PredictivePolicy, obs: np.ndarray, start: int, stop:
     t = start + _first(obs[start:early] > limit)
     if t < early:
         return t, obs[t : t + 1]
-    windows = np.lib.stride_tricks.sliding_window_view(obs, max_lag)  # row t + 1 - max_lag ends at second t
     lo, block = early, min(256, cap)
     while lo < stop:
         hi = min(lo + block, stop)
+        # built here, once a full window exists: a run shorter than max_lag never gets this far
+        windows = np.lib.stride_tricks.sliding_window_view(obs, max_lag)  # row t + 1 - max_lag ends at second t
         forecast = _forecast(policy.model, windows[lo + 1 - max_lag : hi + 1 - max_lag], lags, policy.horizon_s)
         i = _first((forecast > limit).any(axis=1))
         if i < len(forecast):

@@ -170,6 +170,8 @@ def test_net_benefit_validation():
         net_benefit([], McConfig(trials=10, seed=0))
     with pytest.raises(ValidationError, match="duplicate"):
         net_benefit([item("same"), item("same")], McConfig(trials=10, seed=0))
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        McConfig(trials=10, seed=-1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -446,8 +446,12 @@ def command(d, name, out):
 
 
 def with_flag(argv, flag, path):
+    """argv with flag set to path, or without flag when path is None."""
     argv = list(argv)
-    if flag in argv:
+    if path is None:
+        at = argv.index(flag)
+        del argv[at : at + 2]
+    elif flag in argv:
         argv[argv.index(flag) + 1] = path
     else:
         argv += [flag, path]
@@ -498,13 +502,30 @@ class FlagValue(str):
     """A malformed flag value given on the command line rather than as a file."""
 
 
-# (id, command, flag, malformed document, raw text or flag value from the inputs dir, text stderr must hold)
+def tampered(doc, policy, **fields):
+    """A comparison document with fields of one outcome replaced."""
+    return edited(doc, "outcomes", policy, value={**doc["outcomes"][policy], **fields})
+
+
+# (id, command, flag, malformed document, raw text or flag value from the inputs dir (None leaves the flag
+# out), text stderr must hold)
 MALFORMED = [
     ("plan-list", "synth", "--plan", lambda d: [SMALL_PLAN], "trace plan must be a JSON object"),
     ("plan-short-segment", "synth", "--plan", lambda d: {"segments": [[1]]}, "trace plan.segments[0]"),
     ("plan-string-duration", "synth", "--plan", lambda d: {"duration_s": "10"}, "trace plan.duration_s"),
     ("plan-sample-period", "synth", "--plan", lambda d: {**SMALL_PLAN, "sample_period_s": 1},
      "error: unknown field trace plan.sample_period_s"),
+    ("plan-zero-duration", "synth", "--plan", lambda d: {**SMALL_PLAN, "duration_s": 0, "segments": []},
+     "error: trace plan: duration_s must be >= 1"),
+    ("plan-negative-warmup", "synth", "--plan", lambda d: {**SMALL_PLAN, "warmup_s": -1},
+     "error: trace plan: warmup_s must be >= 0"),
+    ("plan-float-overflow", "synth", "--plan", lambda d: '{"baseline_kpa": 1e999}', "bad.json: 1e999 overflows a float"),
+    ("injection-spike-zero-rise", "synth", "--injections",
+     lambda d: [{"kind": "spike_ramp", "at_s": 10, "peak_kpa": 60.0, "rise_s": 0}],
+     "error: injections[0]: SpikeRamp requires at_s >= 0 and rise_s >= 1"),
+    ("injection-stuck-zero-duration", "synth", "--injections",
+     lambda d: [{"kind": "stuck_at", "at_s": 10, "duration_s": 0}],
+     "error: injections[0]: StuckAt requires at_s >= 0 and duration_s >= 1"),
     ("injection-missing-peak", "synth", "--injections",
      lambda d: [{"kind": "spike_ramp", "at_s": 10, "rise_s": 5}], "injections[0].peak_kpa"),
     ("injections-number", "synth", "--injections", lambda d: 3, "error: injections must be an array, got 3"),
@@ -519,9 +540,18 @@ MALFORMED = [
     ("hyperparams-string", "train", "--hyperparams", lambda d: {"forest": {"n_trees": "3"}},
      "hyperparameters.forest.n_trees"),
     ("hyperparams-number", "train", "--hyperparams", lambda d: {"forest": 3}, "hyperparameters.forest"),
+    ("hyperparams-min-samples-leaf-zero", "train", "--hyperparams", lambda d: {"forest": {"min_samples_leaf": 0}},
+     "error: hyperparameters.forest: min_samples_leaf must be >= 1"),
     ("detector-config-list", "detect", "--config", lambda d: [], "detector config must be a JSON object"),
     ("detector-string-window", "detect", "--config", lambda d: {"mad_window": "11"},
      "detector config.mad_window"),
+    ("detector-zero-stuck-duration", "detect", "--config", lambda d: {"stuck_min_duration": 0},
+     "error: detector config: stuck_min_duration must be >= 1"),
+    # the series has SMALL_PLAN's 300 readings
+    ("detector-stuck-window-beyond-series", "detect", "--config", lambda d: {"stuck_window": 301},
+     "error: stuck_window 301 larger than series (300)"),
+    ("detector-var-window-beyond-series", "detect", "--config", lambda d: {"var_window": 301},
+     "error: var_window 301 larger than series (300)"),
     ("scenario-list", "simulate", "--scenario", lambda d: [small_scenario()], "scenario must be a JSON object"),
     ("scenario-plan-list", "simulate", "--scenario", lambda d: edited(small_scenario(), "plan", value=[]),
      "scenario.plan"),
@@ -531,6 +561,24 @@ MALFORMED = [
     ("scenario-grace-string", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "policies", "preventive", "breakdown", "grace_s", value="5"),
      "scenario.policies.preventive.breakdown.grace_s"),
+    ("scenario-negative-grace", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "policies", "preventive", "breakdown", "grace_s", value=-1),
+     "error: scenario.policies.preventive.breakdown: grace_s must be >= 0"),
+    ("scenario-zero-repair", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "policies", "predictive", "breakdown", "repair_duration_s", value=0),
+     "error: scenario.policies.predictive.breakdown: repair_duration_s must be >= 1"),
+    ("scenario-zero-cycle", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "policies", "preventive", "cycle_s", value=0),
+     "error: scenario.policies.preventive: cycle_s and maint_duration_s must be >= 1"),
+    ("scenario-zero-horizon", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "policies", "predictive", "horizon_s", value=0),
+     "error: scenario.policies.predictive: horizon_s, schedule_window_s, maint_duration_s must be >= 1"),
+    ("scenario-negative-fouling", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value=-0.5),
+     "error: scenario.econ: fouling_rate_kpa_per_s must be >= 0"),
+    ("scenario-negative-revenue-rate", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "econ", "revenue_rate_per_s", value=-1),
+     "error: scenario.econ: revenue_rate_per_s must be >= 0"),
     ("model-list", "simulate", "--model", lambda d: [model_doc(d)], "model must be a JSON object"),
     ("model-missing-intercept", "simulate", "--model",
      lambda d: edited(model_doc(d), "params", "intercept", drop=True), "model.params.intercept"),
@@ -593,6 +641,11 @@ MALFORMED = [
      "amount.value"),
     ("ledger-amount-number", "cba", "--ledger", lambda d: edited(ledger_doc(d), "items", 0, "amount", value=5),
      "amount must be a JSON object"),
+    ("ledger-uniform-reversed", "cba", "--ledger",
+     lambda d: edited(ledger_doc(d), "items", 0, "amount", value={"dist": "uniform", "low": 5, "high": 1}),
+     "Uniform low 5.0 > high 1.0"),
+    ("ledger-empty-name", "cba", "--ledger", lambda d: edited(ledger_doc(d), "items", 0, "name", value=""),
+     "line item needs a name"),
     ("ledger-amount-nan", "cba", "--ledger",
      lambda d: json.dumps(edited(ledger_doc(d), "items", 0, "amount", value={"dist": "point", "value": math.nan})),
      "bad.json: NaN is not allowed"),
@@ -603,6 +656,20 @@ MALFORMED = [
     ("bridge-missing-uptime", "cba", "--bridge",
      lambda d: edited(comparison_doc(d), "outcomes", "preventive", "uptime_s", drop=True),
      "comparison.outcomes.preventive.uptime_s"),
+    # time is conserved and revenue is uptime x rate, but no run has negative uptime or counts
+    ("bridge-negative-uptime", "cba", "--bridge",
+     lambda d: tampered(comparison_doc(d), "predictive", maintenance_count=-50, uptime_s=-1000, downtime_s=1400,
+                        revenue_units=-1000.0),
+     "error: comparison.outcomes.predictive: uptime_s must be >= 0, got -1000"),
+    ("bridge-negative-maintenance-count", "cba", "--bridge",
+     lambda d: tampered(comparison_doc(d), "preventive", maintenance_count=-1),
+     "error: comparison.outcomes.preventive: maintenance_count must be >= 0, got -1"),
+    ("bridge-zero-duration", "cba", "--bridge",
+     lambda d: tampered(comparison_doc(d), "predictive", duration_s=0, uptime_s=0, downtime_s=0, revenue_units=0.0),
+     "error: comparison.outcomes.predictive: duration_s must be >= 1"),
+    ("bridge-negative-revenue-rate", "cba", "--bridge",
+     lambda d: edited(comparison_doc(d), "outcomes", "preventive", value=rated(comparison_doc(d), "preventive", -1.0)),
+     "error: comparison.outcomes.preventive: revenue_rate_per_s must be >= 0, got -1.0"),
     ("ledger-uniform-overflow", "cba", "--ledger",
      lambda d: edited(ledger_doc(d), "items", 0, "amount", value={"dist": "uniform", "low": -1e308, "high": 1e308}),
      "overflows"),
@@ -627,6 +694,11 @@ MALFORMED = [
      "--unit-maintenance-cost must be a finite number >= 0, got -10.0"),
     ("cba-unit-cost-infinite", "cba", "--unit-maintenance-cost", lambda d: FlagValue("inf"),
      "--unit-maintenance-cost must be a finite number >= 0, got inf"),
+    ("cba-zero-trials", "cba", "--trials", lambda d: FlagValue("0"), "error: trials must be >= 1"),
+    ("seed-missing", "train", "--seed", lambda d: None, "error: --seed is required for this command"),
+    ("seed-negative", "synth", "--seed", lambda d: FlagValue("-1"), "error: --seed must be >= 0"),
+    ("evaluate-unknown-kind", "evaluate", "--kinds", lambda d: FlagValue("linear,bogus"),
+     "error: unknown model kind 'bogus'"),
 ]
 
 
@@ -637,7 +709,8 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, inputs, case):
     bad = tmp_path / "bad.json"
     bad.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
-    code, err = run_main(with_flag(command(inputs, name, out), flag, doc if isinstance(doc, FlagValue) else bad))
+    value = doc if doc is None or isinstance(doc, FlagValue) else bad
+    code, err = run_main(with_flag(command(inputs, name, out), flag, value))
     assert code == 1, err
     assert expected in err, err
     assert not out.exists() or not any(out.iterdir())  # nothing written, not even a temp file
@@ -683,9 +756,7 @@ def test_cba_bridge_prices_uptime_at_the_simulated_rate(tmp_path, inputs):
 
 @pytest.mark.parametrize("flag", ["--revenue-rate", "--unit-maintenance-cost"])
 def test_cba_pricing_flags_need_a_bridge(tmp_path, inputs, flag):
-    argv = command(inputs, "cba", tmp_path / "out")
-    at = argv.index("--bridge")
-    del argv[at : at + 2]
+    argv = with_flag(command(inputs, "cba", tmp_path / "out"), "--bridge", None)
     code, err = run_main(argv + [flag, 5.0])
     assert code == 1, err
     assert "--revenue-rate and --unit-maintenance-cost" in err and "--bridge" in err, err
@@ -728,8 +799,9 @@ def test_unreadable_csv_exits_1_naming_the_file(tmp_path, csv):
         ("Timestamp,,DPIT301\n2020-02-26T15:44:00,1.0,2.0\n", "header column 2 names no channel"),
         ("Timestamp,DPIT301,\n2020-02-26T15:44:00,1.0,2.0\n", "header column 3 names no channel"),
         (f"Timestamp,DPIT301\n2020-02-26T15:44:00,{'1' * 131_073}\n", "line 2: field larger than field limit"),
+        ("Timestamp\n2020-02-26T15:44:00\n", "header must have a timestamp column plus >= 1 channel"),
     ],
-    ids=["empty-channel-name", "trailing-comma", "cell-beyond-field-limit"],
+    ids=["empty-channel-name", "trailing-comma", "cell-beyond-field-limit", "no-channel-column"],
 )
 def test_csv_the_loader_refuses_exits_1_naming_the_file(tmp_path, text, expected):
     path = tmp_path / "bad.csv"
@@ -767,6 +839,19 @@ def test_policies_named_outside_the_pair_run_without_deltas(tmp_path, inputs):
     comparison = json.loads((out / "comparison.json").read_text())
     assert sorted(comparison["outcomes"]) == ["calendar", "forecast"]
     assert comparison["deltas"] == {"downtime_avoided_s": None, "maintenance_avoided": None, "revenue_delta": None}
+
+
+def test_simulate_a_run_shorter_than_the_lag_window_exits_0(tmp_path, inputs):
+    # the model reads lags 2..4, so no second of a 3 s run has a full window
+    scenario = {**small_scenario(), "plan": {"duration_s": 3, "segments": [], "warmup_s": 0}, "injections": []}
+    (tmp_path / "short.json").write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    code, err = run_main(with_flag(command(inputs, "simulate", out), "--scenario", tmp_path / "short.json"))
+    assert code == 0, err
+    outcomes = json.loads((out / "comparison.json").read_text())["outcomes"]
+    assert sorted(outcomes) == ["predictive", "preventive"]
+    for outcome in outcomes.values():
+        assert outcome["duration_s"] == outcome["uptime_s"] + outcome["downtime_s"] == 3
 
 
 @pytest.mark.parametrize("name", ["train", "evaluate", "detect"])
@@ -816,6 +901,25 @@ def test_tree_fit_on_readings_beyond_the_overflow_bound_exits_1(tmp_path, name, 
     assert "split search overflows float64 beyond |y| = " in err, err
     assert not caught, [str(w.message) for w in caught]
     assert not (out / "model.json").exists() and not (out / "evaluation.json").exists()
+
+
+@pytest.mark.parametrize("name", ["train", "evaluate"])
+def test_linear_fit_on_readings_beyond_the_overflow_bound_exits_1(tmp_path, name):
+    # the ridge fallback's normal equations overflowed on readings near 1e200
+    path = tmp_path / "huge.csv"
+    rows = (f"2020-02-26T15:{i // 60:02d}:{i % 60:02d},{1 + i % 7 / 10}e200" for i in range(200))
+    path.write_text("Timestamp,DPIT301\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = with_flag(command(tmp_path, name, out), "--csv", path)
+    argv = with_flag(argv, "--kind", "linear") if name == "train" else with_flag(argv, "--kinds", "linear")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_main(argv)
+    assert code == 1, err
+    assert "error: cannot fit a linear model on values as large as |x| = 1.6e+200: with " in err, err
+    assert "rows, the normal equations overflow float64 beyond |x| = " in err, err
+    assert not caught, [str(w.message) for w in caught]
+    assert not out.exists() or not any(out.iterdir())
 
 
 # --- property: any mutation of a valid config exits 0 or 1 ------------------

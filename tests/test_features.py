@@ -22,10 +22,11 @@ def test_shape_for_length_100_default_lags():
 
 def test_definition_unrolled_small_case():
     series = np.arange(10.0)
-    sup = make_lag_matrix(series, LagSpec(1, 2))
+    spec = LagSpec(1, 2)
+    sup = make_lag_matrix(series, spec)
     assert sup.X.shape == (8, 2)
-    # row for t=2 holds [series[1], series[0]]
-    row = np.where(sup.origin_index == 2)[0][0]
+    # row for t=2 holds [series[1], series[0]]; row i targets t = max_lag + i
+    row = 2 - spec.max_lag
     np.testing.assert_array_equal(sup.X[row], [1.0, 0.0])
     assert sup.y[row] == 2.0
 
@@ -46,16 +47,18 @@ def test_matches_brute_force_oracle():
     for i, (feats, target, origin) in enumerate(expected):
         np.testing.assert_array_equal(sup.X[i], feats)
         assert sup.y[i] == target
-        assert sup.origin_index[i] == origin
+        assert spec.max_lag + i == origin  # row i targets t = max_lag + i
 
 
 def test_lag_windows_never_reach_forward():
     series = np.random.default_rng(0).normal(size=80)
-    sup = make_lag_matrix(series, LagSpec(5, 30))
+    spec = LagSpec(5, 30)
+    sup = make_lag_matrix(series, spec)
     for i in range(sup.n_rows):
-        origin = sup.origin_index[i]
-        assert origin - 5 < origin  # newest lag strictly precedes the target
-        np.testing.assert_array_equal(sup.X[i], series[origin - sup.lags])
+        origin = spec.max_lag + i
+        assert sup.y[i] == series[origin]
+        assert (origin - spec.lags).max() < origin  # newest lag strictly precedes the target
+        np.testing.assert_array_equal(sup.X[i], series[origin - spec.lags])
 
 
 def test_too_short_series_error():
@@ -119,9 +122,12 @@ def test_fold_rejects_leakage():
 
 def test_train_targets_precede_test_targets():
     series = np.random.default_rng(1).normal(size=120)
-    sup = make_lag_matrix(series, LagSpec(5, 30))
+    spec = LagSpec(5, 30)
+    sup = make_lag_matrix(series, spec)
     plan = walk_forward_splits(sup.n_rows, 5)
     for fold in plan.folds:
-        train_origins = sup.origin_index[fold.train_indices]
-        test_origins = sup.origin_index[fold.test_indices]
+        train_origins = spec.max_lag + fold.train_indices
+        test_origins = spec.max_lag + fold.test_indices
+        np.testing.assert_array_equal(sup.y[fold.train_indices], series[train_origins])
+        np.testing.assert_array_equal(sup.y[fold.test_indices], series[test_origins])
         assert train_origins.max() < test_origins.min()

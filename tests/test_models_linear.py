@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,27 @@ def test_dimension_errors():
         fit_ols(np.zeros((5, 2)), np.zeros(4))
     with pytest.raises(ValidationError, match="at least"):
         fit_ols(np.zeros((2, 2)), np.zeros(2))
+
+
+def test_values_beyond_the_overflow_bound_are_refused():
+    # the ridge fallback's normal equations overflowed on values near 1e200
+    n = 200
+    bound = math.sqrt(np.finfo(np.float64).max / (2 * n))
+    X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
+    X *= bound / np.abs(X).max()
+    for bad_X, bad_y in [(X * 1.5, X[:, 0]), (X, X[:, 0] * 1.5), (np.full((n, 2), 1e200), np.full(n, 1e200))]:
+        largest = max(np.abs(bad_X).max(), np.abs(bad_y).max())
+        with pytest.raises(ValidationError) as error:
+            fit_ols(bad_X, bad_y)
+        assert str(error.value) == (
+            f"cannot fit a linear model on values as large as |x| = {largest:.6g}: with {n} rows, "
+            f"the normal equations overflow float64 beyond |x| = {bound:.6g}"
+        )
+    with pytest.raises(ValidationError, match="as large as \\|x\\| = nan"):
+        fit_ols(X, np.where(np.arange(n) == 7, np.nan, X[:, 0]))
+    # at the bound the fit goes through: y is the first column
+    model = fit_ols(X, X[:, 0])
+    np.testing.assert_allclose(model.coefficients, [1.0, 0.0], atol=1e-9)
 
 
 def test_predict_arithmetic():

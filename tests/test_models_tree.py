@@ -45,21 +45,19 @@ def brute_force_best_split(X, y, min_samples_leaf=1):
 def test_constant_target_single_leaf():
     X = np.arange(10.0).reshape(-1, 1)
     tree = fit_tree(X, np.full(10, 4.0))
-    assert tree.root.is_leaf
-    assert tree.root.value == 4.0
+    assert arrays(tree) == ([-1], [], [4.0])  # the root is a leaf
 
 
 def test_step_data_depth_one():
     X = np.arange(10.0).reshape(-1, 1)
     y = np.where(X[:, 0] < 5, 0.0, 10.0)
     tree = fit_tree(X, y, TreeParams(max_depth=1))
-    assert not tree.root.is_leaf and tree.root.value is None
-    assert 4.0 < tree.root.threshold < 5.0
-    assert tree.root.left.value == 0.0
-    assert tree.root.right.value == 10.0
+    assert tree.feature.tolist() == [0, -1, -1]  # a split, then its left and right leaves
+    assert 4.0 < tree.threshold[0] < 5.0
+    assert tree.value.tolist() == [0.0, 10.0]
     sse, f, thr = brute_force_best_split(X, y)
     assert f == 0
-    assert tree.root.threshold == pytest.approx(thr)
+    assert tree.threshold[0] == pytest.approx(thr)
     assert sse == pytest.approx(0.0)
 
 
@@ -71,11 +69,11 @@ def test_chosen_split_minimizes_sse_random_sweep():
         X = rng.normal(size=(n, p))
         y = rng.normal(size=n)
         tree = fit_tree(X, y, TreeParams(max_depth=1))
-        if tree.root.is_leaf:
+        if tree.feature[0] == -1:
             continue
         best_sse, _, _ = brute_force_best_split(X, y)
-        left = y[X[:, tree.root.feature] <= tree.root.threshold]
-        right = y[X[:, tree.root.feature] > tree.root.threshold]
+        left = y[X[:, tree.feature[0]] <= tree.threshold[0]]
+        right = y[X[:, tree.feature[0]] > tree.threshold[0]]
         got = ((left - left.mean()) ** 2).sum() + ((right - right.mean()) ** 2).sum()
         assert got == pytest.approx(best_sse, abs=1e-9)
 
@@ -93,16 +91,17 @@ def test_min_samples_leaf_respected():
     X = rng.normal(size=(60, 2))
     y = rng.normal(size=60)
     tree = fit_tree(X, y, TreeParams(min_samples_leaf=7))
+    left, right, threshold, _ = tree.per_node()
 
     def leaf_sizes(node, rows):
-        if node.is_leaf:
+        if tree.feature[node] == -1:
             yield len(rows)
             return
-        mask = X[rows, node.feature] <= node.threshold
-        yield from leaf_sizes(node.left, rows[mask])
-        yield from leaf_sizes(node.right, rows[~mask])
+        mask = X[rows, tree.feature[node]] <= threshold[node]
+        yield from leaf_sizes(left[node], rows[mask])
+        yield from leaf_sizes(right[node], rows[~mask])
 
-    assert min(leaf_sizes(tree.root, np.arange(60))) >= 7
+    assert min(leaf_sizes(0, np.arange(60))) >= 7
 
 
 def test_deterministic_structure():
@@ -118,15 +117,18 @@ def test_leaf_values_are_means():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([1.0, 3.0, 10.0, 20.0])
     tree = fit_tree(X, y, TreeParams(max_depth=1))
-    left = y[X[:, 0] <= tree.root.threshold]
-    right = y[X[:, 0] > tree.root.threshold]
-    assert tree.root.left.value == pytest.approx(left.mean())
-    assert tree.root.right.value == pytest.approx(right.mean())
+    assert tree.feature.tolist() == [0, -1, -1]
+    left = y[X[:, 0] <= tree.threshold[0]]
+    right = y[X[:, 0] > tree.threshold[0]]
+    assert tree.value[0] == pytest.approx(left.mean())
+    assert tree.value[1] == pytest.approx(right.mean())
 
 
 def test_empty_data_error():
     with pytest.raises(ValidationError, match="empty"):
         fit_tree(np.zeros((0, 1)), np.zeros(0))
+    with pytest.raises(ValidationError, match="X has 3 rows but y has 2 entries"):
+        fit_tree(np.zeros((3, 1)), np.zeros(2))
 
 
 def test_targets_beyond_the_overflow_bound_are_refused():
@@ -245,9 +247,7 @@ def test_a_node_sequence_is_accepted_iff_a_stack_walk_finds_one_tree(splits):
 def test_split_between_adjacent_or_huge_values_falls_back_to_the_lower(below, above, max_depth):
     # the midpoint rounds up to `above` (or overflows), which would send both rows left
     tree = fit_tree(np.array([[below], [above]]), np.array([0.0, 1.0]), TreeParams(max_depth=max_depth))
-    assert tree.root.threshold == below
-    assert (tree.root.left.value, tree.root.right.value) == (0.0, 1.0)
-    assert tree.n_nodes == 3 and not np.isnan(tree.value).any()
+    assert arrays(tree) == ([0, -1, -1], [below], [0.0, 1.0])
 
 
 # --- reference: the per-node-argsort engine the presorted fit replaced -------

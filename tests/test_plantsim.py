@@ -677,6 +677,15 @@ EARLY_SCHEDULE = (
 AT_THE_LIMIT = (quiet_plan(duration=400, baseline=40.0), [], predictive(), EconParams(), 0)
 
 
+def shorter_than_the_lags(baseline):
+    """A 20 s run under a model on lags 5..30: no second has a full window, so every
+    forecast is the reading itself. At 45 kPa second 0 schedules maintenance for second 5."""
+    policy = PredictivePolicy(
+        model=LinearModel(intercept=0.0, coefficients=np.eye(26)[0]), lag_spec=LagSpec(5, 30), schedule_window_s=5
+    )
+    return quiet_plan(duration=20, baseline=baseline), [], policy, EconParams(), 0
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(simulation_case())
 @example(HIDDEN_FAULT)
@@ -686,6 +695,8 @@ AT_THE_LIMIT = (quiet_plan(duration=400, baseline=40.0), [], predictive(), EconP
 @example(block_edge(257))
 @example(EARLY_SCHEDULE)
 @example(AT_THE_LIMIT)
+@example(shorter_than_the_lags(30.0))
+@example(shorter_than_the_lags(45.0))
 def test_run_policy_matches_the_fault_state_reference(case):
     assert run_policy(*case) == reference_run_policy(*case)
 
