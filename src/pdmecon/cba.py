@@ -4,13 +4,21 @@ Line items belong to one of three ledgers (implementation cost, direct saving,
 indirect saving) under a fixed category taxonomy; amounts are points or
 probability distributions, each named by its "dist" in a ledger file, in
 abstract currency units per year (one-off items are flagged and added once per
-annual run). Each trial samples every item independently from a per-trial
-stream derived as default_rng((seed, trial)), so trials can run concurrently
-without changing the result, and computes
+annual run). Each trial samples every item, in ledger order, from its own
+stream default_rng((seed, trial)), so a trial's draws do not depend on how
+many trials run or in what order, and computes
 
     net = direct total + indirect total - implementation total
 
 which holds exactly on every stored sample, not just in expectation.
+
+The trial streams are computed all at once: _TrialStreams holds the PCG64
+state of every trial as uint64 arrays, seeded by numpy's SeedSequence hash and
+stepped by PCG64 (O'Neill 2014), both ported to array arithmetic. NumPy keeps
+those bit streams stable (NEP 19), so the draws are bit for bit the ones that
+one default_rng((seed, trial)) per trial gives. Normal draws through numpy's
+ziggurat, which Python cannot reach, so it alone runs one reused generator
+per trial.
 """
 
 from __future__ import annotations
@@ -49,13 +57,128 @@ CATEGORY_TAXONOMY = {
 }
 
 
+MAX_TRIALS = 2**32
+
+_MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit multiplier as its high and low 64 bits
+_PCG_MULT_HI, _PCG_MULT_LO = divmod(0x2360ED051FC65DA44385DF649FCCF645, 2**64)
+_U32, _U64 = np.uint32, np.uint64
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; the hash constant steps once per call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ _U32(const)
+        const = const * mult & _MASK32
+        value = value * _U32(const)
+        return value ^ (value >> _U32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _U32(_MIX_MULT_L) * x - _U32(_MIX_MULT_R) * y
+    return result ^ (result >> _U32(16))
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of a * b for uint64 a and a constant b, in 32-bit limbs."""
+    a0, a1 = a & _U64(_MASK32), a >> _U64(32)
+    b0, b1 = _U64(b & _MASK32), _U64(b >> 32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U64(32)) + (p01 & _U64(_MASK32)) + (p10 & _U64(_MASK32))
+    return a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
+
+
+class _TrialStreams:
+    """The PCG64 streams of default_rng((seed, t)) for every trial t, stepped together.
+
+    Each stream's 128-bit state and increment are held as (hi, lo) uint64
+    arrays. uint64 array arithmetic wraps silently, which is the mod 2^64
+    the generator needs.
+    """
+
+    def __init__(self, seed: int, trials: int):
+        self.trials = trials
+        # SeedSequence((seed, t)).pool: the entropy is seed's 32-bit words,
+        # least significant first (0 is one zero word), then t as one word
+        seed_words = [seed & _MASK32]
+        while seed > _MASK32:
+            seed >>= 32
+            seed_words.append(seed & _MASK32)
+        entropy = [np.full(trials, w, dtype=np.uint32) for w in seed_words]
+        entropy.append(np.arange(trials, dtype=np.uint32))
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(trials, np.uint32)) for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): eight words cycled from the pool, paired little-endian
+        hashmix = _hasher(_INIT_B, _MULT_B)
+        words = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+        state_hi, state_lo, seq_hi, seq_lo = (words[2 * i] | (words[2 * i + 1] << _U64(32)) for i in range(4))
+        # PCG64's srandom: inc = (initseq << 1) | 1, step, add initstate, step
+        self.inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
+        self.inc_lo = (seq_lo << _U64(1)) | _U64(1)
+        self.hi, self.lo = _add128(self.inc_hi, self.inc_lo, state_hi, state_lo)
+        self._step()
+
+    def _step(self) -> None:
+        """state = state * multiplier + inc mod 2^128."""
+        hi = _mulhi64(self.lo, _PCG_MULT_LO) + self.lo * _U64(_PCG_MULT_HI) + self.hi * _U64(_PCG_MULT_LO)
+        self.hi, self.lo = _add128(hi, self.lo * _U64(_PCG_MULT_LO), self.inc_hi, self.inc_lo)
+
+    def doubles(self) -> np.ndarray:
+        """One draw per trial in [0, 1), as Generator.random gives: 53 bits of XSL-RR output."""
+        self._step()
+        x = self.hi ^ self.lo
+        rot = self.hi >> _U64(58)
+        out = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+        return (out >> _U64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+    def per_trial(self, draw) -> np.ndarray:
+        """draw(rng) once per trial on a Generator positioned at that trial's state."""
+        bitgen = np.random.PCG64(0)
+        rng = np.random.Generator(bitgen)
+        out = np.empty(self.trials)
+        his, los = self.hi.tolist(), self.lo.tolist()
+        for t, (hi, lo, inc_hi, inc_lo) in enumerate(zip(his, los, self.inc_hi.tolist(), self.inc_lo.tolist())):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            out[t] = draw(rng)
+            state = bitgen.state["state"]["state"]
+            his[t], los[t] = state >> 64, state & _MASK64
+        self.hi, self.lo = np.array(his, dtype=np.uint64), np.array(los, dtype=np.uint64)
+        return out
+
+
 @dataclass(frozen=True)
 class Point:
     dist: ClassVar[str] = "point"
     value: float
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.value
+    def sample(self, streams: _TrialStreams) -> np.ndarray:
+        return np.full(streams.trials, self.value, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -70,10 +193,10 @@ class Uniform:
         if not np.isfinite(self.high - self.low):
             raise ValidationError(f"Uniform range [{self.low}, {self.high}] overflows a float")
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, streams: _TrialStreams) -> np.ndarray:
         if self.low == self.high:
-            return self.low
-        return float(rng.uniform(self.low, self.high))
+            return np.full(streams.trials, self.low, dtype=np.float64)
+        return self.low + (self.high - self.low) * streams.doubles()
 
 
 @dataclass(frozen=True)
@@ -89,10 +212,19 @@ class Triangular:
                 f"Triangular requires low <= mode <= high, got ({self.low}, {self.mode}, {self.high})"
             )
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, streams: _TrialStreams) -> np.ndarray:
         if self.low == self.high:
-            return self.low
-        return float(rng.triangular(self.low, self.mode, self.high))
+            return np.full(streams.trials, self.low, dtype=np.float64)
+        # numpy's random_triangular; an overflowing spread gives inf or NaN there
+        # too, silently, and net_benefit refuses it
+        base = self.high - self.low
+        leftbase = self.mode - self.low
+        ratio = leftbase / base
+        leftprod = leftbase * base
+        rightprod = (self.high - self.mode) * base
+        u = streams.doubles()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(u <= ratio, self.low + np.sqrt(u * leftprod), self.high - np.sqrt((1.0 - u) * rightprod))
 
 
 @dataclass(frozen=True)
@@ -109,7 +241,10 @@ class Normal:
         if self.mu < 0 and self.sigma == 0:
             raise ValidationError("Normal(mu < 0, sigma = 0) can never yield a sample >= 0")
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, streams: _TrialStreams) -> np.ndarray:
+        return streams.per_trial(self._draw)
+
+    def _draw(self, rng: np.random.Generator) -> float:
         # bounded rejection loop: a spec whose mass sits almost entirely below
         # zero is a config mistake, not something to grind against
         for _ in range(10000):
@@ -164,6 +299,8 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise ValidationError(f"trials must be <= 2^32 = {MAX_TRIALS}, so that a trial index is one 32-bit seed word")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
 
@@ -208,17 +345,10 @@ class NetBenefitResult:
         return plain({"schema_version": 1, "items": self.item_summaries, "ledgers": ledgers, "net": self.net})
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng((seed, trial))
-
-
 def _sample_matrix(items: list[LineItem], config: McConfig) -> np.ndarray:
-    samples = np.empty((config.trials, len(items)))
-    for t in range(config.trials):
-        rng = _trial_rng(config.seed, t)
-        for j, item in enumerate(items):
-            samples[t, j] = item.amount.sample(rng)
-    return samples
+    """(trials x items) draws; every trial's stream serves its items in ledger order."""
+    streams = _TrialStreams(config.seed, config.trials)
+    return np.column_stack([item.amount.sample(streams) for item in items])
 
 
 def net_benefit(ledger: list[LineItem], config: McConfig) -> NetBenefitResult:
@@ -230,28 +360,31 @@ def net_benefit(ledger: list[LineItem], config: McConfig) -> NetBenefitResult:
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValidationError(f"duplicate item names: {dupes}")
 
-    samples = _sample_matrix(ledger, config)
-    ledger_samples = {}
-    # an overflow is refused, here or when the result is written, rather than warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for kind in LedgerKind:
-            cols = [j for j, item in enumerate(ledger) if item.ledger is kind]
-            ledger_samples[kind] = samples[:, cols].sum(axis=1) if cols else np.zeros(config.trials)
-        net_samples = (
-            ledger_samples[LedgerKind.DIRECT_SAVING]
-            + ledger_samples[LedgerKind.INDIRECT_SAVING]
-            - ledger_samples[LedgerKind.IMPLEMENTATION_COST]
-        )
-        totals = np.column_stack([samples, *ledger_samples.values(), net_samples]).sum(axis=0)
-        if not np.isfinite(totals).all():
-            raise ValidationError("net benefit is not finite: the ledger's amounts overflow a float when summed")
-        return NetBenefitResult(
-            item_summaries={item.name: McSummary.from_samples(samples[:, j]) for j, item in enumerate(ledger)},
-            ledger_summaries={k: McSummary.from_samples(v) for k, v in ledger_samples.items()},
-            net=McSummary.from_samples(net_samples),
-            net_samples=net_samples,
-            ledger_samples=ledger_samples,
-        )
+    try:
+        samples = _sample_matrix(ledger, config)
+        ledger_samples = {}
+        # an overflow is refused, here or when the result is written, rather than warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for kind in LedgerKind:
+                cols = [j for j, item in enumerate(ledger) if item.ledger is kind]
+                ledger_samples[kind] = samples[:, cols].sum(axis=1) if cols else np.zeros(config.trials)
+            net_samples = (
+                ledger_samples[LedgerKind.DIRECT_SAVING]
+                + ledger_samples[LedgerKind.INDIRECT_SAVING]
+                - ledger_samples[LedgerKind.IMPLEMENTATION_COST]
+            )
+            totals = np.column_stack([samples, *ledger_samples.values(), net_samples]).sum(axis=0)
+            if not np.isfinite(totals).all():
+                raise ValidationError("net benefit is not finite: the ledger's amounts overflow a float when summed")
+            return NetBenefitResult(
+                item_summaries={item.name: McSummary.from_samples(samples[:, j]) for j, item in enumerate(ledger)},
+                ledger_summaries={k: McSummary.from_samples(v) for k, v in ledger_samples.items()},
+                net=McSummary.from_samples(net_samples),
+                net_samples=net_samples,
+                ledger_samples=ledger_samples,
+            )
+    except MemoryError:
+        raise ValidationError(f"not enough memory for {config.trials} trials; use fewer trials") from None
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,10 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
     """Fit y ~ intercept + X @ coefficients by least squares.
 
     Solved through an SVD-backed factorization. If the design is near rank
-    deficient (condition number > COND_LIMIT) a diagonal ridge of RIDGE_EPS is
-    added to the normal equations and the result is flagged via ridge_applied.
+    deficient (condition number > COND_LIMIT) a diagonal ridge of RIDGE_EPS
+    times the largest diagonal entry of the normal equations is added to them,
+    so the ridge keeps its weight at any scale of the readings, and the result
+    is flagged via ridge_applied.
     The normal equations sum n products of two inputs, so every |value| of X
     and y must be at most sqrt(float64 max / (2 * n)), which leaves half the
     range for rounding; NaN fails the check too.
@@ -74,7 +76,8 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
     cond = np.inf if sv[-1] == 0 else sv[0] / sv[-1]
     ridge_applied = False
     if rank < A.shape[1] or cond > COND_LIMIT:
-        gram = A.T @ A + RIDGE_EPS * np.eye(A.shape[1])
+        gram = A.T @ A
+        gram += RIDGE_EPS * gram.diagonal().max() * np.eye(A.shape[1])
         beta = np.linalg.solve(gram, A.T @ y)
         ridge_applied = True
     return LinearModel(intercept=float(beta[0]), coefficients=beta[1:], ridge_applied=ridge_applied)

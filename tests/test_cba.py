@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdmecon
+from pdmecon import cba
 from pdmecon.cba import (
     BRIDGED_MAINTENANCE_ITEM,
     BRIDGED_REVENUE_ITEM,
@@ -15,6 +18,8 @@ from pdmecon.cba import (
     Point,
     Triangular,
     Uniform,
+    _sample_matrix,
+    _TrialStreams,
     bridge_from_simulation,
     format_summary_table,
     load_ledger,
@@ -44,39 +49,125 @@ def outcome(uptime, downtime, maint, brk=0, rate=1.0):
 # --- sampling ---
 
 def test_point_always_returns_value():
-    rng = np.random.default_rng(0)
-    assert all(Point(5.0).sample(rng) == 5.0 for _ in range(10))
+    np.testing.assert_array_equal(Point(5.0).sample(_TrialStreams(0, 10)), np.full(10, 5.0))
 
 
 def test_uniform_degenerate_and_support():
-    rng = np.random.default_rng(1)
-    assert Uniform(4.0, 4.0).sample(rng) == 4.0
-    draws = [Uniform(500.0, 1000.0).sample(rng) for _ in range(500)]
-    assert all(500.0 <= d <= 1000.0 for d in draws)
+    streams = _TrialStreams(1, 500)
+    np.testing.assert_array_equal(Uniform(4.0, 4.0).sample(streams), np.full(500, 4.0))
+    draws = Uniform(500.0, 1000.0).sample(streams)
+    assert ((500.0 <= draws) & (draws <= 1000.0)).all()
 
 
 def test_triangular_support_and_validation():
-    rng = np.random.default_rng(2)
-    draws = [Triangular(1.0, 2.0, 4.0).sample(rng) for _ in range(200)]
-    assert all(1.0 <= d <= 4.0 for d in draws)
+    draws = Triangular(1.0, 2.0, 4.0).sample(_TrialStreams(2, 200))
+    assert ((1.0 <= draws) & (draws <= 4.0)).all()
     with pytest.raises(ValidationError):
         Triangular(3.0, 2.0, 4.0)
 
 
 def test_normal_truncated_at_zero():
-    rng = np.random.default_rng(3)
-    draws = [Normal(0.5, 2.0).sample(rng) for _ in range(300)]
-    assert all(d >= 0.0 for d in draws)
+    draws = Normal(0.5, 2.0).sample(_TrialStreams(3, 300))
+    assert (draws >= 0.0).all()
     with pytest.raises(ValidationError):
         Normal(1.0, -1.0)
 
 
 def test_normal_hopeless_truncation_rejected():
-    rng = np.random.default_rng(4)
     with pytest.raises(ValidationError, match="no sample"):
-        Normal(-1e9, 1.0).sample(rng)
+        Normal(-1e9, 1.0).sample(_TrialStreams(4, 1))
     with pytest.raises(ValidationError):
         Normal(-5.0, 0.0)
+
+
+@pytest.mark.parametrize("constant", [Point(4.0), Uniform(4.0, 4.0), Triangular(4.0, 4.0, 4.0)])
+def test_constant_amounts_draw_nothing(constant):
+    streams, fresh = _TrialStreams(5, 50), _TrialStreams(5, 50)
+    constant.sample(streams)
+    np.testing.assert_array_equal(streams.doubles(), fresh.doubles())
+
+
+def test_streams_step_each_trials_default_rng_stream():
+    streams = _TrialStreams(2**40 + 3, 20)
+    rngs = [np.random.default_rng((2**40 + 3, t)) for t in range(20)]
+    for _ in range(3):
+        np.testing.assert_array_equal(streams.doubles(), [rng.random() for rng in rngs])
+
+
+# --- the per-trial oracle ---
+
+def oracle_draw(amount, rng):
+    """One trial's draw as net_benefit made it before the trial streams were vectorised."""
+    if isinstance(amount, Point):
+        return amount.value
+    if isinstance(amount, (Uniform, Triangular)) and amount.low == amount.high:
+        return amount.low
+    if isinstance(amount, Uniform):
+        return float(rng.uniform(amount.low, amount.high))
+    if isinstance(amount, Triangular):
+        return float(rng.triangular(amount.low, amount.mode, amount.high))
+    for _ in range(10000):
+        v = float(rng.normal(amount.mu, amount.sigma))
+        if v >= 0:
+            return v
+    raise ValidationError(
+        f"Normal(mu={amount.mu}, sigma={amount.sigma}) produced no sample >= 0 "
+        f"in 10000 draws; check the parameters"
+    )
+
+
+def oracle_sample_matrix(items, config):
+    samples = np.empty((config.trials, len(items)))
+    for t in range(config.trials):
+        rng = np.random.default_rng((config.seed, t))
+        for j, line_item in enumerate(items):
+            samples[t, j] = oracle_draw(line_item.amount, rng)
+    return samples
+
+
+MAGNITUDE = st.floats(-1e150, 1e150, allow_nan=False)
+WIDTH = st.sampled_from([0.0]) | st.floats(0.0, 1e150, allow_nan=False)
+POINTS = st.builds(Point, MAGNITUDE)
+UNIFORMS = st.builds(lambda low, width: Uniform(low, low + width), MAGNITUDE, WIDTH)
+TRIANGULARS = st.builds(
+    lambda low, left, right: Triangular(low, low + left, low + left + right), MAGNITUDE, WIDTH, WIDTH
+)
+# mu >= -sigma keeps at least a sixth of the mass above zero, so rejection stays short
+NORMALS = st.builds(
+    lambda sigma, mu_over_sigma, mu: Normal(mu_over_sigma * sigma if sigma else mu, sigma),
+    st.sampled_from([0.0]) | st.floats(1e-300, 1e6),
+    st.floats(-1.0, 1e3),
+    st.floats(0.0, 1e6),
+)
+AMOUNTS = POINTS | UNIFORMS | TRIANGULARS | NORMALS
+PLACES = [
+    (LedgerKind.DIRECT_SAVING, "Operating"),
+    (LedgerKind.INDIRECT_SAVING, "MaintenanceCycleDelay"),
+    (LedgerKind.IMPLEMENTATION_COST, "Labor"),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    amounts=st.lists(AMOUNTS, min_size=1, max_size=6),
+    places=st.lists(st.sampled_from(PLACES), min_size=6, max_size=6),
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.integers(1, 300),
+    hopeless_at=st.integers(0, 6),
+)
+def test_sample_matrix_equals_the_per_trial_default_rng_loop(amounts, places, seed, trials, hopeless_at):
+    items = [
+        item(f"i{j}", ledger, category, amount) for j, (amount, (ledger, category)) in enumerate(zip(amounts, places))
+    ]
+    config = McConfig(trials=trials, seed=seed)
+    assert _sample_matrix(items, config).tobytes() == oracle_sample_matrix(items, config).tobytes()
+    # a hopeless truncation fails in its first trial, with the message the loop gave
+    items.insert(min(hopeless_at, len(items)), item("hopeless", amount=Normal(-1e9, 1.0)))
+    with pytest.raises(ValidationError) as expected:
+        oracle_sample_matrix(items, config)
+    with pytest.raises(ValidationError, match="no sample") as got:
+        net_benefit(items, config)
+    assert str(got.value) == str(expected.value)
 
 
 # --- per-item simulation ---
@@ -172,6 +263,15 @@ def test_net_benefit_validation():
         net_benefit([item("same"), item("same")], McConfig(trials=10, seed=0))
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         McConfig(trials=10, seed=-1)
+
+
+def test_out_of_memory_names_the_trial_count(monkeypatch):
+    def no_memory(seed, trials):
+        raise MemoryError
+
+    monkeypatch.setattr(cba, "_TrialStreams", no_memory)
+    with pytest.raises(ValidationError, match="not enough memory for 123 trials"):
+        net_benefit(point_ledger(), McConfig(trials=123, seed=0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -695,6 +695,11 @@ MALFORMED = [
     ("cba-unit-cost-infinite", "cba", "--unit-maintenance-cost", lambda d: FlagValue("inf"),
      "--unit-maintenance-cost must be a finite number >= 0, got inf"),
     ("cba-zero-trials", "cba", "--trials", lambda d: FlagValue("0"), "error: trials must be >= 1"),
+    # a trial index must be one 32-bit seed word, and 10^13 trials are refused before any allocation
+    ("cba-trials-past-one-seed-word", "cba", "--trials", lambda d: FlagValue(str(2**32 + 1)),
+     "error: trials must be <= 2^32 = 4294967296"),
+    ("cba-trials-huge", "cba", "--trials", lambda d: FlagValue("10000000000000"),
+     "error: trials must be <= 2^32 = 4294967296"),
     ("seed-missing", "train", "--seed", lambda d: None, "error: --seed is required for this command"),
     ("seed-negative", "synth", "--seed", lambda d: FlagValue("-1"), "error: --seed must be >= 0"),
     ("evaluate-unknown-kind", "evaluate", "--kinds", lambda d: FlagValue("linear,bogus"),
@@ -920,6 +925,28 @@ def test_linear_fit_on_readings_beyond_the_overflow_bound_exits_1(tmp_path, name
     assert "rows, the normal equations overflow float64 beyond |x| = " in err, err
     assert not caught, [str(w.message) for w in caught]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("scale", ["e4", "e10"])
+@pytest.mark.parametrize("name", ["train", "evaluate"])
+def test_linear_fit_on_large_periodic_readings_takes_the_ridge(tmp_path, name, scale):
+    # an absolute ridge vanished beside the squares of these readings: the solve raised
+    # LinAlgError: Singular matrix and the command exited 2
+    path = tmp_path / "periodic.csv"
+    rows = (f"2020-02-26T15:{i // 60:02d}:{i % 60:02d},{1 + i % 7 / 10}{scale}" for i in range(200))
+    path.write_text("Timestamp,DPIT301\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    kind = ["--kind", "linear"] if name == "train" else ["--kinds", "linear"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_main([name, "--csv", path, *kind, "--seed", 1, "--out-dir", out])  # lags 5..30
+    assert code == 0, err
+    assert not caught, [str(w.message) for w in caught]
+    if name == "train":
+        assert json.loads((out / "model.json").read_text())["params"]["ridge_applied"] is True
+    else:
+        report = json.loads((out / "evaluation.json").read_text())["reports"]["linear"]
+        assert all(math.isfinite(r) for r in report["per_split_rmse"])
 
 
 # --- property: any mutation of a valid config exits 0 or 1 ------------------

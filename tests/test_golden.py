@@ -7,15 +7,34 @@ copies, and every change to how artifacts are written must keep them. The
 model files, rewritten from the same hand-built models when trees became
 preorder arrays (schema 3), must also load and write back unchanged and
 predict what they did before.
+
+The sampled net-benefit files are the exception: they pin the Monte Carlo
+draws themselves. They were written by the per-trial default_rng((seed, t))
+loop that net_benefit ran before its trial streams were computed all at once,
+from a ledger that reaches every arm and every degenerate case.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdmecon.cba import LedgerKind, McSummary, NetBenefitResult
+from pdmecon.cba import (
+    ItemKind,
+    LedgerKind,
+    LineItem,
+    McConfig,
+    McSummary,
+    NetBenefitResult,
+    Normal,
+    Point,
+    Triangular,
+    Uniform,
+    _sample_matrix,
+    net_benefit,
+)
 from pdmecon.detect import FaultEvent, FaultKind, events_to_jsonl
 from pdmecon.features import LagSpec
 from pdmecon.ingest import IngestReport
@@ -149,6 +168,41 @@ PROBE_PREDICTIONS = {
 @pytest.mark.parametrize("name", sorted(PROBE_PREDICTIONS))
 def test_golden_tree_model_predicts_the_floats_it_always_has(name):
     assert load_model(GOLDEN / name).model.predict(PROBES).tolist() == PROBE_PREDICTIONS[name]
+
+
+D, I, C = LedgerKind.DIRECT_SAVING, LedgerKind.INDIRECT_SAVING, LedgerKind.IMPLEMENTATION_COST
+SAMPLED_LEDGER = [
+    LineItem(name, ledger, category, ItemKind.VARIABLE, amount)
+    for name, ledger, category, amount in [
+        ("uniform", D, "Operating", Uniform(10.0, 90.0)),
+        ("normal below zero", D, "Financing", Normal(-0.5, 2.0)),
+        ("triangular", C, "Equipment", Triangular(1.0, 3.0, 8.0)),
+        ("point", I, "LostProductivityAvoidance", Point(120.5)),
+        ("uniform degenerate", I, "MaintenanceCycleDelay", Uniform(4.0, 4.0)),
+        ("triangular mode at low", C, "Supplies/Inventories", Triangular(2.0, 2.0, 6.0)),
+        ("normal sigma zero", D, "Operating", Normal(7.0, 0.0)),
+        ("triangular mode at high", C, "Labor", Triangular(0.0, 5.0, 5.0)),
+        ("triangular degenerate", C, "Labor", Triangular(3.0, 3.0, 3.0)),
+        ("normal", I, "LostProductivityAvoidance", Normal(50.0, 10.0)),
+        ("uniform last", D, "Financing", Uniform(-5.0, 5.0)),
+    ]
+]
+
+# sha256 of the little-endian float64 (500 trials x 11 items) sample matrix
+SAMPLE_MATRIX_SHA256 = {
+    0: "cc46162d5ce281d9848d7e0f351dc2f515cc5c942f2c6fc06dda7ab97aa4c8d3",
+    2**40 + 3: "7d01c7206343222789525242c7703e91e998cdd8e7cded6d15bf5e76acf877b2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLE_MATRIX_SHA256))
+def test_sampled_net_benefit_matches_the_golden_draws(tmp_path, seed):
+    config = McConfig(trials=500, seed=seed)
+    matrix = _sample_matrix(SAMPLED_LEDGER, config)
+    assert hashlib.sha256(np.ascontiguousarray(matrix, dtype="<f8").tobytes()).hexdigest() == SAMPLE_MATRIX_SHA256[seed]
+    path = tmp_path / "net_benefit.json"
+    write_json(path, net_benefit(SAMPLED_LEDGER, config).to_dict())
+    assert path.read_bytes() == (GOLDEN / f"net_benefit_sampled_seed{seed}.json").read_bytes()
 
 
 def test_plain_writes_fields_and_refuses_what_json_cannot_hold():

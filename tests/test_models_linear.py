@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdmecon.errors import ValidationError
+from pdmecon.features import LagSpec, make_lag_matrix
 from pdmecon.models import LinearModel, fit_ols, predict
 
 
@@ -60,6 +61,18 @@ def test_ridge_fallback_on_constant_column():
     model = fit_ols(X, y)
     assert model.ridge_applied
     np.testing.assert_allclose(predict(model, X), y, atol=1e-5)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e10, 1e100])
+def test_ridge_fallback_keeps_its_weight_on_large_periodic_readings(scale):
+    # a period-7 series makes its 26 lag columns rank 7; an absolute ridge of 1e-8
+    # vanished in rounding beside squares of 1e4 and beyond, and the solve raised
+    # LinAlgError: Singular matrix
+    values = (1 + np.arange(200) % 7 / 10) * scale
+    data = make_lag_matrix(values, LagSpec(5, 30))
+    model = fit_ols(data.X, data.y)
+    assert model.ridge_applied
+    np.testing.assert_allclose(predict(model, data.X), data.y, rtol=1e-6)
 
 
 def test_dimension_errors():
