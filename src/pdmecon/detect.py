@@ -13,15 +13,17 @@ Every detector is ``detect_*(values, config: DetectorConfig) ->
 list[FaultEvent]`` over one sensor's readings and reads its thresholds and
 windows from the config, which checks their ranges itself; a detector refuses
 only what depends on the data (too few samples, a window longer than the
-series). Adjacent flagged samples merge into one inclusive [start, end]
-event; every detector returns events sorted by start with no overlaps. An
-event is written by its fields. Rolling variance is population variance
+series, readings so large that the rolling variance overflows). Adjacent
+flagged samples merge into one inclusive [start, end] event; every detector
+returns events sorted by start with no overlaps. An event is written by its
+fields. Rolling variance is population variance
 (ddof=0) on a series centered by its global mean, which keeps the
 cumulative-sum form accurate for near-constant kPa-scale data.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,6 +92,24 @@ class DetectorConfig:
             raise ValidationError("stuck_min_duration must be >= 1")
 
 
+def _readings(values) -> np.ndarray:
+    """values as float64, refused beyond the bound the detectors' sums allow.
+
+    The rolling variance sums up to n squared deviations from the mean, each at
+    most (2 |x|)^2, so every |value| must be at most sqrt(float64 max / (4 * n));
+    NaN fails the check too.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bound = math.sqrt(np.finfo(np.float64).max / (4 * max(len(values), 1)))
+    largest = float(np.abs(values).max(initial=0.0))  # NaN propagates
+    if not largest <= bound:
+        raise ValidationError(
+            f"cannot run the detectors on readings as large as |x| = {largest:.6g}: with {len(values)} "
+            f"readings, the rolling variance overflows float64 beyond |x| = {bound:.6g}"
+        )
+    return values
+
+
 def _flag_runs(flags: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of True as inclusive (start, end) pairs."""
     idx = np.flatnonzero(flags)
@@ -113,7 +133,7 @@ def _rolling_var(values: np.ndarray, window: int) -> np.ndarray:
 
 def detect_outliers_gradient(values, config: DetectorConfig) -> list[FaultEvent]:
     """Flag samples whose step from the previous sample exceeds gradient_max_rate kPa/s."""
-    values = np.asarray(values, dtype=np.float64)
+    values = _readings(values)
     if len(values) < 2:
         raise ValidationError("need at least 2 samples")
     excess = np.abs(np.diff(values)) - config.gradient_max_rate
@@ -130,7 +150,7 @@ def detect_outliers_distance(values, config: DetectorConfig) -> list[FaultEvent]
     The window is centered, so the first and last mad_window // 2 samples are
     never flagged. The MAD is floored at 1e-9 to avoid flagging identical data.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _readings(values)
     window = config.mad_window
     if window > len(values):
         raise ValidationError(f"mad_window {window} larger than series ({len(values)})")
@@ -150,7 +170,7 @@ def detect_spike(values, config: DetectorConfig) -> list[FaultEvent]:
     """Flag spike_window-long uptrends: total rise >= spike_min_rise with >= 80%
     of the in-window steps non-decreasing. Overlapping windows merge; severity
     is the rise over the merged span."""
-    values = np.asarray(values, dtype=np.float64)
+    values = _readings(values)
     window = config.spike_window
     n = len(values)
     if n < window:
@@ -178,7 +198,7 @@ def _window_coverage(hits: np.ndarray, window: int, n: int) -> np.ndarray:
 def detect_stuck(values, config: DetectorConfig) -> list[FaultEvent]:
     """Flag spans where rolling variance stays below stuck_eps_var for at
     least stuck_min_duration samples. Severity is the span length."""
-    values = np.asarray(values, dtype=np.float64)
+    values = _readings(values)
     w = config.stuck_window
     if w > len(values):
         raise ValidationError(f"stuck_window {w} larger than series ({len(values)})")
@@ -193,7 +213,7 @@ def detect_stuck(values, config: DetectorConfig) -> list[FaultEvent]:
 def detect_high_variance(values, config: DetectorConfig) -> list[FaultEvent]:
     """Flag spans where rolling variance exceeds var_threshold. Severity is
     the worst excess over the threshold."""
-    values = np.asarray(values, dtype=np.float64)
+    values = _readings(values)
     w = config.var_window
     if w > len(values):
         raise ValidationError(f"var_window {w} larger than series ({len(values)})")

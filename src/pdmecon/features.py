@@ -3,8 +3,10 @@
 A supervised row at source position t predicts values[t], one sensor's
 reading, from its readings min_lag..max_lag seconds earlier, columns ordered
 by ascending lag so fitted coefficients stay interpretable. Splits use an
-expanding training window; the remainder of n/(k+1) is absorbed into the first
-training window so every test fold has the same size.
+expanding training window and are given as row boundaries: each fold trains
+on every row before its test range, so a fold that leaks cannot be written
+down. The remainder of n/(k+1) is absorbed into the first training window so
+every test fold has the same size.
 """
 
 from __future__ import annotations
@@ -48,42 +50,6 @@ class SupervisedSet:
         return len(self.y)
 
 
-@dataclass(frozen=True)
-class Fold:
-    train: tuple[int, int]  # [start, end)
-    test: tuple[int, int]
-
-    def __post_init__(self):
-        if self.train[1] <= self.train[0] or self.test[1] <= self.test[0]:
-            raise ValidationError(f"empty range in fold {self}")
-        if self.train[1] > self.test[0]:
-            raise ValidationError(f"fold leaks training rows into test: {self}")
-
-    @property
-    def train_indices(self) -> np.ndarray:
-        return np.arange(*self.train)
-
-    @property
-    def test_indices(self) -> np.ndarray:
-        return np.arange(*self.test)
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    k: int
-    folds: tuple[Fold, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "folds", tuple(self.folds))
-        if len(self.folds) != self.k:
-            raise ValidationError(f"expected {self.k} folds, got {len(self.folds)}")
-        for prev, cur in zip(self.folds, self.folds[1:]):
-            if cur.test[0] != prev.test[1]:
-                raise ValidationError("test ranges must be disjoint and consecutive")
-            if cur.train[1] < prev.train[1]:
-                raise ValidationError("training windows must expand")
-
-
 def make_lag_matrix(values, spec: LagSpec | None = None) -> SupervisedSet:
     """Build the lag-feature supervised set for one sensor's readings.
 
@@ -105,20 +71,17 @@ def make_lag_matrix(values, spec: LagSpec | None = None) -> SupervisedSet:
     return SupervisedSet(X=X, y=values[targets])
 
 
-def walk_forward_splits(n_rows: int, k: int = 5) -> SplitPlan:
-    """Expanding-window time-series splits.
+def walk_forward_splits(n_rows: int, k: int = 5) -> tuple[int, ...]:
+    """Expanding-window time-series splits as k + 1 row boundaries b_0 < ... < b_k = n_rows.
 
-    Test size t = floor(n_rows / (k + 1)); fold i (1-based) trains on
-    [0, n_rows - (k - i + 1) * t) and tests on the next t rows, so training
-    always precedes testing and the test ranges tile the tail of the data.
+    Fold i (1-based) trains on rows [0, b_{i-1}) and tests on [b_{i-1}, b_i).
+    Test size t = floor(n_rows / (k + 1)) and b_i = n_rows - (k - i) * t, so
+    training always precedes testing, the window expands and the test ranges
+    tile the tail of the data.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     if n_rows < k + 1:
         raise ValidationError(f"n_rows {n_rows} too small for k={k}; need >= {k + 1}")
     t = n_rows // (k + 1)
-    folds = []
-    for i in range(1, k + 1):
-        train_end = n_rows - (k - i + 1) * t
-        folds.append(Fold(train=(0, train_end), test=(train_end, train_end + t)))
-    return SplitPlan(k=k, folds=tuple(folds))
+    return tuple(n_rows - (k - i) * t for i in range(k + 1))

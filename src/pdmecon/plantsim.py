@@ -12,7 +12,9 @@ one pass, for inject_faults (synth) and run_policy (simulate) alike:
 - a stuck-at fault holds its prior from at_s for duration_s seconds.
 
 Both refuse a fault that starts after the trace ends and a spike whose peak is
-not above the clean reading at its at_s.
+not above the clean reading at its at_s. generate_trace and run_policy turn a
+MemoryError from their trace-sized arrays into a ValidationError naming
+duration_s.
 
 run_policy runs the plant in operating spans and computes each stop rather
 than stepping to it:
@@ -49,6 +51,7 @@ reads back.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Annotated, ClassVar, Literal
@@ -97,6 +100,22 @@ class TracePlan:
             raise ValidationError("segment offsets must lie within [0, duration_s)")
 
 
+def _trace_sized(func):
+    """func(plan, ...), its MemoryError from an array of plan.duration_s readings turned into a ValidationError."""
+
+    @functools.wraps(func)
+    def wrapper(plan, *args, **kwargs):
+        try:
+            return func(plan, *args, **kwargs)
+        except MemoryError:
+            raise ValidationError(
+                f"not enough memory for a run of duration_s {plan.duration_s}; use a shorter duration_s"
+            ) from None
+
+    return wrapper
+
+
+@_trace_sized
 def generate_trace(plan: TracePlan, seed: int = 0) -> np.ndarray:
     """Deterministic synthetic DPIT readings for a plan and seed, one per second."""
     n = plan.duration_s
@@ -132,7 +151,7 @@ class SpikeRamp:
 
     def reading(self, t, prior):
         """The reading at second(s) t >= at_s; prior is the clean reading the first second the fault wins."""
-        return prior + (self.peak_kpa - prior) * (np.minimum(t - self.at_s, self.rise_s) / self.rise_s)
+        return prior + (self.peak_kpa - prior) * np.minimum((t - self.at_s) / self.rise_s, 1.0)
 
 
 @dataclass(frozen=True)
@@ -345,6 +364,7 @@ def _first_schedule(policy: PredictivePolicy, obs: np.ndarray, start: int, stop:
     return stop, None
 
 
+@_trace_sized
 def run_policy(
     plan: TracePlan,
     injections: list[FaultInjection],

@@ -133,8 +133,8 @@ def test_criterion_04_forest_decomposition():
 
 def test_criterion_05_split_correctness():
     with criterion(5, "walk-forward split plan enumerated + leakage-free property", 1.0):
-        plan = walk_forward_splits(12, 5)
-        assert [(f.train, f.test) for f in plan.folds] == [
+        bounds = walk_forward_splits(12, 5)
+        assert [((0, a), (a, b)) for a, b in zip(bounds, bounds[1:])] == [
             ((0, 2), (2, 4)),
             ((0, 4), (4, 6)),
             ((0, 6), (6, 8)),
@@ -145,14 +145,13 @@ def test_criterion_05_split_correctness():
         for _ in range(300):
             k = int(rng.integers(1, 10))
             n = int(rng.integers(k + 1, 800))
-            p = walk_forward_splits(n, k)
+            bounds = walk_forward_splits(n, k)
             t = n // (k + 1)
-            for fold in p.folds:
-                assert fold.train[1] <= fold.test[0]
-                assert fold.test[1] - fold.test[0] == t
-            for a, b in zip(p.folds, p.folds[1:]):
-                assert b.test[0] == a.test[1]
-            assert p.folds[-1].test[1] == n
+            assert len(bounds) == k + 1
+            for a, b in zip(bounds, bounds[1:]):  # train [0, a) precedes test [a, b)
+                assert 0 < a < b
+                assert b - a == t
+            assert bounds[-1] == n
 
 
 def test_criterion_06_eval_report_shape_and_sanity(tmp_path):

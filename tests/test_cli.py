@@ -520,6 +520,9 @@ MALFORMED = [
     ("plan-negative-warmup", "synth", "--plan", lambda d: {**SMALL_PLAN, "warmup_s": -1},
      "error: trace plan: warmup_s must be >= 0"),
     ("plan-float-overflow", "synth", "--plan", lambda d: '{"baseline_kpa": 1e999}', "bad.json: 1e999 overflows a float"),
+    # 10^12 readings cannot be allocated: numpy raises MemoryError at once
+    ("plan-duration-unallocatable", "synth", "--plan", lambda d: {**SMALL_PLAN, "duration_s": 10**12},
+     "error: not enough memory for a run of duration_s 1000000000000; use a shorter duration_s"),
     ("injection-spike-zero-rise", "synth", "--injections",
      lambda d: [{"kind": "spike_ramp", "at_s": 10, "peak_kpa": 60.0, "rise_s": 0}],
      "error: injections[0]: SpikeRamp requires at_s >= 0 and rise_s >= 1"),
@@ -552,6 +555,12 @@ MALFORMED = [
      "error: stuck_window 301 larger than series (300)"),
     ("detector-var-window-beyond-series", "detect", "--config", lambda d: {"var_window": 301},
      "error: var_window 301 larger than series (300)"),
+    # the rolling variance's sums overflow float64 on readings this large
+    ("detect-readings-beyond-the-overflow-bound", "detect", "--csv",
+     lambda d: "Timestamp,DPIT301\n" + "".join(
+         f"2020-02-26T15:{i // 60:02d}:{i % 60:02d},{i % 7}e200\n" for i in range(200)),
+     "error: cannot run the detectors on readings as large as |x| = 6e+200: with 200 readings, "
+     "the rolling variance overflows float64 beyond |x| = 4.74038e+152"),
     ("scenario-list", "simulate", "--scenario", lambda d: [small_scenario()], "scenario must be a JSON object"),
     ("scenario-plan-list", "simulate", "--scenario", lambda d: edited(small_scenario(), "plan", value=[]),
      "scenario.plan"),
@@ -573,6 +582,9 @@ MALFORMED = [
     ("scenario-zero-horizon", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "policies", "predictive", "horizon_s", value=0),
      "error: scenario.policies.predictive: horizon_s, schedule_window_s, maint_duration_s must be >= 1"),
+    ("scenario-duration-unallocatable", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "plan", "duration_s", value=10**12),
+     "error: not enough memory for a run of duration_s 1000000000000; use a shorter duration_s"),
     ("scenario-negative-fouling", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value=-0.5),
      "error: scenario.econ: fouling_rate_kpa_per_s must be >= 0"),
@@ -781,6 +793,24 @@ def test_simulate_refuses_the_spike_synth_refuses(tmp_path, inputs):
     assert simulate_err == synth_err
     assert "error: SpikeRamp peak 20.0 must exceed the clean reading 30." in simulate_err
     assert not (tmp_path / "out").exists()
+
+
+def test_spike_rising_slower_than_int64_counts_exits_0(tmp_path, inputs):
+    # np.minimum(t - at_s, rise_s) raised OverflowError converting rise_s 10^30 to a C long: exit 2
+    spike = {"kind": "spike_ramp", "at_s": 100, "peak_kpa": 60.0, "rise_s": 10**30}
+    (tmp_path / "injections.json").write_text(json.dumps([spike]))
+    (tmp_path / "scenario.json").write_text(json.dumps(edited(small_scenario(), "injections", value=[spike])))
+    synth = with_flag(command(inputs, "synth", tmp_path / "synth"), "--injections", tmp_path / "injections.json")
+    simulate = with_flag(command(inputs, "simulate", tmp_path / "sim"), "--scenario", tmp_path / "scenario.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = [run_main(synth), run_main(simulate)]
+    assert [code for code, _ in results] == [0, 0], results
+    assert not caught, [str(w.message) for w in caught]
+    rows = (tmp_path / "synth" / "historian.csv").read_text().splitlines()[1:]
+    held = {row.split(",")[1] for row in rows[100:]}
+    assert len(rows) == 300 and len(held) == 1  # the ramp's rise rounds away: the reading holds its prior
+    assert (tmp_path / "sim" / "comparison.json").exists()
 
 
 @pytest.mark.parametrize("csv", ["directory", "latin-1"])

@@ -189,6 +189,29 @@ def test_rolling_variance_matches_numpy_oracle():
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("detect", DETECTORS, ids=lambda d: d.__name__)
+def test_readings_beyond_the_overflow_bound_are_refused(detect):
+    # the rolling variance's cumulative sum of squares overflowed near 1e200, and high variance went unseen
+    series = 1e200 * (np.arange(200) % 7)
+    with pytest.raises(ValidationError) as caught:
+        detect(series, DetectorConfig())
+    assert str(caught.value) == (
+        "cannot run the detectors on readings as large as |x| = 6e+200: with 200 readings, "
+        "the rolling variance overflows float64 beyond |x| = 4.74038e+152"
+    )
+    with pytest.raises(ValidationError, match=r"as large as \|x\| = nan"):
+        detect(np.where(np.arange(200) == 50, np.nan, 30.0), DetectorConfig())
+
+
+def test_readings_at_the_overflow_bound_are_detected():
+    bound = np.sqrt(np.finfo(np.float64).max / (4 * 200))
+    for scale in (1e10, bound):
+        events = detect_high_variance(scale / 6 * (np.arange(200) % 7), DetectorConfig())
+        assert len(events) == 1 and np.isfinite(events[0].severity)
+    alternating = np.where(np.arange(200) % 2, bound, -bound)
+    assert all(np.isfinite(e.severity) for e in run_all_detectors(alternating, DetectorConfig()))
+
+
 # --- combined behavior ---
 
 def test_constant_series_triggers_only_stuck():

@@ -110,8 +110,8 @@ ARTIFACTS = {
         "lag_spec": LagSpec(5, 30),
         "seed": 3,
         "reports": {
-            "linear": EvalReport("linear", (0.5, 0.25), 0.375),
-            "boost": EvalReport("boost", [1 / 3, 2 / 3], 0.5),
+            "linear": EvalReport("linear", (0.5, 0.25)),
+            "boost": EvalReport("boost", [1 / 3, 2 / 3]),
         },
     },
     "ingest_report.json": IngestReport(

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from pdmecon.errors import ValidationError
-from pdmecon.features import LagSpec
+from pdmecon.features import LagSpec, make_lag_matrix, walk_forward_splits
 from pdmecon.jsonio import from_dict
 from pdmecon.models import (
     BoostHyperparams,
+    EvalReport,
     ForestHyperparams,
     Hyperparams,
     evaluate_cv,
     fit_model,
     format_eval_table,
+    predict,
     rmse,
 )
 
@@ -81,6 +83,37 @@ def test_seed_determinism():
     a = evaluate_cv(series, LagSpec(5, 30), 5, "forest", ForestHyperparams(n_trees=4, max_depth=5), seed=9)
     b = evaluate_cv(series, LagSpec(5, 30), 5, "forest", ForestHyperparams(n_trees=4, max_depth=5), seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "kind, hyperparams",
+    [
+        ("linear", None),
+        ("forest", ForestHyperparams(n_trees=3, max_depth=8)),
+        ("boost", BoostHyperparams(n_stages=20, max_depth=3)),
+    ],
+)
+def test_fitting_on_row_slices_matches_fitting_on_copied_rows(kind, hyperparams):
+    # evaluate_cv fits on views X[:a]; a copy of the same rows must give the same bits
+    series = ar_series(300) + np.random.default_rng(7).normal(scale=0.3, size=300)
+    spec = LagSpec(5, 30)
+    sup = make_lag_matrix(series, spec)
+    bounds = walk_forward_splits(sup.n_rows, 5)
+    copied = []
+    for a, b in zip(bounds, bounds[1:]):
+        train, test = np.arange(a), np.arange(a, b)
+        model = fit_model(kind, sup.X[train], sup.y[train], hyperparams, seed=2)
+        copied.append(rmse(sup.y[test], predict(model, sup.X[test])))
+    assert evaluate_cv(series, spec, 5, kind, hyperparams, seed=2).per_split_rmse == tuple(copied)
+
+
+def test_report_average_is_derived_from_the_splits():
+    report = EvalReport("linear", (0.5, 0.25))
+    assert report.average_rmse == 0.375
+    with pytest.raises(TypeError):
+        EvalReport("linear", (0.5, 0.25), 0.375)  # the average is not an argument
+    with pytest.raises(ValidationError, match="at least one split"):
+        EvalReport("linear", ())
 
 
 def test_unknown_kind_and_hyperparams_rejected():

@@ -140,6 +140,14 @@ def test_synth_and_simulation_share_one_ramp():
     np.testing.assert_array_equal(injected[:150], trace[:150])
 
 
+def test_spike_rising_slower_than_int64_counts_ramps():
+    # np.minimum(t - at_s, rise_s) raised OverflowError converting rise_s to a C long
+    spike = SpikeRamp(at_s=10, peak_kpa=60.0, rise_s=10**30)
+    t = np.arange(10, 20)
+    np.testing.assert_array_equal(spike.reading(t, 30.0), 30.0 + 30.0 * ((t - 10) / 1e30))
+    assert spike.reading(np.array([10**18]), 30.0)[0] > 30.0
+
+
 def test_injection_bounds_checked():
     trace = generate_trace(quiet_plan(duration=100), seed=0)
     with pytest.raises(ValidationError, match="beyond"):
