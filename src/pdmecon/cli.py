@@ -46,14 +46,14 @@ from .models import (
 )
 from .plantsim import (
     TRACE_CHANNEL,
+    ComparisonReport,
     FaultInjection,
+    Scenario,
     TracePlan,
     compare_policies,
-    comparison_from_dict,
     format_comparison,
     generate_trace,
     inject_faults,
-    scenario_from_dict,
 )
 
 ENV_OUT_DIR = "PDMECON_OUT_DIR"
@@ -99,10 +99,6 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _lag_spec(args) -> LagSpec:
-    return LagSpec(min_lag=args.min_lag, max_lag=args.max_lag)
-
-
 def cmd_synth(args) -> int:
     plan = _config(args.plan, TracePlan, "trace plan")
     injections = _injections(args.injections) if args.injections else []
@@ -132,7 +128,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     seed = _seed(args)
-    lag_spec = _lag_spec(args)
+    lag_spec = LagSpec(min_lag=args.min_lag, max_lag=args.max_lag)
     values = load_historian_csv(args.csv)[0].channel(args.channel)
     supervised = make_lag_matrix(values, lag_spec)
     hp = getattr(_config(args.hyperparams, Hyperparams, "hyperparameters"), args.kind)
@@ -145,7 +141,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     seed = _seed(args)
-    lag_spec = _lag_spec(args)
+    lag_spec = LagSpec(min_lag=args.min_lag, max_lag=args.max_lag)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if not kinds:
         raise ValidationError(f"--kinds names no model kind; expected a subset of {MODEL_KINDS}")
@@ -191,11 +187,8 @@ def cmd_detect(args) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _seed(args)
-    scenario = scenario_from_dict(load_json(args.scenario, "scenario"))
-    model = lag_spec = None
-    if args.model:
-        loaded = load_model(args.model)
-        model, lag_spec = loaded.model, loaded.lag_spec
+    scenario = from_dict(Scenario, load_json(args.scenario, "scenario"), "scenario")
+    model, lag_spec = load_model(args.model) if args.model else (None, None)
     policies = scenario.build_policies(model=model, lag_spec=lag_spec)
     report = compare_policies(scenario.plan, scenario.injections, policies, scenario.econ, seed)
     out = _out_dir(args) / "comparison.json"
@@ -214,7 +207,7 @@ def cmd_cba(args) -> int:
             raise ValidationError(f"{flag} must be a finite number >= 0, got {price}")
     items = load_ledger(args.ledger)
     if args.bridge:
-        comparison = comparison_from_dict(load_json(args.bridge, "comparison"))
+        comparison = from_dict(ComparisonReport, load_json(args.bridge, "comparison"), "comparison")
         unit_cost = 0.0 if args.unit_maintenance_cost is None else args.unit_maintenance_cost
         items = bridge_from_simulation(comparison, args.revenue_rate, items, unit_cost)
     result = net_benefit(items, McConfig(trials=args.trials, seed=seed))
@@ -253,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.add_argument("--channel", default=TRACE_CHANNEL)
     p.add_argument("--kind", choices=MODEL_KINDS, default="linear")
-    p.add_argument("--min-lag", type=int, default=5)
-    p.add_argument("--max-lag", type=int, default=30)
+    p.add_argument("--min-lag", type=int, default=LagSpec.min_lag)
+    p.add_argument("--max-lag", type=int, default=LagSpec.max_lag)
     p.add_argument("--hyperparams", help="JSON object keyed by model kind")
     p.add_argument("--out", default="model.json", help="output model filename")
     common(p)
@@ -265,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", default=TRACE_CHANNEL)
     p.add_argument("--kinds", default="linear,forest,boost", help="comma-separated model kinds")
     p.add_argument("--k", type=int, default=5, help="number of splits")
-    p.add_argument("--min-lag", type=int, default=5)
-    p.add_argument("--max-lag", type=int, default=30)
+    p.add_argument("--min-lag", type=int, default=LagSpec.min_lag)
+    p.add_argument("--max-lag", type=int, default=LagSpec.max_lag)
     p.add_argument("--hyperparams", help="JSON object keyed by model kind")
     common(p)
     p.set_defaults(func=cmd_evaluate)
@@ -286,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cba", help="Monte Carlo net-benefit analysis")
     p.add_argument("--ledger", required=True, help="ledger JSON file")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=int, default=McConfig.trials)
     p.add_argument("--bridge", help="comparison JSON to bridge simulated deltas into the ledger")
     p.add_argument(
         "--revenue-rate", type=float, help="currency units per uptime second (default: the comparison's rate)"

@@ -15,7 +15,7 @@ from .evaluate import (
     predict,
     rmse,
 )
-from .io import LoadedModel, load_model, model_from_dict, model_to_dict
+from .io import load_model, model_from_dict, model_to_dict
 from .linear import LinearHyperparams, LinearModel, fit_ols
 from .tree import RegressionTree, TreeParams, fit_tree, predict_tree
 
@@ -29,7 +29,6 @@ __all__ = [
     "KIND_LABELS",
     "LinearHyperparams",
     "LinearModel",
-    "LoadedModel",
     "MODEL_KINDS",
     "RegressionTree",
     "TreeParams",

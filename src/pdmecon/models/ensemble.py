@@ -3,8 +3,9 @@
 Every tree considers all features at every split. Per-tree randomness comes
 from a stream derived as default_rng((seed, tree_index)), so fitting order and
 worker count cannot change the result. The hyperparameter classes
-(ForestHyperparams, BoostHyperparams) check their own ranges on construction,
-so a fitted and a loaded model pass the same checks. Each model keeps the
+(ForestHyperparams, BoostHyperparams) extend TreeParams, which fit_tree takes
+as they are. They check their own ranges on construction, so a fitted and a
+loaded model pass the same checks. Each model keeps the
 hyperparameters it was fitted with and its seed, and checks on construction
 that it holds n_trees / n_stages trees, all as wide as the model.
 """
@@ -23,32 +24,29 @@ from .tree import (
 )
 
 
-@dataclass(frozen=True)
-class ForestHyperparams:
+@dataclass(frozen=True, kw_only=True)
+class ForestHyperparams(TreeParams):
     n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
     bootstrap: bool = True
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValidationError("n_trees must be >= 1")
-        TreeParams(self.max_depth, self.min_samples_leaf)  # checks both
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
-class BoostHyperparams:
+@dataclass(frozen=True, kw_only=True)
+class BoostHyperparams(TreeParams):
     n_stages: int = 100
     learning_rate: float = 0.1
     max_depth: int | None = 3
-    min_samples_leaf: int = 1
 
     def __post_init__(self):
         if self.n_stages < 1:
             raise ValidationError("n_stages must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValidationError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        TreeParams(self.max_depth, self.min_samples_leaf)  # checks both
+        super().__post_init__()
 
 
 def _check_trees(trees: list[RegressionTree], name: str, count: int, count_name: str, n_features: int) -> None:
@@ -129,7 +127,6 @@ def fit_forest(
     are identical and share one presort of X.
     """
     hp = hyperparams
-    params = TreeParams(hp.max_depth, hp.min_samples_leaf)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     n = len(y)
@@ -139,9 +136,9 @@ def fit_forest(
         if hp.bootstrap:
             rng = np.random.default_rng((seed, i))
             idx = rng.integers(0, n, size=n)
-            trees.append(fit_tree(X[idx], y[idx], params))
+            trees.append(fit_tree(X[idx], y[idx], hp))
         else:
-            trees.append(fit_tree(X, y, params, presorted=presorted))
+            trees.append(fit_tree(X, y, hp, presorted=presorted))
     return ForestModel(trees=trees, hyperparams=hp, seed=seed)
 
 
@@ -159,7 +156,6 @@ def fit_boost(
     only tags the model for provenance.
     """
     hp = hyperparams
-    params = TreeParams(hp.max_depth, hp.min_samples_leaf)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     check_target(y)  # before the mean, which can overflow too
@@ -169,7 +165,7 @@ def fit_boost(
     stages = []
     stage_rmse = []
     for _ in range(hp.n_stages):
-        tree = fit_tree(X, y - F, params, presorted=presorted)
+        tree = fit_tree(X, y - F, hp, presorted=presorted)
         F = F + hp.learning_rate * predict_tree(tree, X)
         stages.append(tree)
         stage_rmse.append(float(np.sqrt(np.mean((y - F) ** 2))))

@@ -11,6 +11,7 @@ per leaf, plus "n_features". The model and tree classes check themselves on
 construction (a forest's n_trees and a booster's n_stages match its tree
 count, the trees share one width, the arrays describe one tree), so a loaded
 model has passed the same checks as a fitted one before anything walks it.
+model_from_dict and load_model return the pair (model, lag_spec).
 Only schema version 3 is read; a version-1 (nested-dict trees) or version-2
 (per-node arrays) model must be retrained.
 """
@@ -27,12 +28,6 @@ from ..jsonio import from_dict, load_json, plain
 from .evaluate import MODELS
 
 SCHEMA_VERSION = 3
-
-
-@dataclass(frozen=True)
-class LoadedModel:
-    model: object
-    lag_spec: LagSpec | None
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,7 @@ def model_to_dict(model, seed: int = 0, lag_spec: LagSpec | None = None) -> dict
     return doc
 
 
-def model_from_dict(doc) -> LoadedModel:
+def model_from_dict(doc) -> tuple[object, LagSpec | None]:
     doc = from_dict(_ModelDoc, doc, "model")
     if doc.kind not in MODELS:
         raise ValidationError(f"unknown model kind {doc.kind!r} in document")
@@ -73,8 +68,8 @@ def model_from_dict(doc) -> LoadedModel:
     hp = from_dict(hyperparams_class, doc.hyperparams, "model.hyperparams")
     # a linear model declares neither field, so from_dict passes it neither
     model = from_dict(model_class, doc.params, "model.params", hyperparams=hp, seed=doc.seed)
-    return LoadedModel(model=model, lag_spec=doc.lag_spec)
+    return model, doc.lag_spec
 
 
-def load_model(path: str | Path) -> LoadedModel:
+def load_model(path: str | Path) -> tuple[object, LagSpec | None]:
     return model_from_dict(load_json(path, "model"))

@@ -41,7 +41,7 @@ import numpy as np
 from ..errors import ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TreeParams:
     max_depth: int | None = None  # None = unlimited
     min_samples_leaf: int = 1

@@ -14,7 +14,8 @@ one pass, for inject_faults (synth) and run_policy (simulate) alike:
 Both refuse a fault that starts after the trace ends and a spike whose peak is
 not above the clean reading at its at_s. generate_trace and run_policy turn a
 MemoryError from their trace-sized arrays into a ValidationError naming
-duration_s.
+duration_s, and a forecast's into one naming horizon_s. A plan, or a fouling
+rate, that takes a reading beyond float64 range is refused by its field.
 
 run_policy runs the plant in operating spans and computes each stop rather
 than stepping to it:
@@ -45,14 +46,15 @@ A scenario file is read by Scenario's own fields, a fault or a policy by its
 "kind"; the policies stay JSON objects until build_policies binds the model.
 A policy named "preventive" or "predictive" must be of that kind, since
 compare_policies and the cost-benefit bridge pick the pair by name.
-comparison.json is the fields of ComparisonReport, which comparison_from_dict
-reads back.
+comparison.json is the fields of ComparisonReport, which jsonio.from_dict reads
+back.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Annotated, ClassVar, Literal
 
@@ -76,6 +78,9 @@ DEFAULT_SETPOINT_SEGMENTS = (
     (4200, 40.0),
 )
 TRACE_CHANNEL = "DPIT301"  # the channel a synthetic trace is written as, and the CLI's default channel
+# A run or a forecast holds one float64 per second: 2^53 seconds would take 2^56 bytes, so no
+# longer duration_s or horizon_s could ever be allocated, and numpy cannot even size some.
+MAX_SECONDS = 2**53
 
 
 @dataclass(frozen=True)
@@ -89,15 +94,24 @@ class TracePlan:
     def __post_init__(self):
         if self.duration_s < 1:
             raise ValidationError("duration_s must be >= 1")
+        if self.duration_s > MAX_SECONDS:
+            raise ValidationError(f"duration_s must be <= 2^53 = {MAX_SECONDS}")
         if self.noise_sigma_kpa < 0:
             raise ValidationError("noise_sigma_kpa must be >= 0")
         if self.warmup_s < 0:
             raise ValidationError("warmup_s must be >= 0")
+        _check_float_range("warmup_s", self.warmup_s)
         offsets = [o for o, _ in self.segments]
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ValidationError("segment offsets must be strictly increasing")
         if offsets and (offsets[0] < 0 or offsets[-1] >= self.duration_s):
             raise ValidationError("segment offsets must lie within [0, duration_s)")
+
+
+def _check_float_range(name: str, seconds: int) -> None:
+    """A ramp divides by its length in seconds as a float, so the length must lie within float range."""
+    if seconds > sys.float_info.max:
+        raise ValidationError(f"{name} must be at most the largest float64, {sys.float_info.max:.6g}")
 
 
 def _trace_sized(func):
@@ -123,11 +137,20 @@ def generate_trace(plan: TracePlan, seed: int = 0) -> np.ndarray:
     base = np.full(n, plan.baseline_kpa)
     for offset, setpoint in plan.segments:
         base[t >= offset] = setpoint
-    if plan.warmup_s > 0:
-        ramp = t < plan.warmup_s
-        base[ramp] = plan.baseline_kpa * t[ramp] / plan.warmup_s
-    noise = np.random.default_rng(seed).standard_normal(n) * plan.noise_sigma_kpa
-    return base + noise
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if plan.warmup_s > 0:
+            ramp = t < plan.warmup_s
+            base[ramp] = plan.baseline_kpa * t[ramp] / plan.warmup_s
+        noise = np.random.default_rng(seed).standard_normal(n) * plan.noise_sigma_kpa
+        trace = base + noise
+    _check_finite(base, "baseline_kpa", plan.baseline_kpa)  # only the ramp can overflow
+    _check_finite(trace, "noise_sigma_kpa", plan.noise_sigma_kpa)
+    return trace
+
+
+def _check_finite(readings: np.ndarray, name: str, value: float) -> None:
+    if (i := _first(~np.isfinite(readings))) < len(readings):
+        raise ValidationError(f"{name} {value} takes the reading at second {i} beyond float64 range")
 
 
 @dataclass(frozen=True)
@@ -143,6 +166,7 @@ class SpikeRamp:
     def __post_init__(self):
         if self.at_s < 0 or self.rise_s < 1:
             raise ValidationError("SpikeRamp requires at_s >= 0 and rise_s >= 1")
+        _check_float_range("rise_s", self.rise_s)
 
     @property
     def end_s(self) -> float:
@@ -260,6 +284,8 @@ class PredictivePolicy:
             )
         if self.horizon_s < 1 or self.schedule_window_s < 1 or self.maint_duration_s < 1:
             raise ValidationError("horizon_s, schedule_window_s, maint_duration_s must be >= 1")
+        if self.horizon_s > MAX_SECONDS:
+            raise ValidationError(f"horizon_s must be <= 2^53 = {MAX_SECONDS}")
         if self.limit_kpa >= self.hard_limit_kpa:
             raise ValidationError("limit_kpa must be below hard_limit_kpa")
         _check_repair_dominates(self.maint_duration_s, self.breakdown)
@@ -323,7 +349,12 @@ def _forecast(model, windows: np.ndarray, lags: np.ndarray, horizon: int) -> np.
     its lag inputs as whole rows; a row's forecast does not depend on the rows beside it.
     """
     max_lag = windows.shape[1]
-    work = np.empty((max_lag + horizon, len(windows)))
+    try:
+        work = np.empty((max_lag + horizon, len(windows)))
+    except MemoryError:
+        raise ValidationError(
+            f"not enough memory for a forecast of horizon_s {horizon}; use a shorter horizon_s"
+        ) from None
     work[:max_lag] = windows.T
     for pos in range(max_lag, max_lag + horizon):
         if isinstance(model, LinearModel):
@@ -379,6 +410,9 @@ def run_policy(
     trace = generate_trace(plan, seed)
     _check_injections(trace, injections)
     duration = plan.duration_s
+    with np.errstate(over="ignore"):  # refused below
+        fouled = trace + econ.fouling_rate_kpa_per_s * np.arange(duration)  # the readings of an unstopped run
+    _check_finite(fouled, "fouling_rate_kpa_per_s", econ.fouling_rate_kpa_per_s)
     breakdown = policy.breakdown
     grace = breakdown.grace_s
 
@@ -442,15 +476,11 @@ class Deltas:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """The comparison.json document, written by its fields and read back by comparison_from_dict."""
+    """The comparison.json document, written and read back (jsonio.from_dict) by its fields."""
 
     schema_version: Literal[1]
     outcomes: dict[str, SimOutcome]
     deltas: Deltas = Deltas()
-
-
-def comparison_from_dict(doc) -> ComparisonReport:
-    return from_dict(ComparisonReport, doc, "comparison")
 
 
 def compare_policies(
@@ -524,8 +554,3 @@ class Scenario:
                 )
             policies[name] = policy
         return policies
-
-
-def scenario_from_dict(doc) -> Scenario:
-    return from_dict(Scenario, doc, "scenario")
-

@@ -40,7 +40,8 @@ from pdmecon.models import (
     predict_tree,
     rmse,
 )
-from pdmecon.plantsim import TracePlan, compare_policies, generate_trace, scenario_from_dict
+from pdmecon.jsonio import from_dict
+from pdmecon.plantsim import Scenario, TracePlan, compare_policies, generate_trace
 
 RUN = [sys.executable, "-m", "pdmecon"]
 
@@ -257,7 +258,7 @@ def test_criterion_09_scenario_orderings(trained_linear):
         model, lag_spec = trained_linear
 
         doc = json.loads(pdmecon.data_path("scenario1_delay_maintenance.json").read_text())
-        sc1 = scenario_from_dict(doc)
+        sc1 = from_dict(Scenario, doc, "scenario")
         r1 = compare_policies(
             sc1.plan, sc1.injections, sc1.build_policies(model, lag_spec), sc1.econ, seed=7
         )
@@ -267,7 +268,7 @@ def test_criterion_09_scenario_orderings(trained_linear):
         )
 
         doc = json.loads(pdmecon.data_path("scenario2_avoid_breakdown.json").read_text())
-        sc2 = scenario_from_dict(doc)
+        sc2 = from_dict(Scenario, doc, "scenario")
         r2 = compare_policies(
             sc2.plan, sc2.injections, sc2.build_policies(model, lag_spec), sc2.econ, seed=7
         )

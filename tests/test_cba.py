@@ -94,6 +94,17 @@ def test_streams_step_each_trials_default_rng_stream():
         np.testing.assert_array_equal(streams.doubles(), [rng.random() for rng in rngs])
 
 
+# from 2^96 a seed has more 32-bit words than SeedSequence's 4-word pool holds, so the rest are mixed in after
+@pytest.mark.parametrize(
+    "seed", [2**96 - 1, 2**96, 2**128 + 3, 2**200 + 11], ids=["2^96-1", "2^96", "2^128+3", "2^200+11"]
+)
+def test_streams_of_seeds_beyond_the_entropy_pool_match_default_rng(seed):
+    streams = _TrialStreams(seed, 50)
+    rngs = [np.random.default_rng((seed, t)) for t in range(50)]
+    for _ in range(3):
+        np.testing.assert_array_equal(streams.doubles(), [rng.random() for rng in rngs])
+
+
 # --- the per-trial oracle ---
 
 def oracle_draw(amount, rng):

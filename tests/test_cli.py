@@ -523,6 +523,21 @@ MALFORMED = [
     # 10^12 readings cannot be allocated: numpy raises MemoryError at once
     ("plan-duration-unallocatable", "synth", "--plan", lambda d: {**SMALL_PLAN, "duration_s": 10**12},
      "error: not enough memory for a run of duration_s 1000000000000; use a shorter duration_s"),
+    # numpy cannot size an array of 10^19 or 2^62 readings
+    ("plan-duration-unsizable", "synth", "--plan", lambda d: {**SMALL_PLAN, "duration_s": 10**19},
+     "error: trace plan: duration_s must be <= 2^53 = 9007199254740992"),
+    ("plan-duration-too-big", "synth", "--plan", lambda d: {**SMALL_PLAN, "duration_s": 2**62},
+     "error: trace plan: duration_s must be <= 2^53 = 9007199254740992"),
+    ("plan-warmup-beyond-float", "synth", "--plan", lambda d: {**SMALL_PLAN, "warmup_s": 10**400},
+     "error: trace plan: warmup_s must be at most the largest float64, 1.79769e+308"),
+    # baseline_kpa x second overflows in the warmup ramp, from its second second
+    ("plan-baseline-overflows-ramp", "synth", "--plan", lambda d: {**SMALL_PLAN, "baseline_kpa": 1e308},
+     "error: baseline_kpa 1e+308 takes the reading at second 2 beyond float64 range"),
+    ("plan-noise-overflows", "synth", "--plan", lambda d: {**SMALL_PLAN, "noise_sigma_kpa": 1e308},
+     "error: noise_sigma_kpa 1e+308 takes the reading at second"),
+    ("injection-rise-beyond-float", "synth", "--injections",
+     lambda d: [{"kind": "spike_ramp", "at_s": 10, "peak_kpa": 60.0, "rise_s": 10**400}],
+     "error: injections[0]: rise_s must be at most the largest float64, 1.79769e+308"),
     ("injection-spike-zero-rise", "synth", "--injections",
      lambda d: [{"kind": "spike_ramp", "at_s": 10, "peak_kpa": 60.0, "rise_s": 0}],
      "error: injections[0]: SpikeRamp requires at_s >= 0 and rise_s >= 1"),
@@ -585,6 +600,23 @@ MALFORMED = [
     ("scenario-duration-unallocatable", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "plan", "duration_s", value=10**12),
      "error: not enough memory for a run of duration_s 1000000000000; use a shorter duration_s"),
+    ("scenario-warmup-beyond-float", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "plan", "warmup_s", value=10**400),
+     "error: scenario.plan: warmup_s must be at most the largest float64, 1.79769e+308"),
+    ("scenario-rise-beyond-float", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "injections", 0, "rise_s", value=10**400),
+     "error: scenario.injections[0]: rise_s must be at most the largest float64, 1.79769e+308"),
+    ("scenario-horizon-unsizable", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "policies", "predictive", "horizon_s", value=10**19),
+     "error: scenario.policies.predictive: horizon_s must be <= 2^53 = 9007199254740992"),
+    # a forecast buffer of 2^40 rows cannot be allocated: numpy raises MemoryError at once
+    ("scenario-horizon-unallocatable", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "policies", "predictive", "horizon_s", value=2**40),
+     "error: not enough memory for a forecast of horizon_s 1099511627776; use a shorter horizon_s"),
+    # fouling_rate_kpa_per_s x second overflows from the second second
+    ("scenario-fouling-overflows", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value=1e308),
+     "error: fouling_rate_kpa_per_s 1e+308 takes the reading at second 2 beyond float64 range"),
     ("scenario-negative-fouling", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value=-0.5),
      "error: scenario.econ: fouling_rate_kpa_per_s must be >= 0"),
@@ -731,6 +763,36 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, inputs, case):
     assert code == 1, err
     assert expected in err, err
     assert not out.exists() or not any(out.iterdir())  # nothing written, not even a temp file
+
+
+def policy_edited(policy, *path, value):
+    return lambda d: edited(small_scenario(), "policies", policy, *path, value=value)
+
+
+# (id, command, flag, document): values beyond what a run can reach, but each one runs
+RUNS = [
+    ("cycle", "simulate", "--scenario", policy_edited("preventive", "cycle_s", value=10**400)),
+    ("grace", "simulate", "--scenario", policy_edited("preventive", "breakdown", "grace_s", value=10**400)),
+    ("repair", "simulate", "--scenario", policy_edited("predictive", "breakdown", "repair_duration_s", value=10**400)),
+    ("schedule-window", "simulate", "--scenario", policy_edited("predictive", "schedule_window_s", value=10**400)),
+    ("stuck-duration", "simulate", "--scenario", lambda d: edited(
+        small_scenario(), "injections", value=[{"kind": "stuck_at", "at_s": 100, "duration_s": 10**400}])),
+    ("warmup", "simulate", "--scenario", lambda d: edited(small_scenario(), "plan", "warmup_s", value=10**300)),
+    ("rise", "simulate", "--scenario", lambda d: edited(small_scenario(), "injections", 0, "rise_s", value=10**300)),
+    ("fouling", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value=1e300)),
+    ("baseline", "synth", "--plan", lambda d: {**SMALL_PLAN, "baseline_kpa": 1e300}),
+    ("noise", "synth", "--plan", lambda d: {**SMALL_PLAN, "noise_sigma_kpa": 1e300}),
+]
+
+
+@pytest.mark.parametrize("case", RUNS, ids=[c[0] for c in RUNS])
+def test_huge_values_within_the_bounds_run(tmp_path, inputs, case):
+    _, name, flag, make = case
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(make(inputs)), encoding="utf-8")
+    code, err = run_main(with_flag(command(inputs, name, tmp_path / "out"), flag, doc))
+    assert code == 0, err
 
 
 def test_json_nested_about_as_deep_as_the_parser_allows_exits_1(tmp_path, inputs):

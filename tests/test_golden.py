@@ -148,10 +148,10 @@ def test_artifact_bytes_match_the_golden_file(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(name for name in ARTIFACTS if name.startswith("model_")))
 def test_model_file_loads_and_writes_back_the_same_bytes(tmp_path, name):
-    loaded = load_model(GOLDEN / name)
+    model, lag_spec = load_model(GOLDEN / name)
     seed = json.loads((GOLDEN / name).read_text(encoding="utf-8"))["seed"]
     path = tmp_path / name
-    write_json(path, model_to_dict(loaded.model, seed=seed, lag_spec=loaded.lag_spec))
+    write_json(path, model_to_dict(model, seed=seed, lag_spec=lag_spec))
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
@@ -167,7 +167,7 @@ PROBE_PREDICTIONS = {
 
 @pytest.mark.parametrize("name", sorted(PROBE_PREDICTIONS))
 def test_golden_tree_model_predicts_the_floats_it_always_has(name):
-    assert load_model(GOLDEN / name).model.predict(PROBES).tolist() == PROBE_PREDICTIONS[name]
+    assert load_model(GOLDEN / name)[0].predict(PROBES).tolist() == PROBE_PREDICTIONS[name]
 
 
 D, I, C = LedgerKind.DIRECT_SAVING, LedgerKind.INDIRECT_SAVING, LedgerKind.IMPLEMENTATION_COST

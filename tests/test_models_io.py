@@ -40,12 +40,12 @@ def test_roundtrip_preserves_predictions(tmp_path, data, kind):
     doc = model_to_dict(model, seed=2, lag_spec=LagSpec(1, 3))
     path = tmp_path / "model.json"
     write_json(path, doc)
-    loaded = load_model(path)
-    assert loaded.model.kind == kind
-    assert loaded.lag_spec == LagSpec(1, 3)
-    assert model_to_dict(loaded.model, seed=2, lag_spec=loaded.lag_spec) == doc
+    loaded, lag_spec = load_model(path)
+    assert loaded.kind == kind
+    assert lag_spec == LagSpec(1, 3)
+    assert model_to_dict(loaded, seed=2, lag_spec=lag_spec) == doc
     probes = np.random.default_rng(5).normal(size=(40, 3))
-    np.testing.assert_array_equal(predict(loaded.model, probes), predict(model, probes))
+    np.testing.assert_array_equal(predict(loaded, probes), predict(model, probes))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -54,9 +54,9 @@ def test_document_without_a_lag_spec_reads_back_with_none(data, kind):
     hyperparams = {"forest": ForestHyperparams(n_trees=2), "boost": BoostHyperparams(n_stages=2)}.get(kind)
     doc = model_to_dict(fit_model(kind, X, y, hyperparams, seed=2), seed=2)
     assert sorted(doc) == ["hyperparams", "kind", "params", "schema_version", "seed"]
-    loaded = model_from_dict(json.loads(json.dumps(doc)))
-    assert loaded.lag_spec is None
-    assert model_to_dict(loaded.model, seed=2) == doc
+    loaded, lag_spec = model_from_dict(json.loads(json.dumps(doc)))
+    assert lag_spec is None
+    assert model_to_dict(loaded, seed=2) == doc
 
 
 def test_serialized_document_is_stable(data):

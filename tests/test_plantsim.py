@@ -21,6 +21,7 @@ from pdmecon.plantsim import (
     EconParams,
     PredictivePolicy,
     PreventivePolicy,
+    Scenario,
     SimOutcome,
     SpikeRamp,
     StuckAt,
@@ -30,7 +31,6 @@ from pdmecon.plantsim import (
     generate_trace,
     inject_faults,
     run_policy,
-    scenario_from_dict,
 )
 
 PERSISTENCE_LAGS = LagSpec(1, 2)
@@ -310,7 +310,7 @@ def test_bundled_scenarios_load():
         import json
 
         doc = json.loads(pdmecon.data_path(name).read_text())
-        scenario = scenario_from_dict(doc)
+        scenario = from_dict(Scenario, doc, "scenario")
         assert set(scenario.policies) == {"preventive", "predictive"}
         policies = scenario.build_policies(model=persistence_model(), lag_spec=PERSISTENCE_LAGS)
         assert isinstance(policies["preventive"], PreventivePolicy)
@@ -321,7 +321,7 @@ def test_predictive_requires_model():
     import json
 
     doc = json.loads(pdmecon.data_path("scenario1_delay_maintenance.json").read_text())
-    scenario = scenario_from_dict(doc)
+    scenario = from_dict(Scenario, doc, "scenario")
     with pytest.raises(ValidationError, match="model"):
         scenario.build_policies(model=None, lag_spec=None)
 
@@ -753,7 +753,7 @@ def seed1_models():
 
 
 def bundled_scenario(name):
-    return scenario_from_dict(json.loads(pdmecon.data_path(name).read_text()))
+    return from_dict(Scenario, json.loads(pdmecon.data_path(name).read_text()), "scenario")
 
 
 def test_a_forest_backed_run_forecasts_in_blocks(monkeypatch, seed1_models):

@@ -36,12 +36,11 @@ from pdmecon.plantsim import (
     EconParams,
     PredictivePolicy,
     PreventivePolicy,
+    Scenario,
     SimOutcome,
     SpikeRamp,
     StuckAt,
     TracePlan,
-    comparison_from_dict,
-    scenario_from_dict,
 )
 from test_cli import mutated, small_scenario
 
@@ -147,12 +146,12 @@ def reference_comparison(path):
 
 
 def new_scenario(path, model, lag_spec):
-    scenario = scenario_from_dict(load_json(path, "scenario"))
+    scenario = from_dict(Scenario, load_json(path, "scenario"), "scenario")
     return scenario.plan, list(scenario.injections), scenario.build_policies(model, lag_spec), scenario.econ
 
 
 def new_comparison(path):
-    return comparison_from_dict(load_json(path, "comparison"))
+    return from_dict(ComparisonReport, load_json(path, "comparison"), "comparison")
 
 
 # --- the property ----------------------------------------------------------------
