@@ -410,31 +410,28 @@ def bridge_from_simulation(
     comparison: ComparisonReport,
     revenue_rate: float | None,
     ledger: list[LineItem],
-    unit_maintenance_cost: float = 0.0,
+    unit_maintenance_cost: float | None = None,
 ) -> list[LineItem]:
-    """Convert simulated preventive-vs-predictive deltas into ledger entries.
+    """Price a comparison's preventive-versus-predictive deltas as ledger entries.
 
-    Overwrites (or appends) two point-valued items: avoided lost revenue from
-    the uptime delta (at the simulated rate when revenue_rate is None), and
-    maintenance cost savings from the count delta.
+    Overwrites (or appends) two point-valued items: avoided lost revenue, the
+    downtime avoided at revenue_rate (the simulated rate when it is None), and
+    maintenance cost savings, the maintenance avoided at unit_maintenance_cost
+    (0 when it is None).
     """
-    if "preventive" not in comparison.outcomes or "predictive" not in comparison.outcomes:
+    deltas = comparison.deltas
+    if deltas.downtime_avoided_s is None:
         raise ValidationError("bridge needs both a 'preventive' and a 'predictive' outcome")
-    prev = comparison.outcomes["preventive"]
-    pred = comparison.outcomes["predictive"]
     if revenue_rate is None:
-        if prev.revenue_rate_per_s != pred.revenue_rate_per_s:
-            raise ValidationError("comparison outcomes disagree on revenue_rate_per_s; give a revenue rate")
-        revenue_rate = pred.revenue_rate_per_s
-    revenue_delta = (pred.uptime_s - prev.uptime_s) * revenue_rate
-    maint_delta = prev.maintenance_count - pred.maintenance_count
+        revenue_rate = next(iter(comparison.outcomes.values())).revenue_rate_per_s  # the report's outcomes share it
+    unit_cost = 0.0 if unit_maintenance_cost is None else unit_maintenance_cost
     bridged = {
         BRIDGED_REVENUE_ITEM: LineItem(
             name=BRIDGED_REVENUE_ITEM,
             ledger=LedgerKind.INDIRECT_SAVING,
             category="LostProductivityAvoidance",
             kind=ItemKind.VARIABLE,
-            amount=Point(revenue_delta),
+            amount=Point(deltas.downtime_avoided_s * revenue_rate),
             assumptions="bridged from simulation: uptime delta x revenue rate",
         ),
         BRIDGED_MAINTENANCE_ITEM: LineItem(
@@ -442,7 +439,7 @@ def bridge_from_simulation(
             ledger=LedgerKind.DIRECT_SAVING,
             category="Operating",
             kind=ItemKind.VARIABLE,
-            amount=Point(maint_delta * unit_maintenance_cost),
+            amount=Point(deltas.maintenance_avoided * unit_cost),
             assumptions="bridged from simulation: maintenance count delta x unit cost",
         ),
     }

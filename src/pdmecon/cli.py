@@ -208,8 +208,7 @@ def cmd_cba(args) -> int:
     items = load_ledger(args.ledger)
     if args.bridge:
         comparison = from_dict(ComparisonReport, load_json(args.bridge, "comparison"), "comparison")
-        unit_cost = 0.0 if args.unit_maintenance_cost is None else args.unit_maintenance_cost
-        items = bridge_from_simulation(comparison, args.revenue_rate, items, unit_cost)
+        items = bridge_from_simulation(comparison, args.revenue_rate, items, args.unit_maintenance_cost)
     result = net_benefit(items, McConfig(trials=args.trials, seed=seed))
     out = _out_dir(args) / "net_benefit.json"
     write_json(out, result.to_dict())

@@ -185,20 +185,16 @@ def _parse_timestamps(cells: list[str], formats: tuple[str, ...]) -> tuple[np.nd
     return ok, epochs
 
 
-def _float(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
-
-
 def _floats(cells: list[str]) -> list[float]:
     """The cells as floats, NaN where a cell is not a number; never through a U array,
     which drops trailing NULs, so that "1.5\x00" is refused as float() refuses it."""
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        return list(map(_float, cells))
+    out, rest = [], iter(cells)
+    while True:
+        try:
+            out.extend(map(float, rest))  # keeps what it parsed before a bad cell, and resumes after it
+            return out
+        except ValueError:
+            out.append(math.nan)
 
 
 def _row_fault(row: list[str], names: list[str], formats: tuple[str, ...]) -> str:

@@ -12,10 +12,12 @@ one pass, for inject_faults (synth) and run_policy (simulate) alike:
 - a stuck-at fault holds its prior from at_s for duration_s seconds.
 
 Both refuse a fault that starts after the trace ends and a spike whose peak is
-not above the clean reading at its at_s. generate_trace and run_policy turn a
-MemoryError from their trace-sized arrays into a ValidationError naming
-duration_s, and a forecast's into one naming horizon_s. A plan, or a fouling
-rate, that takes a reading beyond float64 range is refused by its field.
+not above the clean reading at its at_s; fault_readings refuses a spike whose
+rise, peak_kpa minus its prior, overflows a float64. generate_trace and
+run_policy turn a MemoryError from their trace-sized arrays into a
+ValidationError naming duration_s, and a forecast's into one naming horizon_s.
+A plan, or a fouling rate, that takes a reading beyond float64 range is refused
+by its field.
 
 run_policy runs the plant in operating spans and computes each stop rather
 than stepping to it:
@@ -45,9 +47,9 @@ uptime + downtime == duration for every run.
 A scenario file is read by Scenario's own fields, a fault or a policy by its
 "kind"; the policies stay JSON objects until build_policies binds the model.
 A policy named "preventive" or "predictive" must be of that kind, since
-compare_policies and the cost-benefit bridge pick the pair by name.
-comparison.json is the fields of ComparisonReport, which jsonio.from_dict reads
-back.
+ComparisonReport picks the pair by name and derives its deltas from it; the
+cost-benefit bridge prices those deltas. comparison.json is the fields of
+ComparisonReport, which jsonio.from_dict reads back.
 """
 
 from __future__ import annotations
@@ -175,6 +177,8 @@ class SpikeRamp:
 
     def reading(self, t, prior):
         """The reading at second(s) t >= at_s; prior is the clean reading the first second the fault wins."""
+        if not math.isfinite(self.peak_kpa - float(prior)):  # then every reading between the two is finite
+            raise ValidationError(f"peak_kpa {self.peak_kpa} minus its prior reading {prior} is beyond float64 range")
         return prior + (self.peak_kpa - prior) * np.minimum((t - self.at_s) / self.rise_s, 1.0)
 
 
@@ -410,9 +414,6 @@ def run_policy(
     trace = generate_trace(plan, seed)
     _check_injections(trace, injections)
     duration = plan.duration_s
-    with np.errstate(over="ignore"):  # refused below
-        fouled = trace + econ.fouling_rate_kpa_per_s * np.arange(duration)  # the readings of an unstopped run
-    _check_finite(fouled, "fouling_rate_kpa_per_s", econ.fouling_rate_kpa_per_s)
     breakdown = policy.breakdown
     grace = breakdown.grace_s
 
@@ -421,7 +422,9 @@ def run_policy(
     start = downtime = maintenance_count = breakdown_count = 0
 
     while start < duration:
-        clean = trace[start:] + econ.fouling_rate_kpa_per_s * np.arange(duration - start)
+        with np.errstate(over="ignore"):  # refused below; the first restart's drift is the largest
+            clean = trace[start:] + econ.fouling_rate_kpa_per_s * np.arange(duration - start)
+        _check_finite(clean, "fouling_rate_kpa_per_s", econ.fouling_rate_kpa_per_s)
         obs[start:] = readings = fault_readings(clean, pending, start)
         # breakdown: the first second ending more than grace_s consecutive readings above fail_limit_kpa
         above = np.concatenate(([0], np.cumsum(readings > breakdown.fail_limit_kpa)))
@@ -467,7 +470,9 @@ def run_policy(
 
 @dataclass(frozen=True)
 class Deltas:
-    """A comparison's preventive-versus-predictive deltas (see compare_policies); None without that pair."""
+    """A comparison's preventive-versus-predictive deltas, None without that pair: preventive minus
+    predictive for downtime and maintenance count, and predictive minus preventive for revenue
+    (what the predictive policy gains, the value the cost-benefit bridge prices)."""
 
     downtime_avoided_s: int | None = None
     maintenance_avoided: int | None = None
@@ -476,11 +481,29 @@ class Deltas:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """The comparison.json document, written and read back (jsonio.from_dict) by its fields."""
+    """The comparison.json document, written and read back (jsonio.from_dict) by its fields. Its outcomes
+    share one duration_s and revenue_rate_per_s, and it derives its deltas from them and refuses others."""
 
     schema_version: Literal[1]
     outcomes: dict[str, SimOutcome]
-    deltas: Deltas = Deltas()
+    deltas: Deltas | None = None
+
+    def __post_init__(self):
+        for name in ("duration_s", "revenue_rate_per_s"):
+            if len({getattr(o, name) for o in self.outcomes.values()}) > 1:
+                raise ValidationError(f"outcomes disagree on {name}; every policy runs one plan at one revenue rate")
+        derived = Deltas()
+        if "preventive" in self.outcomes and "predictive" in self.outcomes:
+            prev, pred = self.outcomes["preventive"], self.outcomes["predictive"]
+            derived = Deltas(
+                downtime_avoided_s=prev.downtime_s - pred.downtime_s,
+                maintenance_avoided=prev.maintenance_count - pred.maintenance_count,
+                revenue_delta=pred.revenue_units - prev.revenue_units,
+            )
+        if self.deltas is None:
+            object.__setattr__(self, "deltas", derived)
+        elif self.deltas != derived:
+            raise ValidationError(f"deltas {self.deltas} differ from the outcomes' {derived}")
 
 
 def compare_policies(
@@ -490,25 +513,11 @@ def compare_policies(
     econ: EconParams = EconParams(),
     seed: int = 0,
 ) -> ComparisonReport:
-    """Run every policy on the same trace and report per-policy outcomes.
-
-    When both a "preventive" and a "predictive" policy are present, deltas are
-    reported as preventive minus predictive for downtime and maintenance count
-    and predictive minus preventive for revenue (the bridge value consumed by
-    the cost-benefit ledger).
-    """
+    """Run every policy on the same trace; the report holds the outcomes and derives their deltas."""
     if len(policies) < 2:
         raise ValidationError("compare_policies needs at least 2 policies")
     outcomes = {name: run_policy(plan, injections, pol, econ, seed) for name, pol in policies.items()}
-    deltas = Deltas()
-    if "preventive" in outcomes and "predictive" in outcomes:
-        prev, pred = outcomes["preventive"], outcomes["predictive"]
-        deltas = Deltas(
-            downtime_avoided_s=prev.downtime_s - pred.downtime_s,
-            maintenance_avoided=prev.maintenance_count - pred.maintenance_count,
-            revenue_delta=pred.revenue_units - prev.revenue_units,
-        )
-    return ComparisonReport(1, outcomes, deltas)
+    return ComparisonReport(1, outcomes)
 
 
 def format_comparison(report: ComparisonReport) -> str:

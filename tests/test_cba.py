@@ -410,6 +410,41 @@ def test_bridge_requires_both_policies():
         bridge_from_simulation(report, 1.0, [], 0.0)
 
 
+def reference_bridge_amounts(prev, pred, revenue_rate, unit_cost):
+    """The two bridged amounts computed straight from the outcomes, as the bridge did before it read the deltas."""
+    if revenue_rate is None:
+        revenue_rate = pred.revenue_rate_per_s
+    return (pred.uptime_s - prev.uptime_s) * revenue_rate, (prev.maintenance_count - pred.maintenance_count) * unit_cost
+
+
+RATES = st.sampled_from([0.0, 0.1, 1 / 3, 1.0]) | st.floats(1e-3, 1e6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    duration=st.integers(1, 10**7),
+    fractions=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    counts=st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)),
+    simulated_rate=RATES,
+    revenue_rate=st.none() | RATES,
+    unit_cost=st.none() | RATES,
+)
+def test_bridge_prices_the_report_deltas_as_the_outcomes_once_gave_them(
+    duration, fractions, counts, simulated_rate, revenue_rate, unit_cost
+):
+    prev, pred = (
+        outcome(up, duration - up, maint, rate=simulated_rate)
+        for up, maint in zip((round(f * duration) for f in fractions), counts)
+    )
+    items = bridge_from_simulation(
+        ComparisonReport(1, {"preventive": prev, "predictive": pred}), revenue_rate, [], unit_cost
+    )
+    by_name = {i.name: i.amount.value for i in items}
+    got = by_name[BRIDGED_REVENUE_ITEM], by_name[BRIDGED_MAINTENANCE_ITEM]
+    expected = reference_bridge_amounts(prev, pred, revenue_rate, 0.0 if unit_cost is None else unit_cost)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
+
+
 def test_format_table_columns():
     result = net_benefit(point_ledger(), McConfig(trials=10, seed=0))
     table = format_summary_table(result.item_summaries)

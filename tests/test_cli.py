@@ -395,6 +395,11 @@ def run_main(argv):
 SMALL_PLAN = {"duration_s": 300, "segments": [[100, 33.0]], "noise_sigma_kpa": 0.2, "warmup_s": 30}
 
 
+# a plan whose reading is -1e308 throughout, and a spike from it to 1e308: the rise overflows a float64
+LOW_PLAN = {"duration_s": 100, "segments": [], "warmup_s": 0, "noise_sigma_kpa": 0, "baseline_kpa": -1e308}
+HIGH_SPIKE = {"kind": "spike_ramp", "at_s": 10, "peak_kpa": 1e308, "rise_s": 5}
+
+
 SMALL_TREES = {"forest": {"n_trees": 2, "max_depth": 3}, "boost": {"n_stages": 3, "max_depth": 2}}
 
 
@@ -411,6 +416,7 @@ def inputs(tmp_path_factory):
     bundled ledger, a shortened bundled scenario and the comparison it produces."""
     d = tmp_path_factory.mktemp("inputs")
     (d / "plan.json").write_text(json.dumps(SMALL_PLAN))
+    (d / "spike.json").write_text(json.dumps([HIGH_SPIKE]))
     (d / "scenario.json").write_text(json.dumps(small_scenario()))
     (d / "ledger.json").write_text(pdmecon.data_path("sample_ledger.json").read_text())
     (d / "hyperparams.json").write_text(json.dumps(SMALL_TREES))
@@ -432,6 +438,9 @@ def command(d, name, out):
     """Valid argv for one command; a test swaps one input path for a malformed file."""
     return {
         "synth": ["synth", "--plan", d / "plan.json", "--seed", 1, "--out-dir", out],
+        # synth with a spike from at_s 10 to peak_kpa 1e308
+        "synth-spike": ["synth", "--plan", d / "plan.json", "--injections", d / "spike.json", "--seed", 1,
+                        "--out-dir", out],
         "ingest": ["ingest", "--csv", d / "historian.csv", "--out-dir", out],
         "train": ["train", "--csv", d / "historian.csv", "--kind", "forest", "--min-lag", 2,
                   "--max-lag", 4, "--seed", 1, "--out-dir", out],
@@ -507,6 +516,14 @@ def tampered(doc, policy, **fields):
     return edited(doc, "outcomes", policy, value={**doc["outcomes"][policy], **fields})
 
 
+def lengthened(doc, policy, duration):
+    """A comparison document in which one outcome ran for another duration, the extra seconds up."""
+    outcome = doc["outcomes"][policy]
+    uptime = duration - outcome["downtime_s"]
+    return tampered(doc, policy, duration_s=duration, uptime_s=uptime,
+                    revenue_units=uptime * outcome["revenue_rate_per_s"])
+
+
 # (id, command, flag, malformed document, raw text or flag value from the inputs dir (None leaves the flag
 # out), text stderr must hold)
 MALFORMED = [
@@ -544,6 +561,8 @@ MALFORMED = [
     ("injection-stuck-zero-duration", "synth", "--injections",
      lambda d: [{"kind": "stuck_at", "at_s": 10, "duration_s": 0}],
      "error: injections[0]: StuckAt requires at_s >= 0 and duration_s >= 1"),
+    ("spike-rise-overflows", "synth-spike", "--plan", lambda d: LOW_PLAN,
+     "error: peak_kpa 1e+308 minus its prior reading -1e+308 is beyond float64 range"),
     ("injection-missing-peak", "synth", "--injections",
      lambda d: [{"kind": "spike_ramp", "at_s": 10, "rise_s": 5}], "injections[0].peak_kpa"),
     ("injections-number", "synth", "--injections", lambda d: 3, "error: injections must be an array, got 3"),
@@ -617,6 +636,9 @@ MALFORMED = [
     ("scenario-fouling-overflows", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value=1e308),
      "error: fouling_rate_kpa_per_s 1e+308 takes the reading at second 2 beyond float64 range"),
+    ("scenario-spike-rise-overflows", "simulate", "--scenario",
+     lambda d: {**small_scenario(), "plan": LOW_PLAN, "injections": [HIGH_SPIKE]},
+     "error: peak_kpa 1e+308 minus its prior reading -1e+308 is beyond float64 range"),
     ("scenario-negative-fouling", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value=-0.5),
      "error: scenario.econ: fouling_rate_kpa_per_s must be >= 0"),
@@ -697,6 +719,15 @@ MALFORMED = [
     ("bridge-revenue-rates-disagree", "cba", "--bridge",
      lambda d: edited(comparison_doc(d), "outcomes", "predictive", value=rated(comparison_doc(d), "predictive", 2.0)),
      "disagree on revenue_rate_per_s"),
+    # the deltas a comparison states are the ones its outcomes give
+    ("bridge-deltas-disagree", "cba", "--bridge",
+     lambda d: edited(comparison_doc(d), "deltas", value={
+         **comparison_doc(d)["deltas"], "downtime_avoided_s": -99999, "revenue_delta": -1e6}),
+     "error: comparison: deltas Deltas(downtime_avoided_s=-99999,"),
+    # time is conserved and revenue consistent in each outcome, but they are not of one run
+    ("bridge-durations-disagree", "cba", "--bridge",
+     lambda d: lengthened(comparison_doc(d), "predictive", 100_000),
+     "error: comparison: outcomes disagree on duration_s"),
     ("bridge-missing-uptime", "cba", "--bridge",
      lambda d: edited(comparison_doc(d), "outcomes", "preventive", "uptime_s", drop=True),
      "comparison.outcomes.preventive.uptime_s"),
@@ -782,6 +813,10 @@ RUNS = [
     ("fouling", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value=1e300)),
     ("baseline", "synth", "--plan", lambda d: {**SMALL_PLAN, "baseline_kpa": 1e300}),
+    ("spike-rise", "synth-spike", "--plan", lambda d: {**LOW_PLAN, "baseline_kpa": -1e300}),
+    ("scenario-spike-rise", "simulate", "--scenario", lambda d: {
+        **small_scenario(), "plan": {**LOW_PLAN, "baseline_kpa": -1e300},
+        "injections": [{**HIGH_SPIKE, "peak_kpa": 1e300}]}),
     ("noise", "synth", "--plan", lambda d: {**SMALL_PLAN, "noise_sigma_kpa": 1e300}),
 ]
 

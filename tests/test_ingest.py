@@ -19,6 +19,7 @@ from pdmecon.ingest import (
     IngestConfig,
     IngestReport,
     SensorFrame,
+    _floats,
     load_historian_csv,
     write_sensor_csv,
 )
@@ -285,6 +286,20 @@ def test_roundtrip_identity(tmp_path):
     np.testing.assert_array_equal(frame2.timestamps, frame.timestamps)
     assert frame2.names == frame.names
     assert frame2.values.tobytes() == frame.values.tobytes()
+
+
+@pytest.mark.parametrize("cells, expected", [
+    (["x", "1.5", " 2 ", "", "bad", "3e2", "1.5\x00", "-inf", "nan", "y"],
+     [np.nan, 1.5, 2.0, np.nan, np.nan, 300.0, np.nan, -np.inf, np.nan, np.nan]),
+    (["1", "2"], [1.0, 2.0]),
+    (["x", "y"], [np.nan, np.nan]),
+    ([], []),
+])
+def test_floats_parse_every_cell_after_a_bad_one(cells, expected):
+    # bad cells first, last and back to back; "1.5\x00" is not a number, as float() says
+    got = _floats(cells)
+    assert type(got) is list and len(got) == len(cells)
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_frame_channel():

@@ -383,6 +383,42 @@ def test_comparison_without_the_pair_round_trips_with_null_deltas():
     assert from_dict(ComparisonReport, doc, "comparison") == report
 
 
+def ran(uptime, maintenance, duration=1000, rate=1.5):
+    return SimOutcome(duration, uptime, duration - uptime, maintenance, 0, rate, uptime * rate)
+
+
+def test_comparison_report_derives_its_deltas_from_the_pair():
+    report = ComparisonReport(1, {"predictive": ran(900, 1), "preventive": ran(700, 3), "other": ran(10, 9)})
+    assert report.deltas == Deltas(downtime_avoided_s=200, maintenance_avoided=2, revenue_delta=900 * 1.5 - 700 * 1.5)
+    assert ComparisonReport(1, report.outcomes, report.deltas) == report
+    unpaired = {"preventive": ran(700, 3), "other": ran(10, 9)}
+    assert ComparisonReport(1, unpaired).deltas == Deltas()
+    with pytest.raises(ValidationError, match=r"^deltas .* differ from the outcomes' Deltas\(downtime_avoided_s=None,"):
+        ComparisonReport(1, unpaired, Deltas(0, 0, 0.0))
+
+
+@pytest.mark.parametrize("deltas", [
+    Deltas(downtime_avoided_s=-99999, maintenance_avoided=2, revenue_delta=-1e6),
+    Deltas(downtime_avoided_s=200, maintenance_avoided=2, revenue_delta=300.5),
+    Deltas(),
+])
+def test_comparison_report_refuses_other_deltas(deltas):
+    derived = r"differ from the outcomes' Deltas\(downtime_avoided_s=200, maintenance_avoided=2, revenue_delta=300.0\)$"
+    with pytest.raises(ValidationError, match=rf"^deltas Deltas\(.*\) {derived}"):
+        ComparisonReport(1, {"preventive": ran(700, 3), "predictive": ran(900, 1)}, deltas)
+
+
+@pytest.mark.parametrize(
+    "field, other", [("duration_s", ran(900, 1, duration=100_000)), ("revenue_rate_per_s", ran(900, 1, rate=2.0))]
+)
+def test_comparison_report_refuses_outcomes_of_different_runs(field, other):
+    # whatever rate the bridge is later given: the outcomes are not of one run
+    with pytest.raises(ValidationError, match=f"^outcomes disagree on {field};"):
+        ComparisonReport(1, {"preventive": ran(700, 3), "predictive": other})
+    with pytest.raises(ValidationError, match=f"^outcomes disagree on {field};"):
+        ComparisonReport(1, {"a": ran(700, 3), "b": ran(700, 3), "c": other})
+
+
 def test_stuck_sensor_inside_simulation():
     # the frozen reading hides everything; neither policy should break down
     plan = quiet_plan(duration=1500)

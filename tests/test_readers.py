@@ -15,7 +15,7 @@ reference builds the one class, `ComparisonReport`, that writes the file.
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -133,13 +133,17 @@ def reference_ledger(path):
 class _ComparisonFile:
     schema_version: Literal[1]
     outcomes: dict
-    deltas: dict = field(default_factory=dict)
+    deltas: dict | None = None
 
 
 def reference_comparison(path):
     doc = from_dict(_ComparisonFile, load_json(path, "comparison"), "comparison")
     outcomes = {name: from_dict(SimOutcome, o, f"comparison.outcomes.{name}") for name, o in doc.outcomes.items()}
-    return ComparisonReport(doc.schema_version, outcomes, from_dict(Deltas, doc.deltas, "comparison.deltas"))
+    deltas = None if doc.deltas is None else from_dict(Deltas, doc.deltas, "comparison.deltas")
+    try:
+        return ComparisonReport(doc.schema_version, outcomes, deltas)
+    except ValidationError as exc:  # the report's own refusal, named as from_dict names it
+        raise ValidationError(f"comparison: {exc}") from None
 
 
 # --- the readers under test ----------------------------------------------------
