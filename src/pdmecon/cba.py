@@ -417,7 +417,7 @@ def bridge_from_simulation(
     Overwrites (or appends) two point-valued items: avoided lost revenue, the
     downtime avoided at revenue_rate (the simulated rate when it is None), and
     maintenance cost savings, the maintenance avoided at unit_maintenance_cost
-    (0 when it is None).
+    (0 when it is None). An amount beyond float64 range is refused, naming its price.
     """
     deltas = comparison.deltas
     if deltas.downtime_avoided_s is None:
@@ -425,13 +425,20 @@ def bridge_from_simulation(
     if revenue_rate is None:
         revenue_rate = next(iter(comparison.outcomes.values())).revenue_rate_per_s  # the report's outcomes share it
     unit_cost = 0.0 if unit_maintenance_cost is None else unit_maintenance_cost
+    revenue, saving = deltas.downtime_avoided_s * revenue_rate, deltas.maintenance_avoided * unit_cost
+    for price, value, delta, amount in [
+        ("revenue_rate", revenue_rate, f"downtime_avoided_s {deltas.downtime_avoided_s}", revenue),
+        ("unit_maintenance_cost", unit_cost, f"maintenance_avoided {deltas.maintenance_avoided}", saving),
+    ]:
+        if not np.isfinite(amount):
+            raise ValidationError(f"{price} {value} x {delta} is beyond float64 range")
     bridged = {
         BRIDGED_REVENUE_ITEM: LineItem(
             name=BRIDGED_REVENUE_ITEM,
             ledger=LedgerKind.INDIRECT_SAVING,
             category="LostProductivityAvoidance",
             kind=ItemKind.VARIABLE,
-            amount=Point(deltas.downtime_avoided_s * revenue_rate),
+            amount=Point(revenue),
             assumptions="bridged from simulation: uptime delta x revenue rate",
         ),
         BRIDGED_MAINTENANCE_ITEM: LineItem(
@@ -439,7 +446,7 @@ def bridge_from_simulation(
             ledger=LedgerKind.DIRECT_SAVING,
             category="Operating",
             kind=ItemKind.VARIABLE,
-            amount=Point(deltas.maintenance_avoided * unit_cost),
+            amount=Point(saving),
             assumptions="bridged from simulation: maintenance count delta x unit cost",
         ),
     }

@@ -190,7 +190,7 @@ def cmd_simulate(args) -> int:
     scenario = from_dict(Scenario, load_json(args.scenario, "scenario"), "scenario")
     model, lag_spec = load_model(args.model) if args.model else (None, None)
     policies = scenario.build_policies(model=model, lag_spec=lag_spec)
-    report = compare_policies(scenario.plan, scenario.injections, policies, scenario.econ, seed)
+    report = compare_policies(scenario.plan, scenario.injections, policies, scenario.econ, seed, scenario.breakdown)
     out = _out_dir(args) / "comparison.json"
     write_json(out, report)
     print(format_comparison(report))

@@ -17,7 +17,7 @@ rise, peak_kpa minus its prior, overflows a float64. generate_trace and
 run_policy turn a MemoryError from their trace-sized arrays into a
 ValidationError naming duration_s, and a forecast's into one naming horizon_s.
 A plan, or a fouling rate, that takes a reading beyond float64 range is refused
-by its field.
+by its field, and SimOutcome refuses revenue (uptime x rate) beyond it.
 
 run_policy runs the plant in operating spans and computes each stop rather
 than stepping to it:
@@ -26,8 +26,8 @@ than stepping to it:
   value + linear fouling drift since the restart + the faults not yet cleared.
   No decision can change them before the next stop, so the stop is the first of
   these seconds:
-- a breakdown, once the readings stay above fail_limit_kpa for more than
-  grace_s consecutive seconds (one cumulative count finds it);
+- a breakdown, once the readings stay above the BreakdownRule's fail_limit_kpa
+  for more than grace_s consecutive seconds (one cumulative count finds it);
 - a preventive policy's maintenance, cycle_s seconds after the restart;
 - a predictive policy's HALT, at the first reading >= hard_limit_kpa, or the
   maintenance schedule_window_s after its first SCHEDULE. That is the first
@@ -46,6 +46,9 @@ uptime + downtime == duration for every run.
 
 A scenario file is read by Scenario's own fields, a fault or a policy by its
 "kind"; the policies stay JSON objects until build_policies binds the model.
+Its one BreakdownRule is the plant every policy runs on: compare_policies passes
+it to each run_policy, and a policy whose maintenance lasts as long as its
+repair is refused, by build_policies naming the policy and by run_policy.
 A policy named "preventive" or "predictive" must be of that kind, since
 ComparisonReport picks the pair by name and derives its deltas from it; the
 cost-benefit bridge prices those deltas. comparison.json is the fields of
@@ -57,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated, ClassVar, Literal
 
 import numpy as np
@@ -252,18 +255,24 @@ class BreakdownRule:
         if self.repair_duration_s < 1:
             raise ValidationError("repair_duration_s must be >= 1")
 
+    def check_repair_dominates(self, policy, what: str) -> None:
+        """Refuse a policy whose maintenance lasts as long as a repair: the comparison would be moot."""
+        if policy.maint_duration_s >= self.repair_duration_s:
+            raise ValidationError(
+                f"{what}: maint_duration_s {policy.maint_duration_s} must be shorter than "
+                f"repair_duration_s {self.repair_duration_s}"
+            )
+
 
 @dataclass(frozen=True)
 class PreventivePolicy:
     kind: ClassVar[str] = "preventive"
     cycle_s: int = 1800
     maint_duration_s: int = 300
-    breakdown: BreakdownRule = field(default_factory=BreakdownRule)
 
     def __post_init__(self):
         if self.cycle_s < 1 or self.maint_duration_s < 1:
             raise ValidationError("cycle_s and maint_duration_s must be >= 1")
-        _check_repair_dominates(self.maint_duration_s, self.breakdown)
 
 
 @dataclass(frozen=True)
@@ -276,7 +285,6 @@ class PredictivePolicy:
     horizon_s: int = 60
     schedule_window_s: int = 300
     maint_duration_s: int = 300
-    breakdown: BreakdownRule = field(default_factory=BreakdownRule)
 
     def __post_init__(self):
         if self.model is None or self.lag_spec is None:
@@ -292,16 +300,6 @@ class PredictivePolicy:
             raise ValidationError(f"horizon_s must be <= 2^53 = {MAX_SECONDS}")
         if self.limit_kpa >= self.hard_limit_kpa:
             raise ValidationError("limit_kpa must be below hard_limit_kpa")
-        _check_repair_dominates(self.maint_duration_s, self.breakdown)
-
-
-def _check_repair_dominates(maint_duration_s: int, breakdown: BreakdownRule) -> None:
-    # repairs must cost more than planned maintenance or the comparison is moot
-    if maint_duration_s >= breakdown.repair_duration_s:
-        raise ValidationError(
-            f"maint_duration_s {maint_duration_s} must be shorter than "
-            f"repair_duration_s {breakdown.repair_duration_s}"
-        )
 
 
 PolicyConfig = Annotated[PreventivePolicy | PredictivePolicy, "kind"]
@@ -338,6 +336,10 @@ class SimOutcome:
         if self.uptime_s + self.downtime_s != self.duration_s:
             raise ValidationError(
                 f"time not conserved: {self.uptime_s} + {self.downtime_s} != {self.duration_s}"
+            )
+        if not math.isfinite(self.revenue_units):
+            raise ValidationError(
+                f"revenue_rate_per_s {self.revenue_rate_per_s} x uptime_s {self.uptime_s} is beyond float64 range"
             )
         if self.revenue_units != self.uptime_s * self.revenue_rate_per_s:
             raise ValidationError(
@@ -406,15 +408,16 @@ def run_policy(
     policy: PolicyConfig,
     econ: EconParams = EconParams(),
     seed: int = 0,
+    breakdown: BreakdownRule = BreakdownRule(),
 ) -> SimOutcome:
-    """Simulate plant operation under one maintenance policy.
+    """Simulate plant operation under one maintenance policy on a plant that breaks down by the breakdown rule.
 
-    Deterministic given (plan, injections, policy, econ, seed).
+    Refuses a policy whose maintenance lasts as long as a repair. Deterministic given the arguments.
     """
+    breakdown.check_repair_dominates(policy, f"{policy.kind} policy")
     trace = generate_trace(plan, seed)
     _check_injections(trace, injections)
     duration = plan.duration_s
-    breakdown = policy.breakdown
     grace = breakdown.grace_s
 
     pending = list(injections)  # not yet cleared by maintenance
@@ -512,11 +515,12 @@ def compare_policies(
     policies: dict[str, PolicyConfig],
     econ: EconParams = EconParams(),
     seed: int = 0,
+    breakdown: BreakdownRule = BreakdownRule(),
 ) -> ComparisonReport:
-    """Run every policy on the same trace; the report holds the outcomes and derives their deltas."""
+    """Run every policy on one trace and one breakdown rule; the report holds the outcomes and derives their deltas."""
     if len(policies) < 2:
         raise ValidationError("compare_policies needs at least 2 policies")
-    outcomes = {name: run_policy(plan, injections, pol, econ, seed) for name, pol in policies.items()}
+    outcomes = {name: run_policy(plan, injections, pol, econ, seed, breakdown) for name, pol in policies.items()}
     return ComparisonReport(1, outcomes)
 
 
@@ -551,6 +555,7 @@ class Scenario:
     plan: TracePlan = TracePlan()
     injections: tuple[FaultInjection, ...] = ()
     econ: EconParams = EconParams()
+    breakdown: BreakdownRule = BreakdownRule()  # the one plant every policy runs on
 
     def build_policies(self, model=None, lag_spec: LagSpec | None = None) -> dict[str, PolicyConfig]:
         policies = {}
@@ -561,5 +566,6 @@ class Scenario:
                     f"scenario.policies.{name} is of kind {policy.kind!r}, "
                     f"but the name {name!r} is reserved for a policy of kind {name!r}"
                 )
+            self.breakdown.check_repair_dominates(policy, f"scenario.policies.{name}")
             policies[name] = policy
         return policies

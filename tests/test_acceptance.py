@@ -260,7 +260,7 @@ def test_criterion_09_scenario_orderings(trained_linear):
         doc = json.loads(pdmecon.data_path("scenario1_delay_maintenance.json").read_text())
         sc1 = from_dict(Scenario, doc, "scenario")
         r1 = compare_policies(
-            sc1.plan, sc1.injections, sc1.build_policies(model, lag_spec), sc1.econ, seed=7
+            sc1.plan, sc1.injections, sc1.build_policies(model, lag_spec), sc1.econ, seed=7, breakdown=sc1.breakdown
         )
         assert (
             r1.outcomes["predictive"].maintenance_count
@@ -270,7 +270,7 @@ def test_criterion_09_scenario_orderings(trained_linear):
         doc = json.loads(pdmecon.data_path("scenario2_avoid_breakdown.json").read_text())
         sc2 = from_dict(Scenario, doc, "scenario")
         r2 = compare_policies(
-            sc2.plan, sc2.injections, sc2.build_policies(model, lag_spec), sc2.econ, seed=7
+            sc2.plan, sc2.injections, sc2.build_policies(model, lag_spec), sc2.econ, seed=7, breakdown=sc2.breakdown
         )
         assert r2.outcomes["predictive"].downtime_s < r2.outcomes["preventive"].downtime_s
         bridged = bridge_from_simulation(
@@ -299,11 +299,10 @@ def test_criterion_10_determinism(tmp_path):
                         {"kind": "spike_ramp", "at_s": 400, "peak_kpa": 60.0, "rise_s": 60}
                     ],
                     "policies": {
-                        "preventive": {"kind": "preventive", "cycle_s": 300, "maint_duration_s": 60,
-                                       "breakdown": {"repair_duration_s": 240}},
-                        "predictive": {"kind": "predictive", "horizon_s": 30, "maint_duration_s": 60,
-                                       "breakdown": {"repair_duration_s": 240}},
+                        "preventive": {"kind": "preventive", "cycle_s": 300, "maint_duration_s": 60},
+                        "predictive": {"kind": "predictive", "horizon_s": 30, "maint_duration_s": 60},
                     },
+                    "breakdown": {"repair_duration_s": 240},
                     "econ": {},
                 }
             ),

@@ -195,7 +195,6 @@ def test_simulate_and_cba_pipeline(tmp_path, historian_csv):
                         "kind": "preventive",
                         "cycle_s": 500,
                         "maint_duration_s": 100,
-                        "breakdown": {"fail_limit_kpa": 50.0, "grace_s": 5, "repair_duration_s": 400},
                     },
                     "predictive": {
                         "kind": "predictive",
@@ -204,9 +203,9 @@ def test_simulate_and_cba_pipeline(tmp_path, historian_csv):
                         "horizon_s": 30,
                         "schedule_window_s": 120,
                         "maint_duration_s": 100,
-                        "breakdown": {"fail_limit_kpa": 50.0, "grace_s": 5, "repair_duration_s": 400},
                     },
                 },
+                "breakdown": {"fail_limit_kpa": 50.0, "grace_s": 5, "repair_duration_s": 400},
                 "econ": {"fouling_rate_kpa_per_s": 0.0, "revenue_rate_per_s": 1.0},
             }
         ),
@@ -413,7 +412,8 @@ def small_scenario():
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A small historian CSV, linear, forest and boost models on lags 2..4, the
-    bundled ledger, a shortened bundled scenario and the comparison it produces."""
+    bundled ledger, a shortened bundled scenario, the comparison it produces and
+    that comparison with 2 maintenances avoided (maintained.json)."""
     d = tmp_path_factory.mktemp("inputs")
     (d / "plan.json").write_text(json.dumps(SMALL_PLAN))
     (d / "spike.json").write_text(json.dumps([HIGH_SPIKE]))
@@ -431,6 +431,10 @@ def inputs(tmp_path_factory):
     for argv in steps:
         code, err = run_main(argv)
         assert code == 0, err
+    comparison = comparison_doc(d)
+    count = comparison["outcomes"]["predictive"]["maintenance_count"] + 2  # 2 maintenances avoided
+    maintained = edited(tampered(comparison, "preventive", maintenance_count=count), "deltas", drop=True)
+    (d / "maintained.json").write_text(json.dumps(maintained))
     return d
 
 
@@ -451,6 +455,9 @@ def command(d, name, out):
                      "--seed", 1, "--out-dir", out],
         "cba": ["cba", "--ledger", d / "ledger.json", "--bridge", d / "comparison.json", "--trials", 20,
                 "--seed", 1, "--out-dir", out],
+        # cba bridging the comparison with its preventive maintenance count raised: 2 maintenances avoided
+        "cba-maintained": ["cba", "--ledger", d / "ledger.json", "--bridge", d / "maintained.json", "--trials", 20,
+                           "--seed", 1, "--out-dir", out],
     }[name]
 
 
@@ -602,14 +609,24 @@ MALFORMED = [
      lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value="x"),
      "scenario.econ.fouling_rate_kpa_per_s"),
     ("scenario-grace-string", "simulate", "--scenario",
-     lambda d: edited(small_scenario(), "policies", "preventive", "breakdown", "grace_s", value="5"),
-     "scenario.policies.preventive.breakdown.grace_s"),
+     lambda d: edited(small_scenario(), "breakdown", "grace_s", value="5"), "scenario.breakdown.grace_s"),
     ("scenario-negative-grace", "simulate", "--scenario",
-     lambda d: edited(small_scenario(), "policies", "preventive", "breakdown", "grace_s", value=-1),
-     "error: scenario.policies.preventive.breakdown: grace_s must be >= 0"),
+     lambda d: edited(small_scenario(), "breakdown", "grace_s", value=-1),
+     "error: scenario.breakdown: grace_s must be >= 0"),
     ("scenario-zero-repair", "simulate", "--scenario",
-     lambda d: edited(small_scenario(), "policies", "predictive", "breakdown", "repair_duration_s", value=0),
-     "error: scenario.policies.predictive.breakdown: repair_duration_s must be >= 1"),
+     lambda d: edited(small_scenario(), "breakdown", "repair_duration_s", value=0),
+     "error: scenario.breakdown: repair_duration_s must be >= 1"),
+    # every policy runs on the scenario's one plant: a policy has no breakdown rule of its own
+    ("scenario-policy-breakdown", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "policies", "preventive", "breakdown", value={"repair_duration_s": 6000}),
+     "error: unknown field scenario.policies.preventive.breakdown"),
+    # refused while the policies are read, before either one runs
+    ("scenario-repair-as-short-as-maintenance", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "breakdown", "repair_duration_s", value=300),
+     "error: scenario.policies.preventive: maint_duration_s 300 must be shorter than repair_duration_s 300"),
+    ("scenario-repair-shorter-than-predictive-maintenance", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "policies", "predictive", "maint_duration_s", value=2000),
+     "error: scenario.policies.predictive: maint_duration_s 2000 must be shorter than repair_duration_s 1800"),
     ("scenario-zero-cycle", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "policies", "preventive", "cycle_s", value=0),
      "error: scenario.policies.preventive: cycle_s and maint_duration_s must be >= 1"),
@@ -642,6 +659,10 @@ MALFORMED = [
     ("scenario-negative-fouling", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value=-0.5),
      "error: scenario.econ: fouling_rate_kpa_per_s must be >= 0"),
+    # the preventive outcome's 285 s of uptime x the rate overflows
+    ("scenario-revenue-overflows", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "econ", "revenue_rate_per_s", value=1e306),
+     "error: revenue_rate_per_s 1e+306 x uptime_s 285 is beyond float64 range"),
     ("scenario-negative-revenue-rate", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "econ", "revenue_rate_per_s", value=-1),
      "error: scenario.econ: revenue_rate_per_s must be >= 0"),
@@ -769,6 +790,14 @@ MALFORMED = [
      "--unit-maintenance-cost must be a finite number >= 0, got -10.0"),
     ("cba-unit-cost-infinite", "cba", "--unit-maintenance-cost", lambda d: FlagValue("inf"),
      "--unit-maintenance-cost must be a finite number >= 0, got inf"),
+    # the comparison's downtime avoided is -5 s, its maintenance avoided 2 in cba-maintained
+    ("cba-revenue-rate-overflows", "cba", "--revenue-rate", lambda d: FlagValue("1e308"),
+     "error: revenue_rate 1e+308 x downtime_avoided_s -5 is beyond float64 range"),
+    ("cba-unit-cost-overflows", "cba-maintained", "--unit-maintenance-cost", lambda d: FlagValue("1e308"),
+     "error: unit_maintenance_cost 1e+308 x maintenance_avoided 2 is beyond float64 range"),
+    # each amount is finite, but not their sum over the trials
+    ("cba-unit-cost-sums-beyond-float", "cba-maintained", "--unit-maintenance-cost", lambda d: FlagValue("8e307"),
+     "error: net benefit is not finite: the ledger's amounts overflow a float when summed"),
     ("cba-zero-trials", "cba", "--trials", lambda d: FlagValue("0"), "error: trials must be >= 1"),
     # a trial index must be one 32-bit seed word, and 10^13 trials are refused before any allocation
     ("cba-trials-past-one-seed-word", "cba", "--trials", lambda d: FlagValue(str(2**32 + 1)),
@@ -803,8 +832,9 @@ def policy_edited(policy, *path, value):
 # (id, command, flag, document): values beyond what a run can reach, but each one runs
 RUNS = [
     ("cycle", "simulate", "--scenario", policy_edited("preventive", "cycle_s", value=10**400)),
-    ("grace", "simulate", "--scenario", policy_edited("preventive", "breakdown", "grace_s", value=10**400)),
-    ("repair", "simulate", "--scenario", policy_edited("predictive", "breakdown", "repair_duration_s", value=10**400)),
+    ("grace", "simulate", "--scenario", lambda d: edited(small_scenario(), "breakdown", "grace_s", value=10**400)),
+    ("repair", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "breakdown", "repair_duration_s", value=10**400)),
     ("schedule-window", "simulate", "--scenario", policy_edited("predictive", "schedule_window_s", value=10**400)),
     ("stuck-duration", "simulate", "--scenario", lambda d: edited(
         small_scenario(), "injections", value=[{"kind": "stuck_at", "at_s": 100, "duration_s": 10**400}])),
@@ -812,6 +842,9 @@ RUNS = [
     ("rise", "simulate", "--scenario", lambda d: edited(small_scenario(), "injections", 0, "rise_s", value=10**300)),
     ("fouling", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "econ", "fouling_rate_kpa_per_s", value=1e300)),
+    # 400 s x the rate overflows, but neither outcome's uptime (285 s at most) x the rate does
+    ("revenue-rate", "simulate", "--scenario",
+     lambda d: edited(small_scenario(), "econ", "revenue_rate_per_s", value=6e305)),
     ("baseline", "synth", "--plan", lambda d: {**SMALL_PLAN, "baseline_kpa": 1e300}),
     ("spike-rise", "synth-spike", "--plan", lambda d: {**LOW_PLAN, "baseline_kpa": -1e300}),
     ("scenario-spike-rise", "simulate", "--scenario", lambda d: {

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import pdmecon
 from pdmecon import plantsim
+from pdmecon.cba import load_ledger
 from pdmecon.detect import Action, DetectorConfig, decide, detect_stuck
 from pdmecon.errors import ValidationError
 from pdmecon.features import LagSpec, make_lag_matrix
@@ -51,7 +53,11 @@ def quiet_plan(duration=2000, sigma=0.0, warmup=0, baseline=30.0):
     )
 
 
-def predictive(maint=120, repair=600, **kw):
+# the plant the preventive() and predictive() policies below run on
+RULE = BreakdownRule(fail_limit_kpa=50.0, grace_s=5, repair_duration_s=600)
+
+
+def predictive(maint=120, **kw):
     return PredictivePolicy(
         model=persistence_model(),
         lag_spec=PERSISTENCE_LAGS,
@@ -60,17 +66,12 @@ def predictive(maint=120, repair=600, **kw):
         horizon_s=30,
         schedule_window_s=300,
         maint_duration_s=maint,
-        breakdown=BreakdownRule(fail_limit_kpa=50.0, grace_s=5, repair_duration_s=repair),
         **kw,
     )
 
 
-def preventive(cycle=700, maint=120, repair=600):
-    return PreventivePolicy(
-        cycle_s=cycle,
-        maint_duration_s=maint,
-        breakdown=BreakdownRule(fail_limit_kpa=50.0, grace_s=5, repair_duration_s=repair),
-    )
+def preventive(cycle=700, maint=120):
+    return PreventivePolicy(cycle_s=cycle, maint_duration_s=maint)
 
 
 # --- trace generation ---
@@ -168,7 +169,7 @@ def test_simulation_refuses_what_synth_refuses(policy):
         with pytest.raises(ValidationError) as synth:
             inject_faults(trace, [spike])
         with pytest.raises(ValidationError) as simulate:
-            run_policy(plan, [spike], policy(), seed=0)
+            run_policy(plan, [spike], policy(), seed=0, breakdown=RULE)
         assert str(synth.value) == str(simulate.value) == text
 
 
@@ -199,7 +200,7 @@ def test_preventive_cadence_matches_hand_stepped_timeline():
 
 def test_predictive_idle_when_forecast_never_crosses():
     plan = quiet_plan(duration=1500)
-    outcome = run_policy(plan, [], predictive(), seed=0)
+    outcome = run_policy(plan, [], predictive(), seed=0, breakdown=RULE)
     assert outcome.maintenance_count == 0
     assert outcome.breakdown_count == 0
     assert outcome.uptime_s == plan.duration_s
@@ -209,15 +210,15 @@ def test_predictive_idle_when_forecast_never_crosses():
 def test_no_triggers_means_zero_downtime_for_both_kinds():
     plan = quiet_plan(duration=600)
     for policy in (preventive(cycle=10000), predictive()):
-        outcome = run_policy(plan, [], policy, seed=0)
+        outcome = run_policy(plan, [], policy, seed=0, breakdown=RULE)
         assert outcome.downtime_s == 0
 
 
 def test_spike_breaks_preventive_but_not_predictive():
     plan = quiet_plan(duration=2000)
     spike = [SpikeRamp(at_s=900, peak_kpa=60.0, rise_s=60)]
-    prev = run_policy(plan, spike, preventive(), seed=0)
-    pred = run_policy(plan, spike, predictive(), seed=0)
+    prev = run_policy(plan, spike, preventive(), seed=0, breakdown=RULE)
+    pred = run_policy(plan, spike, predictive(), seed=0, breakdown=RULE)
     assert prev.breakdown_count == 1
     assert prev.downtime_s >= 600
     assert pred.breakdown_count == 0
@@ -229,7 +230,7 @@ def test_spike_breaks_preventive_but_not_predictive():
 
 def test_fouling_drives_predictive_maintenance():
     plan = quiet_plan(duration=3000)
-    outcome = run_policy(plan, [], predictive(), EconParams(fouling_rate_kpa_per_s=0.01), seed=0)
+    outcome = run_policy(plan, [], predictive(), EconParams(fouling_rate_kpa_per_s=0.01), seed=0, breakdown=RULE)
     # pressure crosses 40 kPa after ~1000 s of fouling; maintenance resets it
     assert outcome.maintenance_count >= 1
     assert outcome.breakdown_count == 0
@@ -239,7 +240,7 @@ def test_fouling_counts_from_each_restart():
     # 30 kPa + 0.01 kPa/s first exceeds the 40 kPa limit 1001 s after each restart;
     # maintenance follows 300 s later and lasts 120 s: 1301-1420, then 2722-2799 (cut)
     plan = quiet_plan(duration=2800)
-    outcome = run_policy(plan, [], predictive(), EconParams(fouling_rate_kpa_per_s=0.01), seed=0)
+    outcome = run_policy(plan, [], predictive(), EconParams(fouling_rate_kpa_per_s=0.01), seed=0, breakdown=RULE)
     assert outcome.maintenance_count == 2
     assert outcome.downtime_s == 120 + 78
 
@@ -249,16 +250,17 @@ def test_time_conservation_random_configs():
     for _ in range(10):
         duration = int(rng.integers(300, 1500))
         plan = quiet_plan(duration=duration, sigma=float(rng.uniform(0, 0.4)))
-        policy = preventive(cycle=int(rng.integers(100, 600)), maint=50, repair=200)
-        outcome = run_policy(plan, [], policy, EconParams(fouling_rate_kpa_per_s=float(rng.uniform(0, 0.005))), seed=int(rng.integers(0, 100)))
+        policy = preventive(cycle=int(rng.integers(100, 600)), maint=50)
+        econ = EconParams(fouling_rate_kpa_per_s=float(rng.uniform(0, 0.005)))
+        outcome = run_policy(plan, [], policy, econ, int(rng.integers(0, 100)), replace(RULE, repair_duration_s=200))
         assert outcome.uptime_s + outcome.downtime_s == duration
 
 
 def test_run_policy_seed_determinism():
     plan = quiet_plan(duration=1200, sigma=0.2)
     spike = [SpikeRamp(at_s=600, peak_kpa=58.0, rise_s=90)]
-    a = run_policy(plan, spike, predictive(), seed=77)
-    b = run_policy(plan, spike, predictive(), seed=77)
+    a = run_policy(plan, spike, predictive(), seed=77, breakdown=RULE)
+    b = run_policy(plan, spike, predictive(), seed=77, breakdown=RULE)
     assert a == b
 
 
@@ -270,9 +272,10 @@ def test_monotone_economics_in_repair_duration():
         report = compare_policies(
             plan,
             spike,
-            {"preventive": preventive(repair=repair), "predictive": predictive(repair=repair)},
+            {"preventive": preventive(), "predictive": predictive()},
             EconParams(),
             seed=0,
+            breakdown=replace(RULE, repair_duration_s=repair),
         )
         deltas.append(report.deltas.revenue_delta)
     assert deltas == sorted(deltas)
@@ -283,19 +286,21 @@ def test_compare_identical_policies_zero_deltas():
     plan = quiet_plan(duration=1000)
     policy = preventive(cycle=400)
     report = compare_policies(
-        plan, [], {"preventive": policy, "predictive": policy}, EconParams(), seed=0
+        plan, [], {"preventive": policy, "predictive": policy}, EconParams(), seed=0, breakdown=RULE
     )
     assert report.deltas == Deltas(downtime_avoided_s=0, maintenance_avoided=0, revenue_delta=0.0)
 
 
 def test_compare_requires_two_policies():
     with pytest.raises(ValidationError, match="2 policies"):
-        compare_policies(quiet_plan(100), [], {"only": preventive()}, EconParams(), seed=0)
+        compare_policies(quiet_plan(100), [], {"only": preventive()}, EconParams(), seed=0, breakdown=RULE)
 
 
 def test_policy_validation():
-    with pytest.raises(ValidationError, match="shorter"):
-        PreventivePolicy(cycle_s=100, maint_duration_s=500, breakdown=BreakdownRule(repair_duration_s=300))
+    # the plant's repairs must outlast every policy's maintenance, whoever calls run_policy
+    for policy in (preventive(maint=500), predictive(maint=500)):
+        with pytest.raises(ValidationError, match=f"^{policy.kind} policy: maint_duration_s 500 must be shorter than"):
+            run_policy(quiet_plan(100), [], policy, breakdown=replace(RULE, repair_duration_s=500))
     with pytest.raises(ValidationError, match="below"):
         PredictivePolicy(
             model=persistence_model(),
@@ -306,15 +311,18 @@ def test_policy_validation():
 
 
 def test_bundled_scenarios_load():
-    for name in ("scenario1_delay_maintenance.json", "scenario2_avoid_breakdown.json"):
-        import json
-
-        doc = json.loads(pdmecon.data_path(name).read_text())
-        scenario = from_dict(Scenario, doc, "scenario")
+    # every bundled scenario*.json is a scenario with the policy pair, and every other bundled file a ledger
+    files = set((Path(pdmecon.__file__).parent / "data").glob("*.json"))
+    scenarios = {path for path in files if path.name.startswith("scenario")}
+    assert len(scenarios) >= 2 and len(files - scenarios) >= 1
+    for path in sorted(scenarios):
+        scenario = from_dict(Scenario, json.loads(path.read_text()), "scenario")
         assert set(scenario.policies) == {"preventive", "predictive"}
         policies = scenario.build_policies(model=persistence_model(), lag_spec=PERSISTENCE_LAGS)
         assert isinstance(policies["preventive"], PreventivePolicy)
         assert isinstance(policies["predictive"], PredictivePolicy)
+    for path in sorted(files - scenarios):
+        assert load_ledger(path)
 
 
 def test_predictive_requires_model():
@@ -342,10 +350,10 @@ def test_predictive_with_tree_ensemble_forecaster():
         lag_spec=spec,
         horizon_s=10,
         maint_duration_s=50,
-        breakdown=BreakdownRule(repair_duration_s=200),
     )
     plan = quiet_plan(duration=400, sigma=0.2)
-    outcome = run_policy(plan, [SpikeRamp(at_s=200, peak_kpa=60.0, rise_s=40)], policy, seed=2)
+    spike = [SpikeRamp(at_s=200, peak_kpa=60.0, rise_s=40)]
+    outcome = run_policy(plan, spike, policy, seed=2, breakdown=BreakdownRule(repair_duration_s=200))
     assert outcome.uptime_s + outcome.downtime_s == 400
     assert outcome.breakdown_count == 0  # hard-limit halt still protects the plant
     assert outcome.maintenance_count >= 1
@@ -364,6 +372,7 @@ def test_comparison_report_dict_roundtrip():
         {"preventive": preventive(), "predictive": predictive()},
         EconParams(revenue_rate_per_s=2.0),
         seed=3,
+        breakdown=RULE,
     )
     assert report.deltas.revenue_delta is not None
     assert from_dict(ComparisonReport, json.loads(dumps(report)), "comparison") == report
@@ -376,6 +385,7 @@ def test_comparison_without_the_pair_round_trips_with_null_deltas():
         {"calendar": preventive(), "forecast": predictive()},
         EconParams(),
         seed=3,
+        breakdown=RULE,
     )
     doc = json.loads(dumps(report))
     assert doc["deltas"] == {"downtime_avoided_s": None, "maintenance_avoided": None, "revenue_delta": None}
@@ -423,11 +433,11 @@ def test_stuck_sensor_inside_simulation():
     # the frozen reading hides everything; neither policy should break down
     plan = quiet_plan(duration=1500)
     stuck = [StuckAt(at_s=300, duration_s=400)]
-    pred = run_policy(plan, stuck, predictive(), seed=0)
+    pred = run_policy(plan, stuck, predictive(), seed=0, breakdown=RULE)
     assert pred.breakdown_count == 0
     assert pred.maintenance_count == 0  # frozen 30 kPa never crosses the limit
     assert pred.uptime_s == plan.duration_s
-    prev = run_policy(plan, stuck, preventive(cycle=600), seed=0)
+    prev = run_policy(plan, stuck, preventive(cycle=600), seed=0, breakdown=RULE)
     assert prev.breakdown_count == 0
     assert prev.uptime_s + prev.downtime_s == plan.duration_s
 
@@ -452,7 +462,7 @@ def test_a_long_horizon_forecasts_in_smaller_blocks(monkeypatch):
         return forecast(model, windows, lags, horizon)
 
     monkeypatch.setattr(plantsim, "_forecast", recorded)
-    outcome = run_policy(quiet_plan(duration=1500), [], replace(predictive(), horizon_s=5000), seed=0)
+    outcome = run_policy(quiet_plan(duration=1500), [], replace(predictive(), horizon_s=5000), seed=0, breakdown=RULE)
     assert outcome.downtime_s == 0
     assert 2**19 < max(sizes) <= 2**20
 
@@ -490,10 +500,9 @@ def reference_reading(faults, t, normal):
     return fault.value(t, normal) if fault else normal
 
 
-def reference_run_policy(plan, injections, policy, econ, seed):
+def reference_run_policy(plan, injections, policy, econ, seed, breakdown):
     trace = generate_trace(plan, seed)
     duration = plan.duration_s
-    breakdown = policy.breakdown
     predictive = isinstance(policy, PredictivePolicy)
     if predictive:
         lags = policy.lag_spec.lags
@@ -643,7 +652,7 @@ def simulation_case(draw):
         repair_duration_s=maint + draw(st.integers(1, 100)),
     )
     if draw(st.booleans()):
-        policy = PreventivePolicy(cycle_s=draw(st.integers(1, 300)), maint_duration_s=maint, breakdown=breakdown)
+        policy = PreventivePolicy(cycle_s=draw(st.integers(1, 300)), maint_duration_s=maint)
     else:
         n_lags = draw(st.integers(1, 3))
         model = forecast_model(draw, n_lags)
@@ -657,10 +666,9 @@ def simulation_case(draw):
             horizon_s=draw(st.integers(1, 10 if isinstance(model, LinearModel) else 3)),
             schedule_window_s=draw(st.integers(1, 120)),
             maint_duration_s=maint,
-            breakdown=breakdown,
         )
     econ = EconParams(fouling_rate_kpa_per_s=draw(st.floats(0.0, 0.01)))
-    return plan, injections, policy, econ, seed
+    return plan, injections, policy, econ, seed, breakdown
 
 
 # Two cases the draws reach only rarely, pinned. A fault that starts under a
@@ -669,9 +677,10 @@ def simulation_case(draw):
 HIDDEN_FAULT = (
     TracePlan(duration_s=400, segments=((100, 45.0),), noise_sigma_kpa=0.0, warmup_s=0),
     [StuckAt(at_s=50, duration_s=300), StuckAt(at_s=0, duration_s=150)],
-    PreventivePolicy(cycle_s=1000, maint_duration_s=20, breakdown=BreakdownRule(fail_limit_kpa=40.0)),
+    PreventivePolicy(cycle_s=1000, maint_duration_s=20),
     EconParams(),
     0,
+    BreakdownRule(fail_limit_kpa=40.0),
 )
 # A spike that starts on the last second of a maintenance (100-119 s) is cleared with it.
 FAULT_AT_RESTART = (
@@ -680,6 +689,7 @@ FAULT_AT_RESTART = (
     preventive(cycle=100, maint=20),
     EconParams(),
     0,
+    RULE,
 )
 
 
@@ -693,10 +703,10 @@ FOREST_OF_STUMPS = (
         lag_spec=LagSpec(1, 3),
         horizon_s=5,
         maint_duration_s=20,
-        breakdown=BreakdownRule(repair_duration_s=100),
     ),
     EconParams(),
     1,
+    BreakdownRule(repair_duration_s=100),
 )
 
 
@@ -705,7 +715,7 @@ def block_edge(schedule_s):
     first forecast block covers seconds 1-256, so 256 is its last second and 257 the next
     block's first. The run ends inside the maintenance, so its downtime shows the second."""
     plan = TracePlan(duration_s=600, segments=((schedule_s, 45.0),), noise_sigma_kpa=0.0, warmup_s=0)
-    return plan, [], predictive(), EconParams(), 0
+    return plan, [], predictive(), EconParams(), 0, RULE
 
 
 # Second 0 has too little history to forecast, so its reading (45 kPa) schedules
@@ -716,9 +726,10 @@ EARLY_SCHEDULE = (
     predictive(),
     EconParams(),
     0,
+    RULE,
 )
 # Persistence forecasts of exactly the 40 kPa limit do not cross it.
-AT_THE_LIMIT = (quiet_plan(duration=400, baseline=40.0), [], predictive(), EconParams(), 0)
+AT_THE_LIMIT = (quiet_plan(duration=400, baseline=40.0), [], predictive(), EconParams(), 0, RULE)
 
 
 def shorter_than_the_lags(baseline):
@@ -727,7 +738,7 @@ def shorter_than_the_lags(baseline):
     policy = PredictivePolicy(
         model=LinearModel(intercept=0.0, coefficients=np.eye(26)[0]), lag_spec=LagSpec(5, 30), schedule_window_s=5
     )
-    return quiet_plan(duration=20, baseline=baseline), [], policy, EconParams(), 0
+    return quiet_plan(duration=20, baseline=baseline), [], policy, EconParams(), 0, BreakdownRule()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -805,7 +816,7 @@ def test_a_forest_backed_run_forecasts_in_blocks(monkeypatch, seed1_models):
         return predict(model, X)
 
     monkeypatch.setattr(plantsim, "predict", counted)
-    outcome = run_policy(plan, injections, policy, scenario.econ, seed=1)
+    outcome = run_policy(plan, injections, policy, scenario.econ, seed=1, breakdown=scenario.breakdown)
     assert 0 < len(rows) <= 1000
     assert (outcome.uptime_s, outcome.maintenance_count, outcome.breakdown_count) == (900, 1, 0)
 
@@ -824,7 +835,9 @@ SEED1_OUTCOMES = {
 def test_bundled_scenarios_keep_their_tree_model_outcomes(seed1_models, kind, name):
     scenario = bundled_scenario(name)
     policies = scenario.build_policies(seed1_models[kind], SEED1_LAGS)
-    report = compare_policies(scenario.plan, list(scenario.injections), policies, scenario.econ, seed=1)
+    report = compare_policies(
+        scenario.plan, list(scenario.injections), policies, scenario.econ, seed=1, breakdown=scenario.breakdown
+    )
     assert report.outcomes == {
         policy: SimOutcome(8700, uptime, downtime, maintenance, breakdowns, 1.0, float(uptime))
         for policy, (uptime, downtime, maintenance, breakdowns) in SEED1_OUTCOMES[(kind, name)].items()

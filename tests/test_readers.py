@@ -9,7 +9,8 @@ for another fault of the same item, where the reference always named the
 missing amount first; and an injections file names its array `injections` in
 both of its forms, where the reference named it `injections.injections`.
 The scenario reference also refuses a policy named `preventive` or `predictive`
-of the other kind, as `Scenario.build_policies` does, and the comparison
+of the other kind, and a policy whose maintenance lasts as long as the
+scenario's repair, as `Scenario.build_policies` does, and the comparison
 reference builds the one class, `ComparisonReport`, that writes the file.
 """
 
@@ -31,6 +32,7 @@ from pdmecon.features import LagSpec
 from pdmecon.jsonio import _wrong, from_dict, json_object, load_json
 from pdmecon.models import LinearModel
 from pdmecon.plantsim import (
+    BreakdownRule,
     ComparisonReport,
     Deltas,
     EconParams,
@@ -90,6 +92,7 @@ class _ScenarioDoc:
     plan: TracePlan = TracePlan()
     injections: tuple[dict, ...] = ()
     econ: EconParams = EconParams()
+    breakdown: BreakdownRule = BreakdownRule()
 
 
 def reference_scenario(path, model, lag_spec):
@@ -103,7 +106,8 @@ def reference_scenario(path, model, lag_spec):
                 f"scenario.policies.{name} is of kind {policies[name].kind!r}, "
                 f"but the name {name!r} is reserved for a policy of kind {name!r}"
             )
-    return doc.plan, injections, policies, doc.econ
+        doc.breakdown.check_repair_dominates(policies[name], f"scenario.policies.{name}")
+    return doc.plan, injections, policies, doc.econ, doc.breakdown
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,8 @@ def reference_comparison(path):
 
 def new_scenario(path, model, lag_spec):
     scenario = from_dict(Scenario, load_json(path, "scenario"), "scenario")
-    return scenario.plan, list(scenario.injections), scenario.build_policies(model, lag_spec), scenario.econ
+    policies = scenario.build_policies(model, lag_spec)
+    return scenario.plan, list(scenario.injections), policies, scenario.econ, scenario.breakdown
 
 
 def new_comparison(path):
