@@ -116,7 +116,7 @@ def cmd_ingest(args) -> int:
     out = _out_dir(args)
     with atomic_path(out / "cleaned.csv") as tmp:
         write_sensor_csv(frame, tmp)
-    write_json(out / "ingest_report.json", report.to_dict())
+    write_json(out / "ingest_report.json", report)
     print(
         f"read {report.rows_read} rows: kept {report.rows_retained}, "
         f"dropped {report.rows_dropped_sentinel} sentinel + "

@@ -5,7 +5,8 @@ timestamp column (integer epoch seconds) plus N named channels, held as one
 float64 array of N rows; frame.channel(name) is one channel's row. Cleaning is
 whole-row: any row containing a sentinel token (default "Bad Input") or a cell
 that fails to parse is dropped and counted, which keeps all channels aligned
-without imputation.
+without imputation. IngestReport holds the counts, is written by its fields as
+ingest_report.json, and derives rows_retained from them.
 
 The file is read in blocks of BLOCK_ROWS rows, a whole column at a time.
 Timestamp cells of exactly the shape YYYY-MM-DDThh:mm:ss (ISO8601), DD/MM/YYYY
@@ -28,15 +29,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
 from .errors import IngestError, ValidationError
-from .jsonio import plain
 
 ISO8601 = "iso8601"
 EPOCH_SECONDS = "epoch"
@@ -93,13 +94,12 @@ class IngestReport:
     rows_dropped_sentinel: int
     rows_dropped_unparseable: int
     channels_retained: int
+    rows_retained: int = field(init=False)  # rows_read less both kinds of dropped row
+    schema_version: Literal[1] = 1
 
-    @property
-    def rows_retained(self) -> int:
-        return self.rows_read - self.rows_dropped_sentinel - self.rows_dropped_unparseable
-
-    def to_dict(self) -> dict:
-        return {"schema_version": 1, **plain(self), "rows_retained": self.rows_retained}
+    def __post_init__(self):
+        retained = self.rows_read - self.rows_dropped_sentinel - self.rows_dropped_unparseable
+        object.__setattr__(self, "rows_retained", retained)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,19 @@
 """The JSON boundary: reading inputs, building config dataclasses, writing artifacts.
 
 load_json rejects NaN, Infinity, numbers that overflow a float and arrays or
-objects nested deeper than the parser's recursion allows. from_dict
-builds a config dataclass from its own fields and annotations, rejecting
-unknown fields, missing required fields and wrong types as ``what.field``;
-an error the dataclass itself raises is prefixed with ``what:``. JSON integers
-widen to float; int fields reject booleans and non-integral numbers; strings
-are never parsed as numbers. Besides scalars, Literal, ``X | None``, Enum and
-nested dataclasses, a field may be a ``tuple``, ``list`` or ``dict[str, X]`` of
-them or an ``Annotated[np.ndarray, dtype]`` (a float64 or intp vector). An array
-field is checked in one pass; the element-wise path runs only to name a bad
-entry. A tagged type ``Annotated[A | B, "tag"]`` is read as the arm whose ``tag``
-class attribute the document's ``tag`` field names, as a fault injection by its
+objects nested deeper than the parser's recursion allows. from_dict builds a
+config dataclass from its own fields and annotations, rejecting unknown fields,
+missing required fields and wrong types as ``what.field``; an error the
+dataclass itself raises is prefixed with ``what:``. A derived field
+(``field(init=False)``, set by __post_init__) may be omitted, and a value given
+for it must equal the derived one or is refused as ``what.field``. JSON integers
+widen to float; int fields reject booleans and non-integral numbers; strings are
+never parsed as numbers. Besides scalars, Literal, ``X | None``, Enum and nested
+dataclasses, a field may be a ``tuple``, ``list`` or ``dict[str, X]`` of them or
+an ``Annotated[np.ndarray, dtype]`` (a float64 or intp vector). An array field
+is checked in one pass; the element-wise path runs only to name a bad entry. A
+tagged type ``Annotated[A | B, "tag"]`` is read as the arm whose ``tag`` class
+attribute the document's ``tag`` field names, as a fault injection by its
 ``kind`` and a ledger amount by its ``dist``.
 
 Writing mirrors from_dict: plain turns a dataclass into an object of its
@@ -81,11 +83,10 @@ def _wrong(where: str, expected: str, value) -> ValidationError:
 
 
 @cache
-def _schema(cls) -> tuple[dict, tuple]:
+def _schema(cls) -> tuple[dict, tuple, tuple]:
     hints = typing.get_type_hints(cls, include_extras=True)
-    init = [f for f in fields(cls) if f.init]
-    required = tuple(f.name for f in init if f.default is MISSING and f.default_factory is MISSING)
-    return {f.name: hints[f.name] for f in init}, required
+    required = tuple(f.name for f in fields(cls) if f.init and f.default is MISSING and f.default_factory is MISSING)
+    return {f.name: hints[f.name] for f in fields(cls)}, required, tuple(f.name for f in fields(cls) if not f.init)
 
 
 def json_object(doc, what: str) -> dict:
@@ -119,7 +120,7 @@ def from_dict(cls, doc, what: str, **fixed):
         cls = arms.get(name) if isinstance(name, str) else None
         if cls is None:
             raise _wrong(f"{what}.{tag}", f"one of {list(arms)}", name)
-    hints, required = _schema(cls)
+    hints, required, derived = _schema(cls)
     fixed = {name: value for name, value in fixed.items() if name in hints}
     allowed = hints.keys() - fixed.keys()
     if not doc.keys() <= allowed:
@@ -130,9 +131,13 @@ def from_dict(cls, doc, what: str, **fixed):
             raise ValidationError(f"{what}.{name} is required")
     values = {name: _coerce(hints[name], value, f"{what}.{name}") for name, value in doc.items()}
     try:
-        return cls(**values, **fixed)
+        built = cls(**{name: v for name, v in values.items() if name not in derived}, **fixed)
     except ValidationError as exc:
         raise ValidationError(f"{what}: {exc}") from None
+    for name in derived:
+        if name in values and values[name] != getattr(built, name):
+            raise _wrong(f"{what}.{name}", f"{dumps(getattr(built, name))}, as the other fields give it", doc[name])
+    return built
 
 
 def _coerce(tp, value, where: str):

@@ -41,8 +41,11 @@ than stepping to it:
   step, reset fouling, and on completion clear every fault that has started.
 
 Outage seconds record the plain trace value in the observation buffer so a
-cleared spike cannot poison post-restart forecasts. Time is conserved exactly:
-uptime + downtime == duration for every run.
+cleared spike cannot poison post-restart forecasts. Time is conserved by
+construction: SimOutcome derives uptime_s = duration_s - downtime_s and
+revenue_units = uptime_s x revenue_rate_per_s. It refuses what no run gives:
+a duration_s beyond MAX_SECONDS, or more stops than seconds of downtime,
+since each stop is down for at least one second.
 
 A scenario file is read by Scenario's own fields, a fault or a policy by its
 "kind"; the policies stay JSON objects until build_policies binds the model.
@@ -60,7 +63,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Annotated, ClassVar, Literal
 
 import numpy as np
@@ -320,31 +323,31 @@ class EconParams:
 @dataclass(frozen=True)
 class SimOutcome:
     duration_s: int
-    uptime_s: int
+    uptime_s: int = field(init=False)  # duration_s - downtime_s
     downtime_s: int
     maintenance_count: int
     breakdown_count: int
     revenue_rate_per_s: float
-    revenue_units: float
+    revenue_units: float = field(init=False)  # uptime_s x revenue_rate_per_s
 
     def __post_init__(self):
+        object.__setattr__(self, "uptime_s", self.duration_s - self.downtime_s)
         if self.duration_s < 1:
             raise ValidationError("duration_s must be >= 1")
+        if self.duration_s > MAX_SECONDS:  # no longer run can be simulated
+            raise ValidationError(f"duration_s must be <= 2^53 = {MAX_SECONDS}")
         for name in ("uptime_s", "downtime_s", "maintenance_count", "breakdown_count", "revenue_rate_per_s"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.uptime_s + self.downtime_s != self.duration_s:
+        if self.maintenance_count + self.breakdown_count > self.downtime_s:
             raise ValidationError(
-                f"time not conserved: {self.uptime_s} + {self.downtime_s} != {self.duration_s}"
+                f"maintenance_count + breakdown_count must be <= downtime_s {self.downtime_s}: "
+                "each stop is down for at least one second"
             )
+        object.__setattr__(self, "revenue_units", self.uptime_s * self.revenue_rate_per_s)
         if not math.isfinite(self.revenue_units):
             raise ValidationError(
                 f"revenue_rate_per_s {self.revenue_rate_per_s} x uptime_s {self.uptime_s} is beyond float64 range"
-            )
-        if self.revenue_units != self.uptime_s * self.revenue_rate_per_s:
-            raise ValidationError(
-                f"revenue {self.revenue_units} inconsistent with uptime {self.uptime_s} "
-                f"x rate {self.revenue_rate_per_s}"
             )
 
 
@@ -459,15 +462,12 @@ def run_policy(
         pending = [f for f in pending if f.at_s >= end]
         start = end
 
-    uptime = duration - downtime
     return SimOutcome(
         duration_s=duration,
-        uptime_s=uptime,
         downtime_s=downtime,
         maintenance_count=maintenance_count,
         breakdown_count=breakdown_count,
         revenue_rate_per_s=econ.revenue_rate_per_s,
-        revenue_units=uptime * econ.revenue_rate_per_s,
     )
 
 
@@ -485,28 +485,25 @@ class Deltas:
 @dataclass(frozen=True)
 class ComparisonReport:
     """The comparison.json document, written and read back (jsonio.from_dict) by its fields. Its outcomes
-    share one duration_s and revenue_rate_per_s, and it derives its deltas from them and refuses others."""
+    share one duration_s and revenue_rate_per_s, and its deltas are derived from them."""
 
     schema_version: Literal[1]
     outcomes: dict[str, SimOutcome]
-    deltas: Deltas | None = None
+    deltas: Deltas = field(init=False)
 
     def __post_init__(self):
         for name in ("duration_s", "revenue_rate_per_s"):
             if len({getattr(o, name) for o in self.outcomes.values()}) > 1:
                 raise ValidationError(f"outcomes disagree on {name}; every policy runs one plan at one revenue rate")
-        derived = Deltas()
+        deltas = Deltas()
         if "preventive" in self.outcomes and "predictive" in self.outcomes:
             prev, pred = self.outcomes["preventive"], self.outcomes["predictive"]
-            derived = Deltas(
+            deltas = Deltas(
                 downtime_avoided_s=prev.downtime_s - pred.downtime_s,
                 maintenance_avoided=prev.maintenance_count - pred.maintenance_count,
                 revenue_delta=pred.revenue_units - prev.revenue_units,
             )
-        if self.deltas is None:
-            object.__setattr__(self, "deltas", derived)
-        elif self.deltas != derived:
-            raise ValidationError(f"deltas {self.deltas} differ from the outcomes' {derived}")
+        object.__setattr__(self, "deltas", deltas)
 
 
 def compare_policies(

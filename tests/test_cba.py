@@ -37,12 +37,10 @@ def item(name, ledger=LedgerKind.DIRECT_SAVING, category="Operating", amount=Poi
 def outcome(uptime, downtime, maint, brk=0, rate=1.0):
     return SimOutcome(
         duration_s=uptime + downtime,
-        uptime_s=uptime,
         downtime_s=downtime,
         maintenance_count=maint,
         breakdown_count=brk,
         revenue_rate_per_s=rate,
-        revenue_units=uptime * rate,
     )
 
 
@@ -405,7 +403,7 @@ def test_bridge_overwrites_existing_items():
 
 
 def test_bridge_requires_both_policies():
-    report = ComparisonReport(schema_version=1, outcomes={"preventive": outcome(100, 0, 1)})
+    report = ComparisonReport(schema_version=1, outcomes={"preventive": outcome(100, 300, 1)})
     with pytest.raises(ValidationError, match="predictive"):
         bridge_from_simulation(report, 1.0, [], 0.0)
 
@@ -432,8 +430,8 @@ RATES = st.sampled_from([0.0, 0.1, 1 / 3, 1.0]) | st.floats(1e-3, 1e6)
 def test_bridge_prices_the_report_deltas_as_the_outcomes_once_gave_them(
     duration, fractions, counts, simulated_rate, revenue_rate, unit_cost
 ):
-    prev, pred = (
-        outcome(up, duration - up, maint, rate=simulated_rate)
+    prev, pred = (  # at most one stop per second of downtime, as in any run
+        outcome(up, duration - up, min(maint, duration - up), rate=simulated_rate)
         for up, maint in zip((round(f * duration) for f in fractions), counts)
     )
     items = bridge_from_simulation(

@@ -455,6 +455,8 @@ def command(d, name, out):
                      "--seed", 1, "--out-dir", out],
         "cba": ["cba", "--ledger", d / "ledger.json", "--bridge", d / "comparison.json", "--trials", 20,
                 "--seed", 1, "--out-dir", out],
+        "cba-priced": ["cba", "--ledger", d / "ledger.json", "--bridge", d / "comparison.json", "--trials", 20,
+                       "--seed", 1, "--unit-maintenance-cost", 10, "--out-dir", out],
         # cba bridging the comparison with its preventive maintenance count raised: 2 maintenances avoided
         "cba-maintained": ["cba", "--ledger", d / "ledger.json", "--bridge", d / "maintained.json", "--trials", 20,
                            "--seed", 1, "--out-dir", out],
@@ -529,6 +531,13 @@ def lengthened(doc, policy, duration):
     uptime = duration - outcome["downtime_s"]
     return tampered(doc, policy, duration_s=duration, uptime_s=uptime,
                     revenue_units=uptime * outcome["revenue_rate_per_s"])
+
+
+def beyond_2_53(doc):
+    """A comparison document whose outcomes both ran 10**400 seconds longer, the extra seconds up."""
+    for policy, outcome in doc["outcomes"].items():
+        doc = tampered(doc, policy, duration_s=outcome["duration_s"] + 10**400, uptime_s=outcome["uptime_s"] + 10**400)
+    return doc
 
 
 # (id, command, flag, malformed document, raw text or flag value from the inputs dir (None leaves the flag
@@ -744,14 +753,16 @@ MALFORMED = [
     ("bridge-deltas-disagree", "cba", "--bridge",
      lambda d: edited(comparison_doc(d), "deltas", value={
          **comparison_doc(d)["deltas"], "downtime_avoided_s": -99999, "revenue_delta": -1e6}),
-     "error: comparison: deltas Deltas(downtime_avoided_s=-99999,"),
+     'error: comparison.deltas must be {"downtime_avoided_s": -5, "maintenance_avoided": -1, "revenue_delta": -5.0}, '
+     'as the other fields give it, got {"downtime_avoided_s": -99999,'),
     # time is conserved and revenue consistent in each outcome, but they are not of one run
     ("bridge-durations-disagree", "cba", "--bridge",
      lambda d: lengthened(comparison_doc(d), "predictive", 100_000),
      "error: comparison: outcomes disagree on duration_s"),
-    ("bridge-missing-uptime", "cba", "--bridge",
-     lambda d: edited(comparison_doc(d), "outcomes", "preventive", "uptime_s", drop=True),
-     "comparison.outcomes.preventive.uptime_s"),
+    # uptime_s and revenue_units are derived and may be left out; downtime_s may not
+    ("bridge-missing-downtime", "cba", "--bridge",
+     lambda d: edited(comparison_doc(d), "outcomes", "preventive", "downtime_s", drop=True),
+     "error: comparison.outcomes.preventive.downtime_s is required"),
     # time is conserved and revenue is uptime x rate, but no run has negative uptime or counts
     ("bridge-negative-uptime", "cba", "--bridge",
      lambda d: tampered(comparison_doc(d), "predictive", maintenance_count=-50, uptime_s=-1000, downtime_s=1400,
@@ -763,6 +774,15 @@ MALFORMED = [
     ("bridge-zero-duration", "cba", "--bridge",
      lambda d: tampered(comparison_doc(d), "predictive", duration_s=0, uptime_s=0, downtime_s=0, revenue_units=0.0),
      "error: comparison.outcomes.predictive: duration_s must be >= 1"),
+    # no run lasts beyond 2^53 s, or stops more often than it has seconds of downtime
+    ("bridge-duration-too-long", "cba-priced", "--bridge", lambda d: beyond_2_53(comparison_doc(d)),
+     "error: comparison.outcomes.predictive: duration_s must be <= 2^53 = 9007199254740992"),
+    ("bridge-maintenance-count-beyond-float", "cba-priced", "--bridge",
+     lambda d: edited(tampered(comparison_doc(d), "preventive", maintenance_count=10**400), "deltas", drop=True),
+     "error: comparison.outcomes.preventive: maintenance_count + breakdown_count must be <= downtime_s"),
+    ("bridge-more-stops-than-downtime", "cba-priced", "--bridge",
+     lambda d: edited(tampered(comparison_doc(d), "preventive", maintenance_count=2**60), "deltas", drop=True),
+     "error: comparison.outcomes.preventive: maintenance_count + breakdown_count must be <= downtime_s"),
     ("bridge-negative-revenue-rate", "cba", "--bridge",
      lambda d: edited(comparison_doc(d), "outcomes", "preventive", value=rated(comparison_doc(d), "preventive", -1.0)),
      "error: comparison.outcomes.preventive: revenue_rate_per_s must be >= 0, got -1.0"),

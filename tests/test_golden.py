@@ -50,7 +50,7 @@ from pdmecon.models import (
     load_model,
     model_to_dict,
 )
-from pdmecon.plantsim import ComparisonReport, Deltas, SimOutcome
+from pdmecon.plantsim import ComparisonReport, SimOutcome
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,12 +73,10 @@ SAMPLES = np.array([1.0, 2.5, 4.0, 7.25, 3.1])
 def outcome(uptime_s, maintenance_count, breakdown_count):
     return SimOutcome(
         duration_s=3600,
-        uptime_s=uptime_s,
         downtime_s=3600 - uptime_s,
         maintenance_count=maintenance_count,
         breakdown_count=breakdown_count,
         revenue_rate_per_s=1.5,
-        revenue_units=uptime_s * 1.5,
     )
 
 
@@ -116,10 +114,8 @@ ARTIFACTS = {
     },
     "ingest_report.json": IngestReport(
         rows_read=10, rows_dropped_sentinel=2, rows_dropped_unparseable=1, channels_retained=3
-    ).to_dict(),
-    "comparison.json": ComparisonReport(
-        1, {"preventive": outcome(3000, 2, 1), "predictive": outcome(3240, 1, 0)}, Deltas(240, 1, 360.0)
     ),
+    "comparison.json": ComparisonReport(1, {"preventive": outcome(3000, 2, 1), "predictive": outcome(3240, 1, 0)}),
     "net_benefit.json": NetBenefitResult(
         item_summaries={"Fewer breakdowns": McSummary.from_samples(SAMPLES), "Sensors": McSummary.from_samples([2.0])},
         ledger_summaries={

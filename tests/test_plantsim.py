@@ -16,6 +16,7 @@ from pdmecon.features import LagSpec, make_lag_matrix
 from pdmecon.jsonio import dumps, from_dict
 from pdmecon.models import BoostHyperparams, ForestHyperparams, LinearModel, fit_model, predict
 from pdmecon.plantsim import (
+    MAX_SECONDS,
     TRACE_CHANNEL,
     BreakdownRule,
     ComparisonReport,
@@ -394,17 +395,22 @@ def test_comparison_without_the_pair_round_trips_with_null_deltas():
 
 
 def ran(uptime, maintenance, duration=1000, rate=1.5):
-    return SimOutcome(duration, uptime, duration - uptime, maintenance, 0, rate, uptime * rate)
+    return SimOutcome(duration, duration - uptime, maintenance, 0, rate)
+
+
+def with_deltas(outcomes, deltas):
+    """A comparison document of the outcomes that states the given deltas."""
+    return {**json.loads(dumps(ComparisonReport(1, outcomes))), "deltas": json.loads(dumps(deltas))}
 
 
 def test_comparison_report_derives_its_deltas_from_the_pair():
     report = ComparisonReport(1, {"predictive": ran(900, 1), "preventive": ran(700, 3), "other": ran(10, 9)})
     assert report.deltas == Deltas(downtime_avoided_s=200, maintenance_avoided=2, revenue_delta=900 * 1.5 - 700 * 1.5)
-    assert ComparisonReport(1, report.outcomes, report.deltas) == report
+    assert from_dict(ComparisonReport, with_deltas(report.outcomes, report.deltas), "comparison") == report
     unpaired = {"preventive": ran(700, 3), "other": ran(10, 9)}
     assert ComparisonReport(1, unpaired).deltas == Deltas()
-    with pytest.raises(ValidationError, match=r"^deltas .* differ from the outcomes' Deltas\(downtime_avoided_s=None,"):
-        ComparisonReport(1, unpaired, Deltas(0, 0, 0.0))
+    with pytest.raises(ValidationError, match=r'^comparison.deltas must be \{"downtime_avoided_s": null,'):
+        from_dict(ComparisonReport, with_deltas(unpaired, Deltas(0, 0, 0.0)), "comparison")
 
 
 @pytest.mark.parametrize("deltas", [
@@ -413,9 +419,10 @@ def test_comparison_report_derives_its_deltas_from_the_pair():
     Deltas(),
 ])
 def test_comparison_report_refuses_other_deltas(deltas):
-    derived = r"differ from the outcomes' Deltas\(downtime_avoided_s=200, maintenance_avoided=2, revenue_delta=300.0\)$"
-    with pytest.raises(ValidationError, match=rf"^deltas Deltas\(.*\) {derived}"):
-        ComparisonReport(1, {"preventive": ran(700, 3), "predictive": ran(900, 1)}, deltas)
+    derived = r'\{"downtime_avoided_s": 200, "maintenance_avoided": 2, "revenue_delta": 300.0\}'
+    doc = with_deltas({"preventive": ran(700, 3), "predictive": ran(900, 1)}, deltas)
+    with pytest.raises(ValidationError, match=rf"^comparison.deltas must be {derived}, as the other fields give it, got"):
+        from_dict(ComparisonReport, doc, "comparison")
 
 
 @pytest.mark.parametrize(
@@ -427,6 +434,17 @@ def test_comparison_report_refuses_outcomes_of_different_runs(field, other):
         ComparisonReport(1, {"preventive": ran(700, 3), "predictive": other})
     with pytest.raises(ValidationError, match=f"^outcomes disagree on {field};"):
         ComparisonReport(1, {"a": ran(700, 3), "b": ran(700, 3), "c": other})
+
+
+def test_sim_outcome_refuses_what_no_run_gives():
+    # a run holds one reading per second, and every stop is down for at least one second
+    assert SimOutcome(MAX_SECONDS, 2, 1, 1, 1.0).uptime_s == MAX_SECONDS - 2
+    with pytest.raises(ValidationError, match=rf"^duration_s must be <= 2\^53 = {MAX_SECONDS}$"):
+        SimOutcome(MAX_SECONDS + 1, 2, 1, 1, 1.0)
+    with pytest.raises(ValidationError, match=r"^maintenance_count \+ breakdown_count must be <= downtime_s 2: "):
+        SimOutcome(100, 2, 2, 1, 1.0)
+    with pytest.raises(ValidationError, match=r"^maintenance_count \+ breakdown_count must be <= downtime_s 0: "):
+        SimOutcome(100, 0, 1, 0, 1.0)
 
 
 def test_stuck_sensor_inside_simulation():
@@ -575,14 +593,13 @@ def reference_run_policy(plan, injections, policy, econ, seed, breakdown):
                     if f.injection.at_s <= t:
                         f.cleared = True
 
+    assert uptime + downtime == duration
     return SimOutcome(
         duration_s=duration,
-        uptime_s=uptime,
         downtime_s=downtime,
         maintenance_count=maintenance_count,
         breakdown_count=breakdown_count,
         revenue_rate_per_s=econ.revenue_rate_per_s,
-        revenue_units=uptime * econ.revenue_rate_per_s,
     )
 
 
@@ -839,6 +856,6 @@ def test_bundled_scenarios_keep_their_tree_model_outcomes(seed1_models, kind, na
         scenario.plan, list(scenario.injections), policies, scenario.econ, seed=1, breakdown=scenario.breakdown
     )
     assert report.outcomes == {
-        policy: SimOutcome(8700, uptime, downtime, maintenance, breakdowns, 1.0, float(uptime))
+        policy: SimOutcome(uptime + downtime, downtime, maintenance, breakdowns, 1.0)
         for policy, (uptime, downtime, maintenance, breakdowns) in SEED1_OUTCOMES[(kind, name)].items()
     }

@@ -11,12 +11,16 @@ both of its forms, where the reference named it `injections.injections`.
 The scenario reference also refuses a policy named `preventive` or `predictive`
 of the other kind, and a policy whose maintenance lasts as long as the
 scenario's repair, as `Scenario.build_policies` does, and the comparison
-reference builds the one class, `ComparisonReport`, that writes the file.
+reference builds the one class, `ComparisonReport`, that writes the file. It
+also spells out the derived-field rule that from_dict applies to every class:
+uptime_s, revenue_units and deltas may be left out, and a value the file
+states must be the one the other fields give.
 """
 
+import copy
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -29,7 +33,8 @@ from pdmecon import cli
 from pdmecon.cba import ItemKind, LineItem, Normal, Point, Triangular, Uniform, _LedgerDoc, load_ledger
 from pdmecon.errors import ValidationError
 from pdmecon.features import LagSpec
-from pdmecon.jsonio import _wrong, from_dict, json_object, load_json
+from pdmecon.ingest import IngestReport
+from pdmecon.jsonio import _wrong, dumps, from_dict, json_object, load_json
 from pdmecon.models import LinearModel
 from pdmecon.plantsim import (
     BreakdownRule,
@@ -43,6 +48,7 @@ from pdmecon.plantsim import (
     SpikeRamp,
     StuckAt,
     TracePlan,
+    compare_policies,
 )
 from test_cli import mutated, small_scenario
 
@@ -137,17 +143,51 @@ def reference_ledger(path):
 class _ComparisonFile:
     schema_version: Literal[1]
     outcomes: dict
-    deltas: dict | None = None
+    deltas: dict = None  # None when left out; a stated null is not an object
+
+
+@dataclass(frozen=True)
+class _OutcomeFile:
+    duration_s: int
+    downtime_s: int
+    maintenance_count: int
+    breakdown_count: int
+    revenue_rate_per_s: float
+    uptime_s: int = None  # None when left out
+    revenue_units: float = None
+
+
+def derived_wrong(where, derived, stated):
+    return _wrong(where, f"{json.dumps(derived)}, as the other fields give it", stated)
+
+
+def reference_outcome(doc, what):
+    given = from_dict(_OutcomeFile, doc, what)
+    try:
+        outcome = SimOutcome(
+            given.duration_s, given.downtime_s, given.maintenance_count, given.breakdown_count, given.revenue_rate_per_s
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+    uptime = given.duration_s - given.downtime_s
+    for name, derived in [("uptime_s", uptime), ("revenue_units", uptime * given.revenue_rate_per_s)]:
+        if getattr(given, name) is not None and getattr(given, name) != derived:
+            raise derived_wrong(f"{what}.{name}", derived, doc[name])
+    return outcome
 
 
 def reference_comparison(path):
-    doc = from_dict(_ComparisonFile, load_json(path, "comparison"), "comparison")
-    outcomes = {name: from_dict(SimOutcome, o, f"comparison.outcomes.{name}") for name, o in doc.outcomes.items()}
-    deltas = None if doc.deltas is None else from_dict(Deltas, doc.deltas, "comparison.deltas")
+    raw = load_json(path, "comparison")
+    doc = from_dict(_ComparisonFile, raw, "comparison")
+    outcomes = {name: reference_outcome(o, f"comparison.outcomes.{name}") for name, o in doc.outcomes.items()}
+    stated = None if doc.deltas is None else from_dict(Deltas, doc.deltas, "comparison.deltas")
     try:
-        return ComparisonReport(doc.schema_version, outcomes, deltas)
+        report = ComparisonReport(doc.schema_version, outcomes)
     except ValidationError as exc:  # the report's own refusal, named as from_dict names it
         raise ValidationError(f"comparison: {exc}") from None
+    if stated is not None and stated != report.deltas:
+        raise derived_wrong("comparison.deltas", asdict(report.deltas), raw["deltas"])
+    return report
 
 
 # --- the readers under test ----------------------------------------------------
@@ -266,3 +306,98 @@ def test_each_unmutated_document_is_read_whole(tmp_path, document):
     got = read(reader, *args)
     assert not isinstance(got, str), got
     assert got == read(reference, *args)
+
+
+# --- derived fields ----------------------------------------------------------------
+
+
+def simulated_comparison():
+    scenario = from_dict(Scenario, SCENARIO, "scenario")
+    policies = scenario.build_policies(MODEL, LAG_SPEC)
+    return compare_policies(
+        scenario.plan, list(scenario.injections), policies, scenario.econ, seed=1, breakdown=scenario.breakdown
+    )
+
+
+SIMULATED = simulated_comparison()
+SIMULATED_DOC = json.loads(dumps(SIMULATED))
+# where each derived value sits in a comparison document
+DERIVED = [("outcomes", name, key) for name in SIMULATED_DOC["outcomes"] for key in ("uptime_s", "revenue_units")]
+DERIVED.append(("deltas",))
+
+
+def other(value):
+    """Any JSON value of value's type other than value itself."""
+    if isinstance(value, int):
+        return st.integers(-(2**60), 2**60).filter(lambda v: v != value)
+    return st.floats(-1e12, 1e12).filter(lambda v: v != value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_changed_derived_value_is_refused_naming_it(data):
+    path = data.draw(st.sampled_from(DERIVED), label="derived value")
+    doc = copy.deepcopy(SIMULATED_DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    derived = parent[path[-1]]
+    if path == ("deltas",):
+        key = data.draw(st.sampled_from(sorted(derived)), label="delta")
+        stated = {**derived, key: data.draw(st.none() | other(derived[key]), label="stated")}
+    else:
+        stated = data.draw(other(derived), label="stated")
+    parent[path[-1]] = stated
+    expected = f"{'.'.join(('comparison', *path))} must be {json.dumps(derived)}, as the other fields give it, got "
+    with pytest.raises(ValidationError, match=f"^{re.escape(expected)}"):
+        from_dict(ComparisonReport, doc, "comparison")
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(dropped=st.sets(st.sampled_from(DERIVED)))
+def test_derived_values_left_out_are_derived(dropped):
+    doc = copy.deepcopy(SIMULATED_DOC)
+    for path in dropped:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    assert from_dict(ComparisonReport, doc, "comparison") == SIMULATED
+
+
+@st.composite
+def outcomes(draw, duration, rate):
+    downtime = draw(st.integers(0, duration))
+    maintenance = draw(st.integers(0, downtime))
+    return SimOutcome(duration, downtime, maintenance, draw(st.integers(0, downtime - maintenance)), rate)
+
+
+@st.composite
+def comparisons(draw):
+    duration, rate = draw(st.integers(1, 2**53)), draw(st.floats(0, 1e6))
+    names = draw(st.sets(st.sampled_from(["preventive", "predictive", "other"]), min_size=1))
+    return ComparisonReport(1, {name: draw(outcomes(duration, rate)) for name in sorted(names)})
+
+
+REPORTS = st.just(SIMULATED) | comparisons() | st.builds(IngestReport, *[st.integers(0, 10**9)] * 4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(report=REPORTS)
+def test_reports_read_back_what_they_write(report):
+    assert from_dict(type(report), json.loads(dumps(report)), "report") == report
+
+
+@dataclass(frozen=True)
+class _Toy:
+    a: int
+    double: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "double", 2 * self.a)
+
+
+def test_an_unknown_field_beside_a_derived_one_is_refused():
+    assert from_dict(_Toy, {"a": 2, "double": 4}, "toy") == from_dict(_Toy, {"a": 2}, "toy") == _Toy(2)
+    with pytest.raises(ValidationError, match=r"^unknown field toy\.triple; allowed: \['a', 'double'\]$"):
+        from_dict(_Toy, {"a": 2, "double": 4, "triple": 6}, "toy")
