@@ -417,7 +417,8 @@ def bridge_from_simulation(
     Overwrites (or appends) two point-valued items: avoided lost revenue, the
     downtime avoided at revenue_rate (the simulated rate when it is None), and
     maintenance cost savings, the maintenance avoided at unit_maintenance_cost
-    (0 when it is None). An amount beyond float64 range is refused, naming its price.
+    (0 when it is None). A price that is negative or not finite is refused, and so is an amount beyond float64
+    range, each naming its price.
     """
     deltas = comparison.deltas
     if deltas.downtime_avoided_s is None:
@@ -430,6 +431,8 @@ def bridge_from_simulation(
         ("revenue_rate", revenue_rate, f"downtime_avoided_s {deltas.downtime_avoided_s}", revenue),
         ("unit_maintenance_cost", unit_cost, f"maintenance_avoided {deltas.maintenance_avoided}", saving),
     ]:
+        if not 0 <= value < np.inf:
+            raise ValidationError(f"{price} must be a finite number >= 0, got {value}")
         if not np.isfinite(amount):
             raise ValidationError(f"{price} {value} x {delta} is beyond float64 range")
     bridged = {

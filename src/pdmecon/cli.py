@@ -21,7 +21,6 @@ or malformed file or config), 2 only for a fault inside the program.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections import Counter
@@ -202,9 +201,6 @@ def cmd_cba(args) -> int:
     seed = _seed(args)
     if not args.bridge and (args.revenue_rate is not None or args.unit_maintenance_cost is not None):
         raise ValidationError("--revenue-rate and --unit-maintenance-cost price simulated deltas; give --bridge")
-    for flag, price in [("--revenue-rate", args.revenue_rate), ("--unit-maintenance-cost", args.unit_maintenance_cost)]:
-        if price is not None and not 0 <= price < math.inf:
-            raise ValidationError(f"{flag} must be a finite number >= 0, got {price}")
     items = load_ledger(args.ledger)
     if args.bridge:
         comparison = from_dict(ComparisonReport, load_json(args.bridge, "comparison"), "comparison")

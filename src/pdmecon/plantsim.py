@@ -48,14 +48,14 @@ a duration_s beyond MAX_SECONDS, or more stops than seconds of downtime,
 since each stop is down for at least one second.
 
 A scenario file is read by Scenario's own fields, a fault or a policy by its
-"kind"; the policies stay JSON objects until build_policies binds the model.
-Its one BreakdownRule is the plant every policy runs on: compare_policies passes
-it to each run_policy, and a policy whose maintenance lasts as long as its
-repair is refused, by build_policies naming the policy and by run_policy.
-A policy named "preventive" or "predictive" must be of that kind, since
-ComparisonReport picks the pair by name and derives its deltas from it; the
-cost-benefit bridge prices those deltas. comparison.json is the fields of
-ComparisonReport, which jsonio.from_dict reads back.
+"kind"; the policies stay JSON objects until build_policies reads them with
+the model bound. compare_policies runs each on the scenario's one BreakdownRule
+and is the one gate for a comparison: before any run it refuses, naming
+policies.<name>, a policy named "preventive" or "predictive" of the other kind
+(ComparisonReport derives the deltas the cost-benefit bridge prices from the
+pair it picks by name) and a maintenance as long as a repair (a moot
+comparison). comparison.json is the fields of ComparisonReport, which
+jsonio.from_dict reads back.
 """
 
 from __future__ import annotations
@@ -258,14 +258,6 @@ class BreakdownRule:
         if self.repair_duration_s < 1:
             raise ValidationError("repair_duration_s must be >= 1")
 
-    def check_repair_dominates(self, policy, what: str) -> None:
-        """Refuse a policy whose maintenance lasts as long as a repair: the comparison would be moot."""
-        if policy.maint_duration_s >= self.repair_duration_s:
-            raise ValidationError(
-                f"{what}: maint_duration_s {policy.maint_duration_s} must be shorter than "
-                f"repair_duration_s {self.repair_duration_s}"
-            )
-
 
 @dataclass(frozen=True)
 class PreventivePolicy:
@@ -415,9 +407,8 @@ def run_policy(
 ) -> SimOutcome:
     """Simulate plant operation under one maintenance policy on a plant that breaks down by the breakdown rule.
 
-    Refuses a policy whose maintenance lasts as long as a repair. Deterministic given the arguments.
+    Runs a maintenance of any length, since time is conserved whatever it is. Deterministic given the arguments.
     """
-    breakdown.check_repair_dominates(policy, f"{policy.kind} policy")
     trace = generate_trace(plan, seed)
     _check_injections(trace, injections)
     duration = plan.duration_s
@@ -514,9 +505,21 @@ def compare_policies(
     seed: int = 0,
     breakdown: BreakdownRule = BreakdownRule(),
 ) -> ComparisonReport:
-    """Run every policy on one trace and one breakdown rule; the report holds the outcomes and derives their deltas."""
+    """Run every policy on one trace and one breakdown rule; the report holds the outcomes and derives their deltas.
+
+    The one gate for what a comparison may hold, checked before any run (see the module docstring)."""
     if len(policies) < 2:
         raise ValidationError("compare_policies needs at least 2 policies")
+    for name, policy in policies.items():
+        if name in ("preventive", "predictive") and policy.kind != name:
+            raise ValidationError(
+                f"policies.{name} is of kind {policy.kind!r}, but the name {name!r} is reserved for kind {name!r}"
+            )
+        if policy.maint_duration_s >= breakdown.repair_duration_s:
+            raise ValidationError(
+                f"policies.{name}: maint_duration_s {policy.maint_duration_s} must be shorter than "
+                f"repair_duration_s {breakdown.repair_duration_s}"
+            )
     outcomes = {name: run_policy(plan, injections, pol, econ, seed, breakdown) for name, pol in policies.items()}
     return ComparisonReport(1, outcomes)
 
@@ -546,6 +549,8 @@ def format_comparison(report: ComparisonReport) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A scenario file; build_policies only reads its policies, and compare_policies gates the comparison."""
+
     schema_version: Literal[1]
     policies: dict  # name -> JSON policy object, read by build_policies with the model bound
     description: str = ""
@@ -555,14 +560,7 @@ class Scenario:
     breakdown: BreakdownRule = BreakdownRule()  # the one plant every policy runs on
 
     def build_policies(self, model=None, lag_spec: LagSpec | None = None) -> dict[str, PolicyConfig]:
-        policies = {}
-        for name, doc in self.policies.items():
-            policy = from_dict(PolicyConfig, doc, f"scenario.policies.{name}", model=model, lag_spec=lag_spec)
-            if name in ("preventive", "predictive") and policy.kind != name:
-                raise ValidationError(
-                    f"scenario.policies.{name} is of kind {policy.kind!r}, "
-                    f"but the name {name!r} is reserved for a policy of kind {name!r}"
-                )
-            self.breakdown.check_repair_dominates(policy, f"scenario.policies.{name}")
-            policies[name] = policy
-        return policies
+        return {
+            name: from_dict(PolicyConfig, doc, f"scenario.policies.{name}", model=model, lag_spec=lag_spec)
+            for name, doc in self.policies.items()
+        }

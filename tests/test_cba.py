@@ -408,6 +408,17 @@ def test_bridge_requires_both_policies():
         bridge_from_simulation(report, 1.0, [], 0.0)
 
 
+@pytest.mark.parametrize(
+    "revenue_rate, unit_cost, name, price",
+    [(-5.0, 0.0, "revenue_rate", "-5.0"), (math.nan, 0.0, "revenue_rate", "nan"),
+     (1.0, -3.0, "unit_maintenance_cost", "-3.0"), (None, math.inf, "unit_maintenance_cost", "inf")],
+)
+def test_bridge_refuses_a_negative_or_non_finite_price(revenue_rate, unit_cost, name, price):
+    # a negative price would turn a loss into a saving: -5.0 x -300 s of downtime avoided is +1,500
+    with pytest.raises(ValidationError, match=f"^{name} must be a finite number >= 0, got {price}$"):
+        bridge_from_simulation(comparison(1800, 1500, 3, 4), revenue_rate, [], unit_cost)
+
+
 def reference_bridge_amounts(prev, pred, revenue_rate, unit_cost):
     """The two bridged amounts computed straight from the outcomes, as the bridge did before it read the deltas."""
     if revenue_rate is None:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pdmecon
-from pdmecon import cli
+from pdmecon import cli, plantsim
 
 RUN = [sys.executable, "-m", "pdmecon"]
 
@@ -629,13 +629,13 @@ MALFORMED = [
     ("scenario-policy-breakdown", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "policies", "preventive", "breakdown", value={"repair_duration_s": 6000}),
      "error: unknown field scenario.policies.preventive.breakdown"),
-    # refused while the policies are read, before either one runs
+    # refused by compare_policies, before either policy runs
     ("scenario-repair-as-short-as-maintenance", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "breakdown", "repair_duration_s", value=300),
-     "error: scenario.policies.preventive: maint_duration_s 300 must be shorter than repair_duration_s 300"),
+     "error: policies.preventive: maint_duration_s 300 must be shorter than repair_duration_s 300"),
     ("scenario-repair-shorter-than-predictive-maintenance", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "policies", "predictive", "maint_duration_s", value=2000),
-     "error: scenario.policies.predictive: maint_duration_s 2000 must be shorter than repair_duration_s 1800"),
+     "error: policies.predictive: maint_duration_s 2000 must be shorter than repair_duration_s 1800"),
     ("scenario-zero-cycle", "simulate", "--scenario",
      lambda d: edited(small_scenario(), "policies", "preventive", "cycle_s", value=0),
      "error: scenario.policies.preventive: cycle_s and maint_duration_s must be >= 1"),
@@ -802,14 +802,15 @@ MALFORMED = [
         for name, flag in [("synth", "--plan"), ("train", "--hyperparams"), ("simulate", "--scenario"),
                            ("cba", "--ledger"), ("simulate", "--model"), ("cba", "--bridge")]
     ],
+    # refused by bridge_from_simulation, naming its price
     ("cba-revenue-rate-negative", "cba", "--revenue-rate", lambda d: FlagValue("-2"),
-     "--revenue-rate must be a finite number >= 0, got -2.0"),
+     "error: revenue_rate must be a finite number >= 0, got -2.0"),
     ("cba-revenue-rate-nan", "cba", "--revenue-rate", lambda d: FlagValue("nan"),
-     "--revenue-rate must be a finite number >= 0, got nan"),
+     "error: revenue_rate must be a finite number >= 0, got nan"),
     ("cba-unit-cost-negative", "cba", "--unit-maintenance-cost", lambda d: FlagValue("-10"),
-     "--unit-maintenance-cost must be a finite number >= 0, got -10.0"),
+     "error: unit_maintenance_cost must be a finite number >= 0, got -10.0"),
     ("cba-unit-cost-infinite", "cba", "--unit-maintenance-cost", lambda d: FlagValue("inf"),
-     "--unit-maintenance-cost must be a finite number >= 0, got inf"),
+     "error: unit_maintenance_cost must be a finite number >= 0, got inf"),
     # the comparison's downtime avoided is -5 s, its maintenance avoided 2 in cba-maintained
     ("cba-revenue-rate-overflows", "cba", "--revenue-rate", lambda d: FlagValue("1e308"),
      "error: revenue_rate 1e+308 x downtime_avoided_s -5 is beyond float64 range"),
@@ -999,19 +1000,48 @@ def test_csv_the_loader_refuses_exits_1_naming_the_file(tmp_path, text, expected
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_scenario_with_swapped_policy_names_exits_1_before_any_policy_runs(tmp_path, inputs):
+def never_called(*args, **kwargs):
+    raise AssertionError("a policy ran")
+
+
+def test_scenario_with_swapped_policy_names_exits_1_before_any_policy_runs(tmp_path, inputs, monkeypatch):
     scenario = small_scenario()
     policies = scenario["policies"]
     scenario["policies"] = {"preventive": policies["predictive"], "predictive": policies["preventive"]}
     (tmp_path / "swapped.json").write_text(json.dumps(scenario))
     out = tmp_path / "out"
+    monkeypatch.setattr(plantsim, "run_policy", never_called)  # a call would exit 2
     code, err = run_main(with_flag(command(inputs, "simulate", out), "--scenario", tmp_path / "swapped.json"))
     assert code == 1, err
     assert (
-        "error: scenario.policies.preventive is of kind 'predictive', "
-        "but the name 'preventive' is reserved for a policy of kind 'preventive'"
+        "error: policies.preventive is of kind 'predictive', "
+        "but the name 'preventive' is reserved for kind 'preventive'"
     ) in err, err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_corrective_third_policy_keeps_the_pairs_deltas(tmp_path, inputs, monkeypatch):
+    # corrective maintenance: a preventive cycle longer than the run, so the plant runs to failure
+    scenario = small_scenario()
+    scenario["policies"]["corrective"] = {"kind": "preventive", "cycle_s": 10**6, "maint_duration_s": 300}
+    (tmp_path / "three.json").write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    code, err = run_main(with_flag(command(inputs, "simulate", out), "--scenario", tmp_path / "three.json"))
+    assert code == 0, err
+    comparison, pair = json.loads((out / "comparison.json").read_text()), comparison_doc(inputs)
+    assert sorted(comparison["outcomes"]) == ["corrective", "predictive", "preventive"]
+    assert comparison["deltas"] == pair["deltas"]
+    assert {name: comparison["outcomes"][name] for name in pair["outcomes"]} == pair["outcomes"]
+    corrective = comparison["outcomes"]["corrective"]
+    assert (corrective["maintenance_count"], corrective["breakdown_count"]) == (0, 1)  # the spike breaks the plant
+
+    scenario["policies"]["corrective"]["maint_duration_s"] = scenario["breakdown"]["repair_duration_s"]
+    (tmp_path / "moot.json").write_text(json.dumps(scenario))
+    monkeypatch.setattr(plantsim, "run_policy", never_called)  # refused before any policy runs
+    moot = with_flag(command(inputs, "simulate", tmp_path / "moot"), "--scenario", tmp_path / "moot.json")
+    code, err = run_main(moot)
+    assert code == 1, err
+    assert "error: policies.corrective: maint_duration_s 1800 must be shorter than repair_duration_s 1800" in err, err
 
 
 def test_policies_named_outside_the_pair_run_without_deltas(tmp_path, inputs):

@@ -284,11 +284,11 @@ def test_monotone_economics_in_repair_duration():
 
 
 def test_compare_identical_policies_zero_deltas():
-    plan = quiet_plan(duration=1000)
-    policy = preventive(cycle=400)
-    report = compare_policies(
-        plan, [], {"preventive": policy, "predictive": policy}, EconParams(), seed=0, breakdown=RULE
-    )
+    # no fault and a flat 30 kPa: the cycle outlasts the run and the forecast never crosses 40 kPa,
+    # so neither policy stops the plant and their outcomes are equal
+    policies = {"preventive": preventive(cycle=2000), "predictive": predictive()}
+    report = compare_policies(quiet_plan(duration=1000), [], policies, EconParams(), seed=0, breakdown=RULE)
+    assert report.outcomes["preventive"] == report.outcomes["predictive"]
     assert report.deltas == Deltas(downtime_avoided_s=0, maintenance_avoided=0, revenue_delta=0.0)
 
 
@@ -297,11 +297,51 @@ def test_compare_requires_two_policies():
         compare_policies(quiet_plan(100), [], {"only": preventive()}, EconParams(), seed=0, breakdown=RULE)
 
 
+@st.composite
+def policy_set(draw):
+    """A repair duration and 1-4 policies under reserved or free names, of either kind (a reserved name's own
+    kind more often), each maintenance within a few seconds of the repair."""
+    repair = draw(st.integers(2, 60))
+    names = st.sampled_from(["preventive", "predictive", "corrective", "forecast"])
+    policies = {}
+    for name in draw(st.lists(names, min_size=1, max_size=4, unique=True)):
+        kinds = ["preventive", "predictive"] + [name] * 2 * (name in ("preventive", "predictive"))
+        maint = max(1, repair + draw(st.integers(-4, 1)))
+        kind = draw(st.sampled_from(kinds))
+        policies[name] = preventive(cycle=50, maint=maint) if kind == "preventive" else predictive(maint=maint)
+    return repair, policies
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(policy_set())
+def test_compare_refuses_exactly_the_sets_that_break_a_rule_before_any_run(case):
+    repair, policies = case
+    rule = replace(RULE, repair_duration_s=repair)
+    mislabelled = [name for name, p in policies.items() if name in ("preventive", "predictive") and p.kind != name]
+    moot = [name for name, p in policies.items() if p.maint_duration_s >= repair]
+    if len(policies) < 2 or mislabelled or moot:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(plantsim, "run_policy", lambda *args, **kwargs: pytest.fail("a policy ran"))
+            with pytest.raises(ValidationError) as refused:
+                compare_policies(quiet_plan(100), [], policies, breakdown=rule)
+        first = next((name for name in policies if name in mislabelled or name in moot), None)
+        expected = f"policies.{first}" if len(policies) >= 2 else "compare_policies needs at least 2 policies"
+        assert str(refused.value).startswith(expected), refused.value
+    else:
+        report = compare_policies(quiet_plan(100), [], policies, breakdown=rule)
+        assert list(report.outcomes) == list(policies)
+
+
 def test_policy_validation():
-    # the plant's repairs must outlast every policy's maintenance, whoever calls run_policy
-    for policy in (preventive(maint=500), predictive(maint=500)):
-        with pytest.raises(ValidationError, match=f"^{policy.kind} policy: maint_duration_s 500 must be shorter than"):
-            run_policy(quiet_plan(100), [], policy, breakdown=replace(RULE, repair_duration_s=500))
+    # a comparison needs the plant's repairs to outlast every policy's maintenance; a single run does not
+    rule = replace(RULE, repair_duration_s=500)
+    for policy in (preventive(cycle=50, maint=500), predictive(maint=500)):
+        policies = {"calendar": preventive(maint=100), "long": policy}
+        with pytest.raises(ValidationError, match="^policies.long: maint_duration_s 500 must be shorter than"):
+            compare_policies(quiet_plan(100), [], policies, breakdown=rule)
+    outcome = run_policy(quiet_plan(700), [], preventive(cycle=50, maint=500), breakdown=rule)
+    assert (outcome.maintenance_count, outcome.downtime_s) == (2, 600)  # 50-549 down, 550-599 up, 600-699 down
+    assert outcome.uptime_s + outcome.downtime_s == 700
     with pytest.raises(ValidationError, match="below"):
         PredictivePolicy(
             model=persistence_model(),

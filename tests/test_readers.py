@@ -8,13 +8,14 @@ intended: an item without an `amount` may be refused as "... is required" or
 for another fault of the same item, where the reference always named the
 missing amount first; and an injections file names its array `injections` in
 both of its forms, where the reference named it `injections.injections`.
-The scenario reference also refuses a policy named `preventive` or `predictive`
-of the other kind, and a policy whose maintenance lasts as long as the
-scenario's repair, as `Scenario.build_policies` does, and the comparison
-reference builds the one class, `ComparisonReport`, that writes the file. It
-also spells out the derived-field rule that from_dict applies to every class:
-uptime_s, revenue_units and deltas may be left out, and a value the file
-states must be the one the other fields give.
+Neither scenario reader judges the policies as a set: a policy named
+`preventive` or `predictive` of the other kind, or one whose maintenance lasts
+as long as the scenario's repair, is refused by `compare_policies`, not when
+the file is read. The comparison reference builds the one class,
+`ComparisonReport`, that writes the file. It also spells out the derived-field
+rule that from_dict applies to every class: uptime_s, revenue_units and deltas
+may be left out, and a value the file states must be the one the other fields
+give.
 """
 
 import copy
@@ -104,15 +105,9 @@ class _ScenarioDoc:
 def reference_scenario(path, model, lag_spec):
     doc = from_dict(_ScenarioDoc, load_json(path, "scenario"), "scenario")
     injections = [injection_from_dict(d, f"scenario.injections[{i}]") for i, d in enumerate(doc.injections)]
-    policies = {}
-    for name, d in doc.policies.items():
-        policies[name] = policy_from_dict(d, model, lag_spec, f"scenario.policies.{name}")
-        if name in ("preventive", "predictive") and policies[name].kind != name:
-            raise ValidationError(
-                f"scenario.policies.{name} is of kind {policies[name].kind!r}, "
-                f"but the name {name!r} is reserved for a policy of kind {name!r}"
-            )
-        doc.breakdown.check_repair_dominates(policies[name], f"scenario.policies.{name}")
+    policies = {
+        name: policy_from_dict(d, model, lag_spec, f"scenario.policies.{name}") for name, d in doc.policies.items()
+    }
     return doc.plan, injections, policies, doc.econ, doc.breakdown
 
 
