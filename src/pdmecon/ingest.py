@@ -9,10 +9,14 @@ without imputation. IngestReport holds the counts, is written by its fields as
 ingest_report.json, and derives rows_retained from them.
 
 The file is read in blocks of BLOCK_ROWS rows, a whole column at a time.
-Timestamp cells of exactly the shape YYYY-MM-DDThh:mm:ss (ISO8601), DD/MM/YYYY
-hh:mm:ss or DD/MM/YYYY hh:mm are parsed in one vectorised pass per block; every
-other cell is tried against the configured formats in order, and the first
-format that matches decides.
+A block whose lines hold no quote and one comma fewer than the header has cells
+is split at its commas and line ends in one pass, each column a strided slice of
+the cells; a block of blank or wrong-width lines, and every block from the first
+quote on, is read by the csv module instead. Timestamp cells of exactly the
+shape YYYY-MM-DDThh:mm:ss (ISO8601), DD/MM/YYYY hh:mm:ss or DD/MM/YYYY hh:mm
+are parsed by arithmetic on columns of character codes; every other cell is
+tried against the configured formats in order, and the first format that
+matches decides.
 
 Assumptions:
 - Header row is mandatory; the first column is the timestamp, and every
@@ -28,12 +32,14 @@ Assumptions:
 from __future__ import annotations
 
 import csv
+import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -108,6 +114,8 @@ class IngestConfig:
 
     timestamp_formats are tried in order per cell; entries are either the
     ISO8601 sentinel, the EPOCH_SECONDS sentinel, or strptime patterns.
+    A sentinel token is matched against stripped cells, so it may not begin
+    or end with whitespace.
     """
 
     sentinel_tokens: tuple[str, ...] = ("Bad Input",)
@@ -116,6 +124,12 @@ class IngestConfig:
     def __post_init__(self):
         if not self.timestamp_formats:
             raise ValidationError("at least one timestamp format is required")
+        for i, token in enumerate(self.sentinel_tokens):
+            if token != token.strip():
+                raise ValidationError(
+                    f"sentinel_tokens[{i}] {json.dumps(token)} begins or ends with whitespace, "
+                    "so it can never match: cells are stripped before they are matched"
+                )
 
 
 def _parse_timestamp(text: str, formats: tuple[str, ...]) -> int | None:
@@ -144,23 +158,27 @@ def _parse_timestamp(text: str, formats: tuple[str, ...]) -> int | None:
 _TEMPLATES = {
     ISO8601: "YYYY-MM-DDThh:mm:ss", "%d/%m/%Y %H:%M:%S": "DD/MM/YYYY hh:mm:ss", "%d/%m/%Y %H:%M": "DD/MM/YYYY hh:mm"
 }
+_TEMPLATE_WIDTH = max(map(len, _TEMPLATES.values()))
 
 
-def _template_epochs(cells: list[str], template: str) -> tuple[np.ndarray, np.ndarray]:
-    """(hit, epochs): which cells have exactly the template's shape and name a real time, and those times."""
-    n, width = len(cells), len(template)
-    codes = np.array(cells, dtype=f"U{width}").view(np.uint32).reshape(n, width)
-    digit = np.array([c in "YMDhms" for c in template])
-    shape = np.where(digit, (codes >= 48) & (codes <= 57), codes == [ord(c) for c in template])
+def _template_epochs(codes: np.ndarray, lengths: np.ndarray, template: str) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, epochs) for cells given as rows of character codes and their Python lengths: which cells
+    have exactly the template's shape and name a real time, and those times."""
     # by Python length: a U array drops trailing NULs, so it cannot tell "...:00" from "...:00\x00"
-    hit = shape.all(axis=1) & (np.fromiter(map(len, cells), np.intp, n) == width)
-    digits = np.where(hit[:, None] & digit, codes - 48, 0)
-
-    def field(letter: str) -> np.ndarray:
-        pos = [i for i, c in enumerate(template) if c == letter]
-        return digits[:, pos] @ 10 ** np.arange(len(pos) - 1, -1, -1) if pos else np.zeros(n, np.int64)
-
-    year, month, day, hour, minute, second = map(field, "YMDhms")
+    hit = lengths == len(template)
+    fields = dict.fromkeys("YMDhms", 0)
+    for i, c in enumerate(template):  # the separators first, so that a column of another shape is soon done
+        if c not in fields:
+            hit &= codes[:, i] == ord(c)
+    if not hit.any():
+        return hit, np.zeros(len(hit), np.int64)
+    for i, c in enumerate(template):
+        if c in fields:
+            digit = codes[:, i] - 48  # uint32, so a code below "0" wraps far past 9
+            hit &= digit <= 9
+            fields[c] = fields[c] * 10 + digit
+    # the fields of a cell that misses are zeroed, so that no stray code reaches the month arithmetic
+    year, month, day, hour, minute, second = (np.where(hit, fields[c], 0).astype(np.int64) for c in "YMDhms")
     months = (year - 1970) * 12 + month - 1
     first, after = ((months + k).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) for k in (0, 1))
     hit &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= after - first)
@@ -170,14 +188,25 @@ def _template_epochs(cells: list[str], template: str) -> tuple[np.ndarray, np.nd
 
 def _parse_timestamps(cells: list[str], formats: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(ok, epochs) for a column of cells, as _parse_timestamp gives them one by one: the cells of a
-    built-in shape in one pass per shape, while only built-ins and EPOCH_SECONDS precede its format."""
-    ok, epochs = np.zeros(len(cells), bool), np.zeros(len(cells), np.int64)
+    built-in shape by column arithmetic, while only built-ins and EPOCH_SECONDS precede its format,
+    each shape reading only the cells that no earlier one matched; every other cell one by one."""
+    n = len(cells)
+    ok, epochs = np.zeros(n, bool), np.zeros(n, np.int64)
+    templates = []
     for fmt in formats:
         if fmt not in _TEMPLATES and fmt != EPOCH_SECONDS:
             break
-        if fmt in _TEMPLATES and not ok.all():
-            hit, stamps = _template_epochs(cells, _TEMPLATES[fmt])
-            ok, epochs = ok | hit, np.where(hit, stamps, epochs)
+        if fmt in _TEMPLATES:
+            templates.append(_TEMPLATES[fmt])
+    if templates and n:
+        codes = np.array(cells, dtype=f"U{_TEMPLATE_WIDTH}").view(np.uint32).reshape(n, _TEMPLATE_WIDTH)
+        lengths = np.fromiter(map(len, cells), np.intp, n)
+        todo = np.arange(n)
+        for template in templates:
+            hit, stamps = _template_epochs(codes[todo], lengths[todo], template)
+            ok[todo[hit]], epochs[todo[hit]] = True, stamps[hit]
+            if not len(todo := todo[~hit]):
+                break
     for i in np.flatnonzero(~ok):
         ts = _parse_timestamp(cells[i], formats)
         if ts is not None:
@@ -212,28 +241,107 @@ def _row_fault(row: list[str], names: list[str], formats: tuple[str, ...]) -> st
     return ": non-finite value"
 
 
-def _lines(path: Path):
-    """The file's lines, read as they are parsed; a file that cannot be opened,
-    read or decoded as UTF-8 is an IngestError naming it."""
+@contextmanager
+def _reading(path: Path):
+    """The file, open for reading; a file that cannot be opened, read or decoded
+    as UTF-8 is an IngestError naming it."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            yield from fh
+            yield fh
     except FileNotFoundError:
         raise IngestError(f"file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
 
 
+def _lines(path: Path):
+    """The file's lines, read as they are parsed."""
+    with _reading(path) as fh:
+        yield from fh
+
+
+class _Block(NamedTuple):
+    """Up to BLOCK_ROWS records of the file, blank lines included."""
+
+    records: int
+    full: np.ndarray  # the record index of each row of the header's width
+    columns: list[list[str]]  # the stripped cells of those rows, column by column
+    odd: list[tuple[int, list[str]]]  # record index and raw cells of each row of another width, blank lines left out
+    text: str | None  # the block's text when it was split, else None
+
+
+# the ASCII characters that str.strip removes, line ends aside
+_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace() and c not in "\r\n")
+
+
+def _split_block(text: str, records: int, width: int) -> _Block | None:
+    """The text of a block's lines, free of quotes, tokenised with one split; None unless every
+    line holds width cells."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    # each line end becomes a cell of its own, which must come after every width cells
+    cells = text.replace("\n", ",\n,").split(",")
+    if len(cells) != records * (width + 1) + 1 or cells[width :: width + 1].count("\n") != records:
+        return None
+    columns = [cells[j : -1 : width + 1] for j in range(width)]
+    if not text.isascii() or any(map(text.__contains__, _SPACE)):
+        columns = [list(map(str.strip, col)) for col in columns]
+    return _Block(records, np.arange(records), columns, [], text)
+
+
+def _row_block(rows: list[list[str]], width: int) -> _Block:
+    """A block of rows as the csv module read them."""
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    full = np.flatnonzero(lengths == width)
+    columns = [list(map(str.strip, col)) for col in zip(*map(rows.__getitem__, full))] or [[]] * width
+    odd = [(i, rows[i]) for i in np.flatnonzero((lengths != width) & (lengths > 0)).tolist()]
+    return _Block(len(rows), full, columns, odd, None)
+
+
 def _blocks(path: Path):
-    """The file's header row (None if it has none), then its rows in lists of up to
-    BLOCK_ROWS; a line the csv module cannot parse is an IngestError naming the file and line."""
-    reader = csv.reader(_lines(path))
-    try:
-        yield next(reader, None)
-        while block := list(islice(reader, BLOCK_ROWS)):
-            yield block
-    except csv.Error as exc:
-        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+    """The file's header row (None if it has none), then its records in _Blocks of up to BLOCK_ROWS.
+
+    A block of lines that hold no quote, each with one comma fewer than the header has
+    cells and none longer than the csv field limit, is split at its commas and line ends
+    in one pass; any other block is read by the csv module, and so is every block from
+    the first quote on, as a quoted cell may span lines. A line the csv module cannot
+    parse is an IngestError naming the file and its line."""
+    with _reading(path) as fh:
+        reader, lines_before = csv.reader(fh), 0
+        try:
+            header = next(reader, None)
+            yield header
+            if header is None:
+                return
+            width, limit, lines_before = len(header), csv.field_size_limit(), reader.line_num
+            while lines := list(islice(fh, BLOCK_ROWS)):
+                if '"' in (text := "".join(lines)):
+                    break
+                block = max(map(len, lines)) <= limit and _split_block(text, len(lines), width)
+                if not block:
+                    reader = csv.reader(lines)
+                    block = _row_block(list(reader), width)
+                yield block
+                lines_before += len(lines)
+            reader = csv.reader(chain(lines, fh))
+            while rows := list(islice(reader, BLOCK_ROWS)):
+                yield _row_block(rows, width)
+        except csv.Error as exc:
+            raise IngestError(f"{path}: line {lines_before + reader.line_num}: {exc}") from None
+
+
+def _sentinel_rows(columns: list[list[str]], tokens: set[str]) -> np.ndarray:
+    """Which rows hold a sentinel token in some column; each column is scanned in C, once
+    to count a token's cells and once more to find them."""
+    rows = np.zeros(len(columns[0]), bool)
+    for col in columns:
+        for token in tokens:
+            i = -1
+            for _ in range(col.count(token)):
+                rows[i := col.index(token, i + 1)] = True
+    return rows
 
 
 def load_historian_csv(
@@ -275,31 +383,32 @@ def load_historian_csv(
     stamps, values = [np.zeros(0, np.int64)], [np.zeros((width - 1, 0))]
     rows_read = dropped_sentinel = dropped_unparseable = 0
     first_failure: str | None = None
-    lineno = 2  # the number of the block's first row; blank rows are numbered too
+    lineno = 2  # the number of the block's first record; blank lines are numbered too
     for block in blocks:
-        lengths = np.fromiter(map(len, block), np.intp, len(block))
-        full = np.flatnonzero(lengths == width)
-        columns = [list(map(str.strip, col)) for col in zip(*(block[i] for i in full))] or [[]] * width
-        sentinel = np.zeros(len(full), bool)
-        for col in columns:
-            if not tokens.isdisjoint(col):
-                sentinel |= np.fromiter(map(tokens.__contains__, col), bool, len(full))
+        n, columns = len(block.full), block.columns
+        # a split cell holds no comma or line end, so no token can equal one unless it is in the text
+        if block.text is None or any(map(block.text.__contains__, tokens)):
+            sentinel = _sentinel_rows(columns, tokens)
+        else:
+            sentinel = np.zeros(n, bool)
         ok, epochs = _parse_timestamps(columns[0], formats)
-        readings = np.array([_floats(col) for col in columns[1:]]).reshape(width - 1, len(full))
+        readings = np.array([_floats(col) for col in columns[1:]], np.float64).reshape(width - 1, n)
         ok &= np.isfinite(readings).all(axis=0) & ~sentinel
         stamps.append(epochs[ok])
         values.append(readings[:, ok])
-        # rare: rows of the wrong width; a blank line has no cells and is not a data row
-        odd = np.flatnonzero((lengths != width) & (lengths > 0))
-        odd_sentinel = np.array([not tokens.isdisjoint(c.strip() for c in block[i]) for i in odd], bool)
-        failed = np.concatenate([full[~ok & ~sentinel], odd[~odd_sentinel]])
-        rows_read += len(full) + len(odd)
-        dropped_sentinel += int(sentinel.sum() + odd_sentinel.sum())
-        dropped_unparseable += len(failed)
-        if first_failure is None and len(failed):
-            i = int(failed.min())
-            first_failure = f"line {lineno + i}{_row_fault(block[i], names, formats)}"
-        lineno += len(block)
+        # rare: rows of the wrong width
+        odd_sentinel = [not tokens.isdisjoint(map(str.strip, row)) for _, row in block.odd]
+        failed = ~ok & ~sentinel
+        rows_read += n + len(block.odd)
+        dropped_sentinel += int(sentinel.sum()) + sum(odd_sentinel)
+        dropped_unparseable += int(failed.sum()) + odd_sentinel.count(False)
+        if first_failure is None:
+            faults = [(int(block.full[i]), [col[i] for col in columns]) for i in np.flatnonzero(failed)[:1]]
+            faults += [odd for odd, s in zip(block.odd, odd_sentinel) if not s][:1]
+            if faults:
+                i, row = min(faults)
+                first_failure = f"line {lineno + i}{_row_fault(row, names, formats)}"
+        lineno += block.records
 
     if rows_read == 0:
         raise IngestError(f"{path}: header-only file, no data rows")

@@ -590,6 +590,9 @@ MALFORMED = [
     ("ingest-sentinels-number", "ingest", "--config", lambda d: {"sentinel_tokens": 5},
      "ingest config.sentinel_tokens"),
     ("ingest-unknown-field", "ingest", "--config", lambda d: {"bogus": 1}, "bogus"),
+    # cells are stripped before they are matched, so this token could never match one
+    ("ingest-sentinel-padded", "ingest", "--config", lambda d: {"sentinel_tokens": ["N/A", " Bad"]},
+     'error: ingest config: sentinel_tokens[1] " Bad" begins or ends with whitespace'),
     ("hyperparams-string", "train", "--hyperparams", lambda d: {"forest": {"n_trees": "3"}},
      "hyperparameters.forest.n_trees"),
     ("hyperparams-number", "train", "--hyperparams", lambda d: {"forest": 3}, "hyperparameters.forest"),

@@ -194,10 +194,18 @@ def test_header_with_an_empty_channel_name_rejected(tmp_path, header, column):
     assert _load_or_error(reference_load, path, None) == expected
 
 
-@pytest.mark.parametrize("line", [1, 3])
-def test_cell_beyond_the_csv_field_limit_is_an_ingest_error(tmp_path, line):
+@pytest.mark.parametrize(
+    "line, quoted",
+    [(1, None), (3, None), (15, None), (12, 5)],
+    ids=["1", "3", "15-past-the-first-block", "12-after-a-quoted-cell-on-lines-5-and-6"],
+)
+def test_cell_beyond_the_csv_field_limit_is_an_ingest_error(tmp_path, small_blocks, line, quoted):
+    # the error names the file line, whether the line was split or read by the csv module,
+    # and a quoted cell that spans two lines makes that differ from the row's number
     limit = csv.field_size_limit()
-    lines = ["Timestamp,P1", "2020-02-26T15:44:00,1.0", "2020-02-26T15:44:01,2.0"]
+    lines = ["Timestamp,P1"] + [f"2020-02-26T15:44:{s:02d},{s}.0" for s in range(20)]
+    if quoted:
+        lines[quoted - 1 : quoted + 1] = [f'2020-02-26T15:44:{quoted:02d},"{quoted}.0', '"']
     lines[line - 1] = lines[line - 1][:-1] + "1" * limit
     path = write_csv(tmp_path / "t.csv", lines)
     with pytest.raises(IngestError, match=f"^{path}: line {line}: field larger than field limit \\({limit}\\)$"):
@@ -270,6 +278,15 @@ def test_custom_sentinels(tmp_path):
     frame, report = load_historian_csv(path, config)
     assert report.rows_dropped_sentinel == 1
     assert frame.n_rows == 1
+
+
+@pytest.mark.parametrize("tokens, i", [((" Bad",), 0), (("N/A", "Bad Input\t"), 1), (("\u00a0N/A",), 0)])
+def test_sentinel_token_that_cannot_match_a_stripped_cell_refused(tokens, i):
+    # cells are stripped before they are matched, so such a token would only ever
+    # count its rows as unparseable
+    with pytest.raises(ValidationError, match=rf"^sentinel_tokens\[{i}\] .* begins or ends with whitespace"):
+        IngestConfig(sentinel_tokens=tokens)
+    assert IngestConfig(sentinel_tokens=("Bad Input", "", "N / A")).sentinel_tokens == ("Bad Input", "", "N / A")
 
 
 def test_roundtrip_identity(tmp_path):
@@ -465,19 +482,32 @@ FORMAT_ORDERS = [
     ("%d/%m/%Y %H:%M", "%d/%m/%Y %H:%M:%S", EPOCH_SECONDS),
     ("%d/%m/%Y %H:%M:%S", "%Y-%m-%d %H:%M:%S", "%d/%m/%Y %H:%M"),
 ]
-padding = st.sampled_from(["", "", " ", " \t"])
+padding = st.sampled_from(["", "", " ", " \t", "\u2003"])  # an em space is whitespace too, if not ASCII
 odd_stamps = st.sampled_from(ODD_STAMPS) | st.text("0123456789-/:T .Z\x00٣", max_size=20)
 odd_values = st.sampled_from(ODD_VALUES) | st.floats().map(repr) | st.text("0123456789.e+-naif \x00١", max_size=6)
 
 
+QUOTED_VALUES = ["1,5", 'say "hi"', '""']  # cells that only quotes let hold a comma or a quote
+line_layouts = st.tuples(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=2).map(tuple), st.booleans())
+LF = (("\n",), True)  # every line ends with "\n", the last one too
+
+
+def quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
 @st.composite
 def dirty_exports(draw):
-    """(channels, rows): rows of increasing times in mixed shapes, odd cells and wrong widths."""
+    """(channels, rows): rows of increasing times in mixed shapes, odd cells and wrong widths, each
+    row as the cells written. Full-width rows come in runs around blank and wrong-width rows, and a
+    few exports quote some cells, some holding a comma, a doubled quote or a line end, so that one
+    cell spans two lines."""
     channels = draw(st.integers(1, 3))
     base = draw(st.integers(EPOCH_MIN, EPOCH_MAX - 61 * 40))
+    odd_in_9, quoted_in_40 = draw(st.sampled_from([0, 1, 3])), draw(st.sampled_from([0, 0, 0, 1, 4]))
     rows = []
     for i in range(draw(st.integers(0, 14))):
-        width = draw(st.sampled_from([channels + 1] * 6 + [0, 1, channels + 2]))
+        width = channels + 1 if draw(st.integers(1, 9)) > odd_in_9 else draw(st.sampled_from([0, 1, channels + 2]))
         if width == 0:
             rows.append([])
             continue
@@ -485,7 +515,9 @@ def dirty_exports(draw):
         stamp = draw(st.sampled_from(_renderings(base + 61 * i)) if draw(st.integers(0, 3)) else odd_stamps)
         cells = [stamp] + [draw(st.floats(-1e6, 1e6).map(repr) if draw(st.integers(0, 5)) else odd_values)
                            for _ in range(width - 1)]
-        rows.append([draw(padding) + c + draw(padding) for c in cells])
+        cells = [draw(padding) + c + draw(padding) for c in cells]
+        rows.append([quoted(draw(st.sampled_from([c, c + "\n", c + "\r\n", *QUOTED_VALUES])))
+                     if draw(st.integers(1, 40)) <= quoted_in_40 else c for c in cells])
     return channels, rows
 
 
@@ -503,32 +535,53 @@ def small_blocks(monkeypatch):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(export=dirty_exports(), formats=st.sampled_from(FORMAT_ORDERS), tokens=st.sampled_from([("Bad Input",), ("N/A", "oops")]))
+@given(export=dirty_exports(), formats=st.sampled_from(FORMAT_ORDERS), tokens=st.sampled_from([("Bad Input",), ("N/A", "oops")]),
+       layout=line_layouts)
 @example(export=(1, [["2020-02-26T15:44:00", "1.0"], ["2020-02-26T15:44:01", "Bad Input", "2"]]),
-         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=LF)
 @example(export=(2, [[" 2020-02-26T15:44:00 ", "\t1.0 ", " 2"], ["2020-02-26T15:44:01", "1.5\x00", "2"]]),
-         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=LF)
 @example(export=(1, [["2020-02-26T15:44:00\x00", "1.0"], ["26/02/2020 15:44:0\x00", "2"], ["2020-02-26T15:44:02", "3"]]),
-         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=LF)
 @example(export=(1, [["٢٠٢٠-02-26T15:44:00", "١٢"], ["٢٦/02/2020 15:45:00", "１２"], ["２６/02/2020 15:46", "3"]]),
-         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=LF)
 @example(export=(1, [["29/02/2020 00:00:00", "1"], ["29/02/2021 00:00:00", "2"], ["2024-02-29T00:00:00", "3"]]),
-         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=LF)
 @example(export=(1, [["2020-02-26T15:44:60", "1"], ["0000-01-01T00:00:00", "2"], ["26/2/2020 15:44", "3"]]),
-         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=LF)
 @example(export=(1, [["1582731840", "1"], ["2020-02-26T15:44:01", "2"], ["2020-02-26 15:44:02", "3"]]),
-         formats=(EPOCH_SECONDS, ISO8601), tokens=("Bad Input",))
+         formats=(EPOCH_SECONDS, ISO8601), tokens=("Bad Input",), layout=LF)
 @example(export=(1, [["2020-02-26 15:44:00", "1"], ["2020-02-26T15:44:01", "2"], ["2020-02-26T15:44:01", "3"]]),
-         formats=("%Y-%m-%d %H:%M:%S", ISO8601), tokens=("Bad Input",))
+         formats=("%Y-%m-%d %H:%M:%S", ISO8601), tokens=("Bad Input",), layout=LF)
 @example(export=(1, [["week 4", "1"], ["31/02/2026 25:61:00", "2"], [], ["2020-02-26T15:44:00", "x", "y"]]),
-         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",))
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=LF)
 @example(export=(1, [["2020-05-06T00:00:00", "1"], ["2020-06-07T00:00:00", "2"], ["2020-07-30T00:00:00", "3"]]),
-         formats=("%Y-%d-%mT%H:%M:%S", ISO8601), tokens=("Bad Input",))
-def test_loader_matches_row_by_row_reference(tmp_path, small_blocks, export, formats, tokens):
+         formats=("%Y-%d-%mT%H:%M:%S", ISO8601), tokens=("Bad Input",), layout=LF)
+@example(export=(1, [["2020-02-26T15:44:00", '"1,5"'], ["2020-02-26T15:44:01", '"say ""hi"""'],
+                     ['"2020-02-26T15:44:02\n"', '" 3.0\r\n"'], ["2020-02-26T15:44:03", "4"], ["2020-02-26T15:44:04", "5"],
+                     ["2020-02-26T15:44:05", "6"], ["2020-02-26T15:44:06", "7"], ["2020-02-26T15:44:07", "x"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=(("\r\n",), True))
+@example(export=(2, [[f"2020-02-26T15:44:0{i}", "1", f" {i}.5"] for i in range(8)]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=(("\r",), False))
+@example(export=(1, [[f"2020-02-26T15:44:0{i}", "1"] for i in range(3)] + [[]]
+                    + [[f"2020-02-26T15:45:0{i}", "2"] for i in range(3)] + [["2020-02-26T15:46:00", "3", "4"]]
+                    + [[f"2020-02-26T15:47:0{i}", "bad" if i == 1 else "5"] for i in range(4)] + [["x"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=(("\r\n", "\n"), False))
+@example(export=(1, [["2020-02-26T15:44:00", "1", "2"], ["2020-02-26T15:44:01"], ["2020-02-26T15:44:02", "3"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=LF)  # as many commas as three full rows
+@example(export=(1, [["\u20032020-02-26T15:44:00", "1"], ["2020-02-26T15:44:01\u2003", "2"], ["2020-02-26T15:44:02", "3"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("Bad Input",), layout=LF)  # no space to strip but an em space
+@example(export=(2, [["2020-02-26T15:44:00", "Bad Input", "1"], ["2020-02-26T15:44:01", "2", "oops"],
+                     ["2020-02-26T15:44:02", "Bad Input", "N/A"]]),
+         formats=DEFAULT_TIMESTAMP_FORMATS, tokens=("N/A", "Bad Input"), layout=LF)  # a token twice in a column
+def test_loader_matches_row_by_row_reference(tmp_path, small_blocks, export, formats, tokens, layout):
     channels, rows = export
-    path = tmp_path / "export.csv"
-    header = ",".join(["Timestamp"] + [f"P{j}" for j in range(channels)])
-    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n", encoding="utf-8")
+    (ends, final), path = layout, tmp_path / "export.csv"
+    lines = [",".join(["Timestamp"] + [f"P{j}" for j in range(channels)])] + [",".join(row) for row in rows]
+    line_ends = [ends[k % len(ends)] for k in range(len(lines))]
+    if not final:
+        line_ends[-1] = ""
+    path.write_bytes("".join(map(str.__add__, lines, line_ends)).encode("utf-8"))
     config = IngestConfig(sentinel_tokens=tokens, timestamp_formats=formats)
     expected = _load_or_error(reference_load, path, config)
     got = _load_or_error(load_historian_csv, path, config)
@@ -540,6 +593,22 @@ def test_loader_matches_row_by_row_reference(tmp_path, small_blocks, export, for
     assert frame.timestamps.dtype == np.int64 and frame.timestamps.tobytes() == ref_frame.timestamps.tobytes()
     assert frame.names == ref_frame.names
     assert frame.values.dtype == np.float64 and frame.values.tobytes() == ref_frame.values.tobytes()
+
+
+stamp_cells = st.integers(EPOCH_MIN, EPOCH_MAX).flatmap(lambda t: st.sampled_from(_renderings(t))) | st.sampled_from(ODD_STAMPS)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.large_base_example, HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(cells=st.lists(stamp_cells, min_size=200, max_size=400))
+def test_timestamp_column_matches_cell_by_cell(cells):
+    # columns long enough that several templates hit in one of them, each later template
+    # reading only the cells that no earlier one matched
+    for formats in FORMAT_ORDERS:
+        ok, epochs = ingest._parse_timestamps(cells, formats)
+        expected = [ingest._parse_timestamp(cell, formats) for cell in cells]
+        assert ok.tolist() == [ts is not None for ts in expected]
+        assert epochs[ok].tolist() == [ts for ts in expected if ts is not None]
 
 
 frames = st.integers(0, 3).flatmap(
