@@ -254,19 +254,12 @@ def _reading(path: Path):
         raise IngestError(f"cannot read {path}: {exc}") from None
 
 
-def _lines(path: Path):
-    """The file's lines, read as they are parsed."""
-    with _reading(path) as fh:
-        yield from fh
-
-
 class _Block(NamedTuple):
     """Up to BLOCK_ROWS records of the file, blank lines included."""
 
-    records: int
-    full: np.ndarray  # the record index of each row of the header's width
+    starts: np.ndarray  # the file line each row of the header's width starts on
     columns: list[list[str]]  # the stripped cells of those rows, column by column
-    odd: list[tuple[int, list[str]]]  # record index and raw cells of each row of another width, blank lines left out
+    odd: list[tuple[int, list[str]]]  # start line and raw cells of each row of another width, blank lines left out
     text: str | None  # the block's text when it was split, else None
 
 
@@ -274,9 +267,9 @@ class _Block(NamedTuple):
 _SPACE = "".join(c for c in map(chr, range(128)) if c.isspace() and c not in "\r\n")
 
 
-def _split_block(text: str, records: int, width: int) -> _Block | None:
-    """The text of a block's lines, free of quotes, tokenised with one split; None unless every
-    line holds width cells."""
+def _split_block(text: str, first: int, records: int, width: int) -> _Block | None:
+    """The text of a block's lines from file line first on, free of quotes, tokenised with one split;
+    None unless every line holds width cells."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     if not text.endswith("\n"):
@@ -288,16 +281,25 @@ def _split_block(text: str, records: int, width: int) -> _Block | None:
     columns = [cells[j : -1 : width + 1] for j in range(width)]
     if not text.isascii() or any(map(text.__contains__, _SPACE)):
         columns = [list(map(str.strip, col)) for col in columns]
-    return _Block(records, np.arange(records), columns, [], text)
+    return _Block(first + np.arange(records), columns, [], text)
 
 
-def _row_block(rows: list[list[str]], width: int) -> _Block:
-    """A block of rows as the csv module read them."""
+def _numbered(reader, lines_before: int):
+    """(the file line it starts on, row) for each row of a csv reader whose line 1 is file line lines_before + 1."""
+    start = lines_before + 1
+    for row in reader:
+        yield start, row
+        start = lines_before + reader.line_num + 1
+
+
+def _row_block(numbered: list[tuple[int, list[str]]], width: int) -> _Block:
+    """A block of rows as the csv module read them, each with the file line it starts on."""
+    starts, rows = zip(*numbered)
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
     full = np.flatnonzero(lengths == width)
     columns = [list(map(str.strip, col)) for col in zip(*map(rows.__getitem__, full))] or [[]] * width
-    odd = [(i, rows[i]) for i in np.flatnonzero((lengths != width) & (lengths > 0)).tolist()]
-    return _Block(len(rows), full, columns, odd, None)
+    odd = [numbered[i] for i in np.flatnonzero((lengths != width) & (lengths > 0)).tolist()]
+    return _Block(np.array(starts)[full], columns, odd, None)
 
 
 def _blocks(path: Path):
@@ -319,15 +321,16 @@ def _blocks(path: Path):
             while lines := list(islice(fh, BLOCK_ROWS)):
                 if '"' in (text := "".join(lines)):
                     break
-                block = max(map(len, lines)) <= limit and _split_block(text, len(lines), width)
+                block = max(map(len, lines)) <= limit and _split_block(text, lines_before + 1, len(lines), width)
                 if not block:
                     reader = csv.reader(lines)
-                    block = _row_block(list(reader), width)
+                    block = _row_block(list(_numbered(reader, lines_before)), width)
                 yield block
                 lines_before += len(lines)
             reader = csv.reader(chain(lines, fh))
-            while rows := list(islice(reader, BLOCK_ROWS)):
-                yield _row_block(rows, width)
+            rows = _numbered(reader, lines_before)
+            while numbered := list(islice(rows, BLOCK_ROWS)):
+                yield _row_block(numbered, width)
         except csv.Error as exc:
             raise IngestError(f"{path}: line {lines_before + reader.line_num}: {exc}") from None
 
@@ -383,9 +386,8 @@ def load_historian_csv(
     stamps, values = [np.zeros(0, np.int64)], [np.zeros((width - 1, 0))]
     rows_read = dropped_sentinel = dropped_unparseable = 0
     first_failure: str | None = None
-    lineno = 2  # the number of the block's first record; blank lines are numbered too
     for block in blocks:
-        n, columns = len(block.full), block.columns
+        n, columns = len(block.starts), block.columns
         # a split cell holds no comma or line end, so no token can equal one unless it is in the text
         if block.text is None or any(map(block.text.__contains__, tokens)):
             sentinel = _sentinel_rows(columns, tokens)
@@ -403,12 +405,11 @@ def load_historian_csv(
         dropped_sentinel += int(sentinel.sum()) + sum(odd_sentinel)
         dropped_unparseable += int(failed.sum()) + odd_sentinel.count(False)
         if first_failure is None:
-            faults = [(int(block.full[i]), [col[i] for col in columns]) for i in np.flatnonzero(failed)[:1]]
+            faults = [(int(block.starts[i]), [col[i] for col in columns]) for i in np.flatnonzero(failed)[:1]]
             faults += [odd for odd, s in zip(block.odd, odd_sentinel) if not s][:1]
             if faults:
-                i, row = min(faults)
-                first_failure = f"line {lineno + i}{_row_fault(row, names, formats)}"
-        lineno += block.records
+                line, row = min(faults)
+                first_failure = f"line {line}{_row_fault(row, names, formats)}"
 
     if rows_read == 0:
         raise IngestError(f"{path}: header-only file, no data rows")

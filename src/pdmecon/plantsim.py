@@ -19,8 +19,8 @@ ValidationError naming duration_s, and a forecast's into one naming horizon_s.
 A plan, or a fouling rate, that takes a reading beyond float64 range is refused
 by its field, and SimOutcome refuses revenue (uptime x rate) beyond it.
 
-run_policy runs the plant in operating spans and computes each stop rather
-than stepping to it:
+_stops runs the plant in operating spans, computing each stop rather than
+stepping to it, and yields it as a Stop(t, end, kind), down from t until end:
 
 - at each restart, one call fills the readings to the end of the run: trace
   value + linear fouling drift since the restart + the faults not yet cleared.
@@ -41,11 +41,11 @@ than stepping to it:
   step, reset fouling, and on completion clear every fault that has started.
 
 Outage seconds record the plain trace value in the observation buffer so a
-cleared spike cannot poison post-restart forecasts. Time is conserved by
-construction: SimOutcome derives uptime_s = duration_s - downtime_s and
-revenue_units = uptime_s x revenue_rate_per_s. It refuses what no run gives:
-a duration_s beyond MAX_SECONDS, or more stops than seconds of downtime,
-since each stop is down for at least one second.
+cleared spike cannot poison post-restart forecasts. run_policy sums the stops:
+downtime_s is the sum of end - t, and each count the stops of its kind. Time is
+conserved by construction: SimOutcome derives uptime_s = duration_s - downtime_s
+and revenue_units = uptime_s x revenue_rate_per_s. It refuses what no run gives:
+a duration_s beyond MAX_SECONDS, or more stops than seconds of downtime.
 
 A scenario file is read by Scenario's own fields, a fault or a policy by its
 "kind"; the policies stay JSON objects until build_policies reads them with
@@ -64,7 +64,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Annotated, ClassVar, Literal
+from typing import Annotated, ClassVar, Literal, NamedTuple
 
 import numpy as np
 
@@ -396,6 +396,14 @@ def _first_schedule(policy: PredictivePolicy, obs: np.ndarray, start: int, stop:
     return stop, None
 
 
+class Stop(NamedTuple):
+    """One stop of a run: the plant is down from second t until it restarts at end (or the run ends)."""
+
+    t: int
+    end: int
+    kind: Literal["maintenance", "breakdown"]
+
+
 @_trace_sized
 def run_policy(
     plan: TracePlan,
@@ -411,12 +419,23 @@ def run_policy(
     """
     trace = generate_trace(plan, seed)
     _check_injections(trace, injections)
-    duration = plan.duration_s
-    grace = breakdown.grace_s
+    stops = list(_stops(trace, injections, policy, econ, breakdown))
+    return SimOutcome(
+        duration_s=plan.duration_s,
+        downtime_s=sum(end - t for t, end, _ in stops),
+        maintenance_count=sum(kind == "maintenance" for _, _, kind in stops),
+        breakdown_count=sum(kind == "breakdown" for _, _, kind in stops),
+        revenue_rate_per_s=econ.revenue_rate_per_s,
+    )
+
+
+def _stops(trace: np.ndarray, injections, policy: PolicyConfig, econ: EconParams, breakdown: BreakdownRule):
+    """The run's stops over the trace, one per maintenance or breakdown, in time order."""
+    duration, grace = len(trace), breakdown.grace_s
 
     pending = list(injections)  # not yet cleared by maintenance
     obs = np.empty(duration)
-    start = downtime = maintenance_count = breakdown_count = 0
+    start = 0
 
     while start < duration:
         with np.errstate(over="ignore"):  # refused below; the first restart's drift is the largest
@@ -438,28 +457,14 @@ def run_policy(
             due = start + policy.cycle_s
         t = min(due, broken)
         if t >= duration:
-            break  # no stop before the end of the run
-        if due <= broken:  # maintenance wins a tie with a breakdown
-            outage = policy.maint_duration_s
-            maintenance_count += 1
-        else:
-            outage = breakdown.repair_duration_s
-            breakdown_count += 1
-
+            return  # no stop before the end of the run
+        kind = "maintenance" if due <= broken else "breakdown"  # maintenance wins a tie with a breakdown
         # the stop second t and the rest of the outage are down; the plant restarts at end
-        end = min(t + outage, duration)
+        end = min(t + (policy.maint_duration_s if kind == "maintenance" else breakdown.repair_duration_s), duration)
         obs[t + 1 : end] = trace[t + 1 : end]
-        downtime += end - t
+        yield Stop(t, end, kind)
         pending = [f for f in pending if f.at_s >= end]
         start = end
-
-    return SimOutcome(
-        duration_s=duration,
-        downtime_s=downtime,
-        maintenance_count=maintenance_count,
-        breakdown_count=breakdown_count,
-        revenue_rate_per_s=econ.revenue_rate_per_s,
-    )
 
 
 @dataclass(frozen=True)

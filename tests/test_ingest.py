@@ -176,6 +176,21 @@ def test_error_when_no_timestamp_format_matches(tmp_path):
         load_historian_csv(path)
 
 
+@pytest.mark.parametrize(
+    "rows, line",
+    [(['2020-02-26T15:44:00,"Bad Input', '"', "week 4,2.0"], 4), (['week 2,"2.0', '"', "week 4,2.0"], 2)],
+    ids=["after-a-record-on-lines-2-and-3", "a-record-on-lines-2-and-3"],
+)
+def test_first_failure_names_the_file_line_its_row_starts_on(tmp_path, rows, line):
+    path = write_csv(tmp_path / "t.csv", ["Timestamp,P1", *rows])
+    expected = (
+        f"{path}: no rows survived cleaning (first failure: line {line}, column 'Timestamp': "
+        f"'week {line}' matches none of {list(DEFAULT_TIMESTAMP_FORMATS)})"
+    )
+    assert _load_or_error(load_historian_csv, path, None) == expected
+    assert _load_or_error(reference_load, path, None) == expected
+
+
 def test_header_naming_a_channel_twice_rejected(tmp_path):
     path = write_csv(tmp_path / "t.csv", ["Timestamp,A,P1, A", "2020-02-26T15:44:00,1.0,2.0,3.0"])
     with pytest.raises(IngestError, match=f"^{path}: header names channel 'A' twice$"):
@@ -347,11 +362,18 @@ def test_frame_invariants_enforced():
 # ---------------------------------------------------------------- block-wise loader and writer against row-by-row references
 
 
+def _lines(path):
+    """The file's lines, read as they are parsed."""
+    with ingest._reading(path) as fh:
+        yield from fh
+
+
 def reference_load(path, config=None):
-    """load_historian_csv one row at a time, every cell parsed by _parse_timestamp or float."""
+    """load_historian_csv one row at a time, every cell parsed by _parse_timestamp or float;
+    a row is numbered by the file line it starts on."""
     config = config or IngestConfig()
     path = Path(path)
-    reader = csv.reader(ingest._lines(path))
+    reader = csv.reader(_lines(path))
     try:
         header = next(reader)
     except StopIteration:
@@ -372,7 +394,9 @@ def reference_load(path, config=None):
     rows_read = dropped_sentinel = dropped_unparseable = 0
     first_failure = None
 
-    for lineno, row in enumerate(reader, start=2):
+    next_line = reader.line_num + 1
+    for row in reader:
+        lineno, next_line = next_line, reader.line_num + 1
         if not row:
             continue
         rows_read += 1

@@ -30,6 +30,7 @@ from pdmecon.plantsim import (
     StuckAt,
     TracePlan,
     _forecast,
+    _stops,
     compare_policies,
     generate_trace,
     inject_faults,
@@ -246,15 +247,39 @@ def test_fouling_counts_from_each_restart():
     assert outcome.downtime_s == 120 + 78
 
 
-def test_time_conservation_random_configs():
+def random_configs():
+    """Ten seeded preventive runs: (plan, injections, policy, econ, seed, breakdown)."""
     rng = np.random.default_rng(31)
     for _ in range(10):
         duration = int(rng.integers(300, 1500))
         plan = quiet_plan(duration=duration, sigma=float(rng.uniform(0, 0.4)))
         policy = preventive(cycle=int(rng.integers(100, 600)), maint=50)
         econ = EconParams(fouling_rate_kpa_per_s=float(rng.uniform(0, 0.005)))
-        outcome = run_policy(plan, [], policy, econ, int(rng.integers(0, 100)), replace(RULE, repair_duration_s=200))
-        assert outcome.uptime_s + outcome.downtime_s == duration
+        yield plan, [], policy, econ, int(rng.integers(0, 100)), replace(RULE, repair_duration_s=200)
+
+
+def test_time_conservation_random_configs():
+    for config in random_configs():
+        outcome = run_policy(*config)
+        assert outcome.uptime_s + outcome.downtime_s == config[0].duration_s
+
+
+def test_stops_are_in_time_order_and_sum_to_the_outcome():
+    for plan, injections, policy, econ, seed, breakdown in random_configs():
+        stops = list(_stops(generate_trace(plan, seed), injections, policy, econ, breakdown))
+        assert stops  # every config stops at least once
+        previous_end = 0
+        for t, end, kind in stops:
+            assert previous_end <= t < end <= plan.duration_s
+            assert kind in ("maintenance", "breakdown")
+            previous_end = end
+        assert run_policy(plan, injections, policy, econ, seed, breakdown) == SimOutcome(
+            duration_s=plan.duration_s,
+            downtime_s=sum(end - t for t, end, _ in stops),
+            maintenance_count=sum(kind == "maintenance" for _, _, kind in stops),
+            breakdown_count=sum(kind == "breakdown" for _, _, kind in stops),
+            revenue_rate_per_s=econ.revenue_rate_per_s,
+        )
 
 
 def test_run_policy_seed_determinism():
@@ -559,6 +584,8 @@ def reference_reading(faults, t, normal):
 
 
 def reference_run_policy(plan, injections, policy, econ, seed, breakdown):
+    """(outcome, stops) stepped second by second; a stop is (t, end, kind), its end the restart second
+    or, for a stop the run ends in, duration_s."""
     trace = generate_trace(plan, seed)
     duration = plan.duration_s
     predictive = isinstance(policy, PredictivePolicy)
@@ -575,6 +602,7 @@ def reference_run_policy(plan, injections, policy, econ, seed, breakdown):
     scheduled_due = None
     uptime = downtime = 0
     maintenance_count = breakdown_count = 0
+    stops = []
 
     for t in range(duration):
         if operating:
@@ -606,6 +634,7 @@ def reference_run_policy(plan, injections, policy, econ, seed, breakdown):
                 operating = False
                 down_remaining = policy.maint_duration_s
                 maintenance_count += 1
+                stops.append([t, duration, "maintenance"])
             else:
                 if pressure > breakdown.fail_limit_kpa:
                     breach_run += 1
@@ -615,6 +644,7 @@ def reference_run_policy(plan, injections, policy, econ, seed, breakdown):
                     operating = False
                     down_remaining = breakdown.repair_duration_s
                     breakdown_count += 1
+                    stops.append([t, duration, "breakdown"])
         else:
             obs[t] = trace[t]
 
@@ -626,6 +656,7 @@ def reference_run_policy(plan, injections, policy, econ, seed, breakdown):
             down_remaining -= 1
             if down_remaining <= 0:
                 operating = True
+                stops[-1][1] = t + 1
                 since_maint = 0
                 breach_run = 0
                 scheduled_due = None
@@ -634,13 +665,14 @@ def reference_run_policy(plan, injections, policy, econ, seed, breakdown):
                         f.cleared = True
 
     assert uptime + downtime == duration
-    return SimOutcome(
+    outcome = SimOutcome(
         duration_s=duration,
         downtime_s=downtime,
         maintenance_count=maintenance_count,
         breakdown_count=breakdown_count,
         revenue_rate_per_s=econ.revenue_rate_per_s,
     )
+    return outcome, [tuple(stop) for stop in stops]
 
 
 def short_plan(draw, duration):
@@ -810,7 +842,10 @@ def shorter_than_the_lags(baseline):
 @example(shorter_than_the_lags(30.0))
 @example(shorter_than_the_lags(45.0))
 def test_run_policy_matches_the_fault_state_reference(case):
-    assert run_policy(*case) == reference_run_policy(*case)
+    plan, injections, policy, econ, seed, breakdown = case
+    outcome, stops = reference_run_policy(*case)
+    assert run_policy(*case) == outcome
+    assert list(_stops(generate_trace(plan, seed), injections, policy, econ, breakdown)) == stops
 
 
 @st.composite
