@@ -131,6 +131,25 @@ def _rolling_var(values: np.ndarray, window: int) -> np.ndarray:
     return np.maximum(s2 / window - (s1 / window) ** 2, 0.0)
 
 
+def _rolling_median_mad(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Median and median absolute deviation of every length-`window` slice (one per start).
+
+    The window is odd, so each median is the slice's middle order statistic,
+    which one partition finds (np.median partitions twice, once more to look
+    for the NaN that _readings refuses). The deviations overwrite the
+    partitioned copy and are partitioned in place, so one (starts, window)
+    buffer serves both.
+    """
+    strides = np.lib.stride_tricks.sliding_window_view(values, window)
+    mid = window // 2
+    part = np.partition(strides, mid, axis=1)
+    medians = part[:, mid].copy()
+    np.subtract(strides, medians[:, None], out=part)
+    np.abs(part, out=part)
+    part.partition(mid, axis=1)
+    return medians, part[:, mid]
+
+
 def detect_outliers_gradient(values, config: DetectorConfig) -> list[FaultEvent]:
     """Flag samples whose step from the previous sample exceeds gradient_max_rate kPa/s."""
     values = _readings(values)
@@ -154,9 +173,7 @@ def detect_outliers_distance(values, config: DetectorConfig) -> list[FaultEvent]
     window = config.mad_window
     if window > len(values):
         raise ValidationError(f"mad_window {window} larger than series ({len(values)})")
-    strides = np.lib.stride_tricks.sliding_window_view(values, window)
-    medians = np.median(strides, axis=1)
-    mads = np.median(np.abs(strides - medians[:, None]), axis=1)
+    medians, mads = _rolling_median_mad(values, window)
     centers = slice(window // 2, len(values) - window // 2)
     excess = np.zeros(len(values))  # distance beyond the limit at each window's center
     excess[centers] = np.abs(values[centers] - medians) - config.mad_k * np.maximum(mads, 1e-9)

@@ -11,23 +11,26 @@ before the last node and reaches 0 at it, so the nodes are exactly one tree.
 Prediction stacks the trees of a model into one node array and walks all of
 them level by level.
 
-Fitting argsorts X once per feature (stable) and stably partitions that order
-into the children at each split, so every node sees its rows sorted by each
-feature with ties in row order, exactly as a stable argsort of the node's own
-rows would give. Split search takes prefix sums of y and y^2 along the sorted
-order, then the child SSE for every candidate boundary. It runs over blocks
-of features whose temporaries stay under a fixed cell count, in a few reused
-buffers, so a large node allocates one SSE array and a bounded amount besides
-rather than several fresh full-size temporaries. Each SSE comes from the same
-operations in the same order as over all features at once, and one argmin
-over the whole SSE array picks the split, so blocking changes no bit of any
-tree. Targets are refused where those sums could overflow float64. Candidate
-thresholds sit at midpoints between consecutive distinct sorted values, or at
-the lower value where the midpoint rounds up to the upper one or overflows,
-as in scikit-learn; ties in reduction resolve to the lowest (feature index,
-threshold) so fitting is deterministic. The build loop uses an explicit stack
-that pops nodes in preorder; pathological data can produce trees deeper than
-Python's recursion limit.
+Fitting sorts X once per feature and stably partitions that order into the
+children at each split, so every node sees its rows sorted by each feature
+with ties in row order, exactly as a stable argsort of the node's own rows
+would give. The presort gets that stable order from two quicksorts per
+feature (numpy's quicksort is a SIMD sort where the CPU has one): the first
+ranks the values, the second sorts the unique keys rank << 32 | row. Split
+search takes prefix sums of y and y^2 along the sorted order, both from one
+cumsum over complex targets y + i y^2, then the child SSE for every candidate
+boundary. It runs over blocks of features whose temporaries stay under 256 KB
+each, in a few reused buffers, so a large node allocates one SSE array and a
+bounded amount besides rather than several fresh full-size temporaries. Each
+SSE comes from the same operations in the same order as over all features at
+once, and one argmin over the whole SSE array picks the split, so blocking
+changes no bit of any tree. Targets are refused where those sums could
+overflow float64. Candidate thresholds sit at midpoints between consecutive
+distinct sorted values, or at the lower value where the midpoint rounds up to
+the upper one or is not finite, as in scikit-learn; ties in reduction resolve
+to the lowest (feature index, threshold) so fitting is deterministic. The
+build loop uses an explicit stack that pops nodes in preorder; pathological
+data can produce trees deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -137,25 +140,47 @@ def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable sort of X's rows by each feature, feature-major.
 
     Returns (order, values): order[f] lists the row indices by X[:, f], ties
-    in row order, and values[f] = X[order[f], f].
+    in row order, and values[f] = X[order[f], f]; both equal a stable argsort
+    and its take_along_axis bit for bit. Each feature is sorted twice by
+    quicksort, which is several times faster than numpy's stable sort and
+    keeps temporaries at O(n): once to give every row the dense rank of its
+    value (equal values share one, -0.0 ties with 0.0, and NaNs, which sort
+    last, share the highest), then once by the unique key rank << 32 | row,
+    whose low 32 bits are the row. The key needs n < 2**31.
     """
-    order = np.argsort(X.T, axis=1, kind="stable")
+    n = X.shape[0]
+    order = np.empty((X.shape[1], n), dtype=np.intp)
+    rows, key = np.arange(n), np.empty(n, dtype=np.int64)
+    for f, column in enumerate(X.T):
+        first = np.argsort(column, kind="quicksort")
+        ranked = column[first]
+        # a rank starts wherever the sorted value differs from the one before it, except among the NaNs
+        starts = ranked[1:] != ranked[:-1]
+        starts &= ~np.isnan(ranked[:-1])
+        key[first[:1]] = 0  # the first sorted row ranks 0; first[:1] is empty when X has no rows
+        key[first[1:]] = np.cumsum(starts)
+        key <<= 32
+        key |= rows
+        key.sort(kind="quicksort")
+        np.bitwise_and(key, 2**32 - 1, out=order[f])
     return order, np.take_along_axis(X.T, order, axis=1)
 
 
-# float64 cells per temporary of the split search. 2**15 cells (256 KB) stay
-# in cache and are reused from malloc's heap; full-size (features x rows)
-# temporaries are fresh mmaps that page-fault on first touch.
-_BLOCK_CELLS = 2**15
+# complex cells per temporary of the split search: 2**14 of them (256 KB) hold
+# the paired prefix sums of a block. Temporaries that size stay in cache and
+# are reused from malloc's heap; full-size (features x rows) temporaries are
+# fresh mmaps that page-fault on first touch.
+_BLOCK_CELLS = 2**14
 
 
-def _best_split(xs: np.ndarray, order: np.ndarray, y: np.ndarray, min_samples_leaf: int):
+def _best_split(xs: np.ndarray, order: np.ndarray, pairs: np.ndarray, min_samples_leaf: int):
     """Return (feature, threshold) minimizing child SSE, or None if no valid split.
 
     xs and order are (features, rows): each row holds the node's X values of
-    one feature in sorted order and the row indices in that same order. The
-    child SSE of every candidate boundary goes into one (features, rows - 1)
-    array, computed a block of features at a time in a few reused buffers.
+    one feature in sorted order and the row indices in that same order.
+    pairs is fit_tree's complex target array, y + i y^2 per row. The child
+    SSE of every candidate boundary goes into one (features, rows - 1) array,
+    computed a block of features at a time in a few reused buffers.
     """
     n_features, n = xs.shape
     # boundary after sorted position i puts i+1 rows on the left
@@ -163,36 +188,38 @@ def _best_split(xs: np.ndarray, order: np.ndarray, y: np.ndarray, min_samples_le
     nr = n - nl
     sse = np.empty((n_features, n - 1))
     width = min(n_features, max(1, _BLOCK_CELLS // n))  # features per block
-    ys, cum, cum2 = np.empty((width, n)), np.empty((width, n)), np.empty((width, n))
+    cum, right = np.empty((width, n), dtype=np.complex128), np.empty((width, n - 1), dtype=np.complex128)
     a, b = np.empty((width, n - 1)), np.empty((width, n - 1))
-    bad = np.empty((width, n - 1), dtype=bool)
+    valid = np.empty((width, n - 1), dtype=bool)
     for start in range(0, n_features, width):
         if start + width > n_features:  # the last block can be narrower: trim the buffers to it
             k = n_features - start
-            ys, cum, cum2, a, b, bad = ys[:k], cum[:k], cum2[:k], a[:k], b[:k], bad[:k]
+            cum, right, a, b, valid = cum[:k], right[:k], a[:k], b[:k], valid[:k]
         block = slice(start, start + width)
         out = sse[block]
-        # mode="wrap" writes straight into out (the default "raise" buffers); order is always in range
-        np.take(y, order[block], out=ys, mode="wrap")
-        np.cumsum(ys, axis=1, out=cum)
-        np.multiply(ys, ys, out=ys)
-        np.cumsum(ys, axis=1, out=cum2)
-        sl, sl2, total, total2 = cum[:, :-1], cum2[:, :-1], cum[:, -1:], cum2[:, -1:]
+        # mode="wrap" writes straight into cum (the default "raise" buffers); order is always in range.
+        # Complex addition is componentwise, so one cumsum gives the prefix sums of y and of y^2
+        np.take(pairs, order[block], out=cum, mode="wrap")
+        np.cumsum(cum, axis=1, out=cum)
+        np.subtract(cum[:, -1:], cum[:, :-1], out=right)
+        sl, sl2 = cum.real[:, :-1], cum.imag[:, :-1]  # right is (total - sl) + i (total2 - sl2)
         # (sl2 - sl * sl / nl) + (total2 - sl2) - (total - sl) ** 2 / nr, one
         # operation at a time in that order: cumsum adds along a row in
         # sequence, so every SSE has the bits of the unblocked expression
         np.multiply(sl, sl, out=a)
         np.divide(a, nl, out=a)
         np.subtract(sl2, a, out=a)
-        np.subtract(total2, sl2, out=b)
-        np.add(a, b, out=a)
-        np.subtract(total, sl, out=b)
-        np.square(b, out=b)
+        np.add(a, right.imag, out=a)
+        np.square(right.real, out=b)
         np.divide(b, nr, out=b)
         np.subtract(a, b, out=out)
-        np.less(xs[block, :-1], xs[block, 1:], out=bad)
-        np.logical_not(bad, out=bad)
-        np.copyto(out, np.inf, where=bad)
+        # a boundary between equal values is invalid, so its SSE becomes inf:
+        # b turns into a penalty, -inf where valid and inf where not, and max()
+        # applies it without the branch per cell that a masked write takes
+        np.less(xs[block, :-1], xs[block, 1:], out=valid)
+        np.subtract(0.5, valid, out=b)
+        np.multiply(b, np.inf, out=b)
+        np.maximum(out, b, out=out)
     if min_samples_leaf > 1:
         sse[:, : min_samples_leaf - 1] = sse[:, n - min_samples_leaf :] = np.inf
     # feature-major flatten: first minimum = lowest feature, then lowest
@@ -204,8 +231,9 @@ def _best_split(xs: np.ndarray, order: np.ndarray, y: np.ndarray, min_samples_le
     below, above = float(xs[feature, pos]), float(xs[feature, pos + 1])
     threshold = 0.5 * (below + above)
     # the midpoint of adjacent floats can round up to `above`, and below + above
-    # can overflow; either would send every row left, so split at `below`
-    if threshold == above or math.isinf(threshold):
+    # can overflow, sending every row left; -inf + inf is NaN, sending every row
+    # right, and a child that keeps all its parent's rows would split forever
+    if threshold == above or not math.isfinite(threshold):
         threshold = below
     return feature, threshold
 
@@ -251,6 +279,8 @@ def fit_tree(
     def splittable(rows: np.ndarray, depth: int) -> bool:
         return (max_depth is None or depth < max_depth) and len(rows) >= 2 * min_leaf
 
+    pairs = np.empty(len(y), dtype=np.complex128)
+    pairs.real, pairs.imag = y, y * y
     feature, threshold, value = [], [], []
     goes_left = np.zeros(len(y), dtype=bool)
     # (a node's rows ascending, (their per-feature sorted order, sorted X), depth); popped in preorder
@@ -261,7 +291,7 @@ def fit_tree(
         split = None
         if splittable(idx, depth) and np.ptp(y_node) != 0.0:
             order, xs = sorted_rows
-            split = _best_split(xs, order, y, min_leaf)
+            split = _best_split(xs, order, pairs, min_leaf)
         if split is None:
             feature.append(-1)
             value.append(float(y_node.mean()))

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdmecon import detect
 from pdmecon.detect import (
     DETECTORS,
     Action,
@@ -77,6 +80,21 @@ def test_distance_noiseless_ramp_none():
 
 def test_distance_identical_series_none():
     assert detect_outliers_distance(np.full(40, 5.0), DetectorConfig(mad_window=11, mad_k=5.0)) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 15).map(lambda k: 2 * k + 1),  # the odd windows 3..31
+    st.lists(st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3), min_size=31, max_size=120),
+)
+def test_rolling_median_and_mad_equal_np_median(window, readings):
+    # small integers repeat, so most windows hold ties
+    values = np.array(readings)
+    strides = np.lib.stride_tricks.sliding_window_view(values, window)
+    medians, mads = detect._rolling_median_mad(values, window)
+    expected = np.median(strides, axis=1)
+    np.testing.assert_array_equal(medians, expected)
+    np.testing.assert_array_equal(mads, np.median(np.abs(strides - expected[:, None]), axis=1))
 
 
 def test_distance_window_errors():

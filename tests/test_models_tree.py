@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmecon.errors import ValidationError
@@ -147,6 +147,19 @@ def test_targets_beyond_the_overflow_bound_are_refused():
     assert arrays(tree) == ([0, -1, -1], [3.5], [0.0, bound])
 
 
+def test_targets_at_the_overflow_bound_fit_as_the_reference_does():
+    # every |y| sits exactly at check_target's bound; any overflow warning fails the test
+    rng = np.random.default_rng(27)
+    n = 240
+    bound = math.sqrt(np.finfo(np.float64).max) / (2 * n)
+    X = rng.integers(0, 8, size=(n, 3)).astype(float)
+    y = bound * np.where(X[:, 1] + rng.integers(0, 3, size=n) > 5, 1.0, -1.0)
+    params = TreeParams(max_depth=4)
+    tree = fit_tree(X, y, params)
+    assert tree.n_nodes > 3
+    assert arrays(tree) == preorder(reference_fit(X, y, params))
+
+
 def test_predict_feature_mismatch():
     tree = fit_tree(np.arange(6.0).reshape(-1, 1), np.arange(6.0))
     with pytest.raises(ValidationError, match="features"):
@@ -240,12 +253,13 @@ def test_a_node_sequence_is_accepted_iff_a_stack_walk_finds_one_tree(splits):
 
 @pytest.mark.parametrize(
     "below, above",
-    [(1 + 2**-52, 1 + 2**-51), (1e308, 1.5e308), (-1.5e308, -1e308)],
-    ids=["adjacent", "overflow", "negative-overflow"],
+    [(1 + 2**-52, 1 + 2**-51), (1e308, 1.5e308), (-1.5e308, -1e308), (-math.inf, math.inf)],
+    ids=["adjacent", "overflow", "negative-overflow", "infinities"],
 )
 @pytest.mark.parametrize("max_depth", [3, None])
 def test_split_between_adjacent_or_huge_values_falls_back_to_the_lower(below, above, max_depth):
-    # the midpoint rounds up to `above` (or overflows), which would send both rows left
+    # the midpoint rounds up to `above` or overflows, which would send both rows left,
+    # or is NaN (-inf + inf), which would send both right
     tree = fit_tree(np.array([[below], [above]]), np.array([0.0, 1.0]), TreeParams(max_depth=max_depth))
     assert arrays(tree) == ([0, -1, -1], [below], [0.0, 1.0])
 
@@ -288,7 +302,7 @@ def reference_best_split(X, y, min_samples_leaf):
     feature, pos = divmod(int(np.argmin(sse.T)), n - 1)
     below, above = float(xs[pos, feature]), float(xs[pos + 1, feature])
     threshold = 0.5 * (below + above)
-    return feature, below if threshold == above or math.isinf(threshold) else threshold
+    return feature, below if threshold == above or not math.isfinite(threshold) else threshold
 
 
 def reference_fit(X, y, params):
@@ -397,6 +411,30 @@ def test_boost_stages_sharing_one_presort_match_reference(case, learning_rate):
     np.testing.assert_array_equal(predict_tree(model.stages[-1], X), reference_predict(reference, X))
 
 
+@st.composite
+def sort_columns(draw):
+    """Columns of heavy ties, signed zeros, infinities and NaNs of both signs; rows may repeat."""
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan])
+    cells = st.lists(st.integers(-2, 2).map(float) | special | st.floats(), min_size=n * p, max_size=n * p)
+    X = np.array(draw(cells)).reshape(n, p)
+    if draw(st.booleans()):  # a bootstrap draw: rows repeat in scrambled order
+        X = X[np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))]
+    return X
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sort_columns())
+@example(np.array([[-math.nan, -0.0, 1.0]]))
+@example(np.array([[0.0, math.nan], [-0.0, -math.nan]]))
+@example(np.array([[1.0, 0.0], [1.0, -0.0]]))
+def test_presort_equals_a_stable_argsort_bit_for_bit(X):
+    order, values = tree_module.presort(X)
+    expected = np.argsort(X.T, axis=1, kind="stable")
+    np.testing.assert_array_equal(order, expected)
+    np.testing.assert_array_equal(values.view(np.int64), np.take_along_axis(X.T, expected, axis=1).view(np.int64))
+
+
 def test_reference_properties_hold_with_one_feature_per_block():
     # the hypothesis nodes are at most 30 x 4, so at the default block size each fits in one block
     with patch.object(tree_module, "_BLOCK_CELLS", 1):
@@ -407,7 +445,7 @@ def test_reference_properties_hold_with_one_feature_per_block():
 def test_fit_spanning_several_blocks_matches_reference():
     rng = np.random.default_rng(16)
     n, p = 3000, 26
-    assert p * n > 2 * tree_module._BLOCK_CELLS  # the root's split search takes three blocks
+    assert p * n > 2 * tree_module._BLOCK_CELLS  # the root's split search takes three blocks or more
     X = rng.normal(size=(n, p))
     X[:, ::3] = rng.integers(0, 40, size=X[:, ::3].shape)  # ties, so invalid boundaries
     y = X[:, 5] - 0.5 * X[:, 12] + rng.normal(size=n)
@@ -419,12 +457,14 @@ def test_split_search_allocates_a_bounded_multiple_of_its_sse_array():
     rng = np.random.default_rng(8)
     X, y = rng.normal(size=(8192, 26)), rng.normal(size=8192)
     order, xs = tree_module.presort(X)
+    pairs = np.empty(8192, dtype=np.complex128)  # fit_tree's targets: y + i y^2
+    pairs.real, pairs.imag = y, y * y
     tracemalloc.start()
     try:
-        split = tree_module._best_split(xs, order, y, 1)
+        split = tree_module._best_split(xs, order, pairs, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert split is not None
+    assert split == reference_best_split(X, y, 1)
     sse_bytes = 26 * 8191 * 8
     assert peak < 2.5 * sse_bytes, f"peak {peak} bytes is {peak / sse_bytes:.2f} x the sse array"
