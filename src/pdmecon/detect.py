@@ -11,14 +11,14 @@ Four fault families are covered, each as a pure scan over a uniformly sampled
 
 Every detector is ``detect_*(values, config: DetectorConfig) ->
 list[FaultEvent]`` over one sensor's readings and reads its thresholds and
-windows from the config, which checks their ranges itself; a detector refuses
-only what depends on the data (too few samples, a window longer than the
-series, readings so large that the rolling variance overflows). Adjacent
-flagged samples merge into one inclusive [start, end] event; every detector
-returns events sorted by start with no overlaps. An event is written by its
-fields. Rolling variance is population variance
-(ddof=0) on a series centered by its global mean, which keeps the
-cumulative-sum form accurate for near-constant kPa-scale data.
+windows from the config, which checks their ranges itself. A detector refuses
+only what depends on the data: too few samples, a window longer than the
+series (detect_spike instead finds no event there), or readings so large that
+the rolling variance overflows. Adjacent flagged samples merge into one
+inclusive [start, end] event; every detector returns events sorted by start
+with no overlaps. An event is written by its fields. Rolling variance is
+population variance (ddof=0) on a series centered by its global mean, which
+keeps the cumulative-sum form accurate for near-constant kPa-scale data.
 """
 
 from __future__ import annotations

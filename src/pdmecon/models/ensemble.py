@@ -1,8 +1,8 @@
 """Bagged forests and squared-loss gradient boosting over the regression tree.
 
-Every tree considers all features at every split. Per-tree randomness comes
-from a stream derived as default_rng((seed, tree_index)), so fitting order and
-worker count cannot change the result. The hyperparameter classes
+Every tree considers all features at every split. Each bootstrap sample comes
+from its own stream, default_rng((seed, tree_index)), so fitting order cannot
+change the result; boosting draws nothing. The hyperparameter classes
 (ForestHyperparams, BoostHyperparams) extend TreeParams, which fit_tree takes
 as they are. They check their own ranges on construction, so a fitted and a
 loaded model pass the same checks. Each model keeps the
@@ -20,7 +20,8 @@ import numpy as np
 
 from ..errors import ValidationError
 from .tree import (
-    RegressionTree, TreeParams, as_rows, check_target, fit_tree, predict_tree, presort, stack_trees, walk_stacked
+    RegressionTree, TreeParams, as_rows, as_training, check_target, fit_tree, predict_tree, presort, stack_trees,
+    walk_stacked,
 )
 
 
@@ -123,23 +124,15 @@ def fit_forest(
 ) -> ForestModel:
     """Fit n_trees regression trees, each on a bootstrap resample of the rows.
 
-    With bootstrap=False every tree is fitted on the full data, so all trees
-    are identical and share one presort of X.
+    With bootstrap=False every tree would see the full data and come out the
+    same, so one tree is fitted and held n_trees times.
     """
     hp = hyperparams
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n = len(y)
-    presorted = None if hp.bootstrap else presort(X)
-    trees = []
-    for i in range(hp.n_trees):
-        if hp.bootstrap:
-            rng = np.random.default_rng((seed, i))
-            idx = rng.integers(0, n, size=n)
-            trees.append(fit_tree(X[idx], y[idx], hp))
-        else:
-            trees.append(fit_tree(X, y, hp, presorted=presorted))
-    return ForestModel(trees=trees, hyperparams=hp, seed=seed)
+    X, y = as_training(X, y)
+    if not hp.bootstrap:
+        return ForestModel(trees=[fit_tree(X, y, hp)] * hp.n_trees, hyperparams=hp, seed=seed)
+    samples = (np.random.default_rng((seed, i)).integers(0, len(y), size=len(y)) for i in range(hp.n_trees))
+    return ForestModel(trees=[fit_tree(X[idx], y[idx], hp) for idx in samples], hyperparams=hp, seed=seed)
 
 
 def fit_boost(
@@ -156,8 +149,7 @@ def fit_boost(
     only tags the model for provenance.
     """
     hp = hyperparams
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
+    X, y = as_training(X, y)
     check_target(y)  # before the mean, which can overflow too
     init_value = float(y.mean())
     F = np.full(len(y), init_value)

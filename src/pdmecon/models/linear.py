@@ -9,7 +9,7 @@ from typing import Annotated, ClassVar
 import numpy as np
 
 from ..errors import ValidationError
-from .tree import as_rows
+from .tree import as_rows, as_training
 
 RIDGE_EPS = 1e-8
 # Condition numbers beyond this are treated as near rank-deficient; constant
@@ -56,11 +56,8 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
     and y must be at most sqrt(float64 max / (2 * n)), which leaves half the
     range for rounding; NaN fails the check too.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
+    X, y = as_training(X, y)
     n, p = X.shape
-    if n != len(y):
-        raise ValidationError(f"X has {n} rows but y has {len(y)} entries")
     if n < p + 1:
         raise ValidationError(f"need at least {p + 1} rows to fit {p} features, got {n}")
     bound = math.sqrt(np.finfo(np.float64).max / (2 * n))

@@ -269,15 +269,13 @@ def fit_tree(
     that fit several trees on the same X.
     """
     params = params or TreeParams()
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
+    X, y = as_training(X, y)
     check_target(y)
-    if X.shape[0] != len(y):
-        raise ValidationError(f"X has {X.shape[0]} rows but y has {len(y)} entries")
     min_leaf, max_depth = params.min_samples_leaf, params.max_depth
 
     def splittable(rows: np.ndarray, depth: int) -> bool:
-        return (max_depth is None or depth < max_depth) and len(rows) >= 2 * min_leaf
+        # X without columns has nothing to split on: the root is the one leaf
+        return X.shape[1] > 0 and (max_depth is None or depth < max_depth) and len(rows) >= 2 * min_leaf
 
     pairs = np.empty(len(y), dtype=np.complex128)
     pairs.real, pairs.imag = y, y * y
@@ -347,7 +345,7 @@ def walk_stacked(stacked: tuple, X: np.ndarray) -> np.ndarray:
     n_rows, n_features = X.shape
     x = np.ascontiguousarray(X).ravel()
     node = np.repeat(roots, n_rows)
-    row_start = np.tile(np.arange(0, n_rows * n_features, n_features), len(roots))
+    row_start = np.tile(np.arange(n_rows) * n_features, len(roots))
     for _ in range(depth):
         node = np.where(x[row_start + feature[node]] <= threshold[node], left[node], right[node])
     return value[node].reshape(len(roots), n_rows)
@@ -359,6 +357,15 @@ def as_rows(X: np.ndarray, n_features: int) -> np.ndarray:
     if X.shape[1] != n_features:
         raise ValidationError(f"model was trained on {n_features} features, got {X.shape[1]}")
     return X
+
+
+def as_training(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X as a float64 matrix of rows and y as a float64 vector, one target per row."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if X.shape[0] != len(y):
+        raise ValidationError(f"X has {X.shape[0]} rows but y has {len(y)} entries")
+    return X, y
 
 
 def predict_tree(tree: RegressionTree, X: np.ndarray) -> np.ndarray:

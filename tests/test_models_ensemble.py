@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pdmecon.errors import ValidationError
+from pdmecon.models import ensemble
 from pdmecon.models import (
     BoostHyperparams,
     ForestHyperparams,
+    ForestModel,
     fit_boost,
     fit_forest,
     fit_tree,
@@ -29,6 +31,23 @@ def test_single_tree_without_bootstrap_equals_tree(data):
     forest = fit_forest(X, y, ForestHyperparams(n_trees=1, bootstrap=False), seed=0)
     tree = fit_tree(X, y)
     np.testing.assert_array_equal(predict(forest, X), predict_tree(tree, X))
+
+
+def test_forest_without_bootstrap_fits_one_tree_and_holds_it_n_times(data, monkeypatch):
+    X, y = data
+    hp = ForestHyperparams(n_trees=4, max_depth=3, bootstrap=False)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit_tree(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "fit_tree", counted)
+    forest = fit_forest(X, y, hp, seed=3)
+    assert len(calls) == 1
+    # the model file is the one a forest of n_trees separately fitted trees writes
+    separate = ForestModel(trees=[fit_tree(X, y, hp) for _ in range(hp.n_trees)], hyperparams=hp, seed=3)
+    assert json.dumps(model_to_dict(forest)) == json.dumps(model_to_dict(separate))
 
 
 def test_forest_prediction_is_mean_of_trees(data):

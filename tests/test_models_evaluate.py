@@ -7,6 +7,7 @@ from pdmecon.errors import ValidationError
 from pdmecon.features import LagSpec, make_lag_matrix, walk_forward_splits
 from pdmecon.jsonio import from_dict
 from pdmecon.models import (
+    MODEL_KINDS,
     BoostHyperparams,
     EvalReport,
     ForestHyperparams,
@@ -105,6 +106,31 @@ def test_fitting_on_row_slices_matches_fitting_on_copied_rows(kind, hyperparams)
         model = fit_model(kind, sup.X[train], sup.y[train], hyperparams, seed=2)
         copied.append(rmse(sup.y[test], predict(model, sup.X[test])))
     assert evaluate_cv(series, spec, 5, kind, hyperparams, seed=2).per_split_rmse == tuple(copied)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("extra_rows", [3, -3])
+def test_every_fit_refuses_x_and_y_of_different_lengths(kind, extra_rows):
+    # a forest once indexed bootstrap rows before any check: it fitted on the wrong rows, or raised IndexError
+    y = np.arange(10.0)
+    X = np.random.default_rng(3).normal(size=(10 + extra_rows, 2))
+    with pytest.raises(ValidationError, match=f"X has {10 + extra_rows} rows but y has 10 entries"):
+        fit_model(kind, X, y)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_every_kind_fits_x_without_columns_as_a_constant(kind):
+    y = np.arange(10.0)
+    model = fit_model(kind, np.empty((10, 0)), y)
+    assert model.n_features == 0
+    for tree in getattr(model, "trees", getattr(model, "stages", [])):
+        assert tree.n_nodes == 1  # nothing to split on: one leaf
+    pred = predict(model, np.empty((3, 0)))
+    assert pred.shape == (3,) and np.all(pred == pred[0])
+    if kind == "forest":  # the mean of the bootstrap samples' means
+        assert pred[0] == pytest.approx(np.mean([tree.value[0] for tree in model.trees]))
+    else:
+        assert pred[0] == pytest.approx(y.mean())
 
 
 def test_report_average_is_derived_from_the_splits():
