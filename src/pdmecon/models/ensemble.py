@@ -20,8 +20,8 @@ import numpy as np
 
 from ..errors import ValidationError
 from .tree import (
-    RegressionTree, TreeParams, as_rows, as_training, check_target, fit_tree, predict_tree, presort, stack_trees,
-    walk_stacked,
+    RegressionTree, TreeParams, as_rows, as_training, check_target, dense_ranks, fit_tree, predict_tree, presort,
+    stack_trees, walk_stacked,
 )
 
 
@@ -131,8 +131,10 @@ def fit_forest(
     X, y = as_training(X, y)
     if not hp.bootstrap:
         return ForestModel(trees=[fit_tree(X, y, hp)] * hp.n_trees, hyperparams=hp, seed=seed)
+    ranks = dense_ranks(X)  # once per forest: each tree's presort then sorts only its sample's keys
     samples = (np.random.default_rng((seed, i)).integers(0, len(y), size=len(y)) for i in range(hp.n_trees))
-    return ForestModel(trees=[fit_tree(X[idx], y[idx], hp) for idx in samples], hyperparams=hp, seed=seed)
+    trees = [fit_tree(X, y, hp, rows=idx, ranks=ranks) for idx in samples]
+    return ForestModel(trees=trees, hyperparams=hp, seed=seed)
 
 
 def fit_boost(

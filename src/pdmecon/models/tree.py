@@ -11,24 +11,31 @@ before the last node and reaches 0 at it, so the nodes are exactly one tree.
 Prediction stacks the trees of a model into one node array and walks all of
 them level by level.
 
-Fitting sorts X once per feature and stably partitions that order into the
-children at each split, so every node sees its rows sorted by each feature
-with ties in row order, exactly as a stable argsort of the node's own rows
-would give. The presort gets that stable order from two quicksorts per
-feature (numpy's quicksort is a SIMD sort where the CPU has one): the first
-ranks the values, the second sorts the unique keys rank << 32 | row. Split
-search takes prefix sums of y and y^2 along the sorted order, both from one
-cumsum over complex targets y + i y^2, then the child SSE for every candidate
-boundary. It runs over blocks of features whose temporaries stay under 256 KB
-each, in a few reused buffers, so a large node allocates one SSE array and a
-bounded amount besides rather than several fresh full-size temporaries. Each
-SSE comes from the same operations in the same order as over all features at
-once, and one argmin over the whole SSE array picks the split, so blocking
-changes no bit of any tree. Targets are refused where those sums could
-overflow float64. Candidate thresholds sit at midpoints between consecutive
-distinct sorted values, or at the lower value where the midpoint rounds up to
-the upper one or is not finite, as in scikit-learn; ties in reduction resolve
-to the lowest (feature index, threshold) so fitting is deterministic. The
+Fitting grows a tree in one workspace: the rows sorted by each feature
+(order) with their values (xs), feature-major, plus one row array. A node is
+a column range [a, b) of the workspace, with its rows ascending in the row
+array; a split stably partitions that range in place, a block of features at
+a time, so every node sees its rows sorted by each feature with ties in row
+order, exactly as a stable argsort of the node's own rows would give. A split
+whose children are both too small or too deep to split leaves the sorted
+arrays as they are. The left child is the node's first rows by the split
+feature, so growth never reads X. The presort gets the stable order from two
+quicksorts per feature (numpy's quicksort is a SIMD sort where the CPU has
+one): the first ranks the values, the second sorts the unique keys
+rank << 32 | row; a forest ranks X once for all its trees, and each tree
+sorts its bootstrap rows' keys without building X[rows]. Split search takes
+prefix sums of y and y^2 along the sorted order, both from one cumsum over
+complex targets y + i y^2, then the child SSE for every candidate boundary.
+It runs over blocks of features whose temporaries stay under 256 KB each, in
+a few reused buffers, and keeps a running minimum across the blocks, so no
+SSE array over all features is built. Each SSE comes from the same
+operations in the same order as over all features at once, and the first
+minimum in feature-major order wins, so blocking changes no bit of any tree.
+Targets are refused where those sums could overflow float64. Candidate
+thresholds sit at midpoints between consecutive distinct sorted values, or at
+the lower value where the midpoint rounds up to the upper one or is not
+finite, as in scikit-learn; ties in reduction resolve to the lowest (feature
+index, threshold) so fitting is deterministic. The
 build loop uses an explicit stack that pops nodes in preorder; pathological
 data can produce trees deeper than Python's recursion limit.
 """
@@ -136,34 +143,51 @@ class NodeView:
         return None if self.is_leaf else NodeView(self.tree, int(self.nodes[1][self.index]), self.nodes)
 
 
-def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort of X's rows by each feature, feature-major.
+def dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Each value's dense rank within its column, as a (features, rows) uint32 array.
 
-    Returns (order, values): order[f] lists the row indices by X[:, f], ties
-    in row order, and values[f] = X[order[f], f]; both equal a stable argsort
-    and its take_along_axis bit for bit. Each feature is sorted twice by
-    quicksort, which is several times faster than numpy's stable sort and
-    keeps temporaries at O(n): once to give every row the dense rank of its
-    value (equal values share one, -0.0 ties with 0.0, and NaNs, which sort
-    last, share the highest), then once by the unique key rank << 32 | row,
-    whose low 32 bits are the row. The key needs n < 2**31.
+    Equal values share a rank, -0.0 ties with 0.0, and NaNs, which sort last,
+    share the highest. A forest ranks X once and hands the ranks to every
+    tree's presort, which then skips the first of its two sorts.
     """
-    n = X.shape[0]
-    order = np.empty((X.shape[1], n), dtype=np.intp)
-    rows, key = np.arange(n), np.empty(n, dtype=np.int64)
+    ranks = np.empty((X.shape[1], X.shape[0]), dtype=np.uint32)
     for f, column in enumerate(X.T):
         first = np.argsort(column, kind="quicksort")
         ranked = column[first]
         # a rank starts wherever the sorted value differs from the one before it, except among the NaNs
         starts = ranked[1:] != ranked[:-1]
         starts &= ~np.isnan(ranked[:-1])
-        key[first[:1]] = 0  # the first sorted row ranks 0; first[:1] is empty when X has no rows
-        key[first[1:]] = np.cumsum(starts)
+        ranks[f, first[:1]] = 0  # the first sorted row ranks 0; first[:1] is empty when X has no rows
+        ranks[f, first[1:]] = np.cumsum(starts)
+    return ranks
+
+
+def presort(
+    X: np.ndarray, rows: np.ndarray | None = None, ranks: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of the rows of X[rows] (all of X by default) by each feature, feature-major.
+
+    Returns (order, values): order[f] lists positions in X[rows] by their
+    value of feature f, ties in position order, and values[f] holds those
+    values; both equal a stable argsort of X[rows] and its take_along_axis bit
+    for bit, without X[rows] being built. Each feature takes two quicksorts,
+    several times faster than numpy's stable sort: one gives every row of X
+    its dense rank (see dense_ranks; `ranks`, if given, is dense_ranks(X) and
+    saves this one), the other sorts the unique keys rank << 32 | position,
+    whose low 32 bits are the position. The key needs fewer than 2**31 rows.
+    """
+    n = X.shape[0] if rows is None else len(rows)
+    order, values = np.empty((X.shape[1], n), dtype=np.intp), np.empty((X.shape[1], n))
+    positions, key = np.arange(n), np.empty(n, dtype=np.int64)
+    for f, column in enumerate(X.T):
+        rank = dense_ranks(column[:, None])[0] if ranks is None else ranks[f]
+        key[:] = rank if rows is None else rank[rows]
         key <<= 32
-        key |= rows
+        key |= positions
         key.sort(kind="quicksort")
         np.bitwise_and(key, 2**32 - 1, out=order[f])
-    return order, np.take_along_axis(X.T, order, axis=1)
+        np.take(column, order[f] if rows is None else rows[order[f]], out=values[f])
+    return order, values
 
 
 # complex cells per temporary of the split search: 2**14 of them (256 KB) hold
@@ -174,29 +198,30 @@ _BLOCK_CELLS = 2**14
 
 
 def _best_split(xs: np.ndarray, order: np.ndarray, pairs: np.ndarray, min_samples_leaf: int):
-    """Return (feature, threshold) minimizing child SSE, or None if no valid split.
+    """Return (feature, pos, threshold) minimizing child SSE, or None if no valid split.
 
     xs and order are (features, rows): each row holds the node's X values of
     one feature in sorted order and the row indices in that same order.
-    pairs is fit_tree's complex target array, y + i y^2 per row. The child
-    SSE of every candidate boundary goes into one (features, rows - 1) array,
-    computed a block of features at a time in a few reused buffers.
+    pairs is fit_tree's complex target array, y + i y^2 per row. The split
+    puts the first pos + 1 rows of order[feature] on the left. The child SSE
+    of every candidate boundary is computed a block of features at a time in
+    a few reused buffers, and a running minimum over the blocks keeps the
+    first minimum in feature-major order.
     """
     n_features, n = xs.shape
     # boundary after sorted position i puts i+1 rows on the left
     nl = np.arange(1, n, dtype=np.float64)
     nr = n - nl
-    sse = np.empty((n_features, n - 1))
     width = min(n_features, max(1, _BLOCK_CELLS // n))  # features per block
     cum, right = np.empty((width, n), dtype=np.complex128), np.empty((width, n - 1), dtype=np.complex128)
     a, b = np.empty((width, n - 1)), np.empty((width, n - 1))
     valid = np.empty((width, n - 1), dtype=bool)
+    best, feature, pos = np.inf, 0, 0
     for start in range(0, n_features, width):
         if start + width > n_features:  # the last block can be narrower: trim the buffers to it
             k = n_features - start
             cum, right, a, b, valid = cum[:k], right[:k], a[:k], b[:k], valid[:k]
         block = slice(start, start + width)
-        out = sse[block]
         # mode="wrap" writes straight into cum (the default "raise" buffers); order is always in range.
         # Complex addition is componentwise, so one cumsum gives the prefix sums of y and of y^2
         np.take(pairs, order[block], out=cum, mode="wrap")
@@ -212,21 +237,25 @@ def _best_split(xs: np.ndarray, order: np.ndarray, pairs: np.ndarray, min_sample
         np.add(a, right.imag, out=a)
         np.square(right.real, out=b)
         np.divide(b, nr, out=b)
-        np.subtract(a, b, out=out)
+        np.subtract(a, b, out=a)
         # a boundary between equal values is invalid, so its SSE becomes inf:
         # b turns into a penalty, -inf where valid and inf where not, and max()
         # applies it without the branch per cell that a masked write takes
         np.less(xs[block, :-1], xs[block, 1:], out=valid)
         np.subtract(0.5, valid, out=b)
         np.multiply(b, np.inf, out=b)
-        np.maximum(out, b, out=out)
-    if min_samples_leaf > 1:
-        sse[:, : min_samples_leaf - 1] = sse[:, n - min_samples_leaf :] = np.inf
-    # feature-major flatten: first minimum = lowest feature, then lowest
-    # threshold. fit_tree's target bound keeps every valid SSE finite, so an
-    # infinite minimum means no valid boundary
-    feature, pos = divmod(int(np.argmin(sse)), n - 1)
-    if sse[feature, pos] == np.inf:
+        np.maximum(a, b, out=a)
+        if min_samples_leaf > 1:
+            a[:, : min_samples_leaf - 1] = a[:, n - min_samples_leaf :] = np.inf
+        # row-major argmin: first minimum = lowest feature, then lowest
+        # threshold; a later block must be strictly lower to take over
+        at = int(np.argmin(a))
+        if a.flat[at] < best:
+            best, (feature, pos) = a.flat[at], divmod(at, n - 1)
+            feature += start
+    # fit_tree's target bound keeps every valid SSE finite, so an infinite
+    # minimum means no valid boundary
+    if best == np.inf:
         return None
     below, above = float(xs[feature, pos]), float(xs[feature, pos + 1])
     threshold = 0.5 * (below + above)
@@ -235,7 +264,7 @@ def _best_split(xs: np.ndarray, order: np.ndarray, pairs: np.ndarray, min_sample
     # right, and a child that keeps all its parent's rows would split forever
     if threshold == above or not math.isfinite(threshold):
         threshold = below
-    return feature, threshold
+    return feature, pos, threshold
 
 
 def check_target(y: np.ndarray) -> None:
@@ -255,61 +284,81 @@ def check_target(y: np.ndarray) -> None:
         )
 
 
+def _partition(blocks: tuple[np.ndarray, ...], goes_right: np.ndarray, n_left: int) -> None:
+    """Stably move the n_left cells per row that goes_right leaves False to the front of each row of every block."""
+    stays = ~goes_right
+    for block in blocks:
+        left, right = block[stays], block[goes_right]  # copies, taken before block is written
+        block[:, :n_left] = left.reshape(len(block), n_left)
+        block[:, n_left:] = right.reshape(len(block), -1)
+
+
 def fit_tree(
     X: np.ndarray,
     y: np.ndarray,
     params: TreeParams | None = None,
     presorted: tuple[np.ndarray, np.ndarray] | None = None,
+    rows: np.ndarray | None = None,
+    ranks: np.ndarray | None = None,
 ) -> RegressionTree:
     """Grow a regression tree; leaves hold the mean of their training targets.
 
     Recursion stops at max_depth, when a node cannot host two leaves of
     min_samples_leaf rows, at zero target variance, or when every feature is
-    constant within the node. `presorted` is presort(X), passed by callers
-    that fit several trees on the same X.
+    constant within the node. The tree fits X[rows], y[rows] (all rows by
+    default) without building X[rows]. `presorted` is presort(X), passed by
+    callers that fit several trees on the same rows of X, and `ranks` is
+    dense_ranks(X), passed by callers that fit several trees on different rows.
     """
     params = params or TreeParams()
     X, y = as_training(X, y)
+    if rows is not None:
+        y = y[rows]
     check_target(y)
     min_leaf, max_depth = params.min_samples_leaf, params.max_depth
 
-    def splittable(rows: np.ndarray, depth: int) -> bool:
+    def splittable(n_rows: int, depth: int) -> bool:
         # X without columns has nothing to split on: the root is the one leaf
-        return X.shape[1] > 0 and (max_depth is None or depth < max_depth) and len(rows) >= 2 * min_leaf
+        return X.shape[1] > 0 and (max_depth is None or depth < max_depth) and n_rows >= 2 * min_leaf
 
     pairs = np.empty(len(y), dtype=np.complex128)
     pairs.real, pairs.imag = y, y * y
+    # the workspace: a node is a column range [a, b) of it, holding the node's
+    # rows ascending in node_rows and sorted by each feature in order, with
+    # their values in xs; a split partitions its range in place
+    order, xs = presort(X, rows, ranks) if presorted is None else (presorted[0].copy(), presorted[1].copy())
+    node_rows = np.arange(len(y))
+    goes_right = np.zeros(len(y), dtype=bool)
     feature, threshold, value = [], [], []
-    goes_left = np.zeros(len(y), dtype=bool)
-    # (a node's rows ascending, (their per-feature sorted order, sorted X), depth); popped in preorder
-    stack = [(np.arange(len(y)), presort(X) if presorted is None else presorted, 0)]
+    stack = [(0, len(y), 0)]  # (a, b, depth) of the nodes to grow; popped in preorder
     while stack:
-        idx, sorted_rows, depth = stack.pop()
-        y_node = y[idx]  # ascending rows: the mean's pairwise sum sees the same order
+        a, b, depth = stack.pop()
+        y_node = y[node_rows[a:b]]  # ascending rows: the mean's pairwise sum sees the same order
         split = None
-        if splittable(idx, depth) and np.ptp(y_node) != 0.0:
-            order, xs = sorted_rows
-            split = _best_split(xs, order, pairs, min_leaf)
+        # the ufunc reductions are the ones ptp() and mean() make, without their Python wrappers
+        if splittable(b - a, depth) and np.maximum.reduce(y_node) != np.minimum.reduce(y_node):
+            split = _best_split(xs[:, a:b], order[:, a:b], pairs, min_leaf)
         if split is None:
             feature.append(-1)
-            value.append(float(y_node.mean()))
+            value.append(float(np.add.reduce(y_node)) / (b - a))
             continue
-        feature.append(split[0])
-        threshold.append(split[1])
-        mask = X[idx, split[0]] <= split[1]
-        lrows, rrows = idx[mask], idx[~mask]
-        # a stable partition keeps each feature's sorted order within both children
-        goes_left[lrows] = True
-        side = goes_left.take(order)
-        goes_left[lrows] = False
+        f, pos, t = split
+        feature.append(f)
+        threshold.append(t)
+        # the left child is the node's first pos + 1 rows by feature f
+        mid = a + pos + 1
+        node_rows[a:mid], node_rows[mid:b] = np.sort(order[f, a:mid]), np.sort(order[f, mid:b])
+        if splittable(mid - a, depth + 1) or splittable(b - mid, depth + 1):
+            # a child that cannot split never reads the sorted arrays
+            goes_right[node_rows[mid:b]] = True
+            width = min(len(order), max(1, _BLOCK_CELLS // (b - a)))
+            for start in range(0, len(order), width):
+                block = (order[start : start + width, a:b], xs[start : start + width, a:b])
+                _partition(block, goes_right.take(block[0]), mid - a)
+            goes_right[node_rows[mid:b]] = False
         # the right child goes on the stack first, so the left one pops next
-        for child_rows, here in ((rrows, ~side), (lrows, side)):
-            child_sorted = None  # a child that cannot split needs no sorted arrays
-            if splittable(child_rows, depth + 1):
-                at = np.flatnonzero(here)
-                shape = (len(order), len(child_rows))
-                child_sorted = order.take(at).reshape(shape), xs.take(at).reshape(shape)
-            stack.append((child_rows, child_sorted, depth + 1))
+        stack += ((mid, b, depth + 1), (a, mid, depth + 1))
+    del order, xs  # the workspace goes before the tree's arrays are built
     return RegressionTree(feature, threshold, value, n_features=X.shape[1])
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pdmecon.errors import ValidationError
 from pdmecon.jsonio import plain
+from pdmecon.models import ensemble as ensemble_module
 from pdmecon.models import tree as tree_module
 from pdmecon.models import (
     BoostHyperparams,
@@ -381,12 +382,17 @@ def tree_data(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(tree_data())
-def test_presorted_fit_matches_per_node_argsort(case):
+@given(tree_data(), st.lists(st.integers(0, 29), min_size=1, max_size=30))
+def test_presorted_fit_matches_per_node_argsort(case, picks):
     X, y, params = case
     reference = reference_fit(X, y, params)
     expected = preorder(reference)
     assert arrays(fit_tree(X, y, params)) == expected
+    # a forest's tree fits X[rows] without building it, from its own presort or from shared ranks
+    rows = np.array(picks, dtype=np.intp) % len(y)
+    on_rows = preorder(reference_fit(X[rows], y[rows], params))
+    assert arrays(fit_tree(X, y, params, rows=rows)) == on_rows
+    assert arrays(fit_tree(X, y, params, rows=rows, ranks=tree_module.dense_ranks(X))) == on_rows
     # every tree of a forest without bootstrap shares one presort
     forest = fit_forest(X, y, ForestHyperparams(
         n_trees=2, max_depth=params.max_depth, min_samples_leaf=params.min_samples_leaf, bootstrap=False
@@ -400,9 +406,19 @@ def test_presorted_fit_matches_per_node_argsort(case):
 @given(tree_data(), st.sampled_from([0.1, 0.5, 1.0]))
 def test_boost_stages_sharing_one_presort_match_reference(case, learning_rate):
     X, y, params = case
-    model = fit_boost(X, y, BoostHyperparams(
-        n_stages=4, learning_rate=learning_rate, max_depth=params.max_depth, min_samples_leaf=params.min_samples_leaf
-    ))
+    fresh = tree_module.presort(X)
+
+    def stage_leaving_the_presort_intact(*args, presorted, **kwargs):
+        stage = fit_tree(*args, presorted=presorted, **kwargs)
+        for shared, expected in zip(presorted, fresh):
+            np.testing.assert_array_equal(shared, expected)
+        return stage
+
+    with patch.object(ensemble_module, "fit_tree", stage_leaving_the_presort_intact):
+        model = fit_boost(X, y, BoostHyperparams(
+            n_stages=4, learning_rate=learning_rate, max_depth=params.max_depth,
+            min_samples_leaf=params.min_samples_leaf,
+        ))
     F = np.full(len(y), model.init_value)
     for stage in model.stages:
         reference = reference_fit(X, y - F, params)
@@ -424,15 +440,23 @@ def sort_columns(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(sort_columns())
-@example(np.array([[-math.nan, -0.0, 1.0]]))
-@example(np.array([[0.0, math.nan], [-0.0, -math.nan]]))
-@example(np.array([[1.0, 0.0], [1.0, -0.0]]))
-def test_presort_equals_a_stable_argsort_bit_for_bit(X):
-    order, values = tree_module.presort(X)
-    expected = np.argsort(X.T, axis=1, kind="stable")
-    np.testing.assert_array_equal(order, expected)
-    np.testing.assert_array_equal(values.view(np.int64), np.take_along_axis(X.T, expected, axis=1).view(np.int64))
+@given(sort_columns(), st.lists(st.integers(0, 39), max_size=40))
+@example(np.array([[-math.nan, -0.0, 1.0]]), [0, 0])
+@example(np.array([[0.0, math.nan], [-0.0, -math.nan]]), [1, 0, 1])
+@example(np.array([[1.0, 0.0], [1.0, -0.0]]), [1, 1, 0])
+def test_presort_equals_a_stable_argsort_bit_for_bit(X, picks):
+    # all of X, then X[rows] for rows drawn with repeats, straight from X and through shared ranks
+    rows = np.array(picks, dtype=np.intp) % len(X)
+    for sample, sorted_rows in (
+        (X, tree_module.presort(X)),
+        (X[rows], tree_module.presort(X, rows)),
+        (X[rows], tree_module.presort(X, rows, tree_module.dense_ranks(X))),
+    ):
+        order, values = sorted_rows
+        expected = np.argsort(sample.T, axis=1, kind="stable")
+        np.testing.assert_array_equal(order, expected)
+        expected_values = np.take_along_axis(sample.T, expected, axis=1)
+        np.testing.assert_array_equal(values.view(np.int64), expected_values.view(np.int64))
 
 
 def test_reference_properties_hold_with_one_feature_per_block():
@@ -461,10 +485,29 @@ def test_split_search_allocates_a_bounded_multiple_of_its_sse_array():
     pairs.real, pairs.imag = y, y * y
     tracemalloc.start()
     try:
-        split = tree_module._best_split(xs, order, pairs, 1)
+        feature, pos, threshold = tree_module._best_split(xs, order, pairs, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert split == reference_best_split(X, y, 1)
+    assert (feature, threshold) == reference_best_split(X, y, 1)
+    assert xs[feature, pos] <= threshold < xs[feature, pos + 1]
+    # the size of an SSE array over every candidate boundary, which the running minimum never builds
     sse_bytes = 26 * 8191 * 8
-    assert peak < 2.5 * sse_bytes, f"peak {peak} bytes is {peak / sse_bytes:.2f} x the sse array"
+    assert peak < sse_bytes, f"peak {peak} bytes is {peak / sse_bytes:.2f} x the sse array"
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y: fit_forest(X, y, ForestHyperparams(n_trees=2, max_depth=6), 1),
+    lambda X, y: fit_tree(X, y),
+], ids=["forest_2_trees_depth_6", "full_depth_tree"])
+def test_a_fit_peaks_below_four_times_its_matrix(fit):
+    # the workspace is the presorted order and values, 2 x X.nbytes; a forest adds its ranks, 0.5 x
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(8192, 26)), rng.normal(size=8192)
+    tracemalloc.start()
+    try:
+        fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * X.nbytes, f"peak {peak} bytes is {peak / X.nbytes:.2f} x X.nbytes"
