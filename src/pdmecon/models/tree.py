@@ -12,14 +12,16 @@ Prediction stacks the trees of a model into one node array and walks all of
 them level by level.
 
 Fitting grows a tree in one workspace: the rows sorted by each feature
-(order) with their values (xs), feature-major, plus one row array. A node is
-a column range [a, b) of the workspace, with its rows ascending in the row
-array; a split stably partitions that range in place, a block of features at
-a time, so every node sees its rows sorted by each feature with ties in row
-order, exactly as a stable argsort of the node's own rows would give. A split
-whose children are both too small or too deep to split leaves the sorted
-arrays as they are. The left child is the node's first rows by the split
-feature, so growth never reads X. The presort gets the stable order from two
+(order), feature-major, plus one row array. A node is a column range [a, b)
+of the workspace, with its rows ascending in the row array; a split stably
+partitions that range in place, a block of features at a time, so every node
+sees its rows sorted by each feature with ties in row order, exactly as a
+stable argsort of the node's own rows would give. A split whose children are
+both too small or too deep to split leaves the order as it is. The left child
+is the node's first rows by the split feature, so growth reads X only to
+check a boundary for a tie and to take a threshold. Boosting shares one
+presort across its stages: a stage's root partitions it into a fresh
+workspace, leaving it intact. The presort gets the stable order from two
 quicksorts per feature (numpy's quicksort is a SIMD sort where the CPU has
 one): the first ranks the values, the second sorts the unique keys
 rank << 32 | row; a forest ranks X once for all its trees, and each tree
@@ -28,10 +30,13 @@ prefix sums of y and y^2 along the sorted order, both from one cumsum over
 complex targets y + i y^2, then the child SSE for every candidate boundary.
 It runs over blocks of features whose temporaries stay under 256 KB each, in
 a few reused buffers, and keeps a running minimum across the blocks, so no
-SSE array over all features is built. Each SSE comes from the same
-operations in the same order as over all features at once, and the first
-minimum in feature-major order wins, so blocking changes no bit of any tree.
-Targets are refused where those sums could overflow float64. Candidate
+SSE array over all features is built. A boundary between tied values is no
+candidate; a block checks only its SSE minimum for a tie, and only where it
+is one does it rule out every tied boundary of the block and take the
+minimum again, which gives the same first valid minimum. Each SSE comes from
+the same operations in the same order as over all features at once, and the
+first minimum in feature-major order wins, so blocking changes no bit of any
+tree. Targets are refused where those sums could overflow float64. Candidate
 thresholds sit at midpoints between consecutive distinct sorted values, or at
 the lower value where the midpoint rounds up to the upper one or is not
 finite, as in scikit-learn; ties in reduction resolve to the lowest (feature
@@ -162,22 +167,20 @@ def dense_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def presort(
-    X: np.ndarray, rows: np.ndarray | None = None, ranks: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def presort(X: np.ndarray, rows: np.ndarray | None = None, ranks: np.ndarray | None = None) -> np.ndarray:
     """Stable sort of the rows of X[rows] (all of X by default) by each feature, feature-major.
 
-    Returns (order, values): order[f] lists positions in X[rows] by their
-    value of feature f, ties in position order, and values[f] holds those
-    values; both equal a stable argsort of X[rows] and its take_along_axis bit
-    for bit, without X[rows] being built. Each feature takes two quicksorts,
-    several times faster than numpy's stable sort: one gives every row of X
-    its dense rank (see dense_ranks; `ranks`, if given, is dense_ranks(X) and
-    saves this one), the other sorts the unique keys rank << 32 | position,
-    whose low 32 bits are the position. The key needs fewer than 2**31 rows.
+    Returns order: order[f] lists positions in X[rows] by their value of
+    feature f, ties in position order, equal to a stable argsort of X[rows]
+    bit for bit, without X[rows] being built. Each feature takes two
+    quicksorts, several times faster than numpy's stable sort: one gives
+    every row of X its dense rank (see dense_ranks; `ranks`, if given, is
+    dense_ranks(X) and saves this one), the other sorts the unique keys
+    rank << 32 | position, whose low 32 bits are the position. The key needs
+    fewer than 2**31 rows.
     """
     n = X.shape[0] if rows is None else len(rows)
-    order, values = np.empty((X.shape[1], n), dtype=np.intp), np.empty((X.shape[1], n))
+    order = np.empty((X.shape[1], n), dtype=np.intp)
     positions, key = np.arange(n), np.empty(n, dtype=np.int64)
     for f, column in enumerate(X.T):
         rank = dense_ranks(column[:, None])[0] if ranks is None else ranks[f]
@@ -186,8 +189,7 @@ def presort(
         key |= positions
         key.sort(kind="quicksort")
         np.bitwise_and(key, 2**32 - 1, out=order[f])
-        np.take(column, order[f] if rows is None else rows[order[f]], out=values[f])
-    return order, values
+    return order
 
 
 # complex cells per temporary of the split search: 2**14 of them (256 KB) hold
@@ -197,30 +199,36 @@ def presort(
 _BLOCK_CELLS = 2**14
 
 
-def _best_split(xs: np.ndarray, order: np.ndarray, pairs: np.ndarray, min_samples_leaf: int):
+def _best_split(X: np.ndarray, rows: np.ndarray, order: np.ndarray, pairs: np.ndarray, min_samples_leaf: int):
     """Return (feature, pos, threshold) minimizing child SSE, or None if no valid split.
 
-    xs and order are (features, rows): each row holds the node's X values of
-    one feature in sorted order and the row indices in that same order.
-    pairs is fit_tree's complex target array, y + i y^2 per row. The split
-    puts the first pos + 1 rows of order[feature] on the left. The child SSE
-    of every candidate boundary is computed a block of features at a time in
-    a few reused buffers, and a running minimum over the blocks keeps the
-    first minimum in feature-major order.
+    order is (features, node rows): each row lists the node's positions in
+    sorted order of one feature, and rows[position] is that row of X. pairs
+    is fit_tree's complex target array, y + i y^2 per position. The split
+    puts the first pos + 1 positions of order[feature] on the left. The child
+    SSE of every candidate boundary is computed a block of features at a time
+    in a few reused buffers, and a running minimum over the blocks keeps the
+    first minimum in feature-major order. A boundary between equal values is
+    invalid: X is read for the one boundary at a block's minimum, and only
+    where that is a tie are the block's values gathered to rule out every
+    tied boundary before the minimum is taken again.
     """
-    n_features, n = xs.shape
+    n_features, n = order.shape
+
+    def value(f: int, p: int) -> float:  # X at the p-th position of order[f]
+        return float(X[rows[order[f, p]], f])
+
     # boundary after sorted position i puts i+1 rows on the left
     nl = np.arange(1, n, dtype=np.float64)
     nr = n - nl
     width = min(n_features, max(1, _BLOCK_CELLS // n))  # features per block
     cum, right = np.empty((width, n), dtype=np.complex128), np.empty((width, n - 1), dtype=np.complex128)
     a, b = np.empty((width, n - 1)), np.empty((width, n - 1))
-    valid = np.empty((width, n - 1), dtype=bool)
     best, feature, pos = np.inf, 0, 0
     for start in range(0, n_features, width):
         if start + width > n_features:  # the last block can be narrower: trim the buffers to it
             k = n_features - start
-            cum, right, a, b, valid = cum[:k], right[:k], a[:k], b[:k], valid[:k]
+            cum, right, a, b = cum[:k], right[:k], a[:k], b[:k]
         block = slice(start, start + width)
         # mode="wrap" writes straight into cum (the default "raise" buffers); order is always in range.
         # Complex addition is componentwise, so one cumsum gives the prefix sums of y and of y^2
@@ -238,18 +246,19 @@ def _best_split(xs: np.ndarray, order: np.ndarray, pairs: np.ndarray, min_sample
         np.square(right.real, out=b)
         np.divide(b, nr, out=b)
         np.subtract(a, b, out=a)
-        # a boundary between equal values is invalid, so its SSE becomes inf:
-        # b turns into a penalty, -inf where valid and inf where not, and max()
-        # applies it without the branch per cell that a masked write takes
-        np.less(xs[block, :-1], xs[block, 1:], out=valid)
-        np.subtract(0.5, valid, out=b)
-        np.multiply(b, np.inf, out=b)
-        np.maximum(a, b, out=a)
         if min_samples_leaf > 1:
             a[:, : min_samples_leaf - 1] = a[:, n - min_samples_leaf :] = np.inf
         # row-major argmin: first minimum = lowest feature, then lowest
         # threshold; a later block must be strictly lower to take over
         at = int(np.argmin(a))
+        f, p = divmod(at, n - 1)
+        if a.flat[at] < best and not value(start + f, p) < value(start + f, p + 1):
+            # the minimum is a tie: rule out every tied boundary of the block and
+            # take it again. A valid minimum needs no such pass: ruling out ties
+            # only raises other boundaries to inf, so the first minimum stays put
+            xs = X[rows[order[block]], np.arange(start, start + len(a))[:, None]]  # the block's sorted values
+            a[~(xs[:, :-1] < xs[:, 1:])] = np.inf
+            at = int(np.argmin(a))
         if a.flat[at] < best:
             best, (feature, pos) = a.flat[at], divmod(at, n - 1)
             feature += start
@@ -257,7 +266,7 @@ def _best_split(xs: np.ndarray, order: np.ndarray, pairs: np.ndarray, min_sample
     # minimum means no valid boundary
     if best == np.inf:
         return None
-    below, above = float(xs[feature, pos]), float(xs[feature, pos + 1])
+    below, above = value(feature, pos), value(feature, pos + 1)
     threshold = 0.5 * (below + above)
     # the midpoint of adjacent floats can round up to `above`, and below + above
     # can overflow, sending every row left; -inf + inf is NaN, sending every row
@@ -284,20 +293,22 @@ def check_target(y: np.ndarray) -> None:
         )
 
 
-def _partition(blocks: tuple[np.ndarray, ...], goes_right: np.ndarray, n_left: int) -> None:
-    """Stably move the n_left cells per row that goes_right leaves False to the front of each row of every block."""
+def _partition(source: np.ndarray, dest: np.ndarray, goes_right: np.ndarray, n_left: int) -> None:
+    """Stably move the n_left cells per row that goes_right leaves False to the front of each row of dest.
+
+    dest may be source itself, partitioned in place.
+    """
     stays = ~goes_right
-    for block in blocks:
-        left, right = block[stays], block[goes_right]  # copies, taken before block is written
-        block[:, :n_left] = left.reshape(len(block), n_left)
-        block[:, n_left:] = right.reshape(len(block), -1)
+    left, right = source[stays], source[goes_right]  # copies, taken before dest is written
+    dest[:, :n_left] = left.reshape(len(source), n_left)
+    dest[:, n_left:] = right.reshape(len(source), -1)
 
 
 def fit_tree(
     X: np.ndarray,
     y: np.ndarray,
     params: TreeParams | None = None,
-    presorted: tuple[np.ndarray, np.ndarray] | None = None,
+    presorted: np.ndarray | None = None,
     rows: np.ndarray | None = None,
     ranks: np.ndarray | None = None,
 ) -> RegressionTree:
@@ -307,12 +318,16 @@ def fit_tree(
     min_samples_leaf rows, at zero target variance, or when every feature is
     constant within the node. The tree fits X[rows], y[rows] (all rows by
     default) without building X[rows]. `presorted` is presort(X), passed by
-    callers that fit several trees on the same rows of X, and `ranks` is
-    dense_ranks(X), passed by callers that fit several trees on different rows.
+    callers that fit several trees on the same rows of X; it is read, never
+    written. `ranks` is dense_ranks(X), passed by callers that fit several
+    trees on different rows. The workspace is the sorted order alone: X is
+    read only to check a split's boundary for a tie and to take its threshold.
     """
     params = params or TreeParams()
     X, y = as_training(X, y)
-    if rows is not None:
+    if rows is None:
+        rows = np.arange(len(y))
+    else:
         y = y[rows]
     check_target(y)
     min_leaf, max_depth = params.min_samples_leaf, params.max_depth
@@ -324,9 +339,10 @@ def fit_tree(
     pairs = np.empty(len(y), dtype=np.complex128)
     pairs.real, pairs.imag = y, y * y
     # the workspace: a node is a column range [a, b) of it, holding the node's
-    # rows ascending in node_rows and sorted by each feature in order, with
-    # their values in xs; a split partitions its range in place
-    order, xs = presort(X, rows, ranks) if presorted is None else (presorted[0].copy(), presorted[1].copy())
+    # positions ascending in node_rows and sorted by each feature in order; a
+    # split partitions its range in place, except that the root partitions a
+    # shared presort into a fresh array
+    order = presort(X, rows, ranks) if presorted is None else presorted
     node_rows = np.arange(len(y))
     goes_right = np.zeros(len(y), dtype=bool)
     feature, threshold, value = [], [], []
@@ -337,7 +353,7 @@ def fit_tree(
         split = None
         # the ufunc reductions are the ones ptp() and mean() make, without their Python wrappers
         if splittable(b - a, depth) and np.maximum.reduce(y_node) != np.minimum.reduce(y_node):
-            split = _best_split(xs[:, a:b], order[:, a:b], pairs, min_leaf)
+            split = _best_split(X, rows, order[:, a:b], pairs, min_leaf)
         if split is None:
             feature.append(-1)
             value.append(float(np.add.reduce(y_node)) / (b - a))
@@ -349,16 +365,18 @@ def fit_tree(
         mid = a + pos + 1
         node_rows[a:mid], node_rows[mid:b] = np.sort(order[f, a:mid]), np.sort(order[f, mid:b])
         if splittable(mid - a, depth + 1) or splittable(b - mid, depth + 1):
-            # a child that cannot split never reads the sorted arrays
+            # a child that cannot split never reads the order
+            dest = np.empty_like(order) if order is presorted else order
             goes_right[node_rows[mid:b]] = True
             width = min(len(order), max(1, _BLOCK_CELLS // (b - a)))
             for start in range(0, len(order), width):
-                block = (order[start : start + width, a:b], xs[start : start + width, a:b])
-                _partition(block, goes_right.take(block[0]), mid - a)
+                block = order[start : start + width, a:b]
+                _partition(block, dest[start : start + width, a:b], goes_right.take(block), mid - a)
             goes_right[node_rows[mid:b]] = False
+            order = dest
         # the right child goes on the stack first, so the left one pops next
         stack += ((mid, b, depth + 1), (a, mid, depth + 1))
-    del order, xs  # the workspace goes before the tree's arrays are built
+    del order  # the workspace goes before the tree's arrays are built
     return RegressionTree(feature, threshold, value, n_features=X.shape[1])
 
 

@@ -282,7 +282,8 @@ class RefNode:
         return self.left is None
 
 
-def reference_best_split(X, y, min_samples_leaf):
+def reference_sse(X, y):
+    """(xs, sse): each column of X sorted, and the child SSE of every boundary, ties included, (rows - 1, features)."""
     n = len(y)
     order = np.argsort(X, axis=0, kind="stable")
     xs = np.take_along_axis(X, order, axis=0)
@@ -293,7 +294,14 @@ def reference_best_split(X, y, min_samples_leaf):
     nl = np.arange(1, n, dtype=np.float64)[:, None]
     nr = n - nl
     sl, sl2 = cum[:-1, :], cum2[:-1, :]
-    sse = (sl2 - sl * sl / nl) + (total2 - sl2) - (total - sl) ** 2 / nr
+    return xs, (sl2 - sl * sl / nl) + (total2 - sl2) - (total - sl) ** 2 / nr
+
+
+def reference_best_split(X, y, min_samples_leaf):
+    n = len(y)
+    xs, sse = reference_sse(X, y)
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = n - nl
     valid = xs[:-1, :] < xs[1:, :]
     if min_samples_leaf > 1:
         valid &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
@@ -447,16 +455,12 @@ def sort_columns(draw):
 def test_presort_equals_a_stable_argsort_bit_for_bit(X, picks):
     # all of X, then X[rows] for rows drawn with repeats, straight from X and through shared ranks
     rows = np.array(picks, dtype=np.intp) % len(X)
-    for sample, sorted_rows in (
+    for sample, order in (
         (X, tree_module.presort(X)),
         (X[rows], tree_module.presort(X, rows)),
         (X[rows], tree_module.presort(X, rows, tree_module.dense_ranks(X))),
     ):
-        order, values = sorted_rows
-        expected = np.argsort(sample.T, axis=1, kind="stable")
-        np.testing.assert_array_equal(order, expected)
-        expected_values = np.take_along_axis(sample.T, expected, axis=1)
-        np.testing.assert_array_equal(values.view(np.int64), expected_values.view(np.int64))
+        np.testing.assert_array_equal(order, np.argsort(sample.T, axis=1, kind="stable"))
 
 
 def test_reference_properties_hold_with_one_feature_per_block():
@@ -477,20 +481,34 @@ def test_fit_spanning_several_blocks_matches_reference():
     assert arrays(fit_tree(X, y, params)) == preorder(reference_fit(X, y, params))
 
 
+@pytest.mark.parametrize("block_cells", [tree_module._BLOCK_CELLS, 1])
+def test_a_tie_at_the_sse_minimum_falls_back_to_the_first_valid_boundary(block_cells):
+    X, y = np.array([[0.0, 3.0], [0.0, 2.0], [1.0, 1.0], [1.0, 0.0]]), np.array([0.0, 10.0, 10.0, 10.0])
+    # with ties allowed, the first minimum in feature-major order sits between feature 0's two zeros
+    xs, sse = reference_sse(X, y)
+    feature, pos = divmod(int(np.argmin(sse.T)), len(y) - 1)
+    assert (feature, pos) == (0, 0) and xs[pos, feature] == xs[pos + 1, feature]
+    params = TreeParams(max_depth=1)
+    expected = preorder(reference_fit(X, y, params))
+    assert expected == ([1, -1, -1], [2.5], [10.0, 0.0])
+    with patch.object(tree_module, "_BLOCK_CELLS", block_cells):
+        assert arrays(fit_tree(X, y, params)) == expected
+
+
 def test_split_search_allocates_a_bounded_multiple_of_its_sse_array():
     rng = np.random.default_rng(8)
     X, y = rng.normal(size=(8192, 26)), rng.normal(size=8192)
-    order, xs = tree_module.presort(X)
+    order, rows = tree_module.presort(X), np.arange(8192)
     pairs = np.empty(8192, dtype=np.complex128)  # fit_tree's targets: y + i y^2
     pairs.real, pairs.imag = y, y * y
     tracemalloc.start()
     try:
-        feature, pos, threshold = tree_module._best_split(xs, order, pairs, 1)
+        feature, pos, threshold = tree_module._best_split(X, rows, order, pairs, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (feature, threshold) == reference_best_split(X, y, 1)
-    assert xs[feature, pos] <= threshold < xs[feature, pos + 1]
+    assert X[order[feature, pos], feature] <= threshold < X[order[feature, pos + 1], feature]
     # the size of an SSE array over every candidate boundary, which the running minimum never builds
     sse_bytes = 26 * 8191 * 8
     assert peak < sse_bytes, f"peak {peak} bytes is {peak / sse_bytes:.2f} x the sse array"
@@ -499,9 +517,11 @@ def test_split_search_allocates_a_bounded_multiple_of_its_sse_array():
 @pytest.mark.parametrize("fit", [
     lambda X, y: fit_forest(X, y, ForestHyperparams(n_trees=2, max_depth=6), 1),
     lambda X, y: fit_tree(X, y),
-], ids=["forest_2_trees_depth_6", "full_depth_tree"])
-def test_a_fit_peaks_below_four_times_its_matrix(fit):
-    # the workspace is the presorted order and values, 2 x X.nbytes; a forest adds its ranks, 0.5 x
+    lambda X, y: fit_boost(X, y, BoostHyperparams(n_stages=5)),
+], ids=["forest_2_trees_depth_6", "full_depth_tree", "boost_5_stages"])
+def test_a_fit_peaks_below_three_times_its_matrix(fit):
+    # the workspace is the presorted order, 1 x X.nbytes; a forest adds its ranks, 0.5 x,
+    # and boosting keeps its shared presort beside each stage's workspace
     rng = np.random.default_rng(8)
     X, y = rng.normal(size=(8192, 26)), rng.normal(size=8192)
     tracemalloc.start()
@@ -510,4 +530,4 @@ def test_a_fit_peaks_below_four_times_its_matrix(fit):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * X.nbytes, f"peak {peak} bytes is {peak / X.nbytes:.2f} x X.nbytes"
+    assert peak < 3 * X.nbytes, f"peak {peak} bytes is {peak / X.nbytes:.2f} x X.nbytes"
