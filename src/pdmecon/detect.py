@@ -19,6 +19,9 @@ inclusive [start, end] event; every detector returns events sorted by start
 with no overlaps. An event is written by its fields. Rolling variance is
 population variance (ddof=0) on a series centered by its global mean, which
 keeps the cumulative-sum form accurate for near-constant kPa-scale data.
+The rolling median and MAD are taken a fixed chunk of windows at a time, so
+beyond its two outputs the distance detector copies at most 512 KB of
+windows, however long the series or the window.
 """
 
 from __future__ import annotations
@@ -131,23 +134,39 @@ def _rolling_var(values: np.ndarray, window: int) -> np.ndarray:
     return np.maximum(s2 / window - (s1 / window) ** 2, 0.0)
 
 
+# cells of a chunk's copy of its sliding windows: 2**16 float64 (512 KB), so
+# the median and MAD need one output each beside the readings, whatever the window
+_CHUNK_CELLS = 2**16
+
+
 def _rolling_median_mad(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Median and median absolute deviation of every length-`window` slice (one per start).
 
     The window is odd, so each median is the slice's middle order statistic,
     which one partition finds (np.median partitions twice, once more to look
-    for the NaN that _readings refuses). The deviations overwrite the
-    partitioned copy and are partitioned in place, so one (starts, window)
-    buffer serves both.
+    for the NaN that _readings refuses). The slices are taken a chunk of
+    starts at a time, in one reused buffer of at most _CHUNK_CELLS cells (one
+    start per chunk when the window is longer): each chunk's copy is
+    partitioned for the medians, then overwritten by its deviations, which are
+    partitioned in place. Each slice is partitioned on its own, so chunking
+    moves no bit.
     """
     strides = np.lib.stride_tricks.sliding_window_view(values, window)
-    mid = window // 2
-    part = np.partition(strides, mid, axis=1)
-    medians = part[:, mid].copy()
-    np.subtract(strides, medians[:, None], out=part)
-    np.abs(part, out=part)
-    part.partition(mid, axis=1)
-    return medians, part[:, mid]
+    mid, n = window // 2, len(strides)
+    medians, mads = np.empty(n), np.empty(n)
+    step = max(1, _CHUNK_CELLS // window)  # starts per chunk
+    buffer = np.empty((min(step, n), window))
+    for start in range(0, n, step):
+        chunk = strides[start : start + step]
+        part, median = buffer[: len(chunk)], medians[start : start + step]
+        part[...] = chunk
+        part.partition(mid, axis=1)
+        median[...] = part[:, mid]
+        np.subtract(chunk, median[:, None], out=part)
+        np.abs(part, out=part)
+        part.partition(mid, axis=1)
+        mads[start : start + step] = part[:, mid]
+    return medians, mads
 
 
 def detect_outliers_gradient(values, config: DetectorConfig) -> list[FaultEvent]:

@@ -12,12 +12,14 @@ Prediction stacks the trees of a model into one node array and walks all of
 them level by level.
 
 Fitting grows a tree in one workspace: the rows sorted by each feature
-(order), feature-major, plus one row array. A node is a column range [a, b)
-of the workspace, with its rows ascending in the row array; a split stably
-partitions that range in place, a block of features at a time, so every node
-sees its rows sorted by each feature with ties in row order, exactly as a
-stable argsort of the node's own rows would give. A split whose children are
-both too small or too deep to split leaves the order as it is. The left child
+(order), feature-major, as int32 positions, half the size of X, plus one row
+array; a fit of 2**31 rows or more is refused, as its positions would not
+fit. A node is a column range [a, b) of the workspace, with its rows
+ascending in the row array; a split stably partitions that range in place,
+a block of features at a time, so every node sees its rows sorted by each
+feature with ties in row order, exactly as a stable argsort of the node's
+own rows would give. A split whose children are both too small or too deep
+to split leaves the order as it is. The left child
 is the node's first rows by the split feature, so growth reads X only to
 check a boundary for a tie and to take a threshold. Boosting shares one
 presort across its stages: a stage's root partitions it into a fresh
@@ -167,20 +169,27 @@ def dense_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
+# a fit's positions are int32, and presort's keys keep a position in their low 32 bits
+_MAX_ROWS = 2**31
+
+
 def presort(X: np.ndarray, rows: np.ndarray | None = None, ranks: np.ndarray | None = None) -> np.ndarray:
     """Stable sort of the rows of X[rows] (all of X by default) by each feature, feature-major.
 
-    Returns order: order[f] lists positions in X[rows] by their value of
-    feature f, ties in position order, equal to a stable argsort of X[rows]
+    Returns order, int32: order[f] lists positions in X[rows] by their value
+    of feature f, ties in position order, equal to a stable argsort of X[rows]
     bit for bit, without X[rows] being built. Each feature takes two
     quicksorts, several times faster than numpy's stable sort: one gives
     every row of X its dense rank (see dense_ranks; `ranks`, if given, is
     dense_ranks(X) and saves this one), the other sorts the unique keys
-    rank << 32 | position, whose low 32 bits are the position. The key needs
-    fewer than 2**31 rows.
+    rank << 32 | position, whose low 32 bits are the position. Fewer than
+    2**31 rows are taken (_MAX_ROWS), so every position fits in int32; more
+    raise ValidationError.
     """
     n = X.shape[0] if rows is None else len(rows)
-    order = np.empty((X.shape[1], n), dtype=np.intp)
+    if n >= _MAX_ROWS:
+        raise ValidationError(f"cannot fit a tree on {n} rows: positions are int32, so a fit takes fewer than {_MAX_ROWS}")
+    order = np.empty((X.shape[1], n), dtype=np.int32)
     positions, key = np.arange(n), np.empty(n, dtype=np.int64)
     for f, column in enumerate(X.T):
         rank = dense_ranks(column[:, None])[0] if ranks is None else ranks[f]
@@ -320,8 +329,10 @@ def fit_tree(
     default) without building X[rows]. `presorted` is presort(X), passed by
     callers that fit several trees on the same rows of X; it is read, never
     written. `ranks` is dense_ranks(X), passed by callers that fit several
-    trees on different rows. The workspace is the sorted order alone: X is
-    read only to check a split's boundary for a tie and to take its threshold.
+    trees on different rows. The workspace is the sorted order alone, int32
+    positions: X is read only to check a split's boundary for a tie and to take
+    its threshold. A fit of 2**31 rows or more raises ValidationError from
+    presort, as its positions would not fit in int32.
     """
     params = params or TreeParams()
     X, y = as_training(X, y)

@@ -346,23 +346,33 @@ class SimOutcome:
 def _forecast(model, windows: np.ndarray, lags: np.ndarray, horizon: int) -> np.ndarray:
     """Iterated multi-step forecasts, one row per (rows, max_lag) lag window, shape (rows, horizon).
 
-    Predictions feed back as lag inputs. The work buffer is time-major, so each step reads
-    its lag inputs as whole rows; a row's forecast does not depend on the rows beside it.
+    Predictions feed back as lag inputs. lags is LagSpec.lags, min_lag..max_lag
+    ascending. The work buffer is time-major, so each step reads its lag inputs
+    as whole rows; a row's forecast does not depend on the rows beside it. A
+    LinearModel step multiplies the slab of lag rows, read in lag order, by the
+    coefficients into one reused (lags, rows) buffer and sums it down its lags:
+    0.0 plus each lag's term in lag order, then the intercept, the same bits as
+    a loop over the lags for any number of rows.
     """
-    max_lag = windows.shape[1]
+    max_lag, min_lag, n = windows.shape[1], int(lags[0]), len(windows)
     try:
-        work = np.empty((max_lag + horizon, len(windows)))
+        work = np.empty((max_lag + horizon, n))
     except MemoryError:
         raise ValidationError(
             f"not enough memory for a forecast of horizon_s {horizon}; use a shorter horizon_s"
         ) from None
     work[:max_lag] = windows.T
+    linear = isinstance(model, LinearModel)
+    if linear:
+        # two columns or more: numpy sums one term at a time down a slow axis, but
+        # pairwise along a lone column; the padding column stays 0.0
+        terms, total = np.zeros((len(lags), max(n, 2))), np.empty(max(n, 2))
+        coefficients = model.coefficients[:, None]
     for pos in range(max_lag, max_lag + horizon):
-        if isinstance(model, LinearModel):
-            acc = np.zeros(len(windows))
-            for coef, lag in zip(model.coefficients, lags):
-                acc += coef * work[pos - lag]  # a fixed-order sum: the same bits for any number of rows
-            work[pos] = model.intercept + acc
+        if linear:
+            np.multiply(coefficients, work[pos - max_lag : pos - min_lag + 1][::-1], out=terms[:, :n])
+            np.add.reduce(terms, axis=0, initial=0.0, out=total)
+            np.add(model.intercept, total[:n], out=work[pos])
         else:
             work[pos] = predict(model, work[pos - lags].T)
     return work[max_lag:].T

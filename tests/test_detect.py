@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,13 +91,27 @@ def test_distance_identical_series_none():
     st.lists(st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3), min_size=31, max_size=120),
 )
 def test_rolling_median_and_mad_equal_np_median(window, readings):
-    # small integers repeat, so most windows hold ties
+    # small integers repeat, so most windows hold ties; a chunk of one cell takes one start per chunk
     values = np.array(readings)
     strides = np.lib.stride_tricks.sliding_window_view(values, window)
-    medians, mads = detect._rolling_median_mad(values, window)
     expected = np.median(strides, axis=1)
-    np.testing.assert_array_equal(medians, expected)
-    np.testing.assert_array_equal(mads, np.median(np.abs(strides - expected[:, None]), axis=1))
+    for chunk_cells in (detect._CHUNK_CELLS, 1):
+        with patch.object(detect, "_CHUNK_CELLS", chunk_cells):
+            medians, mads = detect._rolling_median_mad(values, window)
+        np.testing.assert_array_equal(medians, expected)
+        np.testing.assert_array_equal(mads, np.median(np.abs(strides - expected[:, None]), axis=1))
+
+
+def test_rolling_median_and_mad_peak_below_three_times_the_readings():
+    # two outputs of one float64 per start, plus one chunk's copy of its windows
+    values = np.random.default_rng(3).normal(30.0, 2.0, size=10**6)
+    tracemalloc.start()
+    try:
+        detect._rolling_median_mad(values, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * values.nbytes, f"peak {peak} bytes is {peak / values.nbytes:.2f} x the readings"
 
 
 def test_distance_window_errors():

@@ -460,6 +460,7 @@ def test_presort_equals_a_stable_argsort_bit_for_bit(X, picks):
         (X[rows], tree_module.presort(X, rows)),
         (X[rows], tree_module.presort(X, rows, tree_module.dense_ranks(X))),
     ):
+        assert order.dtype == np.int32  # half the workspace of 8-byte positions
         np.testing.assert_array_equal(order, np.argsort(sample.T, axis=1, kind="stable"))
 
 
@@ -519,9 +520,9 @@ def test_split_search_allocates_a_bounded_multiple_of_its_sse_array():
     lambda X, y: fit_tree(X, y),
     lambda X, y: fit_boost(X, y, BoostHyperparams(n_stages=5)),
 ], ids=["forest_2_trees_depth_6", "full_depth_tree", "boost_5_stages"])
-def test_a_fit_peaks_below_three_times_its_matrix(fit):
-    # the workspace is the presorted order, 1 x X.nbytes; a forest adds its ranks, 0.5 x,
-    # and boosting keeps its shared presort beside each stage's workspace
+def test_a_fit_peaks_below_twice_its_matrix(fit):
+    # the workspace is the presorted order, int32 positions, 0.5 x X.nbytes; a forest adds
+    # its ranks, 0.5 x, and boosting keeps its shared presort beside each stage's workspace
     rng = np.random.default_rng(8)
     X, y = rng.normal(size=(8192, 26)), rng.normal(size=8192)
     tracemalloc.start()
@@ -530,4 +531,16 @@ def test_a_fit_peaks_below_three_times_its_matrix(fit):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * X.nbytes, f"peak {peak} bytes is {peak / X.nbytes:.2f} x X.nbytes"
+    assert peak < 2 * X.nbytes, f"peak {peak} bytes is {peak / X.nbytes:.2f} x X.nbytes"
+
+
+def test_a_fit_of_too_many_rows_for_int32_positions_is_refused():
+    X, y = np.arange(16.0).reshape(8, 2), np.arange(8.0)
+    with patch.object(tree_module, "_MAX_ROWS", 8):
+        with pytest.raises(ValidationError, match="cannot fit a tree on 8 rows"):
+            fit_tree(X, y)
+        with pytest.raises(ValidationError, match="cannot fit a tree on 8 rows"):
+            fit_tree(X[:4], y[:4], rows=np.arange(8) % 4)  # a bootstrap sample counts its draws
+        with pytest.raises(ValidationError, match="cannot fit a tree on 8 rows"):
+            tree_module.presort(X)
+        assert fit_tree(X[:7], y[:7]).n_nodes > 1

@@ -550,6 +550,45 @@ def test_a_long_horizon_forecasts_in_smaller_blocks(monkeypatch):
     assert 2**19 < max(sizes) <= 2**20
 
 
+def loop_forecast(model: LinearModel, windows: np.ndarray, lags: np.ndarray, horizon: int) -> np.ndarray:
+    """The linear forecast term by term: 0.0, plus each lag's term in lag order, plus the intercept."""
+    history = [list(row) for row in windows]
+    for row in history:
+        for _ in range(horizon):
+            total = 0.0
+            for coef, lag in zip(model.coefficients, lags):
+                total += float(coef) * row[-lag]
+            row.append(model.intercept + total)
+    return np.array([row[windows.shape[1]:] for row in history]).reshape(len(windows), horizon)
+
+
+@st.composite
+def linear_forecast_case(draw):
+    min_lag = draw(st.integers(1, 6))
+    max_lag = draw(st.integers(min_lag, min_lag + 30))
+    n_rows, horizon = draw(st.sampled_from([1, 1, 2, 3, 17])), draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([1e-12, 1.0, 1e12]))
+    special = st.sampled_from([0.0, -0.0])
+    numbers = special | st.floats(-2.0, 2.0).map(lambda x: x * scale)
+    windows = np.array(draw(st.lists(numbers, min_size=n_rows * max_lag, max_size=n_rows * max_lag)))
+    coefficients = draw(st.lists(special | st.floats(-0.2, 0.2), min_size=max_lag - min_lag + 1,
+                                 max_size=max_lag - min_lag + 1))
+    model = LinearModel(intercept=draw(special | st.floats(-2.0, 2.0).map(lambda x: x * scale)),
+                        coefficients=np.array(coefficients))
+    return model, windows.reshape(n_rows, max_lag), LagSpec(min_lag, max_lag).lags, horizon
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(linear_forecast_case())
+@example((LinearModel(-0.0, np.array([-0.0] * 9)), np.full((1, 9), -0.0), LagSpec(1, 9).lags, 2))
+@example((LinearModel(0.0, np.array([1.0, 1e-16, -1.0] * 4)), np.tile([1.0, 3e-16, 1.0], (1, 5)), LagSpec(4, 15).lags, 3))
+def test_a_linear_forecast_equals_the_loop_over_its_lags_bit_for_bit(case):
+    # one row as well as several: numpy would sum a lone column pairwise, not in lag order
+    model, windows, lags, horizon = case
+    expected = loop_forecast(model, windows, lags, horizon)
+    np.testing.assert_array_equal(_forecast(model, windows, lags, horizon).view(np.int64), expected.view(np.int64))
+
+
 # --- the per-second loop as it stood with a fault-state object per injection ---
 
 class _FaultState:
