@@ -10,6 +10,7 @@ from importlib import resources as _resources
 from pathlib import Path
 
 __version__ = "0.1.0"
+TRACE_CHANNEL = "DPIT301"  # the channel a synthetic trace is written as, and the CLI's default channel
 
 
 def data_path(name: str) -> Path:

@@ -26,14 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Annotated, ClassVar, Literal
+from typing import TYPE_CHECKING, Annotated, ClassVar, Literal
 
 import numpy as np
 
 from . import format_table
 from .errors import ValidationError
 from .jsonio import from_dict, json_object, load_json, plain
-from .plantsim import ComparisonReport
+
+if TYPE_CHECKING:  # the simulator, models and detectors load only for a bridge, which passes one in
+    from .plantsim import ComparisonReport
 
 
 class LedgerKind(str, Enum):

@@ -16,11 +16,19 @@ unknown fields, wrong types and NaN/Infinity (see pdmecon.jsonio). Artifacts
 are strict JSON or CSV written atomically; the same inputs and seed give
 byte-identical output. Exit codes: 0 success, 1 bad input (usage, a missing
 or malformed file or config), 2 only for a fault inside the program.
+
+Each command imports only the layers it runs (`ingest` imports ingest alone,
+`cba` without --bridge no simulator), since each command is a fresh process
+and importing every layer cost more than some commands' work; the parser
+reads no layer, so `--help` imports none. A command binds its layers' names
+on this module rather than importing them inside itself, so a wrapper set on
+`pdmecon.cli` before it runs (a tracer's) is the function it calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from collections import Counter
@@ -28,32 +36,44 @@ from pathlib import Path
 
 import numpy as np
 
-from .cba import McConfig, bridge_from_simulation, format_summary_table, load_ledger, net_benefit
-from .detect import DetectorConfig, events_to_jsonl, format_events, run_all_detectors
+from . import TRACE_CHANNEL
 from .errors import ValidationError
 from .features import LagSpec, make_lag_matrix
-from .ingest import IngestConfig, SensorFrame, load_historian_csv, write_sensor_csv
 from .jsonio import atomic_path, from_dict, load_json, write_json, write_text
-from .models import (
-    MODEL_KINDS,
-    Hyperparams,
-    evaluate_cv,
-    fit_model,
-    format_eval_table,
-    load_model,
-    model_to_dict,
-)
-from .plantsim import (
-    TRACE_CHANNEL,
-    ComparisonReport,
-    FaultInjection,
-    Scenario,
-    TracePlan,
-    compare_policies,
-    format_comparison,
-    generate_trace,
-    inject_faults,
-)
+
+# The names this module takes from each layer: a command binds its layers' names before it runs
+# (_bind), and any other read of a name binds that name's layer (module __getattr__, PEP 562).
+_LAYER_NAMES = {
+    "ingest": ("IngestConfig", "SensorFrame", "load_historian_csv", "write_sensor_csv"),
+    "detect": ("DetectorConfig", "events_to_jsonl", "format_events", "run_all_detectors"),
+    "models": (
+        "MODEL_KINDS", "Hyperparams", "evaluate_cv", "fit_model", "format_eval_table", "load_model", "model_to_dict"
+    ),
+    "plantsim": (
+        "ComparisonReport", "FaultInjection", "Scenario", "TracePlan", "compare_policies", "format_comparison",
+        "generate_trace", "inject_faults",
+    ),
+    "cba": ("McConfig", "bridge_from_simulation", "format_summary_table", "load_ledger", "net_benefit"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def _bind(*layers: str) -> None:
+    """Import each layer and bind its names here. A name already bound keeps its value, so a
+    wrapper set on this module before the command runs is the function the command calls."""
+    scope = globals()
+    for layer in layers:
+        module = importlib.import_module(f".{layer}", __package__)
+        for name in _LAYER_NAMES[layer]:
+            scope.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAYER_OF[name])
+    return globals()[name]
+
 
 ENV_OUT_DIR = "PDMECON_OUT_DIR"
 
@@ -81,6 +101,7 @@ def _config(path: str | None, cls, what: str):
 def _injections(path: str) -> list[FaultInjection]:
     """The injections file: an array of injections, or an object holding it as "injections".
     Either way an error names the array injections, its first entry injections[0]."""
+    _bind("plantsim")
     doc = load_json(path, "injections")
     if isinstance(doc, dict):
         if doc.keys() - {"injections"}:
@@ -98,7 +119,15 @@ def _seed(args) -> int:
     return args.seed
 
 
+def _check_kind(kind: str) -> None:
+    """The check of train --kind and of each kind evaluate --kinds names."""
+    _bind("models")
+    if kind not in MODEL_KINDS:
+        raise ValidationError(f"unknown model kind '{kind}'; expected one of {MODEL_KINDS}")
+
+
 def cmd_synth(args) -> int:
+    _bind("ingest", "plantsim")
     plan = _config(args.plan, TracePlan, "trace plan")
     injections = _injections(args.injections) if args.injections else []
     trace = inject_faults(generate_trace(plan, _seed(args)), injections)
@@ -110,6 +139,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    _bind("ingest")
     config = _config(args.config, IngestConfig, "ingest config")
     frame, report = load_historian_csv(args.csv, config)
     out = _out_dir(args)
@@ -126,6 +156,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _bind("ingest", "models")
+    _check_kind(args.kind)
     seed = _seed(args)
     lag_spec = LagSpec(min_lag=args.min_lag, max_lag=args.max_lag)
     values = load_historian_csv(args.csv)[0].channel(args.channel)
@@ -139,14 +171,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _bind("ingest", "models")
     seed = _seed(args)
     lag_spec = LagSpec(min_lag=args.min_lag, max_lag=args.max_lag)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if not kinds:
         raise ValidationError(f"--kinds names no model kind; expected a subset of {MODEL_KINDS}")
     for i, kind in enumerate(kinds):
-        if kind not in MODEL_KINDS:
-            raise ValidationError(f"unknown model kind '{kind}'; expected subset of {MODEL_KINDS}")
+        _check_kind(kind)
         if kind in kinds[:i]:
             raise ValidationError(f"--kinds names '{kind}' twice")
     values = load_historian_csv(args.csv)[0].channel(args.channel)
@@ -170,6 +202,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    _bind("ingest", "detect")
     config = _config(args.config, DetectorConfig, "detector config")
     values = load_historian_csv(args.csv)[0].channel(args.channel)
     events = run_all_detectors(values, config)
@@ -185,6 +218,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _bind("models", "plantsim")
     seed = _seed(args)
     scenario = from_dict(Scenario, load_json(args.scenario, "scenario"), "scenario")
     model, lag_spec = load_model(args.model) if args.model else (None, None)
@@ -198,14 +232,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cba(args) -> int:
+    _bind("cba")
     seed = _seed(args)
     if not args.bridge and (args.revenue_rate is not None or args.unit_maintenance_cost is not None):
         raise ValidationError("--revenue-rate and --unit-maintenance-cost price simulated deltas; give --bridge")
     items = load_ledger(args.ledger)
     if args.bridge:
+        _bind("plantsim")
         comparison = from_dict(ComparisonReport, load_json(args.bridge, "comparison"), "comparison")
         items = bridge_from_simulation(comparison, args.revenue_rate, items, args.unit_maintenance_cost)
-    result = net_benefit(items, McConfig(trials=args.trials, seed=seed))
+    config = McConfig(seed=seed) if args.trials is None else McConfig(trials=args.trials, seed=seed)
+    result = net_benefit(items, config)
     out = _out_dir(args) / "net_benefit.json"
     write_json(out, result.to_dict())
     print(format_summary_table(result.item_summaries))
@@ -240,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a forecast model on one channel")
     p.add_argument("--csv", required=True)
     p.add_argument("--channel", default=TRACE_CHANNEL)
-    p.add_argument("--kind", choices=MODEL_KINDS, default="linear")
+    p.add_argument("--kind", default="linear", help="model kind (default: linear)")
     p.add_argument("--min-lag", type=int, default=LagSpec.min_lag)
     p.add_argument("--max-lag", type=int, default=LagSpec.max_lag)
     p.add_argument("--hyperparams", help="JSON object keyed by model kind")
@@ -274,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cba", help="Monte Carlo net-benefit analysis")
     p.add_argument("--ledger", required=True, help="ledger JSON file")
-    p.add_argument("--trials", type=int, default=McConfig.trials)
+    p.add_argument("--trials", type=int)
     p.add_argument("--bridge", help="comparison JSON to bridge simulated deltas into the ledger")
     p.add_argument(
         "--revenue-rate", type=float, help="currency units per uptime second (default: the comparison's rate)"

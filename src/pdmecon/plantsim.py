@@ -68,7 +68,7 @@ from typing import Annotated, ClassVar, Literal, NamedTuple
 
 import numpy as np
 
-from . import format_table
+from . import TRACE_CHANNEL, format_table  # noqa: F401 - TRACE_CHANNEL is re-exported
 from .detect import decide
 from .errors import ValidationError
 from .features import LagSpec
@@ -85,7 +85,6 @@ DEFAULT_SETPOINT_SEGMENTS = (
     (3180, 20.0),
     (4200, 40.0),
 )
-TRACE_CHANNEL = "DPIT301"  # the channel a synthetic trace is written as, and the CLI's default channel
 # A run or a forecast holds one float64 per second: 2^53 seconds would take 2^56 bytes, so no
 # longer duration_s or horizon_s could ever be allocated, and numpy cannot even size some.
 MAX_SECONDS = 2**53

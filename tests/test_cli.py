@@ -832,6 +832,9 @@ MALFORMED = [
     ("seed-negative", "synth", "--seed", lambda d: FlagValue("-1"), "error: --seed must be >= 0"),
     ("evaluate-unknown-kind", "evaluate", "--kinds", lambda d: FlagValue("linear,bogus"),
      "error: unknown model kind 'bogus'"),
+    # checked by the command, not by the parser, which imports no layer
+    ("train-unknown-kind", "train", "--kind", lambda d: FlagValue("bogus"),
+     "error: unknown model kind 'bogus'; expected one of ('linear', 'forest', 'boost')"),
 ]
 
 
